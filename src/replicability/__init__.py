@@ -21,9 +21,8 @@ from .data import (
 )
 from .dataio import parse_pvalue_csv, parse_scenario_file, write_pvalue_csv
 from .datasets import load_crohns_disease, load_hippocampal_volume
-from .errors import ApplicabilityError, CapacityError, DataError, ReplicabilityError
+from .errors import ApplicabilityError, DataError, ReplicabilityError
 from .numeric import (
-    HarmonicCache,
     chisq_survival_even_df,
     harmonic,
     solve_oracle_qprime,
@@ -67,12 +66,10 @@ __all__ = [
     "AdjustedRow",
     "AdjustedTable",
     "ApplicabilityError",
-    "CapacityError",
     "DataError",
     "Dependence",
     "DiscoveryReport",
     "FwerMethod",
-    "HarmonicCache",
     "HypothesisRecord",
     "HypothesisScore",
     "ProcedureParams",

@@ -8,8 +8,8 @@ set-valued outputs are reported in input order for determinism.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -29,9 +29,35 @@ class HypothesisRecord:
     p2: float | None = None
 
 
-@dataclass(frozen=True)
+class _RecordView(Sequence):
+    """Read-only rows of a :class:`StudyPairData`; each record is built
+    from the columns when it is read."""
+
+    def __init__(self, data: "StudyPairData"):
+        self._data = data
+
+    def __len__(self) -> int:
+        return len(self._data.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        p1, p2 = float(self._data.p1[i]), float(self._data.p2[i])
+        return HypothesisRecord(self._data.ids[i], p1, None if p2 != p2 else p2)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+
+@dataclass(frozen=True, eq=False)
 class StudyPairData:
     """A family of hypotheses tested in a primary and a follow-up study.
+
+    Stored as columns: ``ids`` (a tuple), ``p1`` and ``p2`` (read-only
+    float64 arrays), with NaN in ``p2`` marking a hypothesis that was not
+    followed up. Build from records with ``StudyPairData(records, ...)``,
+    where absence is spelled ``None``, or from arrays with
+    :meth:`from_columns`.
 
     ``m_declared`` overrides the family size when the dataset lists only a
     subset of the tested hypotheses (e.g. only the ones followed up out of
@@ -39,7 +65,9 @@ class StudyPairData:
     set size when only a subset of followed-up rows is available.
     """
 
-    records: tuple[HypothesisRecord, ...]
+    _ids: tuple[str, ...]
+    p1: np.ndarray
+    p2: np.ndarray
     m_declared: int | None = None
     r1_declared: int | None = None
 
@@ -49,62 +77,100 @@ class StudyPairData:
         m_declared: int | None = None,
         r1_declared: int | None = None,
     ):
-        object.__setattr__(self, "records", tuple(records))
-        object.__setattr__(self, "m_declared", m_declared)
-        object.__setattr__(self, "r1_declared", r1_declared)
+        records = tuple(records)
+        nan_p2 = [r.id for r in records if r.p2 != r.p2]  # only NaN differs from itself
+        if nan_p2:
+            raise DataError(
+                f"record {nan_p2[0]!r}: p2 is NaN; a hypothesis that was not "
+                "followed up has p2=None"
+            )
+        p2 = [np.nan if r.p2 is None else r.p2 for r in records]
+        self._fill(
+            tuple(r.id for r in records), [r.p1 for r in records], p2, m_declared, r1_declared
+        )
+
+    @classmethod
+    def from_columns(cls, ids, p1, p2, m_declared=None, r1_declared=None) -> StudyPairData:
+        """Dataset over copies of the given columns; NaN in ``p2`` means
+        the hypothesis was not followed up."""
+        data = object.__new__(cls)
+        data._fill(tuple(ids), p1, p2, m_declared, r1_declared)
+        return data
+
+    def _fill(self, ids, p1, p2, m_declared, r1_declared) -> None:
+        p1, p2 = np.array(p1, dtype=float), np.array(p2, dtype=float)
+        if not p1.shape == p2.shape == (len(ids),):
+            raise ValueError(f"columns differ in length: {len(ids)}, {p1.shape}, {p2.shape}")
+        p1.flags.writeable = p2.flags.writeable = False
+        fields = dict(_ids=ids, p1=p1, p2=p2, m_declared=m_declared, r1_declared=r1_declared)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StudyPairData):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.m_declared == other.m_declared
+            and self.r1_declared == other.r1_declared
+            and np.array_equal(self.p1, other.p1)
+            and np.array_equal(self.p2, other.p2, equal_nan=True)
+        )
 
     @property
     def m(self) -> int:
         """Effective family size."""
-        return self.m_declared if self.m_declared is not None else len(self.records)
+        return self.m_declared if self.m_declared is not None else len(self.ids)
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.records)
+        return self._ids
+
+    @property
+    def records(self) -> Sequence[HypothesisRecord]:
+        return _RecordView(self)
 
     def p1_array(self) -> np.ndarray:
-        return np.array([r.p1 for r in self.records], dtype=float)
+        """A writable copy of the primary p-values."""
+        return self.p1.copy()
 
     def p2_array(self) -> np.ndarray:
-        """Follow-up p-values with NaN standing in for absent rows.
-
-        Internal convenience only; the public record type keeps absence
-        explicit as ``None``.
-        """
-        return np.array(
-            [np.nan if r.p2 is None else r.p2 for r in self.records], dtype=float
-        )
+        """A writable copy of the follow-up p-values, NaN where absent."""
+        return self.p2.copy()
 
     def followed_up_ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.records if r.p2 is not None)
+        return tuple(self.ids[i] for i in np.flatnonzero(~np.isnan(self.p2)))
 
     @property
     def r1_listed(self) -> int:
         """Number of rows carrying a follow-up p-value."""
-        return sum(1 for r in self.records if r.p2 is not None)
+        return int(np.count_nonzero(~np.isnan(self.p2)))
+
+    def _first_missing(self) -> str | None:
+        missing = np.flatnonzero(np.isnan(self.p2))
+        return self.ids[missing[0]] if missing.size else None
 
     def swap_studies(self) -> "StudyPairData":
         """Exchange the roles of the two studies. Requires complete data."""
-        swapped = []
-        for r in self.records:
-            if r.p2 is None:
-                raise DataError(
-                    f"cannot swap study roles: record {r.id!r} has no follow-up p-value"
-                )
-            swapped.append(HypothesisRecord(r.id, r.p2, r.p1))
-        return StudyPairData(swapped, m_declared=self.m_declared)
+        missing = self._first_missing()
+        if missing is not None:
+            raise DataError(
+                f"cannot swap study roles: record {missing!r} has no follow-up p-value"
+            )
+        return StudyPairData.from_columns(self.ids, self.p2, self.p1, self.m_declared)
 
     def require_complete(self, what: str) -> None:
-        missing = [r.id for r in self.records if r.p2 is None]
-        if missing:
+        missing = self._first_missing()
+        if missing is not None:
             raise DataError(
                 f"{what} requires follow-up p-values for every hypothesis; "
-                f"missing for {len(missing)} record(s), first: {missing[0]!r}"
+                f"missing for {len(self.ids) - self.r1_listed} record(s), "
+                f"first: {missing!r}"
             )
-        if self.m_declared is not None and self.m_declared != len(self.records):
+        if self.m_declared is not None and self.m_declared != len(self.ids):
             raise DataError(
                 f"{what} requires the full family; dataset lists "
-                f"{len(self.records)} rows but declares m={self.m_declared}"
+                f"{len(self.ids)} rows but declares m={self.m_declared}"
             )
 
 
@@ -142,8 +208,13 @@ class TruthAssignment:
 
 @dataclass(frozen=True)
 class ValidationIssue:
+    """One problem: ``field`` is ``id``, ``p1``, ``p2``, ``m`` or ``r1``,
+    and ``row`` the record's position for per-record problems."""
+
     where: str
     message: str
+    field: str = ""
+    row: int | None = None
 
 
 @dataclass(frozen=True)
@@ -161,49 +232,52 @@ class ValidationResult:
 def validate_dataset(data: StudyPairData) -> ValidationResult:
     """Check ranges, id uniqueness, and override consistency.
 
-    Diagnostic only: always returns a result, never raises.
+    P-values must lie in [0, 1] (NaN or infinite values do not); a NaN
+    ``p2`` is an absent follow-up value, not a problem. Per-record issues
+    come first, in record order. Diagnostic only: always returns a result,
+    never raises.
     """
+    ids, p1, p2 = data.ids, data.p1, data.p2
+    bad_p1 = ~((p1 >= 0.0) & (p1 <= 1.0))
+    bad_p2 = (p2 < 0.0) | (p2 > 1.0)
+    id_problems: dict[int, str] = {}
+    if "" in ids or len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for i, rid in enumerate(ids):
+            if not rid:
+                id_problems[i] = "empty id"
+            elif rid in seen:
+                id_problems[i] = "duplicate id"
+            seen.add(rid)
     issues: list[ValidationIssue] = []
-    seen: set[str] = set()
-    for i, rec in enumerate(data.records):
-        where = f"record {i} ({rec.id!r})"
-        if not rec.id:
-            issues.append(ValidationIssue(where, "empty id"))
-        elif rec.id in seen:
-            issues.append(ValidationIssue(where, "duplicate id"))
-        seen.add(rec.id)
-        if not np.isfinite(rec.p1) or not 0.0 <= rec.p1 <= 1.0:
-            issues.append(ValidationIssue(where, f"p1 out of range: {rec.p1!r}"))
-        if rec.p2 is not None and (not np.isfinite(rec.p2) or not 0.0 <= rec.p2 <= 1.0):
-            issues.append(ValidationIssue(where, f"p2 out of range: {rec.p2!r}"))
-    n = len(data.records)
-    if data.m_declared is not None:
-        if data.m_declared < 1:
-            issues.append(ValidationIssue("m override", "must be positive"))
-        elif data.m_declared < n:
-            issues.append(
-                ValidationIssue(
-                    "m override",
-                    f"declared family size {data.m_declared} is smaller than "
-                    f"the {n} rows listed",
+    for i in sorted(id_problems.keys() | set(np.flatnonzero(bad_p1 | bad_p2).tolist())):
+        where = f"record {i} ({ids[i]!r})"
+        if i in id_problems:
+            issues.append(ValidationIssue(where, id_problems[i], "id", i))
+        for name, bad, col in (("p1", bad_p1, p1), ("p2", bad_p2, p2)):
+            if bad[i]:
+                issues.append(
+                    ValidationIssue(where, f"{name} out of range: {float(col[i])!r}", name, i)
                 )
-            )
-    if data.r1_declared is not None:
-        if data.r1_declared < 1:
-            issues.append(ValidationIssue("r1 override", "must be positive"))
-        elif data.r1_declared < data.r1_listed:
-            issues.append(
-                ValidationIssue(
-                    "r1 override",
-                    f"declared follow-up count {data.r1_declared} is smaller than "
-                    f"the {data.r1_listed} follow-up rows listed",
-                )
-            )
-    if data.m_declared is not None and data.r1_declared is not None:
-        if data.r1_declared > data.m_declared:
-            issues.append(
-                ValidationIssue("overrides", "r1 override exceeds m override")
-            )
+    m_decl, r1_decl, n, listed = data.m_declared, data.r1_declared, len(ids), data.r1_listed
+
+    def override(name: str, message: str) -> None:
+        issues.append(ValidationIssue(f"{name} override", message, name))
+
+    if m_decl is not None and m_decl < 1:
+        override("m", "must be positive")
+    elif m_decl is not None and m_decl < n:
+        override("m", f"declared family size {m_decl} is smaller than the {n} rows listed")
+    if r1_decl is not None and r1_decl < 1:
+        override("r1", "must be positive")
+    elif r1_decl is not None and r1_decl < listed:
+        override(
+            "r1",
+            f"declared follow-up count {r1_decl} is smaller than the {listed} "
+            "follow-up rows listed",
+        )
+    elif r1_decl is not None and r1_decl > data.m:
+        override("r1", f"declared follow-up count {r1_decl} exceeds the family size m={data.m}")
     return ValidationResult(tuple(issues))
 
 
@@ -226,6 +300,8 @@ class DiscoveryReport:
     are the realized cut-offs actually applied to p1 / p2. When the dataset
     lists only part of the follow-up set, ``adjusted_is_upper_bound`` marks
     the per-hypothesis adjusted values as upper-bound estimates.
+    ``scored_rows`` holds the dataset position of each ``per_hypothesis``
+    entry.
     """
 
     procedure: str
@@ -235,6 +311,7 @@ class DiscoveryReport:
     followup_threshold: float
     per_hypothesis: tuple[HypothesisScore, ...] = field(default_factory=tuple)
     adjusted_is_upper_bound: bool = False
+    scored_rows: tuple[int, ...] = ()
 
     @property
     def r2(self) -> int:

@@ -8,12 +8,16 @@ with a trailing newline.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
 from pathlib import Path
 
+import numpy as np
+
 from .adjust import AdjustedTable
-from .data import DiscoveryReport, HypothesisRecord, StudyPairData
+from .data import DiscoveryReport, StudyPairData, validate_dataset
 from .errors import DataError
 from .procedures import Dependence
 from .selection import SelectionRule
@@ -24,6 +28,7 @@ DISCOVERY_HEADER = "id,p1,p2,z,adjusted_p,rejected"
 SIM_HEADER = "point,avg_fdp,fdp_se,avg_power,power_se,avg_rejections"
 
 _DIRECTIVE = re.compile(r"^#\s*(m|r1)\s*=\s*(\d+)\s*$")
+_BLOCK_CHARS = 1 << 20  # characters per block of lines: ~30k GWAS rows
 
 
 def fmt(x: float | None, full: bool = True) -> str:
@@ -41,52 +46,118 @@ def _parse_float(text: str, where: str, name: str) -> float:
         raise DataError(f"{where}: cannot parse {name} value {text!r}") from None
 
 
+def _parse_row(line: str, where: str) -> tuple[str, float, float]:
+    """One stripped data line as (id, p1, p2), NaN for an absent p2."""
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
+    rid, p1_text, p2_text = (p.strip() for p in parts)
+    if not rid:
+        raise DataError(f"{where}: empty id")
+    p1 = _parse_float(p1_text, where, "p1")
+    if p2_text == "":
+        return rid, p1, math.nan
+    p2 = _parse_float(p2_text, where, "p2")
+    if math.isnan(p2):  # NaN marks an absent p2; absence is written as an empty field
+        raise DataError(f"{where}: p2 out of range: {p2_text!r}; leave it empty if not followed up")
+    return rid, p1, p2
+
+
+def _parse_block(rows: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Columns of stripped data lines, converted a block at a time.
+
+    Raises ValueError on any line :func:`_parse_row` would refuse (and on
+    an empty block); the caller then parses the block line by line.
+    """
+    if set(map(str.count, rows, repeat(","))) != {2}:
+        raise ValueError("field count")
+    fields = ",".join(rows).split(",")
+    ids = list(map(str.strip, fields[0::3]))
+    if "" in ids:
+        raise ValueError("empty id")
+    p1 = np.fromiter(map(float, fields[1::3]), float, len(rows))
+    p2_text = list(map(str.strip, fields[2::3]))
+    present = np.fromiter(map(bool, p2_text), bool, len(rows))
+    p2 = np.full(len(rows), np.nan)
+    p2[present] = np.fromiter(map(float, compress(p2_text, present)), float)
+    if np.isnan(p2[present]).any():
+        raise ValueError("nan p2")
+    return ids, p1, p2
+
+
+def _row_line(path: Path, row: int) -> int:
+    """Line number of data row ``row`` (0-based), for error messages."""
+    with open(path, "r", encoding="utf-8") as fh:
+        content = (k for k, raw in enumerate(fh, 1) if raw.strip()[:1] not in ("", "#"))
+        return next(islice(content, row + 1, None))  # the header comes first
+
+
 def parse_pvalue_csv(path) -> StudyPairData:
     """Read a ``id,p1,p2`` CSV into a dataset.
 
     An empty p2 field means the hypothesis was not followed up. Comment
     lines start with ``#``; the directives ``# m=<int>`` and ``# r1=<int>``
     declare the true family and follow-up sizes when the file lists only a
-    subset of rows.
+    subset of rows. The dataset is refused (``DataError`` naming the line)
+    unless :func:`validate_dataset` finds nothing wrong with it.
     """
     path = Path(path)
-    m_declared: int | None = None
-    r1_declared: int | None = None
-    records: list[HypothesisRecord] = []
-    header_seen = False
+    declared: dict[str, int] = {}  # directive values by name ("m", "r1")
+    declared_at: dict[str, int] = {}  # and the lines they were read from
+
+    def comment(line: str, lineno: int) -> None:
+        hit = _DIRECTIVE.match(line)
+        if hit:
+            declared[hit.group(1)] = int(hit.group(2))
+            declared_at[hit.group(1)] = lineno
+
+    ids: list[str] = []
+    p1_parts, p2_parts = [np.zeros(0)], [np.zeros(0)]
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            where = f"{path}:{lineno}"
-            if not line:
-                continue
             if line.startswith("#"):
-                hit = _DIRECTIVE.match(line)
-                if hit:
-                    if hit.group(1) == "m":
-                        m_declared = int(hit.group(2))
-                    else:
-                        r1_declared = int(hit.group(2))
-                continue
-            if not header_seen:
+                comment(line, lineno)
+            elif line:
                 if line != PVALUE_HEADER:
                     raise DataError(
-                        f"{where}: expected header {PVALUE_HEADER!r}, got {line!r}"
+                        f"{path}:{lineno}: expected header {PVALUE_HEADER!r}, got {line!r}"
                     )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
-            rid, p1_text, p2_text = (p.strip() for p in parts)
-            if not rid:
-                raise DataError(f"{where}: empty id")
-            p1 = _parse_float(p1_text, where, "p1")
-            p2 = None if p2_text == "" else _parse_float(p2_text, where, "p2")
-            records.append(HypothesisRecord(rid, p1, p2))
-    if not header_seen:
-        raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
-    return StudyPairData(records, m_declared=m_declared, r1_declared=r1_declared)
+                break
+        else:
+            raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
+        while lines := fh.readlines(_BLOCK_CHARS):
+            rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+            if len(rows) < len(lines):
+                for k, s in enumerate(map(str.strip, lines), start=lineno + 1):
+                    if s.startswith("#"):
+                        comment(s, k)
+            try:
+                block_ids, p1, p2 = _parse_block(rows)
+            except ValueError:  # line by line, so that the error names its line
+                parsed = [
+                    _parse_row(s, f"{path}:{k}")
+                    for k, s in enumerate(map(str.strip, lines), start=lineno + 1)
+                    if s and s[0] != "#"
+                ]
+                block_ids, p1, p2 = zip(*parsed) if parsed else ((), (), ())
+            ids.extend(block_ids)
+            p1_parts.append(p1)
+            p2_parts.append(p2)
+            lineno += len(lines)
+    data = StudyPairData.from_columns(
+        ids, np.concatenate(p1_parts), np.concatenate(p2_parts),
+        declared.get("m"), declared.get("r1"),
+    )
+    issues = validate_dataset(data).issues
+    if issues:
+        first = issues[0]
+        if first.field in declared_at:
+            line = declared_at[first.field]
+        else:
+            line = _row_line(path, first.row)
+        raise DataError(f"{path}:{line}: {first.where}: {first.message}")
+    return data
 
 
 def write_pvalue_csv(data: StudyPairData, path) -> None:
@@ -96,10 +167,10 @@ def write_pvalue_csv(data: StudyPairData, path) -> None:
     if data.r1_declared is not None:
         lines.append(f"# r1={data.r1_declared}")
     lines.append(PVALUE_HEADER)
-    for rec in data.records:
-        if "," in rec.id:
-            raise DataError(f"id {rec.id!r} cannot contain a comma")
-        lines.append(f"{rec.id},{fmt(rec.p1)},{fmt(rec.p2)}")
+    for rid, p1, p2 in zip(data.ids, data.p1.tolist(), data.p2.tolist()):
+        if "," in rid:
+            raise DataError(f"id {rid!r} cannot contain a comma")
+        lines.append(f"{rid},{fmt(p1)},{fmt(None if p2 != p2 else p2)}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -107,17 +178,18 @@ def write_discoveries_csv(
     data: StudyPairData, report: DiscoveryReport, path, full: bool = True
 ) -> None:
     """One row per scored (followed-up) hypothesis, flagging rejections."""
-    by_id = {rec.id: rec for rec in data.records}
+    rows = np.asarray(report.scored_rows, dtype=np.intp)
     rejected = set(report.rejected_ids)
     lines = [DISCOVERY_HEADER]
-    for score in report.per_hypothesis:
-        rec = by_id[score.id]
+    for score, p1, p2 in zip(
+        report.per_hypothesis, data.p1[rows].tolist(), data.p2[rows].tolist(), strict=True
+    ):
         lines.append(
             ",".join(
                 (
                     score.id,
-                    fmt(rec.p1, full),
-                    fmt(rec.p2, full),
+                    fmt(p1, full),
+                    fmt(p2, full),
                     fmt(score.z_value, full),
                     fmt(score.adjusted_p, full),
                     "1" if score.id in rejected else "0",
@@ -186,10 +258,6 @@ def sim_csv_text(rows: list[tuple[float, SimEstimate]]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_sim_csv(rows: list[tuple[float, SimEstimate]], path) -> None:
-    Path(path).write_text(sim_csv_text(rows), encoding="utf-8")
 
 
 _DEPENDENCE_ALIASES = {

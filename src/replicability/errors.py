@@ -15,6 +15,3 @@ class ApplicabilityError(ReplicabilityError):
     e.g. the thresholded dependence correction when the selection threshold
     is too large. Callers should fall back to a more conservative variant."""
 
-
-class CapacityError(ReplicabilityError):
-    """A cached table was asked for a value beyond its configured maximum."""

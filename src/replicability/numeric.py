@@ -1,5 +1,5 @@
 """Scalar numerics shared by every procedure: normal CDF/quantile,
-even-df chi-square survival, harmonic prefix sums, the thresholded
+even-df chi-square survival, harmonic sums, the thresholded
 primary-level solver, and the oracle calibration quadratic.
 
 Tail behaviour matters here: primary-study p-values in GWAS-scale data go
@@ -15,13 +15,11 @@ import math
 import numpy as np
 from scipy import special
 
-from .errors import ApplicabilityError, CapacityError
+from .errors import ApplicabilityError
 
 # Smallest positive (subnormal) double; used to keep tail probabilities
 # strictly positive for finite arguments.
 _TINY = 5e-324
-
-_CHUNK = 1 << 16
 
 
 def std_normal_cdf(x):
@@ -84,57 +82,12 @@ def chisq_survival_even_df(x: float, df: int) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-class HarmonicCache:
-    """Prefix sums H_k = sum_{i<=k} 1/i, grown lazily up to a maximum.
-
-    Sums are accumulated in extended precision (chunked long-double
-    cumulative sums with an exactly carried base), so the stored float64
-    values are correctly rounded partial sums for all practical k. The
-    cache is immutable once grown far enough; lazy extension is not
-    thread-safe and should be done up-front when sharing across threads.
-    """
-
-    def __init__(self, maximum: int = 10_000_000):
-        if maximum < 1:
-            raise ValueError("cache maximum must be positive")
-        self.maximum = maximum
-        self._sums = np.zeros(1, dtype=np.longdouble)  # index k -> H_k
-
-    def _grow_to(self, k: int) -> None:
-        have = self._sums.size - 1
-        if k <= have:
-            return
-        parts = [self._sums]
-        base = self._sums[-1]
-        lo = have + 1
-        while lo <= k:
-            hi = min(lo + _CHUNK - 1, k)
-            block = np.cumsum(
-                1.0 / np.arange(lo, hi + 1, dtype=np.longdouble)
-            )
-            block += base
-            base = block[-1]
-            parts.append(block)
-            lo = hi + 1
-        self._sums = np.concatenate(parts)
-
-    def harmonic(self, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"harmonic index must be non-negative, got {k}")
-        if k > self.maximum:
-            raise CapacityError(
-                f"harmonic({k}) exceeds the cache maximum {self.maximum}"
-            )
-        self._grow_to(k)
-        return float(self._sums[k])
-
-
-_default_cache = HarmonicCache()
-
-
 def harmonic(k: int) -> float:
-    """H_k = 1 + 1/2 + ... + 1/k, with H_0 = 0. Served from a shared cache."""
-    return _default_cache.harmonic(k)
+    """H_k = 1 + 1/2 + ... + 1/k, with H_0 = 0, in closed form as
+    digamma(k + 1) + Euler's constant (Benjamini & Yekutieli, 2001)."""
+    if k < 0:
+        raise ValueError(f"harmonic index must be non-negative, got {k}")
+    return float(special.digamma(k + 1.0) + np.euler_gamma)
 
 
 def solve_q1_tilde_thresholded(q1: float, m: int, t: float) -> float:

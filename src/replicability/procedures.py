@@ -127,17 +127,14 @@ def _gather_selected(
     data: StudyPairData, rule: SelectionRule, what: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Indices, p1, p2 of the selected rows, plus the effective R1."""
-    mask = _select_mask(rule, data, data.p1_array())
-    idx = np.flatnonzero(mask)
-    recs = data.records
-    missing = [recs[i].id for i in idx if recs[i].p2 is None]
-    if missing:
+    idx = np.flatnonzero(_select_mask(rule, data, data.p1))
+    p1, p2 = data.p1[idx], data.p2[idx]
+    missing = idx[np.isnan(p2)]
+    if missing.size:
         raise DataError(
-            f"{what}: {len(missing)} selected hypothesis(es) lack a follow-up "
-            f"p-value, first: {missing[0]!r}"
+            f"{what}: {missing.size} selected hypothesis(es) lack a follow-up "
+            f"p-value, first: {data.ids[missing[0]]!r}"
         )
-    p1 = np.array([recs[i].p1 for i in idx], dtype=float)
-    p2 = np.array([recs[i].p2 for i in idx], dtype=float)
     r1 = data.r1_declared if data.r1_declared is not None else idx.size
     if r1 < idx.size:
         raise DataError(
@@ -229,6 +226,7 @@ def fdr_two_stage(
         followup_threshold=r2 * q2_eff / r1 if r1 else 0.0,
         per_hypothesis=_report_scores(data, idx, q * z, q * adjusted),
         adjusted_is_upper_bound=r1 > idx.size,
+        scored_rows=tuple(idx.tolist()),
     )
 
 
@@ -387,6 +385,7 @@ def fwer_two_stage(
         followup_threshold=(alpha - alpha1) / r1 if r1 else 0.0,
         per_hypothesis=_report_scores(data, idx, z, z),
         adjusted_is_upper_bound=r1 > idx.size,
+        scored_rows=tuple(idx.tolist()),
     )
 
 
@@ -424,12 +423,7 @@ def fdr_symmetric(
         if w1 < 1.0
         else None
     )
-    if reverse is None:
-        primary = forward
-    elif forward is None:
-        primary = reverse
-    else:
-        primary = forward
+    primary = forward if forward is not None else reverse
     rejected = set()
     for part in (forward, reverse):
         if part is not None:
@@ -441,6 +435,7 @@ def fdr_symmetric(
         primary_threshold=primary.primary_threshold,
         followup_threshold=primary.followup_threshold,
         per_hypothesis=primary.per_hypothesis,
+        scored_rows=primary.scored_rows,
     )
 
 
@@ -464,6 +459,7 @@ def _bh_report(
         primary_threshold=threshold,
         followup_threshold=threshold,
         per_hypothesis=scores,
+        scored_rows=tuple(range(len(ids))),
     )
 
 
@@ -474,7 +470,7 @@ def baseline_partial_conjunction(data: StudyPairData, q: float) -> DiscoveryRepo
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     data.require_complete("the partial-conjunction baseline")
-    stat = np.maximum(data.p1_array(), data.p2_array())
+    stat = np.maximum(data.p1, data.p2)
     return _bh_report(data, stat, q, "baseline_partial_conjunction")
 
 
@@ -493,8 +489,7 @@ def baseline_naive_bh_bh(
     if primary not in (1, 2):
         raise ValueError(f"primary study must be 1 or 2, got {primary}")
     data.require_complete("the naive two-step baseline")
-    a = data.p1_array() if primary == 1 else data.p2_array()
-    b = data.p2_array() if primary == 1 else data.p1_array()
+    a, b = (data.p1, data.p2) if primary == 1 else (data.p2, data.p1)
     m = data.m
     first = bh_mask(a, q, m=m)
     idx = np.flatnonzero(first)
@@ -535,7 +530,7 @@ def baseline_fisher_meta(data: StudyPairData, q: float) -> DiscoveryReport:
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
     data.require_complete("the meta-analysis baseline")
-    combined = fisher_combined_pvalues(data.p1_array(), data.p2_array())
+    combined = fisher_combined_pvalues(data.p1, data.p2)
     return _bh_report(data, combined, q, "baseline_fisher_meta")
 
 
@@ -576,4 +571,5 @@ def oracle_calibrated_run(
         followup_threshold=report.followup_threshold,
         per_hypothesis=report.per_hypothesis,
         adjusted_is_upper_bound=report.adjusted_is_upper_bound,
+        scored_rows=report.scored_rows,
     )

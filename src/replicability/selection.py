@@ -125,15 +125,15 @@ def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np
                 if len(unknown) > 3
                 else f"explicit selection names ids absent from the dataset: {sorted(unknown)}"
             )
-        return np.array([rid in rule.ids for rid in data.ids], dtype=bool)
+        return np.isin(np.array(data.ids, dtype=object), list(rule.ids))
     if rule.kind == "followup":
-        return np.array([r.p2 is not None for r in data.records], dtype=bool)
+        return ~np.isnan(data.p2)
     raise ValueError(f"unknown selection rule kind {rule.kind!r}")
 
 
 def select(rule: SelectionRule, data: StudyPairData) -> tuple[str, ...]:
     """The follow-up set chosen by ``rule``, as ids in input order."""
-    mask = _select_mask(rule, data, data.p1_array())
+    mask = _select_mask(rule, data, data.p1)
     ids = data.ids
     return tuple(ids[i] for i in np.flatnonzero(mask))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import special
 
-from .data import TRUTH_LABELS, HypothesisRecord, StudyPairData, TruthAssignment
+from .data import TRUTH_LABELS, StudyPairData, TruthAssignment
 from .errors import DataError
 from .numeric import solve_oracle_qprime
 from .procedures import (
@@ -134,6 +134,8 @@ class SimScenario:
             raise DataError("m must be positive")
         if self.reps < 1:
             raise DataError("reps must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be a non-negative integer, got {self.seed}")
         fr = (self.f00, self.f01, self.f10, self.f11)
         if any(f < 0 or f > 1 for f in fr):
             raise DataError("fractions must lie in [0, 1]")
@@ -230,12 +232,9 @@ def generate_rep(
     """
     p1, p2 = _generate_arrays(scenario, rep_index)
     width = len(str(scenario.m))
-    records = [
-        HypothesisRecord(f"h{i + 1:0{width}d}", float(p1[i]), float(p2[i]))
-        for i in range(scenario.m)
-    ]
+    ids = [f"h{i:0{width}d}" for i in range(1, scenario.m + 1)]
     labels = tuple(TRUTH_LABELS[c] for c in _truth_codes(scenario))
-    return StudyPairData(records), TruthAssignment(labels)
+    return StudyPairData.from_columns(ids, p1, p2), TruthAssignment(labels)
 
 
 def _selection_mask(

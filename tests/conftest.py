@@ -29,3 +29,18 @@ def random_instance(rng: np.random.Generator, max_m: int = 200, max_r1: int = 50
     q1 = c * q
     k = int(rng.integers(1, min(max_r1, m) + 1))
     return make_data(p1, p2), q1, q, k
+
+
+# Files the p-value reader must refuse: name -> (text, line named, field named).
+BAD_PVALUE_FILES = {
+    "p1_nan": ("id,p1,p2\na,0.1,0.2\nb,nan,0.1\n", 3, "p1"),
+    "p1_inf": ("id,p1,p2\na,0.1,0.2\nb,inf,\n", 3, "p1"),
+    "p1_above_one": ("id,p1,p2\na,1.5,0.2\n", 2, "p1"),
+    "p2_negative": ("id,p1,p2\na,0.1,0.2\nb,0.1,-0.3\n", 3, "p2"),
+    "p2_nan": ("id,p1,p2\na,0.1,nan\n", 2, "p2"),
+    "p2_inf": ("id,p1,p2\na,0.1,0.2\n\nb,0.1,inf\n", 4, "p2"),
+    "duplicate_id": ("id,p1,p2\na,0.1,0.2\nb,0.2,\na,0.3,0.4\n", 4, "duplicate id"),
+    "m_below_rows": ("# m=2\nid,p1,p2\na,0.1,\nb,0.2,\nc,0.3,\n", 1, "m override"),
+    "r1_below_followups": ("id,p1,p2\n# r1=1\na,0.1,0.2\nb,0.2,0.3\n", 2, "r1 override"),
+    "r1_above_m": ("# m=3\nid,p1,p2\na,0.1,0.2\n# r1=4\n", 4, "r1 override"),
+}

@@ -1,0 +1,65 @@
+"""Reference p-value CSV parser: the plain line-by-line loop.
+
+The package's reader converts blocks of lines at a time; the property
+tests require it to agree with this loop on every file, either returning
+an equal dataset or failing on the same line.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+from replicability.data import HypothesisRecord, StudyPairData
+from replicability.errors import DataError
+
+PVALUE_HEADER = "id,p1,p2"
+_DIRECTIVE = re.compile(r"^#\s*(m|r1)\s*=\s*(\d+)\s*$")
+
+
+def _parse_float(text: str, where: str, name: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"{where}: cannot parse {name} value {text!r}") from None
+
+
+def parse_pvalue_csv_lines(path) -> StudyPairData:
+    path = Path(path)
+    m_declared: int | None = None
+    r1_declared: int | None = None
+    records: list[HypothesisRecord] = []
+    header_seen = False
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            where = f"{path}:{lineno}"
+            if not line:
+                continue
+            if line.startswith("#"):
+                hit = _DIRECTIVE.match(line)
+                if hit:
+                    if hit.group(1) == "m":
+                        m_declared = int(hit.group(2))
+                    else:
+                        r1_declared = int(hit.group(2))
+                continue
+            if not header_seen:
+                if line != PVALUE_HEADER:
+                    raise DataError(
+                        f"{where}: expected header {PVALUE_HEADER!r}, got {line!r}"
+                    )
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
+            rid, p1_text, p2_text = (p.strip() for p in parts)
+            if not rid:
+                raise DataError(f"{where}: empty id")
+            p1 = _parse_float(p1_text, where, "p1")
+            p2 = None if p2_text == "" else _parse_float(p2_text, where, "p2")
+            records.append(HypothesisRecord(rid, p1, p2))
+    if not header_seen:
+        raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
+    return StudyPairData(records, m_declared=m_declared, r1_declared=r1_declared)

@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from conftest import BAD_PVALUE_FILES
 from replicability.cli import main
 
 HIPPO = resources.files("replicability.fixtures") / "hippocampal_volume.csv"
@@ -125,6 +126,32 @@ class TestExitCodes:
         assert code == 3
         assert "applicability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", sorted(BAD_PVALUE_FILES))
+    def test_bad_pvalues_are_data_errors(self, tmp_path, capsys, case):
+        text, line, field = BAD_PVALUE_FILES[case]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = main([
+            "analyze", "--input", str(bad), "--q1", "0.01", "--q", "0.05",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}:" in err and field in err
+
+    def test_nan_is_not_absence(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "# m=2\nid,p1,p2\na,0.001,0.002\nb,nan,0.01\nc,0.0001,nan\n"
+            "c,1.5,-0.3\nd,inf,\n"
+        )
+        code = main([
+            "analyze", "--input", str(bad), "--q1", "0.01", "--q", "0.05",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert f"{bad}:5: p2 out of range: 'nan'" in capsys.readouterr().err
+
     def test_io_error_is_4(self, capsys):
         code = main(["analyze", "--input", "/nonexistent/x.csv", "--q1", "0.01", "--q", "0.05"])
         assert code == 4
@@ -175,6 +202,18 @@ class TestSimulate:
         scen = tmp_path / "s.txt"
         scen.write_text(SCENARIO + "wат = 1\n")
         assert main(["simulate", "--scenario", str(scen)]) == 2
+
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys):
+        scen = tmp_path / "s.txt"
+        scen.write_text(SCENARIO)
+        assert main(["simulate", "--scenario", str(scen), "--workers", "-3"]) == 1
+        assert "--workers" in capsys.readouterr().err
+
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        scen = tmp_path / "s.txt"
+        scen.write_text(SCENARIO.replace("seed = 42", "seed = -1"))
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_sweep_rows(self, tmp_path):
         scen = tmp_path / "s.txt"

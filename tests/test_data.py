@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from replicability.data import (
@@ -97,3 +98,20 @@ def test_truth_assignment_counts():
 def test_truth_assignment_rejects_unknown_label():
     with pytest.raises(ValueError):
         TruthAssignment(("I00", "huh"))
+
+
+def test_nan_p2_record_refused():
+    with pytest.raises(DataError):
+        StudyPairData([HypothesisRecord("a", 0.1, float("nan"))])
+
+
+def test_columns_and_records_agree():
+    recs = [HypothesisRecord("a", 0.1, 0.2), HypothesisRecord("b", 0.3)]
+    data = StudyPairData(recs, m_declared=9)
+    assert data == StudyPairData.from_columns(
+        ("a", "b"), [0.1, 0.3], [0.2, np.nan], m_declared=9
+    )
+    assert data.records == tuple(recs)
+    assert data.records[-1] == recs[1] and data.records[:1] == (recs[0],)
+    with pytest.raises(ValueError):
+        data.p1[0] = 0.5  # columns are read-only; p1_array() gives a copy

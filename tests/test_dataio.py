@@ -1,10 +1,13 @@
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_data
+from conftest import BAD_PVALUE_FILES, make_data
+from csv_oracle import parse_pvalue_csv_lines
+from replicability import dataio
 from replicability.dataio import (
     fmt,
     parse_dependence,
@@ -12,10 +15,12 @@ from replicability.dataio import (
     parse_rule_spec,
     parse_scenario_file,
     parse_sim_selection,
+    write_discoveries_csv,
     write_pvalue_csv,
 )
 from replicability.errors import DataError
-from replicability.procedures import Dependence
+from replicability.procedures import Dependence, fdr_two_stage
+from replicability.selection import SelectionRule
 
 
 def test_parse_basic(tmp_path):
@@ -202,3 +207,73 @@ def test_fixture_round_trip_identity(tmp_path):
         path = tmp_path / f"{name}.csv"
         write_pvalue_csv(data, path)
         assert parse_pvalue_csv(path) == data
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PVALUE_FILES))
+def test_bad_values_refused_naming_line_and_field(tmp_path, case):
+    text, line, field = BAD_PVALUE_FILES[case]
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as err:
+        parse_pvalue_csv(path)
+    assert f"{path}:{line}:" in str(err.value)
+    assert field in str(err.value)
+
+
+def test_discoveries_rows_carry_their_own_pvalues(tmp_path):
+    # in-memory datasets may repeat an id; each scored row keeps its values
+    data = make_data([0.001, 0.002], [0.01, 0.02], ids=["a", "a"])
+    report = fdr_two_stage(data, SelectionRule.followed_up(), 0.025, 0.05)
+    path = tmp_path / "d.csv"
+    write_discoveries_csv(data, report, path)
+    rows = [line.split(",")[:3] for line in path.read_text().splitlines()[1:]]
+    assert rows == [["a", "0.001", "0.01"], ["a", "0.002", "0.02"]]
+
+
+_ID = st.text(alphabet="abcxyz019_:.", min_size=1, max_size=5)
+_P = st.floats(min_value=0.0, max_value=1.0)
+_NUMBER = st.sampled_from([repr, "{:.3e}".format, "{:E}".format, "{:g}".format])
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+_EXTRA = st.sampled_from(
+    ["", "   ", "# note", "#", "# m=5000", "#m = 123456", "# r1=700", "  # r1 = 800"]
+)
+_BROKEN = st.sampled_from(
+    ["x,0.1", "x,0.1,0.2,0.3", ",0.1,0.2", " ,0.1,", "y,abc,0.1", "z,0.1,zz",
+     "w,,0.5", "id,p1,p2", "id , p1,p2"]
+)
+
+
+@st.composite
+def pvalue_files(draw) -> str:
+    """CSV text with comment, directive and blank lines between rows,
+    padded fields, empty p2 fields, mixed line endings, and sometimes one
+    malformed line."""
+    pairs = draw(st.lists(st.tuples(_P, st.none() | _P), max_size=25))
+    ids = draw(st.lists(_ID, min_size=len(pairs), max_size=len(pairs), unique=True))
+    lines = ["# m=100000", *draw(st.lists(_EXTRA, max_size=3)), "id,p1,p2"]
+    for rid, (p1, p2) in zip(ids, pairs):
+        lines += draw(st.lists(_EXTRA, max_size=2))
+        number = draw(_NUMBER)
+        fields = (rid, number(p1), "" if p2 is None else number(p2))
+        lines.append(",".join(draw(_PAD) + f + draw(_PAD) for f in fields))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BROKEN))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=pvalue_files(), block=st.sampled_from([1, 40, 1 << 20]))
+def test_block_reader_matches_line_oracle(tmp_path, text, block):
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(dataio, "_BLOCK_CHARS", block):
+        got = _outcome(parse_pvalue_csv, path)
+    assert got == _outcome(parse_pvalue_csv_lines, path)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from replicability.errors import ApplicabilityError, CapacityError
+from replicability.errors import ApplicabilityError
 from replicability.numeric import (
-    HarmonicCache,
     chisq_survival_even_df,
     harmonic,
     solve_oracle_qprime,
@@ -148,12 +147,6 @@ class TestHarmonic:
             assert abs((cur - prev) - 1.0 / k) <= 2.0 * math.ulp(cur)
             prev = cur
 
-    def test_capacity(self):
-        cache = HarmonicCache(maximum=100)
-        assert cache.harmonic(100) > 5.0
-        with pytest.raises(CapacityError):
-            cache.harmonic(101)
-
     def test_negative(self):
         with pytest.raises(ValueError):
             harmonic(-1)
@@ -231,8 +224,7 @@ class TestOracleLevel:
             solve_oracle_qprime(0.5, 0.1, 0.05, 0.3)
 
 
-def test_harmonic_cache_supports_ten_million():
-    cache = HarmonicCache(maximum=10_000_000)
-    value = cache.harmonic(10_000_000)
+def test_harmonic_at_ten_million():
+    value = harmonic(10_000_000)
     gap = abs(value - (math.log(1e7) + 0.5772156649))
     assert gap < 1.0 / 2e7 + 1e-9

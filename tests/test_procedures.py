@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_data, random_instance
 from replicability.data import HypothesisRecord, StudyPairData
@@ -423,3 +425,19 @@ class TestProcedureParams:
     def test_item2_requires_t(self):
         with pytest.raises(ValueError):
             ProcedureParams(q1=0.01, q=0.05, mode=Dependence.ARBITRARY_PRIMARY_ITEM2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), bh=st.booleans(),
+       mode=st.sampled_from([Dependence.INDEPENDENT, Dependence.ARBITRARY_BOTH]))
+def test_rejections_invariant_under_row_permutation(seed, bh, mode):
+    rng = np.random.default_rng(seed)
+    data, q1, q, _ = random_instance(rng, max_m=60)
+    order = rng.permutation(len(data.ids))
+    shuffled = StudyPairData.from_columns(
+        [data.ids[i] for i in order], data.p1[order], data.p2[order]
+    )
+    rule = SelectionRule.bh_at_level(q1) if bh else FOLLOWUP
+    before = fdr_two_stage(data, rule, q1, q, mode).rejected_ids
+    after = fdr_two_stage(shuffled, rule, q1, q, mode).rejected_ids
+    assert set(after) == set(before)
