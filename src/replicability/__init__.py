@@ -6,7 +6,12 @@ with two-stage procedures that control the FWER or the FDR across the
 whole pipeline, including the data-driven choice of which hypotheses to
 follow up, plus dependence-robust variants, replicability adjusted
 p-values, and a seeded Monte-Carlo engine for power and error studies.
+
+The package logs through ``logging.getLogger("replicability")`` and is
+silent unless the application configures that logger.
 """
+
+import logging
 
 from .adjust import AdjustedRow, AdjustedTable, build_adjusted_table
 from .data import (
@@ -61,6 +66,8 @@ from .sim import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AdjustedRow",

@@ -174,36 +174,61 @@ class StudyPairData:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruthAssignment:
     """Which of the four truth states each hypothesis is in.
 
     State names follow the convention (primary, follow-up): I00 null in
     both studies, I10 non-null only in the primary, I01 non-null only in
     the follow-up, I11 non-null in both (the replicable signals).
+    Stored as uint8 codes indexing TRUTH_LABELS; build from labels with
+    ``TruthAssignment(labels)`` or from codes with :meth:`from_codes`.
     """
 
-    labels: tuple[str, ...]
+    _codes: np.ndarray
 
-    def __post_init__(self):
-        bad = [x for x in self.labels if x not in TRUTH_LABELS]
-        if bad:
-            raise ValueError(f"unknown truth label {bad[0]!r}")
+    def __init__(self, labels: Iterable[str]):
+        lut = {k: i for i, k in enumerate(TRUTH_LABELS)}
+        try:
+            codes = [lut[x] for x in labels]
+        except KeyError as exc:
+            raise ValueError(f"unknown truth label {exc.args[0]!r}") from None
+        self._store(np.array(codes, dtype=np.uint8))
+
+    @classmethod
+    def from_codes(cls, codes) -> TruthAssignment:
+        """Assignment over a copy of ``codes``, each in 0..3."""
+        codes = np.array(codes, dtype=np.uint8)
+        if codes.size and codes.max() >= len(TRUTH_LABELS):
+            raise ValueError(f"unknown truth code {int(codes.max())}")
+        truth = object.__new__(cls)
+        truth._store(codes)
+        return truth
+
+    def _store(self, codes: np.ndarray) -> None:
+        codes.flags.writeable = False
+        object.__setattr__(self, "_codes", codes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruthAssignment):
+            return NotImplemented
+        return np.array_equal(self._codes, other._codes)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(TRUTH_LABELS[c] for c in self._codes.tolist())
 
     @property
     def m(self) -> int:
-        return len(self.labels)
+        return self._codes.size
 
     def counts(self) -> dict[str, int]:
-        out = {k: 0 for k in TRUTH_LABELS}
-        for x in self.labels:
-            out[x] += 1
-        return out
+        totals = np.bincount(self._codes, minlength=len(TRUTH_LABELS)).tolist()
+        return dict(zip(TRUTH_LABELS, totals))
 
     def codes(self) -> np.ndarray:
         """Labels as uint8 codes, indexing into TRUTH_LABELS."""
-        lut = {k: i for i, k in enumerate(TRUTH_LABELS)}
-        return np.array([lut[x] for x in self.labels], dtype=np.uint8)
+        return self._codes.copy()
 
 
 @dataclass(frozen=True)

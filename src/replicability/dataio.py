@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjust import AdjustedTable
-from .data import DiscoveryReport, StudyPairData, validate_dataset
+from .data import DiscoveryReport, StudyPairData, ValidationIssue, validate_dataset
 from .errors import DataError
 from .procedures import Dependence
 from .selection import SelectionRule
@@ -46,8 +46,8 @@ def _parse_float(text: str, where: str, name: str) -> float:
         raise DataError(f"{where}: cannot parse {name} value {text!r}") from None
 
 
-def _parse_row(line: str, where: str) -> tuple[str, float, float]:
-    """One stripped data line as (id, p1, p2), NaN for an absent p2."""
+def _parse_row(line: str, where: str) -> tuple[str, float, float | None]:
+    """One stripped data line as (id, p1, p2), None for an absent p2."""
     parts = line.split(",")
     if len(parts) != 3:
         raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
@@ -55,19 +55,33 @@ def _parse_row(line: str, where: str) -> tuple[str, float, float]:
     if not rid:
         raise DataError(f"{where}: empty id")
     p1 = _parse_float(p1_text, where, "p1")
-    if p2_text == "":
-        return rid, p1, math.nan
-    p2 = _parse_float(p2_text, where, "p2")
-    if math.isnan(p2):  # NaN marks an absent p2; absence is written as an empty field
-        raise DataError(f"{where}: p2 out of range: {p2_text!r}; leave it empty if not followed up")
-    return rid, p1, p2
+    return rid, p1, None if p2_text == "" else _parse_float(p2_text, where, "p2")
+
+
+def _parse_lines(
+    lines: list[str], lineno: int, path: Path
+) -> tuple[tuple[list, list, list], DataError | None]:
+    """Line-by-line parse of a block whose first line is ``lineno + 1``:
+    the (ids, p1, p2) columns of its rows before the first malformed line,
+    and that line's error (None if every line is well formed)."""
+    columns: tuple[list, list, list] = ([], [], [])
+    for k, s in enumerate(map(str.strip, lines), start=lineno + 1):
+        if s and s[0] != "#":
+            try:
+                row = _parse_row(s, f"{path}:{k}")
+            except DataError as fault:
+                return columns, fault
+            for column, value in zip(columns, row):
+                column.append(value)
+    return columns, None
 
 
 def _parse_block(rows: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Columns of stripped data lines, converted a block at a time.
 
-    Raises ValueError on any line :func:`_parse_row` would refuse (and on
-    an empty block); the caller then parses the block line by line.
+    Raises ValueError on any line :func:`_parse_row` would refuse, on a
+    literal nan p2, and on an empty block; the caller then parses the
+    block line by line.
     """
     if set(map(str.count, rows, repeat(","))) != {2}:
         raise ValueError("field count")
@@ -99,7 +113,9 @@ def parse_pvalue_csv(path) -> StudyPairData:
     lines start with ``#``; the directives ``# m=<int>`` and ``# r1=<int>``
     declare the true family and follow-up sizes when the file lists only a
     subset of rows. The dataset is refused (``DataError`` naming the line)
-    unless :func:`validate_dataset` finds nothing wrong with it.
+    if a line is malformed, if a p2 is a literal ``nan``, or if
+    :func:`validate_dataset` finds anything wrong with it; of several
+    faults, the one on the earliest data line is named.
     """
     path = Path(path)
     declared: dict[str, int] = {}  # directive values by name ("m", "r1")
@@ -113,6 +129,8 @@ def parse_pvalue_csv(path) -> StudyPairData:
 
     ids: list[str] = []
     p1_parts, p2_parts = [np.zeros(0)], [np.zeros(0)]
+    nan_p2: list[int] = []  # rows whose p2 is a literal nan, which reads as absent
+    fault = None  # the first malformed line's error; reading stops there
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -126,7 +144,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
                 break
         else:
             raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
-        while lines := fh.readlines(_BLOCK_CHARS):
+        while fault is None and (lines := fh.readlines(_BLOCK_CHARS)):
             rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
             if len(rows) < len(lines):
                 for k, s in enumerate(map(str.strip, lines), start=lineno + 1):
@@ -134,13 +152,10 @@ def parse_pvalue_csv(path) -> StudyPairData:
                         comment(s, k)
             try:
                 block_ids, p1, p2 = _parse_block(rows)
-            except ValueError:  # line by line, so that the error names its line
-                parsed = [
-                    _parse_row(s, f"{path}:{k}")
-                    for k, s in enumerate(map(str.strip, lines), start=lineno + 1)
-                    if s and s[0] != "#"
-                ]
-                block_ids, p1, p2 = zip(*parsed) if parsed else ((), (), ())
+            except ValueError:  # line by line, so that a fault names its line
+                (block_ids, p1, p2), fault = _parse_lines(lines, lineno, path)
+                nan_p2.extend(len(ids) + k for k, v in enumerate(p2) if v != v)
+                p2 = np.array(p2, dtype=float)  # an absent p2 (None) becomes NaN
             ids.extend(block_ids)
             p1_parts.append(p1)
             p2_parts.append(p2)
@@ -149,7 +164,18 @@ def parse_pvalue_csv(path) -> StudyPairData:
         ids, np.concatenate(p1_parts), np.concatenate(p2_parts),
         declared.get("m"), declared.get("r1"),
     )
-    issues = validate_dataset(data).issues
+    issues = list(validate_dataset(data).issues)
+    if nan_p2:
+        row = nan_p2[0]
+        issues.append(ValidationIssue(
+            f"record {row} ({ids[row]!r})",
+            "p2 out of range: nan; leave it empty if not followed up", "p2", row,
+        ))
+    # per-record issues in row order (stable: id, p1, p2 within a row),
+    # then the directives
+    issues.sort(key=lambda issue: math.inf if issue.row is None else issue.row)
+    if fault is not None and (not issues or issues[0].row is None):
+        raise fault
     if issues:
         first = issues[0]
         if first.field in declared_at:

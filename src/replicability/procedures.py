@@ -372,7 +372,7 @@ def fwer_two_stage(
     m = data.m
     fwer_mask = _FWER_MASKS[method]
     primary_ok = fwer_mask(p1, alpha1, m)
-    followup_ok = fwer_mask(p2, alpha - alpha1, r1)
+    followup_ok = fwer_mask(p2, alpha - alpha1, max(r1, 1))  # r1 = 0: nothing selected
     mask = primary_ok & followup_ok
     c = alpha1 / alpha
     z = _zvalues(p1, p2, m, r1, c) if idx.size else np.zeros(0)

@@ -43,4 +43,9 @@ BAD_PVALUE_FILES = {
     "m_below_rows": ("# m=2\nid,p1,p2\na,0.1,\nb,0.2,\nc,0.3,\n", 1, "m override"),
     "r1_below_followups": ("id,p1,p2\n# r1=1\na,0.1,0.2\nb,0.2,0.3\n", 2, "r1 override"),
     "r1_above_m": ("# m=3\nid,p1,p2\na,0.1,0.2\n# r1=4\n", 4, "r1 override"),
+    # of several faults, the first in the file is named
+    "p1_before_malformed": ("id,p1,p2\na,1.5,0.2\nb,zzz,0.1\n", 2, "p1"),
+    "nan_p2_before_malformed": ("id,p1,p2\na,0.1,nan\nb,0.1\n", 2, "p2"),
+    "malformed_before_p1": ("id,p1,p2\na,0.1\nb,1.5,0.2\n", 2, "expected 3 fields"),
+    "p1_before_nan_p2": ("id,p1,p2\na,0.1,0.2\nb,-1,0.1\nc,0.1,nan\n", 3, "p1"),
 }

@@ -150,7 +150,11 @@ class TestExitCodes:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
-        assert f"{bad}:5: p2 out of range: 'nan'" in capsys.readouterr().err
+        # the first fault in the file: p1 on line 4, before the nan p2 on line 5
+        assert f"{bad}:4: record 1 ('b'): p1 out of range: nan" in capsys.readouterr().err
+        bad.write_text("id,p1,p2\na,0.001,0.002\nc,0.0001,nan\nd,zzz,\n")
+        assert main(["analyze", "--input", str(bad), "--q1", "0.01", "--q", "0.05"]) == 2
+        assert f"{bad}:3: record 1 ('c'): p2 out of range: nan" in capsys.readouterr().err
 
     def test_io_error_is_4(self, capsys):
         code = main(["analyze", "--input", "/nonexistent/x.csv", "--q1", "0.01", "--q", "0.05"])
@@ -186,17 +190,25 @@ class TestAdjust:
 class TestSimulate:
     def test_deterministic_across_workers(self, tmp_path):
         scen = tmp_path / "s.txt"
-        scen.write_text(SCENARIO)
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        assert main(["simulate", "--scenario", str(scen), "--out", str(out1)]) == 0
-        assert main([
-            "simulate", "--scenario", str(scen), "--out", str(out2),
-            "--workers", "4",
-        ]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-        header = out1.read_text().splitlines()[0]
+        scen.write_text(SCENARIO.replace("reps = 60", "reps = 300"))  # 4 chunks at m = 400
+        outputs = []
+        for workers in ("1", "2", "8"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main([
+                "simulate", "--scenario", str(scen), "--out", str(out), "--workers", workers,
+            ]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        header = outputs[0].decode().splitlines()[0]
         assert header == "point,avg_fdp,fdp_se,avg_power,power_se,avg_rejections"
+
+    def test_item2_violation_is_data_error_as_in_analyze(self, tmp_path, capsys):
+        # bh selection admits primary p-values above t = 1e-6, which the
+        # thresholded dependence mode forbids; analyze refuses the same
+        scen = tmp_path / "s.txt"
+        scen.write_text(SCENARIO + "dependence = item2\nt = 1e-6\n")
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        assert "at most t=1e-06" in capsys.readouterr().err
 
     def test_unknown_key_is_data_error(self, tmp_path, capsys):
         scen = tmp_path / "s.txt"

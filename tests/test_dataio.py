@@ -220,6 +220,13 @@ def test_bad_values_refused_naming_line_and_field(tmp_path, case):
     assert field in str(err.value)
 
 
+@pytest.mark.parametrize("case", sorted(BAD_PVALUE_FILES))
+def test_bad_values_refused_in_one_line_blocks(tmp_path, case):
+    # each line its own block: the earliest fault is named across blocks
+    with mock.patch.object(dataio, "_BLOCK_CHARS", 1):
+        test_bad_values_refused_naming_line_and_field(tmp_path, case)
+
+
 def test_discoveries_rows_carry_their_own_pvalues(tmp_path):
     # in-memory datasets may repeat an id; each scored row keeps its values
     data = make_data([0.001, 0.002], [0.01, 0.02], ids=["a", "a"])

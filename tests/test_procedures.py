@@ -47,6 +47,11 @@ class TestFwerTwoStage:
         data = make_data([1.0, 1.0], [1.0, 1.0])
         assert fwer_two_stage(data, FOLLOWUP, 0.025, 0.05).rejected_ids == ()
 
+    def test_empty_selection_rejects_nothing(self):
+        data = make_data([0.5, 0.6], [0.01, 0.02])
+        report = fwer_two_stage(data, SelectionRule.bh_at_level(0.01), 0.025, 0.05)
+        assert report.rejected_ids == () and report.r1 == 0
+
     def test_missing_followup_is_data_error(self):
         data = make_data([1e-9, 1e-9], [0.001, None])
         with pytest.raises(DataError):

@@ -1,14 +1,35 @@
+import logging
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
-from replicability.errors import DataError
+from replicability.data import TRUTH_LABELS, StudyPairData
+from replicability.errors import DataError, ReplicabilityError
+from replicability.numeric import harmonic, solve_oracle_qprime
+from replicability.procedures import (
+    Dependence,
+    baseline_fisher_meta,
+    baseline_naive_bh_bh,
+    baseline_partial_conjunction,
+    fdr_symmetric,
+    fdr_two_stage,
+    fwer_two_stage,
+    oracle_calibrated_run,
+)
+from replicability.selection import SelectionRule
 from replicability.sim import (
     SimProcedure,
     SimScenario,
     SimSelection,
+    _build_runner,
+    _pvalues,
+    _streams,
     analytic_power_bonf_max,
     analytic_power_two_stage,
     generate_rep,
@@ -57,6 +78,12 @@ class TestGenerateRep:
         assert a_data == b_data
         assert a_truth == b_truth
 
+    def test_ids_zero_padded(self):
+        for m in (1, 9, 10, 200, 1000):
+            data, _ = generate_rep(replace(BASE, m=m), 0)
+            width = len(str(m))
+            assert data.ids == tuple(f"h{i:0{width}d}" for i in range(1, m + 1))
+
     def test_reps_differ(self):
         a_data, _ = generate_rep(BASE, 0)
         b_data, _ = generate_rep(BASE, 1)
@@ -100,9 +127,45 @@ class TestRunScenario:
         assert a == b
 
     def test_thread_count_invariant(self):
-        a = run_scenario(BASE, workers=1)
-        b = run_scenario(BASE, workers=4)
+        scenario = replace(BASE, reps=500)  # four chunks at m = 200
+        a = run_scenario(scenario, workers=1, retain_trace=True)
+        b = run_scenario(scenario, workers=4, retain_trace=True)
         assert a == b
+
+    def test_item2_violation_refused_like_the_library(self):
+        # the paper's cell at mu = 2 with bh selection: selected primary
+        # p-values exceed t = 1e-6, which fdr_two_stage refuses
+        scenario = SimScenario(
+            m=1000, f00=0.9, f01=0.025, f10=0.025, f11=0.05,
+            mu1=2.0, mu2=2.0, sigma1=0.5, sigma2=0.5,
+            procedure=SimProcedure(
+                kind="fdr", q1=0.025, q=0.05,
+                mode=Dependence.ARBITRARY_PRIMARY_ITEM2, t=1e-6,
+                selection=SimSelection("bh"),
+            ),
+            reps=100, seed=3,
+        )
+        data, _ = generate_rep(scenario, 0)
+        with pytest.raises(DataError, match="at most t=1e-06"):
+            fdr_two_stage(
+                data, SelectionRule.bh_at_level(0.025), 0.025, 0.05,
+                Dependence.ARBITRARY_PRIMARY_ITEM2, 1e-6,
+            )
+        with pytest.raises(DataError, match="at most t=1e-06"):
+            run_scenario(scenario)
+
+    def test_throughput_logged_at_info(self, caplog):
+        with caplog.at_level(logging.INFO, logger="replicability"):
+            run_scenario(BASE, workers=2)
+        [record] = [r for r in caplog.records if r.name.startswith("replicability")]
+        assert record.levelno == logging.INFO
+        message = record.getMessage()
+        assert message.startswith("run_scenario: m=200 reps=50 workers=2 seconds=")
+        assert float(message.rsplit("reps/s=", 1)[1]) > 0
+
+    def test_silent_by_default(self):
+        handlers = logging.getLogger("replicability").handlers
+        assert [type(h) for h in handlers] == [logging.NullHandler]
 
     def test_null_scenario_controls_fdr(self):
         scenario = SimScenario(
@@ -182,6 +245,14 @@ class TestRunScenario:
                 )
             )
             assert est.avg_rejections >= 0.0
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="partial_conjunction", q=1.5),
+        dict(kind="fwer", q1=0.025, q=0.05, fwer_method="bonf"),
+    ])
+    def test_procedure_validated(self, kwargs):
+        with pytest.raises(DataError):
+            SimProcedure(**kwargs)
 
     def test_fraction_sum_validated(self):
         with pytest.raises(DataError):
@@ -299,3 +370,136 @@ class TestPublishedCurveShapes:
             for _, k_est in sweep(base, "k_selected", [25, 50, 100]):
                 slack = 2.0 * ((bh_est.power_se or 0.0) + (k_est.power_se or 0.0))
                 assert bh_est.avg_power >= k_est.avg_power - slack
+
+
+# --------------------------------------------------------------------------
+# properties: chunked streams and row kernels
+# --------------------------------------------------------------------------
+
+_SELECTIONS = st.sampled_from(["bh", "bh_level", "bonferroni", "top_k", "fixed_threshold"])
+
+
+@st.composite
+def sim_scenarios(draw):
+    """Small scenarios over every procedure kind, dependence mode and
+    selection kind. Some are refused by the library (a thresholded mode
+    whose t is too large or is exceeded, top_k above m), and the kernels
+    must refuse them alike."""
+    m = draw(st.integers(1, 60))
+    counts = draw(st.lists(st.integers(0, 20), min_size=4, max_size=4).filter(any))
+    total = sum(counts)
+    sizes = [c * m // total for c in counts]
+    sizes[0] += m - sum(sizes)
+    f00, f01, f10, f11 = (size / m for size in sizes)
+    kind = draw(st.sampled_from(SimProcedure._KINDS))
+    q = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    q1 = draw(st.sampled_from([0.2, 0.5, 0.8])) * q
+    w1 = draw(st.sampled_from([0.0, 0.5, 1.0] if kind == "oracle" else [0.0, 0.3, 0.5, 1.0]))
+    mode = draw(st.sampled_from(list(Dependence)))
+    t = q1 / (1.0 + harmonic(m - 1)) * draw(st.sampled_from([1e-3, 0.3, 0.9, 1.5]))
+    sel = draw(_SELECTIONS)
+    if sel == "bh_level":
+        selection = SimSelection("bh", level=q1 * draw(st.sampled_from([0.5, 1.0])))
+    elif sel == "top_k":
+        selection = SimSelection("top_k", k=draw(st.integers(1, m + 1)))
+    elif sel == "fixed_threshold":
+        selection = SimSelection("fixed_threshold", threshold=t * draw(st.sampled_from([0.5, 2.0])))
+    else:
+        selection = SimSelection(sel)
+    procedure = SimProcedure(
+        kind=kind, q1=q1, q=q, w1=w1, mode=mode, t=t,
+        fwer_method=draw(st.sampled_from(["bonferroni", "holm"])),
+        primary=draw(st.sampled_from([1, 2])), selection=selection,
+    )
+    return SimScenario(
+        m=m, f00=f00, f01=f01, f10=f10, f11=f11,
+        mu1=draw(st.floats(0.0, 5.0)), mu2=draw(st.floats(0.0, 5.0)),
+        sigma1=draw(st.sampled_from([0.3, 1.0])), sigma2=draw(st.sampled_from([0.3, 1.0])),
+        procedure=procedure, reps=draw(st.integers(1, 40)), seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=sim_scenarios(), start=st.integers(0, 10**6), n=st.integers(1, 12))
+def test_chunk_rows_equal_single_rep_calls(scenario, start, n):
+    p1, p2 = _pvalues(scenario, _streams(scenario), start, n)
+    for i in range(n):
+        data, truth = generate_rep(scenario, start + i)
+        assert np.array_equal(p1[i], data.p1)
+        assert np.array_equal(p2[i], data.p2)
+    assert truth.counts() == dict(zip(TRUTH_LABELS, truth_block_sizes(
+        scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11))))
+
+
+def _library_rule(sel: SimSelection, level: float) -> SelectionRule:
+    """The library rule a simulated selection applies in a direction whose
+    primary-stage level is ``level``."""
+    if sel.kind == "top_k":
+        return SelectionRule("top_k", k=sel.k)
+    if sel.kind == "fixed_threshold":
+        return SelectionRule("fixed_threshold", threshold=sel.threshold)
+    return SelectionRule(sel.kind, level=sel.level if sel.level is not None else level)
+
+
+def _library_run(scenario: SimScenario, data):
+    proc = scenario.procedure
+    q, q1, w1, mode, t = proc.q, proc.q1, proc.w1, proc.mode, proc.t
+    rule = partial(_library_rule, proc.selection)
+    if proc.kind == "fdr":
+        return fdr_two_stage(data, rule(q1), q1, q, mode, t)
+    if proc.kind == "fdr_symmetric":
+        return fdr_symmetric(
+            data, rule(w1 * q1), w1, q1, q, mode, t, rule_reverse=rule((1 - w1) * q1)
+        )
+    if proc.kind == "oracle":
+        qp = solve_oracle_qprime(scenario.f00, scenario.f01, q, w1)
+        return oracle_calibrated_run(
+            data, rule(w1 * qp), scenario.f00, scenario.f01, q, w1, mode, t,
+            rule_reverse=rule((1 - w1) * qp),
+        )
+    if proc.kind == "fwer":
+        sel = proc.selection
+        if sel.kind == "bh" and sel.level is None:
+            sel = SimSelection("bonferroni")
+        return fwer_two_stage(data, _library_rule(sel, q1), q1, q, proc.fwer_method)
+    if proc.kind == "partial_conjunction":
+        return baseline_partial_conjunction(data, q)
+    if proc.kind == "fisher_meta":
+        return baseline_fisher_meta(data, q)
+    return baseline_naive_bh_bh(data, q, proc.primary)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ReplicabilityError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    scenario=sim_scenarios(),
+    start=st.integers(0, 1000),
+    snap=st.sampled_from([None, "q", "q1"]),
+)
+def test_row_kernels_match_library(scenario, start, snap):
+    """Each row's batched mask is the library's rejected set on that row's
+    dataset, and the kernels refuse exactly what the library refuses."""
+    m, n = scenario.m, scenario.reps
+    p1, p2 = _pvalues(scenario, _streams(scenario), start, n)
+    if snap is not None:  # onto the grid level*k/m: ties, and values at a threshold
+        level = getattr(scenario.procedure, snap)
+        p1, p2 = (np.minimum(level * np.ceil(p * m / level) / m, 1.0) for p in (p1, p2))
+    ids = [f"h{j}" for j in range(m)]
+    library = [
+        _outcome(partial(_library_run, scenario, StudyPairData.from_columns(ids, a, b)))
+        for a, b in zip(p1, p2)
+    ]
+    refused = [r for r in library if isinstance(r, type)]
+    masks = _outcome(lambda: _build_runner(scenario)(p1, p2))
+    if isinstance(masks, type):
+        assert masks in refused
+        return
+    assert not refused
+    for mask, report in zip(masks, library):
+        assert {ids[j] for j in np.flatnonzero(mask)} == set(report.rejected_ids)
