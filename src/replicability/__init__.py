@@ -56,7 +56,6 @@ from .sim import (
     SimEstimate,
     SimProcedure,
     SimScenario,
-    SimSelection,
     analytic_power_bonf_max,
     analytic_power_two_stage,
     generate_rep,
@@ -85,7 +84,6 @@ __all__ = [
     "SimEstimate",
     "SimProcedure",
     "SimScenario",
-    "SimSelection",
     "StudyPairData",
     "TruthAssignment",
     "ValidationIssue",

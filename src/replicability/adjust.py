@@ -15,7 +15,7 @@ import numpy as np
 from .data import StudyPairData
 from .errors import DataError
 from .numeric import harmonic, solve_q1_tilde_thresholded
-from .procedures import Dependence, _gather_selected, _stepup_adjust, _zvalues
+from .procedures import Dependence, _adjust_columns, _gather_selected
 from .selection import SelectionRule
 
 
@@ -42,17 +42,6 @@ class AdjustedTable:
     adjusted_is_upper_bound: bool = False
 
 
-def _adjust_columns(
-    p1: np.ndarray, p2: np.ndarray, m: int, r1: int, c: float, flavor: str
-) -> tuple[np.ndarray, np.ndarray]:
-    z = _zvalues(p1, p2, m, r1, c)
-    if flavor == "bonferroni":
-        return z, np.minimum(z, 1.0)
-    if flavor == "fdr":
-        return z, _stepup_adjust(z)
-    raise ValueError(f"unknown adjustment flavor {flavor!r}")
-
-
 def build_adjusted_table(
     data: StudyPairData,
     c: float,
@@ -73,15 +62,10 @@ def build_adjusted_table(
     adjusted value above 1 is meaningless, so only hopeless rows are
     affected.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie in (0, 1), got {c}")
     mode = Dependence(mode)
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
     m = data.m
-    z, adjusted = _adjust_columns(p1, p2, m, r1, c, flavor) if idx.size else (
-        np.zeros(0),
-        np.zeros(0),
-    )
+    z, adjusted = _adjust_columns(p1, p2, m, r1, c, flavor)
     modified: np.ndarray | None = None
     if idx.size and mode not in (Dependence.INDEPENDENT, Dependence.PRDS_FOLLOWUP):
         if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
@@ -105,10 +89,8 @@ def build_adjusted_table(
             p1=float(p1[j]),
             p2=float(p2[j]),
             z_value=float(z[j]),
-            adjusted_p=float(min(adjusted[j], 1.0)),
-            adjusted_p_modified=(
-                float(min(modified[j], 1.0)) if modified is not None else None
-            ),
+            adjusted_p=float(adjusted[j]),
+            adjusted_p_modified=float(modified[j]) if modified is not None else None,
         )
         for j, i in enumerate(idx)
     ]

@@ -21,7 +21,7 @@ from .data import DiscoveryReport, StudyPairData, ValidationIssue, validate_data
 from .errors import DataError
 from .procedures import Dependence
 from .selection import SelectionRule
-from .sim import SimEstimate, SimProcedure, SimScenario, SimSelection
+from .sim import SimEstimate, SimProcedure, SimScenario
 
 PVALUE_HEADER = "id,p1,p2"
 DISCOVERY_HEADER = "id,p1,p2,z,adjusted_p,rejected"
@@ -310,12 +310,16 @@ def parse_dependence(text: str) -> Dependence:
 
 
 def parse_rule_spec(spec: str) -> SelectionRule:
-    """Selection rule specs: ``followup``, ``bh:LEVEL``, ``bonferroni:LEVEL``,
-    ``top:K``, ``threshold:T``."""
+    """Selection rule specs: ``followup``, ``bh[:LEVEL]``,
+    ``bonferroni[:LEVEL]``, ``top:K``, ``threshold:T``. Without a level,
+    ``bh`` and ``bonferroni`` run at the primary-stage level of the
+    procedure direction that uses them."""
     spec = spec.strip()
     if spec == "followup":
         return SelectionRule.followed_up()
     kind, _, arg = spec.partition(":")
+    if kind in ("bh", "bonferroni") and not arg:
+        return SelectionRule(kind)
     try:
         if kind == "bh":
             return SelectionRule.bh_at_level(float(arg))
@@ -328,29 +332,7 @@ def parse_rule_spec(spec: str) -> SelectionRule:
     except ValueError as exc:
         raise DataError(f"bad selection spec {spec!r}: {exc}") from None
     raise DataError(
-        f"unknown selection spec {spec!r}; expected followup, bh:LEVEL, "
-        "bonferroni:LEVEL, top:K, or threshold:T"
-    )
-
-
-def parse_sim_selection(spec: str) -> SimSelection:
-    """Scenario-file selection specs; ``bh`` alone tracks the primary-stage
-    level of whichever direction is running."""
-    spec = spec.strip()
-    kind, _, arg = spec.partition(":")
-    try:
-        if kind == "bh":
-            return SimSelection("bh", level=float(arg) if arg else None)
-        if kind == "bonferroni":
-            return SimSelection("bonferroni", level=float(arg) if arg else None)
-        if kind == "top":
-            return SimSelection("top_k", k=int(arg))
-        if kind == "threshold":
-            return SimSelection("fixed_threshold", threshold=float(arg))
-    except ValueError as exc:
-        raise DataError(f"bad selection spec {spec!r}: {exc}") from None
-    raise DataError(
-        f"unknown selection spec {spec!r}; expected bh[:LEVEL], "
+        f"unknown selection spec {spec!r}; expected followup, bh[:LEVEL], "
         "bonferroni[:LEVEL], top:K, or threshold:T"
     )
 
@@ -415,7 +397,7 @@ def parse_scenario_file(path) -> ScenarioFile:
         t=get_float("t"),
         fwer_method=raw.get("method", "bonferroni"),
         primary=get_int("primary", 1),
-        selection=parse_sim_selection(raw["selection"]) if "selection" in raw else SimSelection(),
+        selection=parse_rule_spec(raw.get("selection", "bh")),
     )
     scenario = SimScenario(
         m=get_int("m"),

@@ -16,15 +16,16 @@ arbitrary dependence within a study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
+from . import kernels
 from .data import DiscoveryReport, HypothesisScore, StudyPairData
 from .errors import DataError
 from .numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
-from .selection import SelectionRule, _select_mask, bh_mask
+from .selection import SelectionRule, _select_mask, select_rows
 
 __all__ = [
     "FwerMethod",
@@ -106,9 +107,11 @@ def _check_levels(q1: float, q: float) -> None:
 
 
 def _effective_levels(
-    q1: float, q: float, mode: Dependence, t: float | None, m: int, r1: int
+    q1: float, q: float, mode: Dependence, t: float | None, m: int, r1
 ) -> tuple[float, float]:
-    """Per-stage levels after the dependence correction for ``mode``."""
+    """Per-stage levels after the dependence correction for ``mode``. R1 is
+    one count, or an (n, 1) column of one per row, which makes q2_eff a
+    column under ``arbitrary_both``."""
     q2 = q - q1
     if mode in (Dependence.INDEPENDENT, Dependence.PRDS_FOLLOWUP):
         return q1, q2
@@ -119,7 +122,8 @@ def _effective_levels(
             raise ValueError("the thresholded dependence mode requires t")
         return solve_q1_tilde_thresholded(q1, m, t), q2
     if mode is Dependence.ARBITRARY_BOTH:
-        return q1 / harmonic(m), q2 / harmonic(max(r1, 1))
+        h_r1 = np.vectorize(harmonic, otypes=[float])(np.maximum(r1, 1))
+        return q1 / harmonic(m), q2 / h_r1
     raise ValueError(f"unknown dependence mode {mode!r}")
 
 
@@ -144,32 +148,6 @@ def _gather_selected(
     return idx, p1, p2, r1
 
 
-def _fdr_core(
-    p1: np.ndarray, p2: np.ndarray, m: int, r1: int, q1_eff: float, q2_eff: float
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Step-up rejection over selected-row arrays at corrected levels.
-
-    The scaled statistic z satisfies z <= r exactly when both p-values
-    clear their stage-r thresholds, so the fixed-point rejection count is
-    the usual step-up index over sorted z. Returns (r2, mask over the
-    selected rows, z, suffix-min adjusted values on the z/rank scale).
-    """
-    n = p1.size
-    if n == 0 or q1_eff <= 0.0 or q2_eff <= 0.0:
-        return 0, np.zeros(n, dtype=bool), np.full(n, np.inf), np.full(n, np.inf)
-    z = np.maximum(m * p1 / q1_eff, r1 * p2 / q2_eff)
-    order = np.argsort(z, kind="stable")
-    zs = z[order]
-    ranks = np.arange(1, n + 1, dtype=float)
-    adj_sorted = np.minimum.accumulate((zs / ranks)[::-1])[::-1]
-    r2 = int(np.sum(adj_sorted <= 1.0))  # adj_sorted is nondecreasing
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:r2]] = True
-    adjusted = np.empty(n)
-    adjusted[order] = adj_sorted
-    return r2, mask, z, adjusted
-
-
 def _report_scores(
     data: StudyPairData,
     idx: np.ndarray,
@@ -183,6 +161,67 @@ def _report_scores(
     )
 
 
+# Row kernels: each maps (n, k) p-value arrays, one family per row, to an
+# (n, k) rejection mask. The simulator runs them on whole families, a
+# chunk of repetitions at a time; the library procedures run them on one
+# row. ``sel`` marks the selected entries and ``r1`` is R1, one count or
+# an (n, 1) column of one per row.
+
+
+def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t):
+    """Row kernel of :func:`fdr_two_stage`, study one primary.
+
+    The statistic z = max(m*p1/q1_eff, R1*p2/q2_eff) is at most r exactly
+    when both p-values clear their stage-r thresholds (r*q1_eff/m,
+    r*q2_eff/R1), so the fixed-point rejection count is the step-up over z
+    at thresholds 1, 2, ...; unselected entries get z = inf. Returns the
+    mask, z and the effective levels.
+    """
+    _check_levels(q1, q)
+    q1_eff, q2_eff = _effective_levels(q1, q, mode, t, m, r1)
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and np.any(sel & (p1 > t)):
+        raise DataError(
+            "the thresholded dependence mode requires every selected primary "
+            f"p-value to be at most t={t:g}"
+        )
+    z = np.maximum(m * p1 / q1_eff, r1 * p2 / q2_eff)
+    z[~sel] = np.inf
+    return kernels.step_up_rows(z, np.arange(1.0, z.shape[1] + 1)), z, q1_eff, q2_eff
+
+
+def _directed_fdr_rows(p1, p2, rule: SelectionRule, m: int, q1, q, mode, t):
+    """:func:`_fdr_rows` on whole families: ``rule`` selects at primary
+    level q1, and R1 is each row's selection count."""
+    sel = select_rows(rule.at_level(q1), p1, m)
+    r1 = np.count_nonzero(sel, axis=1)[:, None]
+    return _fdr_rows(p1, p2, sel, r1, m, q1, q, mode, t)[0]
+
+
+def _fdr_run(
+    data: StudyPairData, rule: SelectionRule, q1: float, q: float, mode: Dependence, t
+) -> tuple[DiscoveryReport, np.ndarray]:
+    """:func:`fdr_two_stage`'s report, and the dataset positions it rejects."""
+    label = f"fdr_two_stage[{mode.value}]"
+    idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
+    m = data.m
+    sel = np.ones((1, idx.size), dtype=bool)
+    mask, z, q1_eff, q2_eff = _fdr_rows(p1[None], p2[None], sel, r1, m, q1, q, mode, t)
+    z = z[0]
+    rows = idx[mask[0]]
+    ids = data.ids
+    report = DiscoveryReport(
+        procedure=label,
+        rejected_ids=tuple(ids[i] for i in rows),
+        r1=r1,
+        primary_threshold=rows.size * q1_eff / m,
+        followup_threshold=rows.size * q2_eff / r1 if r1 else 0.0,
+        per_hypothesis=_report_scores(data, idx, q * z, q * kernels.stepup_adjust(z)),
+        adjusted_is_upper_bound=r1 > idx.size,
+        scored_rows=tuple(idx.tolist()),
+    )
+    return report, rows
+
+
 def fdr_two_stage(
     data: StudyPairData,
     rule: SelectionRule,
@@ -194,10 +233,11 @@ def fdr_two_stage(
     """Two-stage FDR-controlling replicability procedure.
 
     Stage one selects hypotheses for follow-up with ``rule`` (which must be
-    a valid selection rule for the guarantee to hold). Stage two finds the
-    largest r such that exactly r selected hypotheses clear the paired
-    thresholds (r*q1_eff/m, r*q2_eff/R1) and rejects them. Dependence
-    corrections shrink the effective levels per ``mode``.
+    a valid selection rule for the guarantee to hold; a level-less ``bh``
+    or ``bonferroni`` rule runs at q1). Stage two finds the largest r such
+    that exactly r selected hypotheses clear the paired thresholds
+    (r*q1_eff/m, r*q2_eff/R1) and rejects them. Dependence corrections
+    shrink the effective levels per ``mode``.
 
     Reported per-hypothesis values: ``z_value`` is the two-study statistic
     max(m*p1~/c, R1*p2~/(1-c)) on the dependence-rescaled p-values, and
@@ -206,28 +246,7 @@ def fdr_two_stage(
     the follow-up set (``r1_declared``), adjusted values are upper-bound
     estimates and the unlisted rows are treated as non-rejectable.
     """
-    _check_levels(q1, q)
-    label = f"fdr_two_stage[{mode.value}]"
-    idx, p1, p2, r1 = _gather_selected(data, rule, label)
-    m = data.m
-    q1_eff, q2_eff = _effective_levels(q1, q, mode, t, m, r1)
-    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and idx.size and np.any(p1 > t):
-        raise DataError(
-            "the thresholded dependence mode requires every selected primary "
-            f"p-value to be at most t={t:g}"
-        )
-    r2, mask, z, adjusted = _fdr_core(p1, p2, m, r1, q1_eff, q2_eff)
-    ids = data.ids
-    return DiscoveryReport(
-        procedure=label,
-        rejected_ids=tuple(ids[i] for i in idx[mask]),
-        r1=r1,
-        primary_threshold=r2 * q1_eff / m,
-        followup_threshold=r2 * q2_eff / r1 if r1 else 0.0,
-        per_hypothesis=_report_scores(data, idx, q * z, q * adjusted),
-        adjusted_is_upper_bound=r1 > idx.size,
-        scored_rows=tuple(idx.tolist()),
-    )
+    return _fdr_run(data, rule, q1, q, mode, t)[0]
 
 
 def fdr_two_stage_rscan(
@@ -244,11 +263,11 @@ def fdr_two_stage_rscan(
     in R1; intended for cross-checking the production path in tests."""
     _check_levels(q1, q)
     label = f"fdr_two_stage_rscan[{mode.value}]"
-    idx, p1, p2, r1 = _gather_selected(data, rule, label)
+    idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
     q1_eff, q2_eff = _effective_levels(q1, q, mode, t, m, r1)
     r2 = 0
-    for r in range(r1 + 1):
+    for r in range(1, r1 + 1):  # r = 0 always holds, and R1 = 0 has no stage-2 level
         count = int(np.sum((p1 <= r * q1_eff / m) & (p2 <= r * q2_eff / r1)))
         if count == r:
             r2 = r
@@ -267,15 +286,20 @@ def _zvalues(p1: np.ndarray, p2: np.ndarray, m: int, r1: int, c: float) -> np.nd
     return np.maximum(m * p1 / c, r1 * p2 / (1.0 - c))
 
 
-def _stepup_adjust(z: np.ndarray) -> np.ndarray:
-    """Suffix-min of sorted z over ranks, mapped back to input positions."""
-    n = z.size
-    order = np.argsort(z, kind="stable")
-    ranks = np.arange(1, n + 1, dtype=float)
-    adj_sorted = np.minimum.accumulate((z[order] / ranks)[::-1])[::-1]
-    out = np.empty(n)
-    out[order] = np.minimum(adj_sorted, 1.0)
-    return out
+def _adjust_columns(
+    p1: np.ndarray, p2: np.ndarray, m: int, r1: int, c: float, flavor: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The statistic Z = max(m*p1/c, R1*p2/(1-c)) of each row and its
+    replicability adjusted value, capped at 1: Z itself for the
+    ``bonferroni`` flavor, its step-up adjustment for ``fdr``."""
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"c must lie in (0, 1), got {c}")
+    z = _zvalues(p1, p2, m, r1, c)
+    if flavor == "bonferroni":
+        return z, np.minimum(z, 1.0)
+    if flavor == "fdr":
+        return z, np.minimum(kernels.stepup_adjust(z), 1.0)
+    raise ValueError(f"unknown adjustment flavor {flavor!r}")
 
 
 def fdr_replicability_adjust(
@@ -290,15 +314,12 @@ def fdr_replicability_adjust(
     When only part of the follow-up set is listed, the values are
     upper-bound estimates (unlisted rows could only lower them).
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie in (0, 1), got {c}")
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
-    z = _zvalues(p1, p2, data.m, r1, c)
-    adjusted = _stepup_adjust(z)
+    z, adjusted = _adjust_columns(p1, p2, data.m, r1, c, "fdr")
     ids = data.ids
-    order = np.argsort(z, kind="stable")
     return tuple(
-        HypothesisScore(ids[idx[i]], float(z[i]), float(adjusted[i])) for i in order
+        HypothesisScore(ids[idx[i]], float(z[i]), float(adjusted[i]))
+        for i in np.argsort(z, kind="stable")
     )
 
 
@@ -311,40 +332,44 @@ def bonf_replicability_adjust(
     level alpha at which the two-stage FWER procedure with Bonferroni
     stages at (c*alpha, alpha) rejects hypothesis j.
     """
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie in (0, 1), got {c}")
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
-    z = _zvalues(p1, p2, data.m, r1, c)
+    z, adjusted = _adjust_columns(p1, p2, data.m, r1, c, "bonferroni")
     ids = data.ids
     return tuple(
-        HypothesisScore(ids[i], float(zv), float(min(zv, 1.0)))
-        for i, zv in zip(idx, z)
+        HypothesisScore(ids[i], float(zv), float(av))
+        for i, zv, av in zip(idx, z, adjusted)
     )
 
 
-def _bonferroni_fwer_mask(p: np.ndarray, level: float, m_eff: int) -> np.ndarray:
-    return p <= level / m_eff
+def _fwer_rule(rule: SelectionRule, alpha1: float) -> SelectionRule:
+    """The FWER procedure's selection at primary level alpha1: a level-less
+    ``bh`` rule becomes the single-test threshold p1 <= alpha1/m."""
+    if rule.kind == "bh" and rule.level is None:
+        return SelectionRule("bonferroni", level=alpha1)
+    return rule.at_level(alpha1)
 
 
-def _holm_fwer_mask(p: np.ndarray, level: float, m_eff: int) -> np.ndarray:
-    """Step-down rejections; rows not listed are assumed to rank after the
-    listed ones when m_eff exceeds the array length."""
-    n = p.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    ps = np.sort(p)
-    thresholds = level / (m_eff - np.arange(n, dtype=float))
-    failing = np.flatnonzero(ps > thresholds)
-    k = n if failing.size == 0 else int(failing[0])
-    if k == 0:
-        return np.zeros(n, dtype=bool)
-    return p <= ps[k - 1]
+def _fwer_rows(p1, p2, sel, r1, m: int, alpha1: float, alpha: float, method) -> np.ndarray:
+    """Row kernel of :func:`fwer_two_stage`, with R1 at least 1. Holm's
+    primary stage steps down over the selected entries of a family of m,
+    which matches the whole family whenever the selection keeps the
+    smallest p1 values."""
+    _check_levels(alpha1, alpha)
+    if method == FwerMethod.HOLM:
+        primary = kernels.holm_rows(np.where(sel, p1, np.inf), alpha1, m)
+        followup = kernels.holm_rows(np.where(sel, p2, np.inf), alpha - alpha1, r1)
+    else:
+        primary = p1 <= alpha1 / m
+        followup = p2 <= (alpha - alpha1) / r1
+    return sel & primary & followup
 
 
-_FWER_MASKS = {
-    FwerMethod.BONFERRONI: _bonferroni_fwer_mask,
-    FwerMethod.HOLM: _holm_fwer_mask,
-}
+def _selected_fwer_rows(p1, p2, rule: SelectionRule, m: int, alpha1, alpha, method):
+    """:func:`_fwer_rows` on whole families: ``rule`` selects, and R1 is
+    each row's selection count."""
+    sel = select_rows(_fwer_rule(rule, alpha1), p1, m)
+    r1 = np.maximum(np.count_nonzero(sel, axis=1), 1)[:, None]
+    return _fwer_rows(p1, p2, sel, r1, m, alpha1, alpha, method)
 
 
 def fwer_two_stage(
@@ -363,19 +388,17 @@ def fwer_two_stage(
     p1 <= alpha1/m and p2 <= (alpha-alpha1)/R1 for selected hypotheses,
     and rejection is equivalent to the Bonferroni-replicability adjusted
     p-value (at c = alpha1/alpha) being at most alpha. Valid under
-    arbitrary dependence within each study.
+    arbitrary dependence within each study. A level-less ``bh`` rule
+    selects p1 <= alpha1/m, and a level-less ``bonferroni`` rule runs at
+    alpha1.
     """
-    _check_levels(alpha1, alpha)
     method = FwerMethod(method)
     label = f"fwer_two_stage[{method.value}]"
-    idx, p1, p2, r1 = _gather_selected(data, rule, label)
+    idx, p1, p2, r1 = _gather_selected(data, _fwer_rule(rule, alpha1), label)
     m = data.m
-    fwer_mask = _FWER_MASKS[method]
-    primary_ok = fwer_mask(p1, alpha1, m)
-    followup_ok = fwer_mask(p2, alpha - alpha1, max(r1, 1))  # r1 = 0: nothing selected
-    mask = primary_ok & followup_ok
-    c = alpha1 / alpha
-    z = _zvalues(p1, p2, m, r1, c) if idx.size else np.zeros(0)
+    sel = np.ones((1, idx.size), dtype=bool)
+    mask = _fwer_rows(p1[None], p2[None], sel, max(r1, 1), m, alpha1, alpha, method)[0]
+    z = _zvalues(p1, p2, m, r1, alpha1 / alpha)
     ids = data.ids
     return DiscoveryReport(
         procedure=label,
@@ -387,6 +410,19 @@ def fwer_two_stage(
         adjusted_is_upper_bound=r1 > idx.size,
         scored_rows=tuple(idx.tolist()),
     )
+
+
+def _symmetric_rows(p1, p2, rule: SelectionRule, w1: float, m: int, q1, q, mode, t):
+    """Row kernel of :func:`fdr_symmetric` on whole families: the union of
+    the directed runs at (w1*q1, w1*q), study one primary, and at
+    ((1-w1)*q1, (1-w1)*q), study two primary; a direction with zero
+    weight is skipped."""
+    mask = np.zeros(p1.shape, dtype=bool)
+    if w1 > 0.0:
+        mask |= _directed_fdr_rows(p1, p2, rule, m, w1 * q1, w1 * q, mode, t)
+    if w1 < 1.0:
+        mask |= _directed_fdr_rows(p2, p1, rule, m, (1.0 - w1) * q1, (1.0 - w1) * q, mode, t)
+    return mask
 
 
 def fdr_symmetric(
@@ -404,38 +440,33 @@ def fdr_symmetric(
     Runs the directed procedure twice - study one as primary at levels
     (w1*q1, w1*q), then study two as primary at ((1-w1)*q1, (1-w1)*q) -
     and rejects the union. ``rule`` selects for the first direction and
-    ``rule_reverse`` (default: same rule) for the second; note that a
-    level-based rule is usually rescaled per direction by the caller.
-    Weights 0 and 1 degenerate to a single directed run: a zero-level
-    direction rejects nothing. Requires complete data.
+    ``rule_reverse`` (default: same rule) for the second; a level-less
+    ``bh`` or ``bonferroni`` rule runs at each direction's primary level.
+    Weights 0 and 1 degenerate to a single directed run. The report's
+    thresholds and scores are those of the first direction that runs.
+    Requires complete data.
     """
     if not 0.0 <= w1 <= 1.0:
         raise ValueError(f"w1 must lie in [0, 1], got {w1}")
     _check_levels(q1, q)
     data.require_complete("the symmetric procedure")
-    if rule_reverse is None:
-        rule_reverse = rule
-    forward = (
-        fdr_two_stage(data, rule, w1 * q1, w1 * q, mode, t) if w1 > 0.0 else None
-    )
-    reverse = (
-        fdr_two_stage(data.swap_studies(), rule_reverse, (1.0 - w1) * q1, (1.0 - w1) * q, mode, t)
-        if w1 < 1.0
-        else None
-    )
-    primary = forward if forward is not None else reverse
-    rejected = set()
-    for part in (forward, reverse):
-        if part is not None:
-            rejected.update(part.rejected_ids)
-    return DiscoveryReport(
+    runs = []
+    if w1 > 0.0:
+        runs.append(_fdr_run(data, rule, w1 * q1, w1 * q, mode, t))
+    if w1 < 1.0:
+        runs.append(_fdr_run(
+            data.swap_studies(), rule if rule_reverse is None else rule_reverse,
+            (1.0 - w1) * q1, (1.0 - w1) * q, mode, t,
+        ))
+    rejected = np.zeros(len(data.ids), dtype=bool)
+    for _, rows in runs:
+        rejected[rows] = True
+    ids = data.ids
+    return replace(
+        runs[0][0],
         procedure=f"fdr_symmetric[w1={w1:g},{mode.value}]",
-        rejected_ids=tuple(i for i in data.ids if i in rejected),
-        r1=primary.r1,
-        primary_threshold=primary.primary_threshold,
-        followup_threshold=primary.followup_threshold,
-        per_hypothesis=primary.per_hypothesis,
-        scored_rows=primary.scored_rows,
+        rejected_ids=tuple(ids[i] for i in np.flatnonzero(rejected)),
+        adjusted_is_upper_bound=False,
     )
 
 
@@ -443,11 +474,11 @@ def _bh_report(
     data: StudyPairData, stat: np.ndarray, q: float, label: str
 ) -> DiscoveryReport:
     m = data.m
-    mask = bh_mask(stat, q, m=m)
+    mask = kernels.bh_rows(stat[None], q, m)[0]
     k = int(mask.sum())
     threshold = k * q / m
     ids = data.ids
-    adjusted = _stepup_adjust(m * stat)
+    adjusted = np.minimum(kernels.stepup_adjust(m * stat), 1.0)
     scores = tuple(
         HypothesisScore(ids[i], float(stat[i]), float(adjusted[i]))
         for i in range(len(ids))
@@ -474,6 +505,17 @@ def baseline_partial_conjunction(data: StudyPairData, q: float) -> DiscoveryRepo
     return _bh_report(data, stat, q, "baseline_partial_conjunction")
 
 
+def _naive_rows(p1, p2, q: float, m: int, primary: int):
+    """Row kernel of :func:`baseline_naive_bh_bh`: the first-stage mask
+    (step-up at q within the primary study) and the final rejections
+    (step-up at q within the other study over the k1 first-stage
+    rejections)."""
+    a, b = (p1, p2) if primary == 1 else (p2, p1)
+    first = kernels.bh_rows(a, q, m)
+    k1 = np.maximum(np.count_nonzero(first, axis=1), 1)[:, None]
+    return first, first & kernels.bh_rows(np.where(first, b, np.inf), q, k1)
+
+
 def baseline_naive_bh_bh(
     data: StudyPairData, q: float, primary: int = 1
 ) -> DiscoveryReport:
@@ -489,18 +531,14 @@ def baseline_naive_bh_bh(
     if primary not in (1, 2):
         raise ValueError(f"primary study must be 1 or 2, got {primary}")
     data.require_complete("the naive two-step baseline")
-    a, b = (data.p1, data.p2) if primary == 1 else (data.p2, data.p1)
     m = data.m
-    first = bh_mask(a, q, m=m)
-    idx = np.flatnonzero(first)
-    second = bh_mask(b[idx], q)
-    rejected_idx = idx[second]
+    first, mask = _naive_rows(data.p1[None], data.p2[None], q, m, primary)
     ids = data.ids
     k1 = int(first.sum())
-    k2 = int(second.sum())
+    k2 = int(mask.sum())
     return DiscoveryReport(
         procedure=f"baseline_naive_bh_bh[primary={primary}]",
-        rejected_ids=tuple(ids[i] for i in rejected_idx),
+        rejected_ids=tuple(ids[i] for i in np.flatnonzero(mask[0])),
         r1=k1,
         primary_threshold=k1 * q / m,
         followup_threshold=k2 * q / k1 if k1 else 0.0,
@@ -563,13 +601,4 @@ def oracle_calibrated_run(
         report = fdr_symmetric(
             data, rule, w1, qp, 2.0 * qp, mode, t, rule_reverse=rule_reverse
         )
-    return DiscoveryReport(
-        procedure=f"oracle[q'={qp:.6g},w1={w1:g}]",
-        rejected_ids=report.rejected_ids,
-        r1=report.r1,
-        primary_threshold=report.primary_threshold,
-        followup_threshold=report.followup_threshold,
-        per_hypothesis=report.per_hypothesis,
-        adjusted_is_upper_bound=report.adjusted_is_upper_bound,
-        scored_rows=report.scored_rows,
-    )
+    return replace(report, procedure=f"oracle[q'={qp:.6g},w1={w1:g}]")

@@ -10,33 +10,13 @@ deliberately not offered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .data import StudyPairData
 from .errors import DataError
-
-
-def bh_mask(pvalues: np.ndarray, q: float, m: int | None = None) -> np.ndarray:
-    """Step-up rejection mask at level q over ``pvalues``.
-
-    ``m`` overrides the family size in the thresholds i*q/m (used when the
-    array holds only part of the family); defaults to the array length.
-    Rejects everything at or below the realized threshold, which makes tie
-    handling deterministic.
-    """
-    p = np.asarray(pvalues, dtype=float)
-    n = p.size
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    m_eff = n if m is None else m
-    ps = np.sort(p)
-    thresholds = q * np.arange(1, n + 1) / m_eff
-    passing = np.flatnonzero(ps <= thresholds)
-    if passing.size == 0:
-        return np.zeros(n, dtype=bool)
-    return p <= ps[passing[-1]]
 
 
 def bh_reject(pvalues, q: float) -> set[int]:
@@ -44,7 +24,8 @@ def bh_reject(pvalues, q: float) -> set[int]:
     level q."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {q}")
-    return set(np.flatnonzero(bh_mask(np.asarray(pvalues, dtype=float), q)).tolist())
+    p = np.asarray(pvalues, dtype=float)[None]
+    return set(np.flatnonzero(kernels.bh_rows(p, q, p.size)[0]).tolist())
 
 
 @dataclass(frozen=True)
@@ -53,8 +34,11 @@ class SelectionRule:
 
     Kinds: ``bh`` (step-up at a level), ``bonferroni`` (p1 <= level/m),
     ``top_k`` (k smallest p1, input-order tie-break), ``fixed_threshold``
-    (p1 <= t), and ``explicit`` (caller-supplied ids, for reproducing
-    selections whose rule used information outside the dataset).
+    (p1 <= t), ``explicit`` (caller-supplied ids, for reproducing
+    selections whose rule used information outside the dataset), and
+    ``followup`` (every row with a follow-up p-value). A ``bh`` or
+    ``bonferroni`` rule without a level runs at the primary-stage level of
+    the procedure direction that uses it (see :meth:`at_level`).
     """
 
     kind: str
@@ -96,25 +80,41 @@ class SelectionRule:
         """All rows that carry a follow-up p-value."""
         return SelectionRule("followup")
 
+    def at_level(self, level: float) -> "SelectionRule":
+        """The rule as run by a procedure direction whose primary-stage
+        level is ``level``: a level-less ``bh`` or ``bonferroni`` rule
+        takes that level, and any other rule is unchanged."""
+        if self.kind in ("bh", "bonferroni") and self.level is None:
+            return replace(self, level=level)
+        return self
 
-def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np.ndarray:
-    n = p1.size
+
+# the kinds select_rows computes from primary p-values alone
+ROW_KINDS = ("bh", "bonferroni", "top_k", "fixed_threshold")
+
+
+def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
+    """Selection mask of a rule of one of the ``ROW_KINDS`` over (n, k)
+    primary p-values, each row listing k members of a family of m."""
+    if rule.kind in ("bh", "bonferroni") and rule.level is None:
+        raise DataError(
+            f"{rule.kind} selection without a level runs only inside a "
+            "procedure, at its primary-stage level"
+        )
     if rule.kind == "bh":
-        return bh_mask(p1, rule.level, m=data.m)
+        return kernels.bh_rows(p1, rule.level, m)
     if rule.kind == "bonferroni":
-        return p1 <= rule.level / data.m
+        return p1 <= rule.level / m
     if rule.kind == "fixed_threshold":
         return p1 <= rule.threshold
     if rule.kind == "top_k":
-        if rule.k > data.m:
-            raise DataError(
-                f"top_k selection asks for {rule.k} of {data.m} hypotheses"
-            )
-        k = min(rule.k, n)
-        order = np.argsort(p1, kind="stable")  # stable: ties broken by input order
-        mask = np.zeros(n, dtype=bool)
-        mask[order[:k]] = True
-        return mask
+        if rule.k > m:
+            raise DataError(f"top_k selection asks for {rule.k} of {m} hypotheses")
+        return kernels.top_k_rows(p1, rule.k)
+    raise ValueError(f"unknown selection rule kind {rule.kind!r}")
+
+
+def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np.ndarray:
     if rule.kind == "explicit":
         known = set(data.ids)
         unknown = rule.ids - known
@@ -128,7 +128,7 @@ def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np
         return np.isin(np.array(data.ids, dtype=object), list(rule.ids))
     if rule.kind == "followup":
         return ~np.isnan(data.p2)
-    raise ValueError(f"unknown selection rule kind {rule.kind!r}")
+    return select_rows(rule, p1[None], data.m)[0]
 
 
 def select(rule: SelectionRule, data: StudyPairData) -> tuple[str, ...]:

@@ -27,15 +27,12 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
+from . import kernels, procedures
 from .data import StudyPairData, TruthAssignment
 from .errors import DataError
-from .numeric import harmonic, solve_oracle_qprime
-from .procedures import (
-    Dependence,
-    _check_levels,
-    _effective_levels,
-    fisher_combined_pvalues,
-)
+from .numeric import solve_oracle_qprime
+from .procedures import Dependence
+from .selection import ROW_KINDS, SelectionRule
 
 _log = logging.getLogger(__name__)
 
@@ -43,7 +40,6 @@ _log = logging.getLogger(__name__)
 _CHUNK_VALUES = 1 << 15
 
 __all__ = [
-    "SimSelection",
     "SimProcedure",
     "SimScenario",
     "SimEstimate",
@@ -57,31 +53,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SimSelection:
-    """Follow-up selection used inside a simulated procedure.
-
-    ``bh`` with level None selects by step-up at the direction's own
-    primary-stage level (the recommended default); the other kinds mirror
-    the library selection rules.
-    """
-
-    kind: str = "bh"
-    level: float | None = None
-    k: int | None = None
-    threshold: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("bh", "bonferroni", "top_k", "fixed_threshold"):
-            raise DataError(f"unknown selection kind {self.kind!r}")
-        if self.kind == "top_k" and (self.k is None or self.k < 1):
-            raise DataError("top_k selection needs k >= 1")
-        if self.kind == "fixed_threshold" and self.threshold is None:
-            raise DataError("fixed_threshold selection needs a threshold")
-
-
-@dataclass(frozen=True)
 class SimProcedure:
-    """Which procedure a scenario runs, with its levels."""
+    """Which procedure a scenario runs, with its levels. The selection is a
+    ``SelectionRule`` of one of the kinds computed from p1 alone; the
+    default level-less ``bh`` runs at each direction's primary-stage level
+    (for ``fwer``, as p1 <= alpha1/m)."""
 
     kind: str = "fdr"
     q1: float | None = None
@@ -91,7 +67,7 @@ class SimProcedure:
     t: float | None = None
     fwer_method: str = "bonferroni"
     primary: int = 1
-    selection: SimSelection = SimSelection()
+    selection: SelectionRule = SelectionRule("bh")
 
     _KINDS = (
         "fdr",
@@ -116,8 +92,17 @@ class SimProcedure:
             raise DataError(f"q must lie in (0, 1), got {self.q}")
         if not 0.0 <= self.w1 <= 1.0:
             raise DataError(f"w1 must lie in [0, 1], got {self.w1}")
+        if self.kind == "oracle" and self.w1 not in (0.0, 0.5, 1.0):
+            raise DataError(f"oracle w1 must be one of 0, 0.5, 1, got {self.w1}")
         if self.fwer_method not in ("bonferroni", "holm"):
             raise DataError(f"unknown FWER method {self.fwer_method!r}")
+        if self.selection.kind not in ROW_KINDS:
+            raise DataError(
+                f"selection {self.selection.kind!r} does not run in a simulation; "
+                f"expected one of {', '.join(ROW_KINDS)}"
+            )
+        if self.selection.kind == "top_k" and (self.selection.k is None or self.selection.k < 1):
+            raise DataError(f"top_k selection needs k >= 1, got {self.selection.k}")
 
 
 @dataclass(frozen=True)
@@ -277,159 +262,31 @@ def generate_rep(
     return data, TruthAssignment.from_codes(_truth_codes(scenario))
 
 
-# Row kernels: each maps (n, m) p-value arrays, one repetition per row, to
-# an (n, m) rejection mask and matches the library procedure on every row.
-# An entry set to inf lies outside the family its row's step procedure
-# sees, and is never rejected.
-
-
-def _at_or_below(stat: np.ndarray, ordered: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Per row, the entries at or below the row's count-th smallest value;
-    none where count is 0."""
-    kth = np.take_along_axis(ordered, np.maximum(count - 1, 0)[:, None], axis=1)
-    return (stat <= kth) & (count > 0)[:, None]
-
-
-def _step_up_rows(stat: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Per row, reject up to the largest rank whose sorted value is at most
-    the rank's threshold."""
-    ordered = np.sort(stat, axis=1)
-    passing = ordered <= thresholds
-    last = stat.shape[1] - np.argmax(passing[:, ::-1], axis=1)
-    return _at_or_below(stat, ordered, np.where(passing.any(axis=1), last, 0))
-
-
-def _bh_rows(p: np.ndarray, q: float, m_eff) -> np.ndarray:
-    """:func:`bh_mask` per row, over a family of ``m_eff`` (one value, or
-    an (n, 1) column of one per row)."""
-    return _step_up_rows(p, q * np.arange(1, p.shape[1] + 1) / m_eff)
-
-
-def _holm_rows(p: np.ndarray, level: float, m_eff) -> np.ndarray:
-    """Holm's step-down per row, over a family of ``m_eff`` (one value, or
-    an (n, 1) column of one per row)."""
-    ordered = np.sort(p, axis=1)
-    ok = ordered <= level / np.maximum(m_eff - np.arange(p.shape[1]), 1)
-    first_fail = np.where(ok.all(axis=1), p.shape[1], np.argmin(ok, axis=1))
-    return _at_or_below(p, ordered, first_fail)
-
-
-def _selection_rows(
-    sel: SimSelection, p1: np.ndarray, m: int, auto_level: float
-) -> np.ndarray:
-    level = sel.level if sel.level is not None else auto_level
-    if sel.kind == "bh":
-        return _bh_rows(p1, level, m)
-    if sel.kind == "bonferroni":
-        return p1 <= level / m
-    if sel.kind == "fixed_threshold":
-        return p1 <= sel.threshold
-    # top_k: the k smallest, ties broken by position
-    mask = np.zeros(p1.shape, dtype=bool)
-    top = np.argsort(p1, axis=1, kind="stable")[:, : sel.k]
-    np.put_along_axis(mask, top, True, axis=1)
-    return mask
-
-
-def _directed_fdr(proc: SimProcedure, m: int, q1: float, q: float):
-    """Row kernel of :func:`fdr_two_stage` at levels (q1, q), study one
-    primary; R1, and q2_eff under ``arbitrary_both``, are per row."""
-    _check_levels(q1, q)
-    # r1 only enters q2_eff under arbitrary_both, which is computed per row
-    q1_eff, q2_eff = _effective_levels(q1, q, proc.mode, proc.t, m, 1)
-    per_row_q2 = proc.mode is Dependence.ARBITRARY_BOTH
-    thresholded = proc.mode is Dependence.ARBITRARY_PRIMARY_ITEM2
-    ranks = np.arange(1, m + 1, dtype=float)
-
-    def run(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-        sel = _selection_rows(proc.selection, p1, m, q1)
-        if thresholded and np.any(sel & (p1 > proc.t)):
-            raise DataError(
-                "the thresholded dependence mode requires every selected primary "
-                f"p-value to be at most t={proc.t:g}"
-            )
-        r1 = np.count_nonzero(sel, axis=1)[:, None]
-        q2 = q2_eff
-        if per_row_q2:
-            h = [harmonic(max(r, 1)) for r in r1[:, 0].tolist()]
-            q2 = (q - q1) / np.array(h)[:, None]
-        z = np.maximum(m * p1 / q1_eff, r1 * p2 / q2)
-        z[~sel] = np.inf
-        return _step_up_rows(z, ranks)
-
-    return run
-
-
-def _directed_fwer(proc: SimProcedure, m: int, alpha1: float, alpha: float):
-    """Row kernel of :func:`fwer_two_stage` at levels (alpha1, alpha)."""
-    # default selection for the FWER flavor: single-test threshold alpha1/m
-    if proc.selection.kind == "bh" and proc.selection.level is None:
-        sel_rule = SimSelection("bonferroni")
-    else:
-        sel_rule = proc.selection
-    holm = proc.fwer_method == "holm"
-
-    def run(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-        sel = _selection_rows(sel_rule, p1, m, alpha1)
-        r1 = np.maximum(np.count_nonzero(sel, axis=1), 1)[:, None]
-        if holm:
-            primary = _holm_rows(p1, alpha1, m)
-            followup = _holm_rows(np.where(sel, p2, np.inf), alpha - alpha1, r1)
-        else:
-            primary = p1 <= alpha1 / m
-            followup = p2 <= (alpha - alpha1) / r1
-        return sel & primary & followup
-
-    return run
-
-
-def _symmetric(proc: SimProcedure, m: int, lo: float, hi: float):
-    """Union of the directed FDR runs at (w1*lo, w1*hi) with study one
-    primary and at ((1-w1)*lo, (1-w1)*hi) with study two primary; a
-    direction with zero weight is skipped."""
-    w1 = proc.w1
-    forward = _directed_fdr(proc, m, w1 * lo, w1 * hi) if w1 > 0.0 else None
-    reverse = _directed_fdr(proc, m, (1 - w1) * lo, (1 - w1) * hi) if w1 < 1.0 else None
-
-    def run(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-        if reverse is None:
-            return forward(p1, p2)
-        if forward is None:
-            return reverse(p2, p1)
-        return forward(p1, p2) | reverse(p2, p1)
-
-    return run
-
-
 def _build_runner(scenario: SimScenario):
-    """Compile the scenario's procedure into a row kernel
-    mask = f(p1, p2), refusing what the library procedure refuses."""
+    """The scenario's procedure as mask = f(p1, p2) over (n, m) rows, on
+    the row kernels the library procedures run."""
     proc, m, q = scenario.procedure, scenario.m, scenario.procedure.q
-    kind, sel = proc.kind, proc.selection
-    selects = kind in ("fdr", "fdr_symmetric", "oracle", "fwer")
-    if selects and sel.kind == "top_k" and sel.k > m:
-        raise DataError(f"top_k selection asks for {sel.k} of {m} hypotheses")
-    if kind == "fdr":
-        return _directed_fdr(proc, m, proc.q1, q)
-    if kind == "fdr_symmetric":
-        return _symmetric(proc, m, proc.q1, q)
-    if kind == "oracle":
+    rule, mode, t = proc.selection, proc.mode, proc.t
+    if proc.kind == "fdr":
+        return lambda p1, p2: procedures._directed_fdr_rows(p1, p2, rule, m, proc.q1, q, mode, t)
+    if proc.kind == "fdr_symmetric":
+        return lambda p1, p2: procedures._symmetric_rows(
+            p1, p2, rule, proc.w1, m, proc.q1, q, mode, t
+        )
+    if proc.kind == "oracle":
         qp = solve_oracle_qprime(scenario.f00, scenario.f01, q, proc.w1)
-        return _symmetric(proc, m, qp, 2.0 * qp)
-    if kind == "fwer":
-        return _directed_fwer(proc, m, proc.q1, q)
-    if kind == "partial_conjunction":
-        return lambda p1, p2: _bh_rows(np.maximum(p1, p2), q, m)
-    if kind == "fisher_meta":
-        return lambda p1, p2: _bh_rows(fisher_combined_pvalues(p1, p2), q, m)
-
-    def naive(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-        a, b = (p1, p2) if proc.primary == 1 else (p2, p1)
-        first = _bh_rows(a, q, m)
-        k1 = np.maximum(np.count_nonzero(first, axis=1), 1)[:, None]
-        return first & _bh_rows(np.where(first, b, np.inf), q, k1)
-
-    return naive
+        return lambda p1, p2: procedures._symmetric_rows(
+            p1, p2, rule, proc.w1, m, qp, 2.0 * qp, mode, t
+        )
+    if proc.kind == "fwer":
+        return lambda p1, p2: procedures._selected_fwer_rows(
+            p1, p2, rule, m, proc.q1, q, proc.fwer_method
+        )
+    if proc.kind == "partial_conjunction":
+        return lambda p1, p2: kernels.bh_rows(np.maximum(p1, p2), q, m)
+    if proc.kind == "fisher_meta":
+        return lambda p1, p2: kernels.bh_rows(procedures.fisher_combined_pvalues(p1, p2), q, m)
+    return lambda p1, p2: procedures._naive_rows(p1, p2, q, m, proc.primary)[1]
 
 
 @dataclass(frozen=True)
@@ -541,7 +398,7 @@ def _scenario_at(scenario: SimScenario, axis: str, value: float) -> SimScenario:
     if axis == "k_selected":
         proc = replace(
             scenario.procedure,
-            selection=SimSelection("top_k", k=int(value)),
+            selection=SelectionRule("top_k", k=int(value)),
         )
         return replace(scenario, procedure=proc)
     raise DataError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")

@@ -98,6 +98,26 @@ class TestAnalyze:
         assert (out / "summary.txt").read_bytes().endswith(b"\n")
 
 
+    @pytest.mark.parametrize("mode, levels, spec, same_as", [
+        ("fdr", ["--q1", "0.04", "--q", "0.05"], "bh", "bh:0.04"),
+        ("fdr", ["--q1", "0.04", "--q", "0.05"], "bonferroni", "bonferroni:0.04"),
+        # under fwer a level-less bh is the single-test threshold alpha1/m
+        ("fwer", ["--alpha1", "0.025", "--alpha", "0.05"], "bh", "bonferroni:0.025"),
+    ])
+    def test_levelless_selection_runs_at_primary_level(
+        self, crohns_csv, tmp_path, mode, levels, spec, same_as
+    ):
+        outputs = []
+        for selection in (spec, same_as):
+            out = tmp_path / selection.replace(":", "_")
+            assert main([
+                "analyze", "--input", str(crohns_csv), "--mode", mode, *levels,
+                "--selection", selection, "--out", str(out), "--quiet",
+            ]) == 0
+            outputs.append((out / "discoveries.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["analyze"]) == 1
@@ -226,6 +246,20 @@ class TestSimulate:
         scen.write_text(SCENARIO.replace("seed = 42", "seed = -1"))
         assert main(["simulate", "--scenario", str(scen)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_oracle_w1_off_grid_is_data_error(self, tmp_path, capsys):
+        scen = tmp_path / "s.txt"
+        scen.write_text(SCENARIO.replace("procedure = fdr", "procedure = oracle") + "w1 = 0.3\n")
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "w1" in err
+
+    @pytest.mark.parametrize("spec", ["followup", "bh:1.5", "top:0"])
+    def test_selection_not_runnable_is_data_error(self, tmp_path, capsys, spec):
+        scen = tmp_path / "s.txt"
+        scen.write_text(SCENARIO.replace("selection = bh", f"selection = {spec}"))
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        assert "selection" in capsys.readouterr().err
 
     def test_sweep_rows(self, tmp_path):
         scen = tmp_path / "s.txt"

@@ -14,7 +14,6 @@ from replicability.dataio import (
     parse_pvalue_csv,
     parse_rule_spec,
     parse_scenario_file,
-    parse_sim_selection,
     write_discoveries_csv,
     write_pvalue_csv,
 )
@@ -122,9 +121,9 @@ def test_parse_rule_specs():
 
 
 def test_parse_sim_selection_auto_level():
-    sel = parse_sim_selection("bh")
+    sel = parse_rule_spec("bh")
     assert sel.kind == "bh" and sel.level is None
-    assert parse_sim_selection("top:25").k == 25
+    assert parse_rule_spec("top:25").k == 25
 
 
 def test_parse_dependence_aliases():

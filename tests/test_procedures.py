@@ -432,17 +432,65 @@ class TestProcedureParams:
             ProcedureParams(q1=0.01, q=0.05, mode=Dependence.ARBITRARY_PRIMARY_ITEM2)
 
 
+def _followup_instance(rng: np.random.Generator, mode: Dependence):
+    """A family of m with k rows followed up, their p-values scaled so that
+    every rejection count from none to all k occurs; under the thresholded
+    mode the followed-up p1 lie at or below t. Returns (data, q1, q, t)."""
+    m = int(rng.integers(4, 61))
+    q = float(rng.uniform(0.03, 0.25))
+    q1 = float(rng.uniform(0.1, 0.9)) * q
+    t = None
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
+        t = 0.9 * q1 / (1.0 + harmonic(m - 1))
+    k = int(rng.integers(1, m + 1))
+    follow = rng.choice(m, size=k, replace=False)
+    scale = float(rng.uniform(0.1, 3.0))  # signal strength on the rank scale
+    p1 = rng.random(m)
+    p1[follow] = rng.random(k) * min(scale * k * q1 / m, t or 1.0)
+    p2 = np.full(m, np.nan)
+    p2[follow] = rng.random(k) * min(scale * (q - q1), 1.0)
+    return StudyPairData.from_columns([f"h{i}" for i in range(m)], p1, p2), q1, q, t
+
+
+def _rejected_or_refusal(*args):
+    try:
+        return set(fdr_two_stage(*args).rejected_ids)
+    except DataError:
+        return DataError
+
+
 @settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), bh=st.booleans(),
-       mode=st.sampled_from([Dependence.INDEPENDENT, Dependence.ARBITRARY_BOTH]))
+@given(seed=st.integers(0, 2**32 - 1), bh=st.booleans(), mode=st.sampled_from(list(Dependence)))
 def test_rejections_invariant_under_row_permutation(seed, bh, mode):
     rng = np.random.default_rng(seed)
-    data, q1, q, _ = random_instance(rng, max_m=60)
+    data, q1, q, t = _followup_instance(rng, mode)
     order = rng.permutation(len(data.ids))
     shuffled = StudyPairData.from_columns(
         [data.ids[i] for i in order], data.p1[order], data.p2[order]
     )
     rule = SelectionRule.bh_at_level(q1) if bh else FOLLOWUP
-    before = fdr_two_stage(data, rule, q1, q, mode).rejected_ids
-    after = fdr_two_stage(shuffled, rule, q1, q, mode).rejected_ids
-    assert set(after) == set(before)
+    before = _rejected_or_refusal(data, rule, q1, q, mode, t)
+    after = _rejected_or_refusal(shuffled, rule, q1, q, mode, t)
+    assert after == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(list(Dependence)),
+    study=st.sampled_from([1, 2]),
+    shrink=st.sampled_from([0.0, 0.5, 0.999]),
+)
+def test_lowering_a_pvalue_never_removes_a_rejection(seed, mode, study, shrink):
+    """Step-up self-consistency (Blanchard & Roquain, EJS 2008): with the
+    follow-up set fixed, lowering p1 or p2 of a followed-up row can only
+    add rejections."""
+    rng = np.random.default_rng(seed)
+    data, q1, q, t = _followup_instance(rng, mode)  # lowering p1 keeps p1 <= t
+    j = rng.choice(np.flatnonzero(~np.isnan(data.p2)))
+    p1, p2 = data.p1.copy(), data.p2.copy()
+    (p1 if study == 1 else p2)[j] *= shrink
+    lowered = StudyPairData.from_columns(data.ids, p1, p2)
+    before = fdr_two_stage(data, FOLLOWUP, q1, q, mode, t).rejected_ids
+    after = fdr_two_stage(lowered, FOLLOWUP, q1, q, mode, t).rejected_ids
+    assert set(before) <= set(after)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from procedure_oracles import fdr_directions, reference_mask
 from replicability.data import TRUTH_LABELS, StudyPairData
 from replicability.errors import DataError, ReplicabilityError
-from replicability.numeric import harmonic, solve_oracle_qprime
+from replicability.numeric import harmonic
 from replicability.procedures import (
     Dependence,
     baseline_fisher_meta,
@@ -19,6 +20,7 @@ from replicability.procedures import (
     baseline_partial_conjunction,
     fdr_symmetric,
     fdr_two_stage,
+    fdr_two_stage_rscan,
     fwer_two_stage,
     oracle_calibrated_run,
 )
@@ -26,7 +28,6 @@ from replicability.selection import SelectionRule
 from replicability.sim import (
     SimProcedure,
     SimScenario,
-    SimSelection,
     _build_runner,
     _pvalues,
     _streams,
@@ -141,7 +142,7 @@ class TestRunScenario:
             procedure=SimProcedure(
                 kind="fdr", q1=0.025, q=0.05,
                 mode=Dependence.ARBITRARY_PRIMARY_ITEM2, t=1e-6,
-                selection=SimSelection("bh"),
+                selection=SelectionRule("bh"),
             ),
             reps=100, seed=3,
         )
@@ -230,11 +231,11 @@ class TestRunScenario:
 
     def test_selection_kinds_run(self):
         for sel in [
-            SimSelection("bh"),
-            SimSelection("bh", level=0.0125),
-            SimSelection("bonferroni"),
-            SimSelection("top_k", k=20),
-            SimSelection("fixed_threshold", threshold=1e-3),
+            SelectionRule("bh"),
+            SelectionRule("bh", level=0.0125),
+            SelectionRule("bonferroni"),
+            SelectionRule("top_k", k=20),
+            SelectionRule("fixed_threshold", threshold=1e-3),
         ]:
             proc = SimProcedure(kind="fdr", q1=0.025, q=0.05, selection=sel)
             est = run_scenario(
@@ -362,7 +363,7 @@ class TestPublishedCurveShapes:
                 mu1=mu1, mu2=3.0, sigma1=0.5, sigma2=1.0,
                 procedure=SimProcedure(
                     kind="fdr_symmetric", q1=0.025, q=0.05, w1=0.5,
-                    selection=SimSelection("bh"),
+                    selection=SelectionRule("bh"),
                 ),
                 reps=150, seed=37,
             )
@@ -399,13 +400,13 @@ def sim_scenarios(draw):
     t = q1 / (1.0 + harmonic(m - 1)) * draw(st.sampled_from([1e-3, 0.3, 0.9, 1.5]))
     sel = draw(_SELECTIONS)
     if sel == "bh_level":
-        selection = SimSelection("bh", level=q1 * draw(st.sampled_from([0.5, 1.0])))
+        selection = SelectionRule("bh", level=q1 * draw(st.sampled_from([0.5, 1.0])))
     elif sel == "top_k":
-        selection = SimSelection("top_k", k=draw(st.integers(1, m + 1)))
+        selection = SelectionRule("top_k", k=draw(st.integers(1, m + 1)))
     elif sel == "fixed_threshold":
-        selection = SimSelection("fixed_threshold", threshold=t * draw(st.sampled_from([0.5, 2.0])))
+        selection = SelectionRule("fixed_threshold", threshold=t * draw(st.sampled_from([0.5, 2.0])))
     else:
-        selection = SimSelection(sel)
+        selection = SelectionRule(sel)
     procedure = SimProcedure(
         kind=kind, q1=q1, q=q, w1=w1, mode=mode, t=t,
         fwer_method=draw(st.sampled_from(["bonferroni", "holm"])),
@@ -431,42 +432,35 @@ def test_chunk_rows_equal_single_rep_calls(scenario, start, n):
         scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11))))
 
 
-def _library_rule(sel: SimSelection, level: float) -> SelectionRule:
-    """The library rule a simulated selection applies in a direction whose
-    primary-stage level is ``level``."""
-    if sel.kind == "top_k":
-        return SelectionRule("top_k", k=sel.k)
-    if sel.kind == "fixed_threshold":
-        return SelectionRule("fixed_threshold", threshold=sel.threshold)
-    return SelectionRule(sel.kind, level=sel.level if sel.level is not None else level)
-
-
 def _library_run(scenario: SimScenario, data):
+    """The library call of the scenario's procedure; a level-less selection
+    runs at each direction's primary-stage level on both sides."""
     proc = scenario.procedure
-    q, q1, w1, mode, t = proc.q, proc.q1, proc.w1, proc.mode, proc.t
-    rule = partial(_library_rule, proc.selection)
+    q, q1, w1, mode, t, rule = proc.q, proc.q1, proc.w1, proc.mode, proc.t, proc.selection
     if proc.kind == "fdr":
-        return fdr_two_stage(data, rule(q1), q1, q, mode, t)
+        return fdr_two_stage(data, rule, q1, q, mode, t)
     if proc.kind == "fdr_symmetric":
-        return fdr_symmetric(
-            data, rule(w1 * q1), w1, q1, q, mode, t, rule_reverse=rule((1 - w1) * q1)
-        )
+        return fdr_symmetric(data, rule, w1, q1, q, mode, t)
     if proc.kind == "oracle":
-        qp = solve_oracle_qprime(scenario.f00, scenario.f01, q, w1)
-        return oracle_calibrated_run(
-            data, rule(w1 * qp), scenario.f00, scenario.f01, q, w1, mode, t,
-            rule_reverse=rule((1 - w1) * qp),
-        )
+        return oracle_calibrated_run(data, rule, scenario.f00, scenario.f01, q, w1, mode, t)
     if proc.kind == "fwer":
-        sel = proc.selection
-        if sel.kind == "bh" and sel.level is None:
-            sel = SimSelection("bonferroni")
-        return fwer_two_stage(data, _library_rule(sel, q1), q1, q, proc.fwer_method)
+        return fwer_two_stage(data, rule, q1, q, proc.fwer_method)
     if proc.kind == "partial_conjunction":
         return baseline_partial_conjunction(data, q)
     if proc.kind == "fisher_meta":
         return baseline_fisher_meta(data, q)
     return baseline_naive_bh_bh(data, q, proc.primary)
+
+
+def _rscan_run(scenario: SimScenario, data) -> set[str]:
+    """Union of the exhaustive-scan directed runs of an FDR-type procedure."""
+    proc = scenario.procedure
+    rejected = set()
+    for swap, lo, hi in fdr_directions(scenario):
+        rows = data.swap_studies() if swap else data
+        report = fdr_two_stage_rscan(rows, proc.selection, lo, hi, proc.mode, proc.t)
+        rejected.update(report.rejected_ids)
+    return rejected
 
 
 def _outcome(call):
@@ -484,7 +478,9 @@ def _outcome(call):
 )
 def test_row_kernels_match_library(scenario, start, snap):
     """Each row's batched mask is the library's rejected set on that row's
-    dataset, and the kernels refuse exactly what the library refuses."""
+    dataset, the reference procedure's mask and, for the FDR procedures on
+    unsnapped p-values, the exhaustive scan's rejected set; the kernels
+    refuse exactly what the library refuses."""
     m, n = scenario.m, scenario.reps
     p1, p2 = _pvalues(scenario, _streams(scenario), start, n)
     if snap is not None:  # onto the grid level*k/m: ties, and values at a threshold
@@ -501,5 +497,12 @@ def test_row_kernels_match_library(scenario, start, snap):
         assert masks in refused
         return
     assert not refused
-    for mask, report in zip(masks, library):
-        assert {ids[j] for j in np.flatnonzero(mask)} == set(report.rejected_ids)
+    for mask, report, a, b in zip(masks, library, p1, p2):
+        rejected = {ids[j] for j in np.flatnonzero(mask)}
+        assert rejected == set(report.rejected_ids)
+        assert np.array_equal(mask, reference_mask(scenario, a, b))
+        # the scan compares p-values with r*q1/m and r*q2/R1, whose rounding
+        # differs from z's for p-values placed exactly on a threshold
+        if snap is None and scenario.procedure.kind in ("fdr", "fdr_symmetric", "oracle"):
+            data = StudyPairData.from_columns(ids, a, b)
+            assert rejected == _rscan_run(scenario, data)
