@@ -28,6 +28,11 @@ def bh_reject(pvalues, q: float) -> set[int]:
     return set(np.flatnonzero(kernels.bh_rows(p, q, p.size)[0]).tolist())
 
 
+# the parameter each kind cannot run without; a level-less bh or
+# bonferroni rule takes a procedure's primary-stage level
+_REQUIRED = {"top_k": "k", "fixed_threshold": "threshold", "explicit": "ids"}
+
+
 @dataclass(frozen=True)
 class SelectionRule:
     """Tagged rule mapping primary-study p-values to the follow-up set.
@@ -46,6 +51,13 @@ class SelectionRule:
     k: int | None = None
     threshold: float | None = None
     ids: frozenset[str] | None = None
+
+    def __post_init__(self):
+        field = _REQUIRED.get(self.kind)
+        if field is not None and getattr(self, field) is None:
+            raise DataError(f"{self.kind} selection needs {field}")
+        if self.kind == "top_k" and self.k < 1:
+            raise DataError(f"top_k selection needs k >= 1, got {self.k}")
 
     @staticmethod
     def bh_at_level(level: float) -> "SelectionRule":

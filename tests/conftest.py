@@ -1,6 +1,8 @@
 import numpy as np
 
 from replicability.data import HypothesisRecord, StudyPairData
+from replicability.numeric import harmonic
+from replicability.procedures import Dependence
 
 
 def make_data(p1, p2=None, ids=None, **kw) -> StudyPairData:
@@ -29,6 +31,26 @@ def random_instance(rng: np.random.Generator, max_m: int = 200, max_r1: int = 50
     q1 = c * q
     k = int(rng.integers(1, min(max_r1, m) + 1))
     return make_data(p1, p2), q1, q, k
+
+
+def _followup_instance(rng: np.random.Generator, mode: Dependence):
+    """A family of m with k rows followed up, their p-values scaled so that
+    every rejection count from none to all k occurs; under the thresholded
+    mode the followed-up p1 lie at or below t. Returns (data, q1, q, t)."""
+    m = int(rng.integers(4, 61))
+    q = float(rng.uniform(0.03, 0.25))
+    q1 = float(rng.uniform(0.1, 0.9)) * q
+    t = None
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
+        t = 0.9 * q1 / (1.0 + harmonic(m - 1))
+    k = int(rng.integers(1, m + 1))
+    follow = rng.choice(m, size=k, replace=False)
+    scale = float(rng.uniform(0.1, 3.0))  # signal strength on the rank scale
+    p1 = rng.random(m)
+    p1[follow] = rng.random(k) * min(scale * k * q1 / m, t or 1.0)
+    p2 = np.full(m, np.nan)
+    p2[follow] = rng.random(k) * min(scale * (q - q1), 1.0)
+    return StudyPairData.from_columns([f"h{i}" for i in range(m)], p1, p2), q1, q, t
 
 
 # Files the p-value reader must refuse: name -> (text, line named, field named).

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_data, random_instance
+from conftest import _followup_instance, make_data, random_instance
 from replicability.adjust import build_adjusted_table
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import DataError
@@ -95,6 +97,27 @@ def test_bonferroni_duality_on_random_instances():
             data, SelectionRule.followed_up(), a1, a, FwerMethod.BONFERRONI
         )
         assert flagged == set(run.rejected_ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fdr_duality_on_followup_instances(seed):
+    # the duality above, on follow-up sets where every rejection count occurs
+    data, q1, q, _ = _followup_instance(np.random.default_rng(seed), Dependence.INDEPENDENT)
+    table = build_adjusted_table(data, c=q1 / q, flavor="fdr")
+    flagged = {r.id for r in table.rows if r.adjusted_p <= q}
+    run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q)
+    assert flagged == set(run.rejected_ids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_bonferroni_duality_on_followup_instances(seed):
+    data, a1, a, _ = _followup_instance(np.random.default_rng(seed), Dependence.INDEPENDENT)
+    table = build_adjusted_table(data, c=a1 / a, flavor="bonferroni")
+    flagged = {r.id for r in table.rows if r.adjusted_p <= a}
+    run = fwer_two_stage(data, SelectionRule.followed_up(), a1, a, FwerMethod.BONFERRONI)
+    assert flagged == set(run.rejected_ids)
 
 
 def test_modified_duality_matches_modified_run():

@@ -1,8 +1,13 @@
+import os
 import shutil
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import replicability
 from conftest import BAD_PVALUE_FILES
 from replicability.cli import main
 
@@ -337,3 +342,33 @@ class TestProbeSelection:
         ])
         assert code == 0
         assert "counterexamples=0" in capsys.readouterr().out
+
+
+def test_cli_loads_no_scipy(tmp_path, crohns_csv):
+    """scipy is a test oracle only: the CLI's import and its analyze,
+    simulate and power commands run in a fresh process without it."""
+    scen = tmp_path / "s.txt"
+    scen.write_text(SCENARIO.replace("reps = 60", "reps = 3"))
+    calls = [
+        ["analyze", "--input", str(crohns_csv), "--mode", "fdr", "--q1", "0.04",
+         "--q", "0.05", "--out", str(tmp_path / "analyze")],
+        ["simulate", "--scenario", str(scen), "--out", str(tmp_path / "sim.csv")],
+        ["power", "--mu11", "3", "--mu21", "3", "--m", "1000", "--alpha1", "0.025",
+         "--alpha", "0.05"],
+    ]
+    script = f"""
+import sys
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+from replicability.cli import main
+assert not scipy_modules(), ("import", scipy_modules())
+for argv in {calls!r}:
+    assert main(argv) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules())
+"""
+    src = str(Path(replicability.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from replicability.errors import ApplicabilityError
 from replicability.numeric import (
     chisq_survival_even_df,
     harmonic,
+    ndtr,
+    ndtri,
     solve_oracle_qprime,
     solve_q1_tilde_thresholded,
     std_normal_cdf,
@@ -228,3 +230,40 @@ def test_harmonic_at_ten_million():
     value = harmonic(10_000_000)
     gap = abs(value - (math.log(1e7) + 0.5772156649))
     assert gap < 1.0 / 2e7 + 1e-9
+
+
+class TestNumpyKernels:
+    """The numpy-only kernels against scipy.special as an oracle."""
+
+    def test_ndtri_against_scipy(self):
+        rng = np.random.default_rng(11)
+        u = np.concatenate([
+            rng.random(100_000),
+            np.logspace(-300, -1, 3000),
+            1.0 - np.logspace(-16, -1, 3000),
+            [0.075, 0.5, 0.925],
+        ])
+        ref = special.ndtri(u)
+        rel = np.abs(ndtri(u) - ref) / np.maximum(np.abs(ref), 1e-300)
+        assert rel.max() <= 1e-14
+        assert ndtri(0.5) == 0.0
+        assert np.array_equal(ndtri(np.array([0.0, 1.0])), [-np.inf, np.inf])
+
+    def test_ndtr_against_scipy(self):
+        x = np.concatenate([np.linspace(-38.0, 9.0, 200_001), [-0.66, 0.66, -5.657, 5.657]])
+        # relative where scipy's value is a normal double; below that range
+        # both lose digits and scipy flushes to 0 from x = -37.7 on
+        np.testing.assert_allclose(ndtr(x), special.ndtr(x), rtol=1e-12, atol=np.finfo(float).tiny)
+        assert np.array_equal(ndtr(np.array([-np.inf, np.inf])), [0.0, 1.0])
+        assert np.isnan(ndtr(np.nan))
+
+    def test_kernels_keep_shape(self):
+        grid = np.full((2, 3), 0.25)
+        assert ndtr(grid).shape == ndtri(grid).shape == (2, 3)
+        assert np.ndim(ndtr(0.0)) == np.ndim(ndtri(0.5)) == 0
+
+    def test_harmonic_against_digamma(self):
+        ks = np.unique(np.geomspace(1, 2e7, 3000).astype(int))
+        for k in ks.tolist():
+            value = harmonic(k)
+            assert abs(value - (special.digamma(k + 1.0) + np.euler_gamma)) <= 2 * math.ulp(value)

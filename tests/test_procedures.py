@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_data, random_instance
+from conftest import _followup_instance, make_data, random_instance
 from replicability.data import HypothesisRecord, StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import ApplicabilityError, DataError
@@ -197,6 +197,20 @@ class TestFdrTwoStage:
             # report-level duality: rejected iff reported adjusted <= q
             flagged = {s.id for s in report.per_hypothesis if s.adjusted_p <= q}
             assert flagged == set(report.rejected_ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Dependence)))
+    def test_self_consistency_on_followup_instances(self, seed, mode):
+        # the check above, on follow-up sets where every rejection count occurs
+        data, q1, q, t = _followup_instance(np.random.default_rng(seed), mode)
+        report = fdr_two_stage(data, FOLLOWUP, q1, q, mode, t)
+        followed = ~np.isnan(data.p2)
+        passes = followed & (data.p1 <= report.primary_threshold)
+        passes &= data.p2 <= report.followup_threshold
+        assert set(np.asarray(data.ids)[passes]) == set(report.rejected_ids)
+        assert len(report.rejected_ids) == report.r2
+        flagged = {s.id for s in report.per_hypothesis if s.adjusted_p <= q}
+        assert flagged == set(report.rejected_ids)
 
     def test_monotone_in_pvalues(self):
         rng = np.random.default_rng(7)
@@ -430,26 +444,6 @@ class TestProcedureParams:
     def test_item2_requires_t(self):
         with pytest.raises(ValueError):
             ProcedureParams(q1=0.01, q=0.05, mode=Dependence.ARBITRARY_PRIMARY_ITEM2)
-
-
-def _followup_instance(rng: np.random.Generator, mode: Dependence):
-    """A family of m with k rows followed up, their p-values scaled so that
-    every rejection count from none to all k occurs; under the thresholded
-    mode the followed-up p1 lie at or below t. Returns (data, q1, q, t)."""
-    m = int(rng.integers(4, 61))
-    q = float(rng.uniform(0.03, 0.25))
-    q1 = float(rng.uniform(0.1, 0.9)) * q
-    t = None
-    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
-        t = 0.9 * q1 / (1.0 + harmonic(m - 1))
-    k = int(rng.integers(1, m + 1))
-    follow = rng.choice(m, size=k, replace=False)
-    scale = float(rng.uniform(0.1, 3.0))  # signal strength on the rank scale
-    p1 = rng.random(m)
-    p1[follow] = rng.random(k) * min(scale * k * q1 / m, t or 1.0)
-    p2 = np.full(m, np.nan)
-    p2[follow] = rng.random(k) * min(scale * (q - q1), 1.0)
-    return StudyPairData.from_columns([f"h{i}" for i in range(m)], p1, p2), q1, q, t
 
 
 def _rejected_or_refusal(*args):

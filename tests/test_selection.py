@@ -114,6 +114,13 @@ class TestSelect:
         with pytest.raises(DataError):
             select(SelectionRule.explicit({"nope"}), data)
 
+    @pytest.mark.parametrize("kind, field", [
+        ("fixed_threshold", "threshold"), ("top_k", "k"), ("explicit", "ids"),
+    ])
+    def test_rule_without_its_parameter_refused(self, kind, field):
+        with pytest.raises(DataError, match=f"needs {field}"):
+            SelectionRule(kind)
+
     def test_followed_up_rule(self):
         data = make_data([0.1, 0.2, 0.3], p2=[0.5, None, 0.7])
         assert select(SelectionRule.followed_up(), data) == ("h0", "h2")

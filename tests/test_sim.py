@@ -255,6 +255,13 @@ class TestRunScenario:
         with pytest.raises(DataError):
             SimProcedure(**kwargs)
 
+    def test_selection_without_its_parameter_refused(self):
+        # refused where the library refuses it: when the rule is built
+        with pytest.raises(DataError, match="needs threshold"):
+            run_scenario(replace(BASE, procedure=SimProcedure(
+                kind="fdr", q1=0.025, q=0.05, selection=SelectionRule("fixed_threshold"),
+            )))
+
     def test_fraction_sum_validated(self):
         with pytest.raises(DataError):
             SimScenario(
