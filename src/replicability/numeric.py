@@ -29,7 +29,6 @@ from .errors import ApplicabilityError
 # strictly positive for finite arguments.
 _TINY = 5e-324
 
-_EULER_GAMMA = 0.57721566490153286061
 _SQRT1_2 = 0.70710678118654752440
 _FRAC_1_SQRTPI = 0.56418958354775628695
 
@@ -233,8 +232,8 @@ def harmonic(k: int) -> float:
     Summed exactly below k = 32; above, the asymptotic series
     ln k + gamma + 1/(2k) - 1/(12k^2) + 1/(120k^4) - 1/(252k^6) + 1/(240k^8),
     within 2 ulp of digamma(k + 1) + gamma. The corrections are summed
-    smallest first and only then added to ln k + gamma, which keeps
-    H_k - H_(k-1) within an ulp of 1/k.
+    smallest first and only then added to ln k + gamma, which keeps each
+    increment H_k - H_(k-1) within 2 ulp of 1/k.
     """
     if k < 0:
         raise ValueError(f"harmonic index must be non-negative, got {k}")
@@ -242,7 +241,7 @@ def harmonic(k: int) -> float:
         return math.fsum(1.0 / i for i in range(1, k + 1))
     s = 1.0 / (float(k) * k)
     tail = (((s / 240.0 - 1.0 / 252.0) * s + 1.0 / 120.0) * s - 1.0 / 12.0) * s + 0.5 / k
-    return (math.log(k) + _EULER_GAMMA) + tail
+    return (math.log(k) + np.euler_gamma) + tail
 
 
 def solve_q1_tilde_thresholded(q1: float, m: int, t: float) -> float:
