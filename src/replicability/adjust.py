@@ -8,11 +8,12 @@ from harmonically rescaled p-values.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import StudyPairData
+from .data import RowView, StudyPairData
 from .errors import DataError
 from .numeric import harmonic, solve_q1_tilde_thresholded
 from .procedures import Dependence, _adjust_columns, _gather_selected
@@ -29,17 +30,38 @@ class AdjustedRow:
     adjusted_p_modified: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjustedTable:
-    """Rows sorted ascending by adjusted value (ties by id)."""
+    """The followed-up hypotheses as columns in table order: ascending
+    adjusted value, ties by id in ``str`` order. ``ids`` is a tuple and
+    ``p1``, ``p2``, ``z``, ``adjusted`` and ``modified`` are float arrays;
+    ``modified`` is None outside the dependence-corrected modes and for an
+    empty table. ``rows`` reads the same table as :class:`AdjustedRow`
+    records, each built when it is read."""
 
-    rows: tuple[AdjustedRow, ...]
+    ids: tuple[str, ...]
+    p1: np.ndarray
+    p2: np.ndarray
+    z: np.ndarray
+    adjusted: np.ndarray
+    modified: np.ndarray | None
     m: int
     r1: int
     c: float
     flavor: str
     mode: Dependence
     adjusted_is_upper_bound: bool = False
+
+    @property
+    def rows(self) -> Sequence[AdjustedRow]:
+        def row(i: int) -> AdjustedRow:
+            modified = None if self.modified is None else float(self.modified[i])
+            return AdjustedRow(
+                self.ids[i], float(self.p1[i]), float(self.p2[i]), float(self.z[i]),
+                float(self.adjusted[i]), modified,
+            )
+
+        return RowView(len(self.ids), row)
 
 
 def build_adjusted_table(
@@ -82,21 +104,19 @@ def build_adjusted_table(
         if mode is Dependence.ARBITRARY_BOTH:
             p2_mod = np.minimum(harmonic(r1) * p2, 1.0)
         _, modified = _adjust_columns(p1_mod, p2_mod, m, r1, c, flavor)
-    ids = data.ids
-    rows = [
-        AdjustedRow(
-            id=ids[i],
-            p1=float(p1[j]),
-            p2=float(p2[j]),
-            z_value=float(z[j]),
-            adjusted_p=float(adjusted[j]),
-            adjusted_p_modified=float(modified[j]) if modified is not None else None,
-        )
-        for j, i in enumerate(idx)
-    ]
-    rows.sort(key=lambda r: (r.adjusted_p, r.id))
+    ids = np.array(data.ids, dtype=object)[idx]
+    rank = np.empty(idx.size, dtype=np.intp)
+    # objects compare by Python's str order; numpy's "<U" strings would
+    # take "a" and "a\x00" for equal
+    rank[np.argsort(ids, kind="stable")] = np.arange(idx.size)
+    order = np.lexsort((rank, adjusted))
     return AdjustedTable(
-        rows=tuple(rows),
+        ids=tuple(ids[order].tolist()),
+        p1=p1[order],
+        p2=p2[order],
+        z=z[order],
+        adjusted=adjusted[order],
+        modified=None if modified is None else modified[order],
         m=m,
         r1=r1,
         c=c,

@@ -114,6 +114,27 @@ def _levels(args) -> tuple[float, float]:
     return lo, hi
 
 
+def _write_report(args, data, report, params: dict) -> None:
+    """discoveries.csv and summary.txt under ``--out``, and unless
+    ``--quiet`` the rejection count on stdout."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    dataio.write_discoveries_csv(data, report, out / "discoveries.csv")
+    (out / "summary.txt").write_text(
+        dataio.summary_text(report, data, params), encoding="utf-8"
+    )
+    if not args.quiet:
+        print(f"{report.procedure}: rejected {report.r2} of R1={report.r1}")
+
+
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_analyze(args) -> int:
     data = dataio.parse_pvalue_csv(args.input)
     rule = dataio.parse_rule_spec(args.selection)
@@ -129,14 +150,8 @@ def _cmd_analyze(args) -> int:
     else:
         report = procedures.fdr_two_stage(data, rule, lo, hi, mode, args.t)
         params = {"q1": lo, "q": hi, "dependence": mode.value, "t": args.t}
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataio.write_discoveries_csv(data, report, out / "discoveries.csv")
-    (out / "summary.txt").write_text(
-        dataio.summary_text(report, data, params), encoding="utf-8"
-    )
+    _write_report(args, data, report, params)
     if not args.quiet:
-        print(f"{report.procedure}: rejected {report.r2} of R1={report.r1}")
         for rid in report.rejected_ids:
             print(f"  {rid}")
     return EXIT_OK
@@ -162,11 +177,7 @@ def _cmd_simulate(args) -> int:
         )
     else:
         rows = [(0.0, sim.run_scenario(parsed.scenario, workers=args.workers))]
-    text = dataio.sim_csv_text(rows)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(dataio.sim_csv_text(rows), args.out)
     return EXIT_OK
 
 
@@ -182,17 +193,12 @@ def _cmd_power(args) -> int:
     if args.grid_c:
         if args.alpha is None:
             raise UsageError("--grid-c needs --alpha")
-        lines = ["c,power"]
-        for c in _parse_grid(args.grid_c):
-            value = sim.analytic_power_two_stage(
-                args.mu11, args.mu21, args.m, c * args.alpha, args.alpha
-            )
-            lines.append(f"{dataio.fmt(float(c))},{value:.6g}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        grid = _parse_grid(args.grid_c)
+        power = [
+            sim.analytic_power_two_stage(args.mu11, args.mu21, args.m, c * args.alpha, args.alpha)
+            for c in grid
+        ]
+        _emit(dataio.csv_text("c,power", [grid, [f"{v:.6g}" for v in power]]), args.out)
         return EXIT_OK
     pi1 = sim.analytic_power_bonf_max(args.mu11, args.mu21, args.m, args.alpha)
     print(f"pi1 = {pi1:.6g}")
@@ -213,15 +219,8 @@ def _cmd_calibrate_oracle(args) -> int:
         report = procedures.oracle_calibrated_run(
             data, rule, args.f00, args.f01, args.q, args.w1
         )
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        dataio.write_discoveries_csv(data, report, out / "discoveries.csv")
         params = {"f00": args.f00, "f01": args.f01, "q": args.q, "w1": args.w1}
-        (out / "summary.txt").write_text(
-            dataio.summary_text(report, data, params), encoding="utf-8"
-        )
-        if not args.quiet:
-            print(f"{report.procedure}: rejected {report.r2} of R1={report.r1}")
+        _write_report(args, data, report, params)
     return EXIT_OK
 
 

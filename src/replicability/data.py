@@ -8,7 +8,7 @@ set-valued outputs are reported in input order for determinism.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,21 +29,19 @@ class HypothesisRecord:
     p2: float | None = None
 
 
-class _RecordView(Sequence):
-    """Read-only rows of a :class:`StudyPairData`; each record is built
-    from the columns when it is read."""
+class RowView(Sequence):
+    """Read-only rows of a columnar table: row ``i`` is ``build(i)``, made
+    when it is read."""
 
-    def __init__(self, data: "StudyPairData"):
-        self._data = data
+    def __init__(self, n: int, build: Callable[[int], object]):
+        self._n, self._build = n, build
 
     def __len__(self) -> int:
-        return len(self._data.ids)
+        return self._n
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        p1, p2 = float(self._data.p1[i]), float(self._data.p2[i])
-        return HypothesisRecord(self._data.ids[i], p1, None if p2 != p2 else p2)
+        rows = range(self._n)[i]  # bounds-checked, negative indices resolved
+        return tuple(map(self._build, rows)) if isinstance(i, slice) else self._build(rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
@@ -128,15 +126,17 @@ class StudyPairData:
 
     @property
     def records(self) -> Sequence[HypothesisRecord]:
-        return _RecordView(self)
+        ids, p1, p2 = self.ids, self.p1, self.p2
+
+        def record(i: int) -> HypothesisRecord:
+            follow = float(p2[i])
+            return HypothesisRecord(ids[i], float(p1[i]), None if follow != follow else follow)
+
+        return RowView(len(ids), record)
 
     def p1_array(self) -> np.ndarray:
         """A writable copy of the primary p-values."""
         return self.p1.copy()
-
-    def p2_array(self) -> np.ndarray:
-        """A writable copy of the follow-up p-values, NaN where absent."""
-        return self.p2.copy()
 
     def followed_up_ids(self) -> tuple[str, ...]:
         return tuple(self.ids[i] for i in np.flatnonzero(~np.isnan(self.p2)))

@@ -33,10 +33,29 @@ _BLOCK_CHARS = 1 << 20  # characters per block of lines: ~30k GWAS rows
 
 def fmt(x: float | None, full: bool = True) -> str:
     """Shortest round-trip form, or 4 significant digits for table output.
-    Absent values serialize as the empty field."""
-    if x is None:
+    Absent values (None or NaN) serialize as the empty field."""
+    if x is None or x != x:
         return ""
     return repr(float(x)) if full else f"{float(x):.4g}"
+
+
+def _fmt_column(values: np.ndarray, full: bool) -> list[str]:
+    """:func:`fmt` of each value of a float column, formatted whole."""
+    if full:
+        text = list(map(repr, values.tolist()))
+    else:
+        text = list(map(format, values.tolist(), repeat(".4g")))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        text[i] = ""
+    return text
+
+
+def csv_text(header: str, columns, full: bool = True) -> str:
+    """CSV text: the header line, then one line per row of ``columns``.
+    A column is a float array, NaN where absent, written as :func:`fmt`
+    would write each value, or any other sequence of str, written as is."""
+    fields = [_fmt_column(c, full) if isinstance(c, np.ndarray) else c for c in columns]
+    return "\n".join([header, *map(",".join, zip(*fields, strict=True))]) + "\n"
 
 
 def _parse_float(text: str, where: str, name: str) -> float:
@@ -187,17 +206,13 @@ def parse_pvalue_csv(path) -> StudyPairData:
 
 
 def write_pvalue_csv(data: StudyPairData, path) -> None:
-    lines = []
-    if data.m_declared is not None:
-        lines.append(f"# m={data.m_declared}")
-    if data.r1_declared is not None:
-        lines.append(f"# r1={data.r1_declared}")
-    lines.append(PVALUE_HEADER)
-    for rid, p1, p2 in zip(data.ids, data.p1.tolist(), data.p2.tolist()):
-        if "," in rid:
-            raise DataError(f"id {rid!r} cannot contain a comma")
-        lines.append(f"{rid},{fmt(p1)},{fmt(None if p2 != p2 else p2)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    comma = next((rid for rid in data.ids if "," in rid), None)
+    if comma is not None:
+        raise DataError(f"id {comma!r} cannot contain a comma")
+    directives = [("m", data.m_declared), ("r1", data.r1_declared)]
+    text = "".join(f"# {name}={value}\n" for name, value in directives if value is not None)
+    text += csv_text(PVALUE_HEADER, [data.ids, data.p1, data.p2])
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_discoveries_csv(
@@ -205,44 +220,27 @@ def write_discoveries_csv(
 ) -> None:
     """One row per scored (followed-up) hypothesis, flagging rejections."""
     rows = np.asarray(report.scored_rows, dtype=np.intp)
+    scores = report.per_hypothesis
     rejected = set(report.rejected_ids)
-    lines = [DISCOVERY_HEADER]
-    for score, p1, p2 in zip(
-        report.per_hypothesis, data.p1[rows].tolist(), data.p2[rows].tolist(), strict=True
-    ):
-        lines.append(
-            ",".join(
-                (
-                    score.id,
-                    fmt(p1, full),
-                    fmt(p2, full),
-                    fmt(score.z_value, full),
-                    fmt(score.adjusted_p, full),
-                    "1" if score.id in rejected else "0",
-                )
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ids = [score.id for score in scores]
+    columns = [
+        ids,
+        data.p1[rows],
+        data.p2[rows],
+        np.array([score.z_value for score in scores]),
+        np.array([score.adjusted_p for score in scores]),
+        ["1" if rid in rejected else "0" for rid in ids],
+    ]
+    Path(path).write_text(csv_text(DISCOVERY_HEADER, columns, full), encoding="utf-8")
 
 
 def write_adjusted_csv(table: AdjustedTable, path, full: bool = False) -> None:
     header = "id,p1,p2,z,adjusted_p"
-    has_modified = any(r.adjusted_p_modified is not None for r in table.rows)
-    if has_modified:
+    columns = [table.ids, table.p1, table.p2, table.z, table.adjusted]
+    if table.modified is not None:
         header += ",adjusted_p_modified"
-    lines = [header]
-    for row in table.rows:
-        fields = [
-            row.id,
-            fmt(row.p1, full),
-            fmt(row.p2, full),
-            fmt(row.z_value, full),
-            fmt(row.adjusted_p, full),
-        ]
-        if has_modified:
-            fields.append(fmt(row.adjusted_p_modified, full))
-        lines.append(",".join(fields))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        columns.append(table.modified)
+    Path(path).write_text(csv_text(header, columns, full), encoding="utf-8")
 
 
 def summary_text(report: DiscoveryReport, data: StudyPairData, params: dict) -> str:
@@ -269,21 +267,10 @@ def summary_text(report: DiscoveryReport, data: StudyPairData, params: dict) -> 
 
 
 def sim_csv_text(rows: list[tuple[float, SimEstimate]]) -> str:
-    lines = [SIM_HEADER]
-    for point, est in rows:
-        lines.append(
-            ",".join(
-                (
-                    fmt(point),
-                    fmt(est.avg_fdp),
-                    fmt(est.fdp_se),
-                    fmt(est.avg_power),
-                    fmt(est.power_se),
-                    fmt(est.avg_rejections),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    fields = ("avg_fdp", "fdp_se", "avg_power", "power_se", "avg_rejections")
+    columns = [np.array([point for point, _ in rows], dtype=float)]
+    columns += [np.array([getattr(est, name) for _, est in rows], dtype=float) for name in fields]
+    return csv_text(SIM_HEADER, columns)
 
 
 _DEPENDENCE_ALIASES = {
@@ -329,7 +316,7 @@ def parse_rule_spec(spec: str) -> SelectionRule:
             return SelectionRule.top_k(int(arg))
         if kind == "threshold":
             return SelectionRule.fixed_threshold(float(arg))
-    except ValueError as exc:
+    except (ValueError, DataError) as exc:
         raise DataError(f"bad selection spec {spec!r}: {exc}") from None
     raise DataError(
         f"unknown selection spec {spec!r}; expected followup, bh[:LEVEL], "

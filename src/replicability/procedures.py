@@ -201,6 +201,7 @@ def _fdr_run(
     data: StudyPairData, rule: SelectionRule, q1: float, q: float, mode: Dependence, t
 ) -> tuple[DiscoveryReport, np.ndarray]:
     """:func:`fdr_two_stage`'s report, and the dataset positions it rejects."""
+    _check_levels(q1, q)
     label = f"fdr_two_stage[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
@@ -282,10 +283,6 @@ def fdr_two_stage_rscan(
     )
 
 
-def _zvalues(p1: np.ndarray, p2: np.ndarray, m: int, r1: int, c: float) -> np.ndarray:
-    return np.maximum(m * p1 / c, r1 * p2 / (1.0 - c))
-
-
 def _adjust_columns(
     p1: np.ndarray, p2: np.ndarray, m: int, r1: int, c: float, flavor: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -294,7 +291,7 @@ def _adjust_columns(
     ``bonferroni`` flavor, its step-up adjustment for ``fdr``."""
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie in (0, 1), got {c}")
-    z = _zvalues(p1, p2, m, r1, c)
+    z = np.maximum(m * p1 / c, r1 * p2 / (1.0 - c))
     if flavor == "bonferroni":
         return z, np.minimum(z, 1.0)
     if flavor == "fdr":
@@ -393,12 +390,13 @@ def fwer_two_stage(
     alpha1.
     """
     method = FwerMethod(method)
+    _check_levels(alpha1, alpha)
     label = f"fwer_two_stage[{method.value}]"
     idx, p1, p2, r1 = _gather_selected(data, _fwer_rule(rule, alpha1), label)
     m = data.m
     sel = np.ones((1, idx.size), dtype=bool)
     mask = _fwer_rows(p1[None], p2[None], sel, max(r1, 1), m, alpha1, alpha, method)[0]
-    z = _zvalues(p1, p2, m, r1, alpha1 / alpha)
+    z, adjusted = _adjust_columns(p1, p2, m, r1, alpha1 / alpha, "bonferroni")
     ids = data.ids
     return DiscoveryReport(
         procedure=label,
@@ -406,7 +404,7 @@ def fwer_two_stage(
         r1=r1,
         primary_threshold=alpha1 / m,
         followup_threshold=(alpha - alpha1) / r1 if r1 else 0.0,
-        per_hypothesis=_report_scores(data, idx, z, z),
+        per_hypothesis=_report_scores(data, idx, z, adjusted),
         adjusted_is_upper_bound=r1 > idx.size,
         scored_rows=tuple(idx.tolist()),
     )
@@ -442,14 +440,16 @@ def fdr_symmetric(
     and rejects the union. ``rule`` selects for the first direction and
     ``rule_reverse`` (default: same rule) for the second; a level-less
     ``bh`` or ``bonferroni`` rule runs at each direction's primary level.
-    Weights 0 and 1 degenerate to a single directed run. The report's
-    thresholds and scores are those of the first direction that runs.
-    Requires complete data.
+    Weights 0 and 1 degenerate to a single directed run, which keeps that
+    run's upper-bound flag. The report's thresholds and scores are those of
+    the first direction that runs. Running both directions requires
+    complete data.
     """
     if not 0.0 <= w1 <= 1.0:
         raise ValueError(f"w1 must lie in [0, 1], got {w1}")
     _check_levels(q1, q)
-    data.require_complete("the symmetric procedure")
+    if 0.0 < w1 < 1.0:
+        data.require_complete("the symmetric procedure")
     runs = []
     if w1 > 0.0:
         runs.append(_fdr_run(data, rule, w1 * q1, w1 * q, mode, t))
@@ -462,11 +462,12 @@ def fdr_symmetric(
     for _, rows in runs:
         rejected[rows] = True
     ids = data.ids
+    first = runs[0][0]
     return replace(
-        runs[0][0],
+        first,
         procedure=f"fdr_symmetric[w1={w1:g},{mode.value}]",
         rejected_ids=tuple(ids[i] for i in np.flatnonzero(rejected)),
-        adjusted_is_upper_bound=False,
+        adjusted_is_upper_bound=len(runs) == 1 and first.adjusted_is_upper_bound,
     )
 
 
@@ -590,15 +591,5 @@ def oracle_calibrated_run(
     FDR control at q; w1 selects the direction (0.5 runs symmetrically).
     """
     qp = solve_oracle_qprime(f00, f01, q, w1)
-    if w1 == 1.0:
-        report = fdr_two_stage(data, rule, qp, 2.0 * qp, mode, t)
-    elif w1 == 0.0:
-        report = fdr_two_stage(
-            data.swap_studies(), rule_reverse if rule_reverse is not None else rule,
-            qp, 2.0 * qp, mode, t,
-        )
-    else:
-        report = fdr_symmetric(
-            data, rule, w1, qp, 2.0 * qp, mode, t, rule_reverse=rule_reverse
-        )
+    report = fdr_symmetric(data, rule, w1, qp, 2.0 * qp, mode, t, rule_reverse=rule_reverse)
     return replace(report, procedure=f"oracle[q'={qp:.6g},w1={w1:g}]")

@@ -11,6 +11,7 @@ deliberately not offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -56,31 +57,27 @@ class SelectionRule:
         field = _REQUIRED.get(self.kind)
         if field is not None and getattr(self, field) is None:
             raise DataError(f"{self.kind} selection needs {field}")
-        if self.kind == "top_k" and self.k < 1:
-            raise DataError(f"top_k selection needs k >= 1, got {self.k}")
+        if self.k is not None and (not isinstance(self.k, Integral) or self.k < 1):
+            raise DataError(f"{self.kind} selection needs an integer k >= 1, got {self.k!r}")
+        for name in ("level", "threshold"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < 1.0:
+                raise DataError(f"{self.kind} selection needs {name} in (0, 1), got {value}")
 
     @staticmethod
     def bh_at_level(level: float) -> "SelectionRule":
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {level}")
         return SelectionRule("bh", level=level)
 
     @staticmethod
     def bonferroni_threshold(level: float) -> "SelectionRule":
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {level}")
         return SelectionRule("bonferroni", level=level)
 
     @staticmethod
     def top_k(k: int) -> "SelectionRule":
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
         return SelectionRule("top_k", k=k)
 
     @staticmethod
     def fixed_threshold(t: float) -> "SelectionRule":
-        if not 0.0 < t < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {t}")
         return SelectionRule("fixed_threshold", threshold=t)
 
     @staticmethod

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import _followup_instance, make_data, random_instance
 from replicability.adjust import build_adjusted_table
+from replicability.data import StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import DataError
 from replicability.procedures import (
@@ -28,6 +29,34 @@ def test_rows_sorted_by_adjusted_then_id():
     table = build_adjusted_table(data, c=0.5, flavor="fdr")
     keys = [(r.adjusted_p, r.id) for r in table.rows]
     assert keys == sorted(keys)
+
+
+# ids that numpy's fixed-width strings would confuse or reorder: prefixes,
+# trailing "\x00" and non-ASCII code points
+_ID_BASES = st.text(st.sampled_from("ab\x00é\u4e2d\U0001f600"), min_size=1, max_size=3)
+_ID_SUFFIXES = st.sampled_from(["", "\x00", "\x00\x00", "a", "é"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.tuples(_ID_BASES, _ID_SUFFIXES).map("".join), min_size=1, max_size=30,
+                 unique=True),
+    data=st.data(),
+    flavor=st.sampled_from(["fdr", "bonferroni"]),
+    mode=st.sampled_from([Dependence.INDEPENDENT, Dependence.ARBITRARY_BOTH]),
+)
+def test_table_order_is_adjusted_then_python_id_order(ids, data, flavor, mode):
+    """Large p-values tie many rows at adjusted = 1, so the id breaks them."""
+    n = len(ids)
+    pvalue = st.sampled_from([1e-6, 1e-3, 0.02, 0.5, 1.0])
+    p1 = data.draw(st.lists(pvalue, min_size=n, max_size=n))
+    p2 = data.draw(st.lists(pvalue, min_size=n, max_size=n))
+    table = build_adjusted_table(
+        StudyPairData.from_columns(ids, p1, p2), c=0.5, flavor=flavor, mode=mode
+    )
+    rows = list(table.rows)
+    assert sorted(row.id for row in rows) == sorted(ids)
+    assert rows == sorted(rows, key=lambda row: (row.adjusted_p, row.id))
 
 
 def test_bonferroni_flavor_matches_hippocampal_column():

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,20 @@ def test_fmt_round_trips_any_probability(p):
 def test_fmt_table_precision():
     assert fmt(0.068751234, full=False) == "0.06875"
     assert fmt(None) == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(allow_infinity=False) | st.none(), max_size=20),
+    full=st.booleans(),
+)
+def test_csv_column_writes_what_fmt_writes(values, full):
+    """A float column is formatted whole; each field must be fmt's, with
+    None and NaN both absent."""
+    ids = [f"r{i}" for i in range(len(values))]
+    text = dataio.csv_text("id,x", [ids, np.array(values, dtype=float)], full)
+    expected = [f"{rid},{fmt(v, full)}" for rid, v in zip(ids, values)]
+    assert text == "\n".join(["id,x", *expected]) + "\n"
 
 
 def test_trailing_newline(tmp_path):

@@ -70,6 +70,14 @@ class TestFwerTwoStage:
         with pytest.raises(ValueError):
             fwer_two_stage(data, FOLLOWUP, 0.05, 0.05)
 
+    def test_bad_level_with_levelless_rule_is_a_level_error(self):
+        data = make_data([0.5], [0.5])
+        for rule in (SelectionRule("bh"), SelectionRule("bonferroni")):
+            with pytest.raises(ValueError, match="levels"):
+                fwer_two_stage(data, rule, 1.5, 2.0)
+            with pytest.raises(ValueError, match="levels"):
+                fdr_two_stage(data, rule, 1.5, 2.0)
+
 
 class TestBonfAdjust:
     # published adjusted columns for the hippocampal example; the two cells
@@ -349,6 +357,18 @@ class TestSymmetric:
         data = make_data([0.1, 0.2], [0.3, None])
         with pytest.raises(DataError):
             fdr_symmetric(data, FOLLOWUP, 0.5, 0.025, 0.05)
+
+    def test_forward_run_alone_takes_a_partial_family(self):
+        """Only running both directions needs every row: at w1 = 1 the
+        forward run reads Crohn's partial listing and keeps its upper-bound
+        flag."""
+        data = load_crohns_disease()
+        sym = fdr_symmetric(data, FOLLOWUP, 1.0, 0.04, 0.05)
+        directed = fdr_two_stage(data, FOLLOWUP, 0.04, 0.05)
+        assert sym.rejected_ids == directed.rejected_ids
+        assert sym.adjusted_is_upper_bound and directed.adjusted_is_upper_bound
+        with pytest.raises(DataError, match="full family"):
+            fdr_symmetric(data, FOLLOWUP, 0.5, 0.04, 0.05)
 
 
 class TestBaselines:

@@ -121,6 +121,18 @@ class TestSelect:
         with pytest.raises(DataError, match=f"needs {field}"):
             SelectionRule(kind)
 
+    def test_out_of_range_level_refused(self):
+        with pytest.raises(DataError, match="level in"):
+            SelectionRule("bh", level=2.0)
+
+    def test_out_of_range_threshold_refused(self):
+        with pytest.raises(DataError, match="threshold in"):
+            SelectionRule("fixed_threshold", threshold=5.0)
+
+    def test_fractional_k_refused(self):
+        with pytest.raises(DataError, match="integer k"):
+            SelectionRule("top_k", k=2.5)
+
     def test_followed_up_rule(self):
         data = make_data([0.1, 0.2, 0.3], p2=[0.5, None, 0.7])
         assert select(SelectionRule.followed_up(), data) == ("h0", "h2")
