@@ -81,6 +81,15 @@ def _pvalue_partial(out: Path) -> None:
     write_pvalue_csv(StudyPairData(records, 2_500_000, 17), out / "partial.csv")
 
 
+def _simulate(**keys: str):
+    """A ``simulate`` case on SCENARIO without its sweep, with ``keys`` set."""
+    lines = dict(line.split(" = ", 1) for line in SCENARIO.splitlines())
+    del lines["sweep_axis"], lines["sweep_grid"]
+    lines.update(keys)
+    text = "".join(f"{key} = {value}\n" for key, value in lines.items())
+    return _cli("simulate", "--scenario", "{scenario}", "--out", "{out}/sim.csv", scenario_text=text)
+
+
 _ORACLE = ("calibrate-oracle", "--f00", "0.999", "--f01", "0.00036", "--q", "0.05")
 
 CASES = {
@@ -118,6 +127,23 @@ CASES = {
     "simulate_null_one_rep": _cli(
         "simulate", "--scenario", "{scenario}", "--out", "{out}/sim.csv",
         scenario_text=SCENARIO_NULL,
+    ),
+    # 200 reps at m = 1000 span several chunks of repetitions
+    "simulate_symmetric_both": _simulate(
+        m="1000", procedure="fdr_symmetric", w1="0.5", dependence="both", reps="200",
+    ),
+    "simulate_oracle_half": _simulate(
+        procedure="oracle", w1="0.5", mu1="1.5", mu2="1.5", reps="200",
+    ),
+    "simulate_fdr_item2_threshold": _simulate(
+        dependence="item2", t="0.001", selection="threshold:0.001", reps="200",
+    ),
+    "simulate_fwer_holm_top": _simulate(
+        procedure="fwer", method="holm", selection="top:5", reps="200",
+    ),
+    "simulate_sweep_w1": _simulate(
+        procedure="fdr_symmetric", mu1="2", mu2="2", sweep_axis="w1",
+        sweep_grid="0, 0.25, 0.5, 1", reps="100",
     ),
     "power_grid_c": _cli(
         "power", "--mu11", "3", "--mu21", "3", "--m", "1000", "--alpha", "0.05",
