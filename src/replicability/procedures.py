@@ -162,10 +162,10 @@ def _report_scores(
 
 
 # Row kernels: each maps (n, k) p-value arrays, one family per row, to an
-# (n, k) rejection mask. The simulator runs them on whole families, a
-# chunk of repetitions at a time; the library procedures run them on one
-# row. ``sel`` marks the selected entries and ``r1`` is R1, one count or
-# an (n, 1) column of one per row.
+# (n, k) rejection mask. The simulator runs them a chunk of repetitions at
+# a time, the FDR kernel on each row's selected entries; the library
+# procedures run them on one row. ``sel`` marks the selected entries and
+# ``r1`` is R1, one count or an (n, 1) column of one per row.
 
 
 def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t):
@@ -191,10 +191,24 @@ def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t)
 
 def _directed_fdr_rows(p1, p2, rule: SelectionRule, m: int, q1, q, mode, t):
     """:func:`_fdr_rows` on whole families: ``rule`` selects at primary
-    level q1, and R1 is each row's selection count."""
+    level q1, and R1 is each row's selection count. Like :func:`_fdr_run`,
+    the step-up sees only the selected entries: each row's are packed to
+    the left of an (n, max R1) array, padded with p = 1 where ``sel`` is
+    False, and the mask is scattered back to (n, m)."""
     sel = select_rows(rule.at_level(q1), p1, m)
-    r1 = np.count_nonzero(sel, axis=1)[:, None]
-    return _fdr_rows(p1, p2, sel, r1, m, q1, q, mode, t)[0]
+    r1 = np.count_nonzero(sel, axis=1)
+    packed_sel = np.arange(r1.max(initial=0)) < r1[:, None]
+    # both list entries row by row, so a row's i-th selected entry goes
+    # to column i of its packed row
+    src, dst = np.flatnonzero(sel), np.flatnonzero(packed_sel)
+    packed = np.ones((2, packed_sel.size))
+    packed[0, dst] = p1.ravel()[src]
+    packed[1, dst] = p2.ravel()[src]
+    packed = packed.reshape((2,) + packed_sel.shape)
+    packed_mask = _fdr_rows(*packed, packed_sel, r1[:, None], m, q1, q, mode, t)[0]
+    mask = np.zeros(p1.size, dtype=bool)
+    mask[src] = packed_mask.ravel()[dst]
+    return mask.reshape(p1.shape)
 
 
 def _fdr_run(
@@ -442,14 +456,15 @@ def fdr_symmetric(
     ``bh`` or ``bonferroni`` rule runs at each direction's primary level.
     Weights 0 and 1 degenerate to a single directed run, which keeps that
     run's upper-bound flag. The report's thresholds and scores are those of
-    the first direction that runs. Running both directions requires
-    complete data.
+    the first direction that runs. The reversed direction (w1 < 1) requires
+    complete data: study two's family is every listed row, so a partial
+    listing cannot stand for it.
     """
     if not 0.0 <= w1 <= 1.0:
         raise ValueError(f"w1 must lie in [0, 1], got {w1}")
     _check_levels(q1, q)
-    if 0.0 < w1 < 1.0:
-        data.require_complete("the symmetric procedure")
+    if w1 < 1.0:
+        data.require_complete("the symmetric procedure" if w1 > 0.0 else "the reversed direction")
     runs = []
     if w1 > 0.0:
         runs.append(_fdr_run(data, rule, w1 * q1, w1 * q, mode, t))

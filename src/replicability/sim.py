@@ -36,8 +36,8 @@ from .selection import ROW_KINDS, SelectionRule
 
 _log = logging.getLogger(__name__)
 
-# p-values per study in one chunk of repetitions: 256 KB of float64
-_CHUNK_VALUES = 1 << 15
+# p-values per study in one chunk of repetitions: 512 KB of float64
+_CHUNK_VALUES = 1 << 16
 
 __all__ = [
     "SimProcedure",
@@ -242,27 +242,29 @@ def _pvalues(
     if gens is None:
         gens = _generators(streams)
     p = np.empty((2, n, scenario.m))
-    signal = []
+    # the normal kernels cost ~0.1 ms a call: every signal column of both
+    # studies is drawn into one buffer and transformed in one pass
+    signal = [(study, cols, shift) for study, cols, shift, _ in streams if shift != 0.0]
+    widths = [cols.stop - cols.start for _, cols, _ in signal]
+    u = np.empty((n, sum(widths)))
+    at = 0
     for (study, cols, shift, key), gen in zip(streams, gens):
         size = cols.stop - cols.start
         steps = -(-size // 4)  # Philox yields four 64-bit values per counter step
         _seek(gen, key, start * steps)
-        u = gen.random((n, 4 * steps))[:, :size]
+        draws = gen.random((n, 4 * steps))[:, :size]
         if shift == 0.0:
             # 1 - u is exactly the model's uniform null p-value
-            p[study, :, cols] = 1.0 - u
+            np.subtract(1.0, draws, out=p[study, :, cols])
         else:
-            signal.append((study, cols, shift, u))
+            u[:, at : at + size] = draws
+            at += size
     if signal:
-        # the normal kernels cost ~0.1 ms a call: one pass over every
-        # signal column of both studies
-        u = np.concatenate([draws for *_, draws in signal], axis=1)
-        shift = np.repeat([sh for _, _, sh, _ in signal], [d.shape[1] for *_, d in signal])
-        x = ndtr(-shift - ndtri(u))
+        x = ndtr(-np.repeat([shift for *_, shift in signal], widths) - ndtri(u))
         at = 0
-        for study, cols, _, _ in signal:
-            p[study, :, cols] = x[:, at : at + cols.stop - cols.start]
-            at += cols.stop - cols.start
+        for (study, cols, _), size in zip(signal, widths):
+            p[study, :, cols] = x[:, at : at + size]
+            at += size
     return p[0], p[1]
 
 
@@ -356,7 +358,7 @@ def run_scenario(
 ) -> SimEstimate:
     """Estimate FDP, power, and rejection counts over the repetitions.
 
-    Repetitions run in chunks of about 32k p-values per study, on
+    Repetitions run in chunks of about 64k p-values per study, on
     ``workers`` threads; a repetition's rows depend only on its index, and
     aggregation is in index order, so the result is identical for any
     ``workers``. Logs one INFO line with the throughput.

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from replicability.numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
-from replicability.procedures import Dependence, fisher_combined_pvalues
+from replicability.procedures import Dependence, _fdr_rows, fisher_combined_pvalues
+from replicability.selection import select_rows
 
 
 def bh_mask(pvalues: np.ndarray, q: float, m: int | None = None) -> np.ndarray:
@@ -89,6 +90,14 @@ def directed_fdr(p1, p2, rule, m: int, q1: float, q: float, mode: Dependence, t)
     mask = np.zeros(m, dtype=bool)
     mask[idx[stepup_on_rank_scale(z)]] = True
     return mask
+
+
+def directed_fdr_full_width(p1, p2, rule, m: int, q1: float, q: float, mode: Dependence, t):
+    """The directed FDR kernel on (n, m) rows without a gather: z = inf off
+    each row's selection, and the step-up runs over all m columns."""
+    sel = select_rows(rule.at_level(q1), p1, m)
+    r1 = np.count_nonzero(sel, axis=1)[:, None]
+    return _fdr_rows(p1, p2, sel, r1, m, q1, q, mode, t)[0]
 
 
 def fdr_directions(scenario) -> list[tuple[bool, float, float]]:

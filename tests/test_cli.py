@@ -9,6 +9,7 @@ import pytest
 
 import replicability
 from conftest import BAD_PVALUE_FILES
+from replicability import sim
 from replicability.cli import main
 
 HIPPO = resources.files("replicability.fixtures") / "hippocampal_volume.csv"
@@ -215,7 +216,10 @@ class TestAdjust:
 class TestSimulate:
     def test_deterministic_across_workers(self, tmp_path):
         scen = tmp_path / "s.txt"
-        scen.write_text(SCENARIO.replace("reps = 60", "reps = 300"))  # 4 chunks at m = 400
+        chunk = sim._CHUNK_VALUES // 400
+        reps = 3 * chunk + chunk // 2
+        assert -(-reps // chunk) == 4  # four chunks at m = 400, the last one short
+        scen.write_text(SCENARIO.replace("reps = 60", f"reps = {reps}"))
         outputs = []
         for workers in ("1", "2", "8"):
             out = tmp_path / f"w{workers}.csv"

@@ -122,7 +122,6 @@ CASES = {
         "--alpha", "0.05", "--method", "holm", "--out", "{out}",
     ),
     "oracle_crohns_w1_1": _cli(*_ORACLE, "--w1", "1", "--input", CROHNS, "--out", "{out}"),
-    "oracle_crohns_w1_0": _cli(*_ORACLE, "--w1", "0", "--input", CROHNS, "--out", "{out}"),
     "simulate_sweep_c": _cli("simulate", "--scenario", "{scenario}", "--out", "{out}/sim.csv"),
     "simulate_null_one_rep": _cli(
         "simulate", "--scenario", "{scenario}", "--out", "{out}/sim.csv",
@@ -172,6 +171,17 @@ def test_oracle_half_weight_on_partial_family_is_data_error(tmp_path):
     args = [*_ORACLE, "--w1", "0.5", "--input", CROHNS, "--out", str(tmp_path)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(args) == 2
+
+
+def test_oracle_reversed_direction_on_partial_family_is_data_error(tmp_path):
+    """At w1 = 0 study two is primary, and its family is the whole listing,
+    which Crohn's gives only in part (36 rows of a declared m = 635547)."""
+    args = [*_ORACLE, "--w1", "0", "--input", CROHNS, "--out", str(tmp_path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(args) == 2
+    assert "reversed direction requires the full family" in err.getvalue()
+    assert not any(tmp_path.iterdir())
 
 
 def regenerate() -> None:

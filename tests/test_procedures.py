@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _followup_instance, make_data, random_instance
+from procedure_oracles import directed_fdr_full_width
 from replicability.data import HypothesisRecord, StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
-from replicability.errors import ApplicabilityError, DataError
+from replicability.errors import ApplicabilityError, DataError, ReplicabilityError
 from replicability.numeric import harmonic
 from replicability.procedures import (
     Dependence,
     FwerMethod,
     ProcedureParams,
+    _directed_fdr_rows,
     baseline_fisher_meta,
     baseline_naive_bh_bh,
     baseline_partial_conjunction,
@@ -508,3 +510,64 @@ def test_lowering_a_pvalue_never_removes_a_rejection(seed, mode, study, shrink):
     before = fdr_two_stage(data, FOLLOWUP, q1, q, mode, t).rejected_ids
     after = fdr_two_stage(lowered, FOLLOWUP, q1, q, mode, t).rejected_ids
     assert set(before) <= set(after)
+
+
+@st.composite
+def directed_rows(draw):
+    """Rows of (n, m) p-values for the directed FDR kernel, with its levels
+    and selection. A row is drawn at random, or selects nothing (p1 = 1
+    throughout), or selects everything its rule can (p1 tiny throughout);
+    p-values may be snapped onto the grid level*k/m, for ties and values
+    exactly at a threshold."""
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 6))
+    q = draw(st.sampled_from([0.05, 0.1, 0.2]))
+    q1 = draw(st.sampled_from([0.2, 0.5, 0.8])) * q
+    mode = draw(st.sampled_from(list(Dependence)))
+    t = q1 / (1.0 + harmonic(m - 1)) * draw(st.sampled_from([1e-3, 0.3, 0.9, 1.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # powers of uniforms put many p-values near 0, where the stages cut
+    p1 = rng.random((n, m)) ** draw(st.sampled_from([1.0, 4.0, 16.0]))
+    p2 = rng.random((n, m)) ** draw(st.sampled_from([1.0, 4.0, 16.0]))
+    for row in range(n):
+        kind = draw(st.sampled_from(["random", "none", "all"]))
+        if kind == "none":
+            p1[row] = 1.0
+        elif kind == "all":
+            p1[row] *= 1e-3 * t
+    snap = draw(st.sampled_from([None, q1, q]))
+    if snap is not None:
+        p1, p2 = (np.minimum(snap * np.ceil(p * m / snap) / m, 1.0) for p in (p1, p2))
+    rule = draw(st.sampled_from([
+        SelectionRule("bh"),
+        SelectionRule("bh", level=0.5 * q1),
+        SelectionRule("bonferroni"),
+        SelectionRule("fixed_threshold", threshold=t),
+        SelectionRule("top_k", k=draw(st.integers(1, m))),
+    ]))
+    if draw(st.booleans()):  # rows that are not C-contiguous
+        p1, p2 = np.asfortranarray(p1), np.asfortranarray(p2)
+    return p1, p2, rule, m, q1, q, mode, t
+
+
+def _mask_or_refusal(kernel, *args):
+    try:
+        return kernel(*args)
+    except (ReplicabilityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=directed_rows())
+def test_gathered_fdr_rows_match_full_width(case):
+    """The kernel packs each row's selected entries into (n, max R1) arrays
+    before its step-up; it rejects what the step-up over all m columns
+    with z = inf off the selection rejects, and refuses what it refuses
+    (the thresholded mode's check on selected p1), with the same error."""
+    got = _mask_or_refusal(_directed_fdr_rows, *case)
+    want = _mask_or_refusal(directed_fdr_full_width, *case)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)

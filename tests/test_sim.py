@@ -25,6 +25,7 @@ from replicability.procedures import (
     oracle_calibrated_run,
 )
 from replicability.selection import SelectionRule
+from replicability import sim
 from replicability.sim import (
     SimProcedure,
     SimScenario,
@@ -128,7 +129,9 @@ class TestRunScenario:
         assert a == b
 
     def test_thread_count_invariant(self):
-        scenario = replace(BASE, reps=500)  # four chunks at m = 200
+        chunk = sim._CHUNK_VALUES // BASE.m
+        scenario = replace(BASE, reps=3 * chunk + chunk // 2)
+        assert -(-scenario.reps // chunk) == 4  # four chunks, the last one short
         a = run_scenario(scenario, workers=1, retain_trace=True)
         b = run_scenario(scenario, workers=4, retain_trace=True)
         assert a == b
