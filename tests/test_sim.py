@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from procedure_oracles import fdr_directions, reference_mask
+from replicability import sim
 from replicability.data import TRUTH_LABELS, StudyPairData
 from replicability.errors import DataError, ReplicabilityError
 from replicability.numeric import harmonic
@@ -25,7 +26,6 @@ from replicability.procedures import (
     oracle_calibrated_run,
 )
 from replicability.selection import SelectionRule
-from replicability import sim
 from replicability.sim import (
     SimProcedure,
     SimScenario,
