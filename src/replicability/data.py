@@ -9,7 +9,7 @@ set-valued outputs are reported in input order for determinism.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -316,28 +316,61 @@ class HypothesisScore:
     adjusted_p: float
 
 
-@dataclass(frozen=True)
-class DiscoveryReport:
-    """Outcome of a replicability procedure run.
+def score_rows(
+    ids: tuple[str, ...], rows: np.ndarray, z: np.ndarray, adjusted: np.ndarray
+) -> Sequence[HypothesisScore]:
+    """Row ``i`` is the score of dataset position ``rows[i]``, with
+    statistic ``z[i]`` and adjusted value ``adjusted[i]``, built when it is
+    read."""
+    return RowView(
+        len(rows), lambda i: HypothesisScore(ids[rows[i]], float(z[i]), float(adjusted[i]))
+    )
 
-    ``rejected_ids`` is in input order and is always a subset of the
-    followed-up hypotheses. ``primary_threshold`` / ``followup_threshold``
-    are the realized cut-offs actually applied to p1 / p2. When the dataset
-    lists only part of the follow-up set, ``adjusted_is_upper_bound`` marks
-    the per-hypothesis adjusted values as upper-bound estimates.
-    ``scored_rows`` holds the dataset position of each ``per_hypothesis``
-    entry.
+
+@dataclass(frozen=True, eq=False)
+class DiscoveryReport:
+    """Outcome of a replicability procedure run, as columns of dataset
+    positions into ``ids``, the dataset's id tuple.
+
+    ``rejected_rows`` ascends and is a subset of the followed-up rows.
+    ``scored_rows`` are the rows the run scores, with the two-study
+    statistic in ``z`` and the adjusted p-value, at most 1, in ``adjusted``
+    (all empty for a run without scores). ``rejected_ids`` and
+    ``per_hypothesis`` read them as ids and :class:`HypothesisScore`s.
+    ``primary_threshold`` / ``followup_threshold`` are the realized
+    cut-offs applied to p1 / p2. ``adjusted_is_upper_bound`` marks the
+    adjusted values as upper-bound estimates when the dataset lists only
+    part of the follow-up set.
     """
 
     procedure: str
-    rejected_ids: tuple[str, ...]
+    ids: tuple[str, ...]
+    rejected_rows: np.ndarray
     r1: int
     primary_threshold: float
     followup_threshold: float
-    per_hypothesis: tuple[HypothesisScore, ...] = field(default_factory=tuple)
+    scored_rows: np.ndarray
+    z: np.ndarray
+    adjusted: np.ndarray
     adjusted_is_upper_bound: bool = False
-    scored_rows: tuple[int, ...] = ()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DiscoveryReport):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+            for a, b in pairs
+        )
+
+    @property
+    def rejected_ids(self) -> tuple[str, ...]:
+        return tuple(map(self.ids.__getitem__, self.rejected_rows.tolist()))
 
     @property
     def r2(self) -> int:
-        return len(self.rejected_ids)
+        return len(self.rejected_rows)
+
+    @property
+    def per_hypothesis(self) -> Sequence[HypothesisScore]:
+        return score_rows(self.ids, self.scored_rows, self.z, self.adjusted)

@@ -218,18 +218,15 @@ def write_pvalue_csv(data: StudyPairData, path) -> None:
 def write_discoveries_csv(
     data: StudyPairData, report: DiscoveryReport, path, full: bool = True
 ) -> None:
-    """One row per scored (followed-up) hypothesis, flagging rejections."""
-    rows = np.asarray(report.scored_rows, dtype=np.intp)
-    scores = report.per_hypothesis
-    rejected = set(report.rejected_ids)
-    ids = [score.id for score in scores]
+    """One row per scored hypothesis, flagged ``rejected`` by row position."""
+    rows = report.scored_rows
     columns = [
-        ids,
+        list(map(data.ids.__getitem__, rows.tolist())),
         data.p1[rows],
         data.p2[rows],
-        np.array([score.z_value for score in scores]),
-        np.array([score.adjusted_p for score in scores]),
-        ["1" if rid in rejected else "0" for rid in ids],
+        report.z,
+        report.adjusted,
+        np.where(np.isin(rows, report.rejected_rows), "1", "0").tolist(),
     ]
     Path(path).write_text(csv_text(DISCOVERY_HEADER, columns, full), encoding="utf-8")
 

@@ -16,13 +16,14 @@ arbitrary dependence within a study.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import kernels
-from .data import DiscoveryReport, HypothesisScore, StudyPairData
+from .data import DiscoveryReport, HypothesisScore, StudyPairData, score_rows
 from .errors import DataError
 from .numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
 from .selection import SelectionRule, _select_mask, select_rows
@@ -148,17 +149,8 @@ def _gather_selected(
     return idx, p1, p2, r1
 
 
-def _report_scores(
-    data: StudyPairData,
-    idx: np.ndarray,
-    z: np.ndarray,
-    adjusted: np.ndarray,
-) -> tuple[HypothesisScore, ...]:
-    ids = data.ids
-    return tuple(
-        HypothesisScore(ids[i], float(zv), float(min(av, 1.0)))
-        for i, zv, av in zip(idx, z, adjusted)
-    )
+# the score columns of a report that scores no hypothesis
+_NO_SCORES = {"scored_rows": np.zeros(0, dtype=np.intp), "z": np.zeros(0), "adjusted": np.zeros(0)}
 
 
 # Row kernels: each maps (n, k) p-value arrays, one family per row, to an
@@ -191,7 +183,7 @@ def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t)
 
 def _directed_fdr_rows(p1, p2, rule: SelectionRule, m: int, q1, q, mode, t):
     """:func:`_fdr_rows` on whole families: ``rule`` selects at primary
-    level q1, and R1 is each row's selection count. Like :func:`_fdr_run`,
+    level q1, and R1 is each row's selection count. Like :func:`fdr_two_stage`,
     the step-up sees only the selected entries: each row's are packed to
     the left of an (n, max R1) array, padded with p = 1 where ``sel`` is
     False, and the mask is scattered back to (n, m)."""
@@ -209,32 +201,6 @@ def _directed_fdr_rows(p1, p2, rule: SelectionRule, m: int, q1, q, mode, t):
     mask = np.zeros(p1.size, dtype=bool)
     mask[src] = packed_mask.ravel()[dst]
     return mask.reshape(p1.shape)
-
-
-def _fdr_run(
-    data: StudyPairData, rule: SelectionRule, q1: float, q: float, mode: Dependence, t
-) -> tuple[DiscoveryReport, np.ndarray]:
-    """:func:`fdr_two_stage`'s report, and the dataset positions it rejects."""
-    _check_levels(q1, q)
-    label = f"fdr_two_stage[{mode.value}]"
-    idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
-    m = data.m
-    sel = np.ones((1, idx.size), dtype=bool)
-    mask, z, q1_eff, q2_eff = _fdr_rows(p1[None], p2[None], sel, r1, m, q1, q, mode, t)
-    z = z[0]
-    rows = idx[mask[0]]
-    ids = data.ids
-    report = DiscoveryReport(
-        procedure=label,
-        rejected_ids=tuple(ids[i] for i in rows),
-        r1=r1,
-        primary_threshold=rows.size * q1_eff / m,
-        followup_threshold=rows.size * q2_eff / r1 if r1 else 0.0,
-        per_hypothesis=_report_scores(data, idx, q * z, q * kernels.stepup_adjust(z)),
-        adjusted_is_upper_bound=r1 > idx.size,
-        scored_rows=tuple(idx.tolist()),
-    )
-    return report, rows
 
 
 def fdr_two_stage(
@@ -261,7 +227,26 @@ def fdr_two_stage(
     the follow-up set (``r1_declared``), adjusted values are upper-bound
     estimates and the unlisted rows are treated as non-rejectable.
     """
-    return _fdr_run(data, rule, q1, q, mode, t)[0]
+    _check_levels(q1, q)
+    label = f"fdr_two_stage[{mode.value}]"
+    idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
+    m = data.m
+    sel = np.ones((1, idx.size), dtype=bool)
+    mask, z, q1_eff, q2_eff = _fdr_rows(p1[None], p2[None], sel, r1, m, q1, q, mode, t)
+    z = z[0]
+    rows = idx[mask[0]]
+    return DiscoveryReport(
+        procedure=label,
+        ids=data.ids,
+        rejected_rows=rows,
+        r1=r1,
+        primary_threshold=rows.size * q1_eff / m,
+        followup_threshold=rows.size * q2_eff / r1 if r1 else 0.0,
+        scored_rows=idx,
+        z=q * z,
+        adjusted=np.minimum(q * kernels.stepup_adjust(z), 1.0),
+        adjusted_is_upper_bound=r1 > idx.size,
+    )
 
 
 def fdr_two_stage_rscan(
@@ -287,13 +272,14 @@ def fdr_two_stage_rscan(
         if count == r:
             r2 = r
     mask = (p1 <= r2 * q1_eff / m) & (p2 <= r2 * q2_eff / r1) if r1 else np.zeros(0, bool)
-    ids = data.ids
     return DiscoveryReport(
         procedure=label,
-        rejected_ids=tuple(ids[i] for i in idx[mask]),
+        ids=data.ids,
+        rejected_rows=idx[mask],
         r1=r1,
         primary_threshold=r2 * q1_eff / m,
         followup_threshold=r2 * q2_eff / r1 if r1 else 0.0,
+        **_NO_SCORES,
     )
 
 
@@ -313,30 +299,23 @@ def _adjust_columns(
     raise ValueError(f"unknown adjustment flavor {flavor!r}")
 
 
-def fdr_replicability_adjust(
-    data: StudyPairData, c: float
-) -> tuple[HypothesisScore, ...]:
+def fdr_replicability_adjust(data: StudyPairData, c: float) -> Sequence[HypothesisScore]:
     """Step-up replicability adjusted p-values for the followed-up rows.
 
     Z_j = max(m*p1_j/c, R1*p2_j/(1-c)); the i-th smallest adjusted value is
     min over ranks j >= i of Z_(j)/j, capped at 1. Running the two-stage
     FDR procedure at levels (c*q, q) rejects exactly the hypotheses with
-    adjusted value at most q. Scores are returned sorted by Z ascending.
+    adjusted value at most q. Scores are read sorted by Z ascending.
     When only part of the follow-up set is listed, the values are
     upper-bound estimates (unlisted rows could only lower them).
     """
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
     z, adjusted = _adjust_columns(p1, p2, data.m, r1, c, "fdr")
-    ids = data.ids
-    return tuple(
-        HypothesisScore(ids[idx[i]], float(z[i]), float(adjusted[i]))
-        for i in np.argsort(z, kind="stable")
-    )
+    order = np.argsort(z, kind="stable")
+    return score_rows(data.ids, idx[order], z[order], adjusted[order])
 
 
-def bonf_replicability_adjust(
-    data: StudyPairData, c: float
-) -> tuple[HypothesisScore, ...]:
+def bonf_replicability_adjust(data: StudyPairData, c: float) -> Sequence[HypothesisScore]:
     """Bonferroni-flavor replicability adjusted p-values, input order.
 
     adjusted_j = min(max(m*p1_j/c, R1*p2_j/(1-c)), 1): the smallest overall
@@ -345,11 +324,7 @@ def bonf_replicability_adjust(
     """
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
     z, adjusted = _adjust_columns(p1, p2, data.m, r1, c, "bonferroni")
-    ids = data.ids
-    return tuple(
-        HypothesisScore(ids[i], float(zv), float(av))
-        for i, zv, av in zip(idx, z, adjusted)
-    )
+    return score_rows(data.ids, idx, z, adjusted)
 
 
 def _fwer_rule(rule: SelectionRule, alpha1: float) -> SelectionRule:
@@ -411,16 +386,17 @@ def fwer_two_stage(
     sel = np.ones((1, idx.size), dtype=bool)
     mask = _fwer_rows(p1[None], p2[None], sel, max(r1, 1), m, alpha1, alpha, method)[0]
     z, adjusted = _adjust_columns(p1, p2, m, r1, alpha1 / alpha, "bonferroni")
-    ids = data.ids
     return DiscoveryReport(
         procedure=label,
-        rejected_ids=tuple(ids[i] for i in idx[mask]),
+        ids=data.ids,
+        rejected_rows=idx[mask],
         r1=r1,
         primary_threshold=alpha1 / m,
         followup_threshold=(alpha - alpha1) / r1 if r1 else 0.0,
-        per_hypothesis=_report_scores(data, idx, z, adjusted),
+        scored_rows=idx,
+        z=z,
+        adjusted=adjusted,
         adjusted_is_upper_bound=r1 > idx.size,
-        scored_rows=tuple(idx.tolist()),
     )
 
 
@@ -467,21 +443,17 @@ def fdr_symmetric(
         data.require_complete("the symmetric procedure" if w1 > 0.0 else "the reversed direction")
     runs = []
     if w1 > 0.0:
-        runs.append(_fdr_run(data, rule, w1 * q1, w1 * q, mode, t))
+        runs.append(fdr_two_stage(data, rule, w1 * q1, w1 * q, mode, t))
     if w1 < 1.0:
-        runs.append(_fdr_run(
+        runs.append(fdr_two_stage(
             data.swap_studies(), rule if rule_reverse is None else rule_reverse,
             (1.0 - w1) * q1, (1.0 - w1) * q, mode, t,
         ))
-    rejected = np.zeros(len(data.ids), dtype=bool)
-    for _, rows in runs:
-        rejected[rows] = True
-    ids = data.ids
-    first = runs[0][0]
+    first = runs[0]
     return replace(
         first,
         procedure=f"fdr_symmetric[w1={w1:g},{mode.value}]",
-        rejected_ids=tuple(ids[i] for i in np.flatnonzero(rejected)),
+        rejected_rows=np.unique(np.concatenate([run.rejected_rows for run in runs])),
         adjusted_is_upper_bound=len(runs) == 1 and first.adjusted_is_upper_bound,
     )
 
@@ -491,22 +463,17 @@ def _bh_report(
 ) -> DiscoveryReport:
     m = data.m
     mask = kernels.bh_rows(stat[None], q, m)[0]
-    k = int(mask.sum())
-    threshold = k * q / m
-    ids = data.ids
-    adjusted = np.minimum(kernels.stepup_adjust(m * stat), 1.0)
-    scores = tuple(
-        HypothesisScore(ids[i], float(stat[i]), float(adjusted[i]))
-        for i in range(len(ids))
-    )
+    threshold = np.count_nonzero(mask) * q / m
     return DiscoveryReport(
         procedure=label,
-        rejected_ids=tuple(ids[i] for i in np.flatnonzero(mask)),
+        ids=data.ids,
+        rejected_rows=np.flatnonzero(mask),
         r1=m,
         primary_threshold=threshold,
         followup_threshold=threshold,
-        per_hypothesis=scores,
-        scored_rows=tuple(range(len(ids))),
+        scored_rows=np.arange(stat.size),
+        z=stat,
+        adjusted=np.minimum(kernels.stepup_adjust(m * stat), 1.0),
     )
 
 
@@ -549,15 +516,16 @@ def baseline_naive_bh_bh(
     data.require_complete("the naive two-step baseline")
     m = data.m
     first, mask = _naive_rows(data.p1[None], data.p2[None], q, m, primary)
-    ids = data.ids
+    rows = np.flatnonzero(mask[0])
     k1 = int(first.sum())
-    k2 = int(mask.sum())
     return DiscoveryReport(
         procedure=f"baseline_naive_bh_bh[primary={primary}]",
-        rejected_ids=tuple(ids[i] for i in np.flatnonzero(mask[0])),
+        ids=data.ids,
+        rejected_rows=rows,
         r1=k1,
         primary_threshold=k1 * q / m,
-        followup_threshold=k2 * q / k1 if k1 else 0.0,
+        followup_threshold=rows.size * q / k1 if k1 else 0.0,
+        **_NO_SCORES,
     )
 
 

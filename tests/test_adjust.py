@@ -163,6 +163,25 @@ def test_modified_duality_matches_modified_run():
         assert flagged == set(run.rejected_ids)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from([
+        Dependence.ARBITRARY_PRIMARY_ITEM1,
+        Dependence.ARBITRARY_PRIMARY_ITEM2,
+        Dependence.ARBITRARY_BOTH,
+    ]),
+)
+def test_modified_duality_on_followup_instances(seed, mode):
+    # thresholding the dependence-corrected column at q reproduces the run
+    # under the same correction
+    data, q1, q, t = _followup_instance(np.random.default_rng(seed), mode)
+    table = build_adjusted_table(data, q1 / q, "fdr", mode, t, q)
+    flagged = {r.id for r in table.rows if r.adjusted_p_modified <= q}
+    run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q, mode, t)
+    assert flagged == set(run.rejected_ids)
+
+
 def test_prescale_capped_at_one():
     data = make_data([0.9, 1e-8], [0.01, 0.001], m_declared=100)
     table = build_adjusted_table(

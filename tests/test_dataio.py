@@ -243,12 +243,23 @@ def test_bad_values_refused_in_one_line_blocks(tmp_path, case):
 
 def test_discoveries_rows_carry_their_own_pvalues(tmp_path):
     # in-memory datasets may repeat an id; each scored row keeps its values
-    data = make_data([0.001, 0.002], [0.01, 0.02], ids=["a", "a"])
-    report = fdr_two_stage(data, SelectionRule.followed_up(), 0.025, 0.05)
+    # and its own rejected flag
+    cases = [
+        (
+            make_data([0.001, 0.002], [0.01, 0.02], ids=["a", "a"]),
+            [["a", "0.001", "0.01", "1"], ["a", "0.002", "0.02", "1"]],
+        ),
+        (
+            make_data([1e-6, 0.9, 0.5], [1e-6, 0.9, 0.5], ids=["a", "a", "b"]),
+            [["a", "1e-06", "1e-06", "1"], ["a", "0.9", "0.9", "0"], ["b", "0.5", "0.5", "0"]],
+        ),
+    ]
     path = tmp_path / "d.csv"
-    write_discoveries_csv(data, report, path)
-    rows = [line.split(",")[:3] for line in path.read_text().splitlines()[1:]]
-    assert rows == [["a", "0.001", "0.01"], ["a", "0.002", "0.02"]]
+    for data, expected in cases:
+        report = fdr_two_stage(data, SelectionRule.followed_up(), 0.025, 0.05)
+        write_discoveries_csv(data, report, path)
+        fields = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [f[:3] + f[5:] for f in fields] == expected
 
 
 _ID = st.text(alphabet="abcxyz019_:.", min_size=1, max_size=5)

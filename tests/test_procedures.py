@@ -31,6 +31,12 @@ from replicability.selection import SelectionRule
 FOLLOWUP = SelectionRule.followed_up()
 
 
+def _completed(data: StudyPairData, rng: np.random.Generator) -> StudyPairData:
+    """``data`` with a uniform p2 drawn for every row not followed up."""
+    p2 = np.where(np.isnan(data.p2), rng.random(data.m), data.p2)
+    return StudyPairData.from_columns(data.ids, data.p1, p2)
+
+
 class TestFwerTwoStage:
     def test_hippocampal_screen_level_pair_1(self):
         data = load_hippocampal_volume()
@@ -355,6 +361,18 @@ class TestSymmetric:
             b = fdr_symmetric(data.swap_studies(), rule, 0.5, q1, q)
             assert a.rejected_ids == b.rejected_ids
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_half_weight_symmetric_under_swap_on_followup_instances(self, seed):
+        # the check above, on data where rejections are common
+        rng = np.random.default_rng(seed)
+        data, q1, q, _ = _followup_instance(rng, Dependence.INDEPENDENT)
+        data = _completed(data, rng)
+        rule = SelectionRule("bh")
+        a = fdr_symmetric(data, rule, 0.5, q1, q)
+        b = fdr_symmetric(data.swap_studies(), rule, 0.5, q1, q)
+        assert a.rejected_ids == b.rejected_ids
+
     def test_requires_complete_data(self):
         data = make_data([0.1, 0.2], [0.3, None])
         with pytest.raises(DataError):
@@ -417,6 +435,23 @@ class TestBaselines:
         report = baseline_fisher_meta(make_data([0.0], [0.5]), 0.05)
         assert report.per_hypothesis[0].z_value == 0.0
         assert report.rejected_ids == ("h0",)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_report_duality_of_scored_reports(seed):
+    # rejected iff the reported adjusted value is at most the level, for
+    # the scored reports besides fdr_two_stage's
+    rng = np.random.default_rng(seed)
+    data, q1, q, _ = _followup_instance(rng, Dependence.INDEPENDENT)
+    complete = _completed(data, rng)
+    for report in (
+        fwer_two_stage(data, FOLLOWUP, q1, q, FwerMethod.BONFERRONI),
+        baseline_partial_conjunction(complete, q),
+        baseline_fisher_meta(complete, q),
+    ):
+        flagged = {s.id for s in report.per_hypothesis if s.adjusted_p <= q}
+        assert flagged == set(report.rejected_ids), report.procedure
 
 
 class TestOracleRun:
