@@ -109,8 +109,6 @@ def _levels(args) -> tuple[float, float]:
         names = "--q1/--q"
     if lo is None or hi is None:
         raise UsageError(f"{args.mode} mode needs {names}")
-    if not 0.0 < lo < hi < 1.0:
-        raise UsageError(f"levels must satisfy 0 < {lo} < {hi} < 1")
     return lo, hi
 
 
@@ -140,8 +138,7 @@ def _cmd_analyze(args) -> int:
     rule = dataio.parse_rule_spec(args.selection)
     lo, hi = _levels(args)
     mode = dataio.parse_dependence(args.dependence)
-    if mode is procedures.Dependence.ARBITRARY_PRIMARY_ITEM2 and args.t is None:
-        raise UsageError("--dependence item2 requires --t")
+    procedures.ProcedureParams(lo, hi, mode=mode, t=args.t)
     if args.mode == "fwer":
         report = procedures.fwer_two_stage(
             data, rule, lo, hi, procedures.FwerMethod(args.method)

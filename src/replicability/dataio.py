@@ -8,20 +8,19 @@ with a trailing newline.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import compress, islice, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .adjust import AdjustedTable
-from .data import DiscoveryReport, StudyPairData, ValidationIssue, validate_dataset
+from .data import DiscoveryReport, StudyPairData, validate_dataset
 from .errors import DataError
 from .procedures import Dependence
 from .selection import SelectionRule
-from .sim import SimEstimate, SimProcedure, SimScenario
+from .sim import SimEstimate, SimProcedure, SimScenario, _scenario_at
 
 PVALUE_HEADER = "id,p1,p2"
 DISCOVERY_HEADER = "id,p1,p2,z,adjusted_p,rejected"
@@ -65,8 +64,9 @@ def _parse_float(text: str, where: str, name: str) -> float:
         raise DataError(f"{where}: cannot parse {name} value {text!r}") from None
 
 
-def _parse_row(line: str, where: str) -> tuple[str, float, float | None]:
-    """One stripped data line as (id, p1, p2), None for an absent p2."""
+def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float | None]:
+    """One stripped data line, data row ``row`` (0-based), as (id, p1, p2),
+    None for an absent p2. A literal nan p2 is refused: it is not absence."""
     parts = line.split(",")
     if len(parts) != 3:
         raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
@@ -74,20 +74,29 @@ def _parse_row(line: str, where: str) -> tuple[str, float, float | None]:
     if not rid:
         raise DataError(f"{where}: empty id")
     p1 = _parse_float(p1_text, where, "p1")
-    return rid, p1, None if p2_text == "" else _parse_float(p2_text, where, "p2")
+    if p2_text == "":
+        return rid, p1, None
+    p2 = _parse_float(p2_text, where, "p2")
+    if p2 != p2:
+        raise DataError(
+            f"{where}: record {row} ({rid!r}): p2 out of range: nan; "
+            "leave it empty if not followed up"
+        )
+    return rid, p1, p2
 
 
 def _parse_lines(
-    lines: list[str], lineno: int, path: Path
+    lines: list[str], lineno: int, first_row: int, path: Path
 ) -> tuple[tuple[list, list, list], DataError | None]:
-    """Line-by-line parse of a block whose first line is ``lineno + 1``:
-    the (ids, p1, p2) columns of its rows before the first malformed line,
-    and that line's error (None if every line is well formed)."""
+    """Line-by-line parse of a block whose first line is ``lineno + 1`` and
+    first data row ``first_row``: the (ids, p1, p2) columns of its rows before
+    the first malformed line, and that line's error (None if every line is
+    well formed)."""
     columns: tuple[list, list, list] = ([], [], [])
     for k, s in enumerate(map(str.strip, lines), start=lineno + 1):
         if s and s[0] != "#":
             try:
-                row = _parse_row(s, f"{path}:{k}")
+                row = _parse_row(s, f"{path}:{k}", first_row + len(columns[0]))
             except DataError as fault:
                 return columns, fault
             for column, value in zip(columns, row):
@@ -148,7 +157,6 @@ def parse_pvalue_csv(path) -> StudyPairData:
 
     ids: list[str] = []
     p1_parts, p2_parts = [np.zeros(0)], [np.zeros(0)]
-    nan_p2: list[int] = []  # rows whose p2 is a literal nan, which reads as absent
     fault = None  # the first malformed line's error; reading stops there
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -172,8 +180,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
             try:
                 block_ids, p1, p2 = _parse_block(rows)
             except ValueError:  # line by line, so that a fault names its line
-                (block_ids, p1, p2), fault = _parse_lines(lines, lineno, path)
-                nan_p2.extend(len(ids) + k for k, v in enumerate(p2) if v != v)
+                (block_ids, p1, p2), fault = _parse_lines(lines, lineno, len(ids), path)
                 p2 = np.array(p2, dtype=float)  # an absent p2 (None) becomes NaN
             ids.extend(block_ids)
             p1_parts.append(p1)
@@ -183,16 +190,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
         ids, np.concatenate(p1_parts), np.concatenate(p2_parts),
         declared.get("m"), declared.get("r1"),
     )
-    issues = list(validate_dataset(data).issues)
-    if nan_p2:
-        row = nan_p2[0]
-        issues.append(ValidationIssue(
-            f"record {row} ({ids[row]!r})",
-            "p2 out of range: nan; leave it empty if not followed up", "p2", row,
-        ))
-    # per-record issues in row order (stable: id, p1, p2 within a row),
-    # then the directives
-    issues.sort(key=lambda issue: math.inf if issue.row is None else issue.row)
+    issues = validate_dataset(data).issues  # rows in order, then the directives
     if fault is not None and (not issues or issues[0].row is None):
         raise fault
     if issues:
@@ -205,10 +203,20 @@ def parse_pvalue_csv(path) -> StudyPairData:
     return data
 
 
+def _unreadable(rid: str) -> bool:
+    """Whether :func:`parse_pvalue_csv` would not read ``rid`` back as the
+    id of its line: it is empty, holds a comma or a line break, starts a
+    comment or has surrounding whitespace."""
+    return not rid or rid != rid.strip() or rid[0] == "#" or any(c in rid for c in ",\n\r")
+
+
 def write_pvalue_csv(data: StudyPairData, path) -> None:
-    comma = next((rid for rid in data.ids if "," in rid), None)
-    if comma is not None:
-        raise DataError(f"id {comma!r} cannot contain a comma")
+    bad = next((rid for rid in data.ids if _unreadable(rid)), None)
+    if bad is not None:
+        raise DataError(
+            f"id {bad!r} would not read back: an id is non-empty, has no comma, line "
+            "break, leading '#' or surrounding whitespace"
+        )
     directives = [("m", data.m_declared), ("r1", data.r1_declared)]
     text = "".join(f"# {name}={value}\n" for name, value in directives if value is not None)
     text += csv_text(PVALUE_HEADER, [data.ids, data.p1, data.p2])
@@ -328,17 +336,53 @@ class ScenarioFile:
     sweep_grid: tuple[float, ...] | None = None
 
 
+# scenario key: the SimScenario or SimProcedure field it sets, and the
+# parser of its value; an alias comes before its key, which wins over it
 _SCENARIO_KEYS = {
-    "m", "f00", "f01", "f10", "f11", "mu1", "mu2",
-    "sigma1", "sigma2", "sigma", "zeta", "N",
-    "procedure", "q1", "q", "alpha1", "alpha", "w1",
-    "dependence", "t", "method", "primary", "selection",
-    "reps", "seed", "sweep_axis", "sweep_grid",
+    "m": ("m", int),
+    **{
+        key: (key, float)
+        for key in ("f00", "f01", "f10", "f11", "mu1", "mu2", "sigma1", "sigma2", "sigma", "zeta")
+    },
+    "N": ("n_total", float),
+    "reps": ("reps", int),
+    "seed": ("seed", int),
+    "procedure": ("kind", str),
+    "alpha1": ("q1", float),
+    "q1": ("q1", float),
+    "alpha": ("q", float),
+    "q": ("q", float),
+    "w1": ("w1", float),
+    "dependence": ("mode", parse_dependence),
+    "t": ("t", float),
+    "method": ("fwer_method", str),
+    "primary": ("primary", int),
+    "selection": ("selection", parse_rule_spec),
 }
+_PROCEDURE_FIELDS = {f.name for f in fields(SimProcedure)}
+
+
+def _scenario(raw: dict[str, str]) -> SimScenario:
+    """The scenario the keys of ``raw`` give, every other field at its
+    default."""
+    values: dict = {}
+    for key, (name, parse) in _SCENARIO_KEYS.items():
+        if key in raw:
+            try:
+                values[name] = parse(raw[key])
+            except ValueError:
+                raise DataError(f"cannot parse {key} value {raw[key]!r}") from None
+    for field in fields(SimScenario):
+        if field.default is MISSING and field.name not in values:
+            raise DataError(f"missing required key {field.name!r}")
+    procedure = SimProcedure(**{k: values.pop(k) for k in _PROCEDURE_FIELDS & values.keys()})
+    return SimScenario(procedure=procedure, **values)
 
 
 def parse_scenario_file(path) -> ScenarioFile:
-    """Flat ``key = value`` scenario format, ``#`` comments allowed."""
+    """Flat ``key = value`` scenario format, ``#`` comments allowed. A
+    value the library refuses, at any sweep point too, is a ``DataError``
+    naming the file."""
     path = Path(path)
     raw: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -350,67 +394,26 @@ def parse_scenario_file(path) -> ScenarioFile:
             key = key.strip()
             if not eq or not key:
                 raise DataError(f"{path}:{lineno}: expected 'key = value'")
-            if key not in _SCENARIO_KEYS:
+            if key not in _SCENARIO_KEYS and key not in ("sweep_axis", "sweep_grid"):
                 raise DataError(f"{path}:{lineno}: unknown key {key!r}")
             raw[key] = value.strip()
-
-    def get_float(key: str, default: float | None = None) -> float | None:
-        if key not in raw:
-            return default
-        return _parse_float(raw[key], str(path), key)
-
-    def get_int(key: str, default: int | None = None) -> int | None:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise DataError(f"{path}: cannot parse {key} value {raw[key]!r}") from None
-
-    for key in ("m", "f00", "f01", "f10", "f11", "mu1", "mu2"):
-        if key not in raw:
-            raise DataError(f"{path}: missing required key {key!r}")
-    q1 = get_float("q1", get_float("alpha1"))
-    q = get_float("q", get_float("alpha", 0.05))
-    procedure = SimProcedure(
-        kind=raw.get("procedure", "fdr"),
-        q1=q1,
-        q=q,
-        w1=get_float("w1", 1.0),
-        mode=parse_dependence(raw["dependence"]) if "dependence" in raw else Dependence.INDEPENDENT,
-        t=get_float("t"),
-        fwer_method=raw.get("method", "bonferroni"),
-        primary=get_int("primary", 1),
-        selection=parse_rule_spec(raw.get("selection", "bh")),
-    )
-    scenario = SimScenario(
-        m=get_int("m"),
-        f00=get_float("f00"),
-        f01=get_float("f01"),
-        f10=get_float("f10"),
-        f11=get_float("f11"),
-        mu1=get_float("mu1"),
-        mu2=get_float("mu2"),
-        sigma1=get_float("sigma1"),
-        sigma2=get_float("sigma2"),
-        sigma=get_float("sigma"),
-        zeta=get_float("zeta"),
-        n_total=get_float("N"),
-        procedure=procedure,
-        reps=get_int("reps", 1000),
-        seed=get_int("seed", 0),
-    )
     axis = raw.get("sweep_axis")
     grid = None
-    if "sweep_grid" in raw:
-        if axis is None:
-            raise DataError(f"{path}: sweep_grid given without sweep_axis")
-        try:
-            grid = tuple(float(x) for x in raw["sweep_grid"].split(",") if x.strip())
-        except ValueError:
-            raise DataError(f"{path}: cannot parse sweep_grid") from None
-        if not grid:
-            raise DataError(f"{path}: empty sweep_grid")
-    elif axis is not None:
-        raise DataError(f"{path}: sweep_axis given without sweep_grid")
+    try:
+        scenario = _scenario(raw)
+        if "sweep_grid" in raw:
+            if axis is None:
+                raise DataError("sweep_grid given without sweep_axis")
+            try:
+                grid = tuple(float(x) for x in raw["sweep_grid"].split(",") if x.strip())
+            except ValueError:
+                raise DataError("cannot parse sweep_grid") from None
+            if not grid:
+                raise DataError("empty sweep_grid")
+            for value in grid:
+                _scenario_at(scenario, axis, value)
+        elif axis is not None:
+            raise DataError("sweep_axis given without sweep_grid")
+    except (ValueError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from None
     return ScenarioFile(scenario=scenario, sweep_axis=axis, sweep_grid=grid)

@@ -80,6 +80,8 @@ class ProcedureParams:
     ``q1``/``q`` hold the per-stage and overall levels (alpha1/alpha in
     FWER mode). ``w1`` is only used by the symmetric procedure. ``t`` is
     the selection threshold required by the thresholded dependence mode.
+    Building one is the only check of these parameters: the procedures,
+    the simulator's scenarios and the CLI all build one before running.
     """
 
     q1: float
@@ -89,7 +91,10 @@ class ProcedureParams:
     t: float | None = None
 
     def __post_init__(self):
-        _check_levels(self.q1, self.q)
+        if not 0.0 < self.q1 < self.q < 1.0:
+            raise ValueError(
+                f"levels must satisfy 0 < q1 < q < 1, got q1={self.q1}, q={self.q}"
+            )
         if self.w1 is not None and not 0.0 <= self.w1 <= 1.0:
             raise ValueError(f"w1 must lie in [0, 1], got {self.w1}")
         if self.t is not None and not 0.0 < self.t < 1.0:
@@ -100,11 +105,6 @@ class ProcedureParams:
     @property
     def c(self) -> float:
         return self.q1 / self.q
-
-
-def _check_levels(q1: float, q: float) -> None:
-    if not 0.0 < q1 < q < 1.0:
-        raise ValueError(f"levels must satisfy 0 < q1 < q < 1, got q1={q1}, q={q}")
 
 
 def _effective_levels(
@@ -119,8 +119,6 @@ def _effective_levels(
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM1:
         return q1 / harmonic(m), q2
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
-        if t is None:
-            raise ValueError("the thresholded dependence mode requires t")
         return solve_q1_tilde_thresholded(q1, m, t), q2
     if mode is Dependence.ARBITRARY_BOTH:
         h_r1 = np.vectorize(harmonic, otypes=[float])(np.maximum(r1, 1))
@@ -157,7 +155,8 @@ _NO_SCORES = {"scored_rows": np.zeros(0, dtype=np.intp), "z": np.zeros(0), "adju
 # (n, k) rejection mask. The simulator runs them a chunk of repetitions at
 # a time, the FDR kernel on each row's selected entries; the library
 # procedures run them on one row. ``sel`` marks the selected entries and
-# ``r1`` is R1, one count or an (n, 1) column of one per row.
+# ``r1`` is R1, one count or an (n, 1) column of one per row. They take
+# checked levels: each caller has built a ProcedureParams from them.
 
 
 def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t):
@@ -169,7 +168,6 @@ def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t)
     at thresholds 1, 2, ...; unselected entries get z = inf. Returns the
     mask, z and the effective levels.
     """
-    _check_levels(q1, q)
     q1_eff, q2_eff = _effective_levels(q1, q, mode, t, m, r1)
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and np.any(sel & (p1 > t)):
         raise DataError(
@@ -227,7 +225,7 @@ def fdr_two_stage(
     the follow-up set (``r1_declared``), adjusted values are upper-bound
     estimates and the unlisted rows are treated as non-rejectable.
     """
-    _check_levels(q1, q)
+    ProcedureParams(q1, q, mode=mode, t=t)
     label = f"fdr_two_stage[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
@@ -261,7 +259,7 @@ def fdr_two_stage_rscan(
     defining fixed point by exhaustive scan over every candidate rejection
     count, comparing raw p-values against the stage thresholds. Quadratic
     in R1; intended for cross-checking the production path in tests."""
-    _check_levels(q1, q)
+    ProcedureParams(q1, q, mode=mode, t=t)
     label = f"fdr_two_stage_rscan[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
@@ -340,7 +338,6 @@ def _fwer_rows(p1, p2, sel, r1, m: int, alpha1: float, alpha: float, method) -> 
     primary stage steps down over the selected entries of a family of m,
     which matches the whole family whenever the selection keeps the
     smallest p1 values."""
-    _check_levels(alpha1, alpha)
     if method == FwerMethod.HOLM:
         primary = kernels.holm_rows(np.where(sel, p1, np.inf), alpha1, m)
         followup = kernels.holm_rows(np.where(sel, p2, np.inf), alpha - alpha1, r1)
@@ -379,7 +376,7 @@ def fwer_two_stage(
     alpha1.
     """
     method = FwerMethod(method)
-    _check_levels(alpha1, alpha)
+    ProcedureParams(alpha1, alpha)
     label = f"fwer_two_stage[{method.value}]"
     idx, p1, p2, r1 = _gather_selected(data, _fwer_rule(rule, alpha1), label)
     m = data.m
@@ -436,9 +433,7 @@ def fdr_symmetric(
     complete data: study two's family is every listed row, so a partial
     listing cannot stand for it.
     """
-    if not 0.0 <= w1 <= 1.0:
-        raise ValueError(f"w1 must lie in [0, 1], got {w1}")
-    _check_levels(q1, q)
+    ProcedureParams(q1, q, w1, mode, t)
     if w1 < 1.0:
         data.require_complete("the symmetric procedure" if w1 > 0.0 else "the reversed direction")
     runs = []

@@ -31,7 +31,7 @@ from . import kernels, procedures
 from .data import StudyPairData, TruthAssignment
 from .errors import DataError
 from .numeric import ndtr, ndtri, solve_oracle_qprime
-from .procedures import Dependence
+from .procedures import Dependence, ProcedureParams
 from .selection import ROW_KINDS, SelectionRule
 
 _log = logging.getLogger(__name__)
@@ -57,7 +57,9 @@ class SimProcedure:
     """Which procedure a scenario runs, with its levels. The selection is a
     ``SelectionRule`` of one of the kinds computed from p1 alone; the
     default level-less ``bh`` runs at each direction's primary-stage level
-    (for ``fwer``, as p1 <= alpha1/m)."""
+    (for ``fwer``, as p1 <= alpha1/m). With ``q1`` set, the levels, ``w1``
+    and ``t`` are checked by ``ProcedureParams`` (``ValueError``); an
+    ``oracle`` scenario checks them at its calibrated levels."""
 
     kind: str = "fdr"
     q1: float | None = None
@@ -84,18 +86,14 @@ class SimProcedure:
             raise DataError(f"unknown procedure kind {self.kind!r}")
         if self.kind in ("fdr", "fdr_symmetric", "fwer") and self.q1 is None:
             raise DataError(f"procedure {self.kind!r} needs q1 (or alpha1)")
-        if self.q1 is not None and not 0.0 < self.q1 < self.q < 1.0:
-            raise DataError(
-                f"levels must satisfy 0 < q1 < q < 1, got q1={self.q1}, q={self.q}"
-            )
-        if not 0.0 < self.q < 1.0:
+        if self.q1 is not None:
+            ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t)
+        elif not 0.0 < self.q < 1.0:
             raise DataError(f"q must lie in (0, 1), got {self.q}")
-        if not 0.0 <= self.w1 <= 1.0:
-            raise DataError(f"w1 must lie in [0, 1], got {self.w1}")
-        if self.kind == "oracle" and self.w1 not in (0.0, 0.5, 1.0):
-            raise DataError(f"oracle w1 must be one of 0, 0.5, 1, got {self.w1}")
         if self.fwer_method not in ("bonferroni", "holm"):
             raise DataError(f"unknown FWER method {self.fwer_method!r}")
+        if self.primary not in (1, 2):
+            raise DataError(f"primary study must be 1 or 2, got {self.primary}")
         if self.selection.kind not in ROW_KINDS:
             raise DataError(
                 f"selection {self.selection.kind!r} does not run in a simulation; "
@@ -151,6 +149,10 @@ class SimScenario:
             raise DataError(f"zeta must lie in (0, 1), got {self.zeta}")
         if self.sd1 <= 0 or self.sd2 <= 0:
             raise DataError("standard deviations must be positive")
+        proc = self.procedure
+        if proc.kind == "oracle":  # the levels the oracle runs at, (q', 2q')
+            qp = solve_oracle_qprime(self.f00, self.f01, proc.q, proc.w1)
+            ProcedureParams(qp, 2.0 * qp, proc.w1, proc.mode, proc.t)
 
     @property
     def sd1(self) -> float:
@@ -438,10 +440,8 @@ def _scenario_at(scenario: SimScenario, axis: str, value: float) -> SimScenario:
             raise DataError("zeta sweep needs the sigma/zeta/n_total allocation form")
         return replace(scenario, zeta=value)
     if axis == "k_selected":
-        proc = replace(
-            scenario.procedure,
-            selection=SelectionRule("top_k", k=int(value)),
-        )
+        k = int(value) if float(value).is_integer() else value  # SelectionRule refuses the rest
+        proc = replace(scenario.procedure, selection=SelectionRule("top_k", k=k))
         return replace(scenario, procedure=proc)
     raise DataError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 

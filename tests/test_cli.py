@@ -263,6 +263,33 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "w1" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("q1 = 0.025", "q1 = 0.05"),
+        lambda text: text + "w1 = 1.5\n",
+        lambda text: text + "dependence = item2\n",
+        lambda text: text + "dependence = item2\nt = 1.5\n",
+        # the oracle's calibrated levels (q', 2q') = (0.6, 1.2) are no level pair
+        lambda text: text.replace(
+            "f00 = 0.9\nf01 = 0.025\nf10 = 0.025", "f00 = 0\nf01 = 0\nf10 = 0.95"
+        ).replace("procedure = fdr\nq1 = 0.025\nq = 0.05", "procedure = oracle\nq = 0.6"),
+        lambda text: text.replace("procedure = fdr", "procedure = naive_bh_bh") + "primary = 3\n",
+    ], ids=["q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary"])
+    def test_refused_scenario_value_is_data_error_naming_file(self, tmp_path, capsys, edit):
+        scen = tmp_path / "s.txt"
+        scen.write_text(edit(SCENARIO))
+        assert edit(SCENARIO) != SCENARIO
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(scen) in err
+
+    def test_analyze_item2_without_t_is_usage_error(self, hippo_csv, tmp_path, capsys):
+        # a missing flag, not a value read from a file
+        assert main([
+            "analyze", "--input", str(hippo_csv), "--mode", "fwer", "--alpha1", "0.025",
+            "--alpha", "0.05", "--dependence", "item2", "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     @pytest.mark.parametrize("spec", ["followup", "bh:1.5", "top:0"])
     def test_selection_not_runnable_is_data_error(self, tmp_path, capsys, spec):
         scen = tmp_path / "s.txt"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -21,6 +22,7 @@ from replicability.dataio import (
 from replicability.errors import DataError
 from replicability.procedures import Dependence, fdr_two_stage
 from replicability.selection import SelectionRule
+from replicability.sim import SimProcedure, SimScenario
 
 
 def test_parse_basic(tmp_path):
@@ -125,6 +127,14 @@ def test_trailing_newline(tmp_path):
     assert path.read_bytes().endswith(b"\n")
 
 
+@pytest.mark.parametrize("rid", ["a,b", "#x", "a\nb", "a\rb", " a", "a ", ""])
+def test_write_refuses_ids_that_do_not_read_back(tmp_path, rid):
+    path = tmp_path / "out.csv"
+    with pytest.raises(DataError, match="would not read back"):
+        write_pvalue_csv(make_data([0.1, 0.2], [0.3, 0.4], ids=[rid, "b"]), path)
+    assert not path.exists()
+
+
 def test_parse_rule_specs():
     assert parse_rule_spec("followup").kind == "followup"
     assert parse_rule_spec("bh:0.04").level == 0.04
@@ -186,6 +196,39 @@ def test_parse_scenario_sweep(tmp_path):
     parsed = parse_scenario_file(path)
     assert parsed.sweep_axis == "mu"
     assert parsed.sweep_grid == (1.5, 2.0, 2.5)
+
+
+def test_scenario_keys_name_every_field():
+    # each key sets a field, and every field but the nested procedure has a key
+    named = {name for name, _ in dataio._SCENARIO_KEYS.values()}
+    scenario_fields = {f.name for f in fields(SimScenario)}
+    procedure_fields = {f.name for f in fields(SimProcedure)}
+    assert named <= scenario_fields | procedure_fields
+    assert (scenario_fields | procedure_fields) - {"procedure"} <= named
+
+
+def test_scenario_defaults_and_aliases(tmp_path):
+    required = "".join(line + "\n" for line in SCENARIO.splitlines()[1:10])
+    path = tmp_path / "s.txt"
+    path.write_text(required + "alpha1 = 0.02\nalpha = 0.04\n")
+    parsed = parse_scenario_file(path).scenario
+    assert parsed.procedure == SimProcedure(q1=0.02, q=0.04)
+    assert (parsed.reps, parsed.seed) == (1000, 0)
+    path.write_text(required + "q1 = 0.01\nalpha1 = 0.02\nq = 0.03\nalpha = 0.04\n")
+    assert parse_scenario_file(path).scenario.procedure == SimProcedure(q1=0.01, q=0.03)
+
+
+@pytest.mark.parametrize("axis, grid, message", [
+    ("c", "0.5, 1.2", "levels"),
+    ("k_selected", "25, 2.5", "integer k"),
+    ("nope", "1", "unknown sweep axis"),
+])
+def test_sweep_points_checked_on_read(tmp_path, axis, grid, message):
+    path = tmp_path / "s.txt"
+    path.write_text(SCENARIO + f"sweep_axis = {axis}\nsweep_grid = {grid}\n")
+    with pytest.raises(DataError, match=message) as err:
+        parse_scenario_file(path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -253,6 +253,8 @@ class TestRunScenario:
     @pytest.mark.parametrize("kwargs", [
         dict(kind="partial_conjunction", q=1.5),
         dict(kind="fwer", q1=0.025, q=0.05, fwer_method="bonf"),
+        # baseline_naive_bh_bh refuses it too; the kernel would run study 2
+        dict(kind="naive_bh_bh", q=0.05, primary=3),
     ])
     def test_procedure_validated(self, kwargs):
         with pytest.raises(DataError):
@@ -381,6 +383,9 @@ class TestPublishedCurveShapes:
             for _, k_est in sweep(base, "k_selected", [25, 50, 100]):
                 slack = 2.0 * ((bh_est.power_se or 0.0) + (k_est.power_se or 0.0))
                 assert bh_est.avg_power >= k_est.avg_power - slack
+        # a fractional count is refused, not truncated
+        with pytest.raises(DataError, match="integer k"):
+            sweep(base, "k_selected", [2.5, 3])
 
 
 # --------------------------------------------------------------------------
