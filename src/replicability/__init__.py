@@ -26,7 +26,7 @@ from .data import (
 )
 from .dataio import parse_pvalue_csv, parse_scenario_file, write_pvalue_csv
 from .datasets import load_crohns_disease, load_hippocampal_volume
-from .errors import ApplicabilityError, DataError, ReplicabilityError
+from .errors import ApplicabilityError, DataError, ParameterError, ReplicabilityError
 from .numeric import (
     chisq_survival_even_df,
     harmonic,
@@ -78,6 +78,7 @@ __all__ = [
     "FwerMethod",
     "HypothesisRecord",
     "HypothesisScore",
+    "ParameterError",
     "ProcedureParams",
     "ReplicabilityError",
     "SelectionRule",

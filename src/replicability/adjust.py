@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RowView, StudyPairData
-from .errors import DataError
+from .errors import ParameterError
 from .numeric import harmonic, solve_q1_tilde_thresholded
-from .procedures import Dependence, _adjust_columns, _gather_selected
+from .procedures import Dependence, ProcedureParams, _adjust_columns, _gather_selected
 from .selection import SelectionRule
 
 
@@ -78,24 +78,24 @@ def build_adjusted_table(
     with p1 replaced by min(H_m * p1, 1) (and p2 by min(H_R1 * p2, 1) when
     both studies are dependence-corrected). The thresholded mode rescales
     p1 by q1/q1_tilde instead, which depends on the run level: it needs
-    ``q`` (so q1 = c*q) and the selection threshold ``t``.
+    ``q`` (so q1 = c*q) and the selection threshold ``t``. A given ``q``
+    and ``t`` are checked as the levels (c*q, q) of a run.
 
     Rescaled p-values are capped at 1 before the statistic is formed; an
     adjusted value above 1 is meaningless, so only hopeless rows are
     affected.
     """
     mode = Dependence(mode)
+    if q is not None:
+        ProcedureParams(c * q, q, mode=mode, t=t)
+    elif mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
+        raise ParameterError("the thresholded mode rescales p1 by c*q/q1_tilde, which needs q")
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
     m = data.m
     z, adjusted = _adjust_columns(p1, p2, m, r1, c, flavor)
     modified: np.ndarray | None = None
     if idx.size and mode not in (Dependence.INDEPENDENT, Dependence.PRDS_FOLLOWUP):
         if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
-            if q is None or t is None:
-                raise DataError(
-                    "the thresholded mode rescales p1 by q1/q1_tilde, which "
-                    "requires both q (so q1 = c*q) and the selection threshold t"
-                )
             scale1 = c * q / solve_q1_tilde_thresholded(c * q, m, t)
         else:
             scale1 = harmonic(m)

@@ -6,37 +6,42 @@ scenario file), ``power`` (closed-form two-stage power), and
 ``calibrate-oracle`` / ``probe-selection`` utilities.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 applicability
-error, 4 I/O error. Diagnostics go to stderr; with ``--quiet`` nothing
-but data is written to stdout.
+error, 4 I/O error, 5 internal error (a bug; its traceback goes to
+stderr). A refused flag exits 1, a refused value in a file exits 2.
+Diagnostics go to stderr; with ``--quiet`` nothing but data is written
+to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import adjust as adjust_mod
 from . import dataio, procedures, sim
-from .errors import ApplicabilityError, DataError
+from .errors import ApplicabilityError, DataError, ParameterError
 from .selection import probe_validity
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_APPLICABILITY = 3
-EXIT_IO = 4
+EXIT_INTERNAL = 5  # any exception not in _EXITS: a bug
 
-
-class UsageError(Exception):
-    pass
+# the exit code and message prefix of each error class; a ParameterError
+# is also a DataError, so it comes first
+_EXITS = (
+    (ParameterError, 1, "usage error"),
+    (DataError, 2, "data error"),
+    (ApplicabilityError, 3, "applicability error"),
+    (OSError, 4, "i/o error"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 instead of argparse's 2
-        raise UsageError(message)
+        raise ParameterError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +113,7 @@ def _levels(args) -> tuple[float, float]:
         hi = args.q if args.q is not None else args.alpha
         names = "--q1/--q"
     if lo is None or hi is None:
-        raise UsageError(f"{args.mode} mode needs {names}")
+        raise ParameterError(f"{args.mode} mode needs {names}")
     return lo, hi
 
 
@@ -166,7 +171,7 @@ def _cmd_adjust(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        raise ParameterError(f"--workers must be at least 1, got {args.workers}")
     parsed = dataio.parse_scenario_file(args.scenario)
     if parsed.sweep_axis is not None:
         rows = sim.sweep(
@@ -181,15 +186,15 @@ def _cmd_simulate(args) -> int:
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
+        if int(n) >= 1:
+            return np.linspace(float(lo), float(hi), int(n))
     except ValueError:
-        raise UsageError(f"bad grid spec {spec!r}; expected LO:HI:N") from None
+        pass
+    raise ParameterError(f"bad grid spec {spec!r}; expected LO:HI:N with N >= 1")
 
 
 def _cmd_power(args) -> int:
     if args.grid_c:
-        if args.alpha is None:
-            raise UsageError("--grid-c needs --alpha")
         grid = _parse_grid(args.grid_c)
         power = [
             sim.analytic_power_two_stage(args.mu11, args.mu21, args.m, c * args.alpha, args.alpha)
@@ -252,21 +257,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ApplicabilityError as exc:
-        print(f"applicability error: {exc}", file=sys.stderr)
-        return EXIT_APPLICABILITY
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except Exception as exc:
+        for error, code, prefix in _EXITS:
+            if isinstance(exc, error):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        traceback.print_exc()
+        print("internal error: this is a bug in replicability", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

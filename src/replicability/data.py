@@ -215,20 +215,12 @@ class TruthAssignment:
         return np.array_equal(self._codes, other._codes)
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(TRUTH_LABELS[c] for c in self._codes.tolist())
-
-    @property
     def m(self) -> int:
         return self._codes.size
 
     def counts(self) -> dict[str, int]:
         totals = np.bincount(self._codes, minlength=len(TRUTH_LABELS)).tolist()
         return dict(zip(TRUTH_LABELS, totals))
-
-    def codes(self) -> np.ndarray:
-        """Labels as uint8 codes, indexing into TRUTH_LABELS."""
-        return self._codes.copy()
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .adjust import AdjustedTable
 from .data import DiscoveryReport, StudyPairData, validate_dataset
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .procedures import Dependence
 from .selection import SelectionRule
 from .sim import SimEstimate, SimProcedure, SimScenario, _scenario_at
@@ -295,7 +295,7 @@ def parse_dependence(text: str) -> Dependence:
     try:
         return _DEPENDENCE_ALIASES[text.strip().lower()]
     except KeyError:
-        raise DataError(
+        raise ParameterError(
             f"unknown dependence mode {text!r}; expected one of "
             f"{sorted(set(_DEPENDENCE_ALIASES))}"
         ) from None
@@ -321,9 +321,9 @@ def parse_rule_spec(spec: str) -> SelectionRule:
             return SelectionRule.top_k(int(arg))
         if kind == "threshold":
             return SelectionRule.fixed_threshold(float(arg))
-    except (ValueError, DataError) as exc:
-        raise DataError(f"bad selection spec {spec!r}: {exc}") from None
-    raise DataError(
+    except ValueError as exc:
+        raise ParameterError(f"bad selection spec {spec!r}: {exc}") from None
+    raise ParameterError(
         f"unknown selection spec {spec!r}; expected followup, bh[:LEVEL], "
         "bonferroni[:LEVEL], top:K, or threshold:T"
     )
@@ -370,6 +370,8 @@ def _scenario(raw: dict[str, str]) -> SimScenario:
         if key in raw:
             try:
                 values[name] = parse(raw[key])
+            except DataError:  # a ParameterError names its fault itself
+                raise
             except ValueError:
                 raise DataError(f"cannot parse {key} value {raw[key]!r}") from None
     for field in fields(SimScenario):

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import ApplicabilityError
+from .errors import ApplicabilityError, ParameterError
 
 # Smallest positive (subnormal) double; used to keep tail probabilities
 # strictly positive for finite arguments.
@@ -186,7 +186,7 @@ def std_normal_quantile(p):
     """Inverse of the standard normal CDF for p in (0, 1)."""
     arr = np.asarray(p, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+        raise ParameterError("quantile argument must lie strictly inside (0, 1)")
     out = ndtri(arr)
     if np.ndim(p) == 0:
         return float(out)
@@ -201,9 +201,9 @@ def chisq_survival_even_df(x: float, df: int) -> float:
     zero input p-values in a Fisher combination) saturates to 0.
     """
     if df < 2 or df % 2 != 0:
-        raise ValueError(f"degrees of freedom must be a positive even integer, got {df}")
+        raise ParameterError(f"degrees of freedom must be a positive even integer, got {df}")
     if x < 0:
-        raise ValueError(f"statistic must be non-negative, got {x}")
+        raise ParameterError(f"statistic must be non-negative, got {x}")
     if math.isinf(x):
         return 0.0
     u = x / 2.0
@@ -236,7 +236,7 @@ def harmonic(k: int) -> float:
     increment H_k - H_(k-1) within 2 ulp of 1/k.
     """
     if k < 0:
-        raise ValueError(f"harmonic index must be non-negative, got {k}")
+        raise ParameterError(f"harmonic index must be non-negative, got {k}")
     if k < 32:
         return math.fsum(1.0 / i for i in range(1, k + 1))
     s = 1.0 / (float(k) * k)
@@ -260,11 +260,11 @@ def solve_q1_tilde_thresholded(q1: float, m: int, t: float) -> float:
     The first (smallest) such k yields the maximal solution.
     """
     if not 0.0 < q1 < 1.0:
-        raise ValueError(f"q1 must lie in (0, 1), got {q1}")
+        raise ParameterError(f"q1 must lie in (0, 1), got {q1}")
     if not 0.0 < t < 1.0:
-        raise ValueError(f"threshold t must lie in (0, 1), got {t}")
+        raise ParameterError(f"threshold t must lie in (0, 1), got {t}")
     if m < 1:
-        raise ValueError(f"family size must be positive, got {m}")
+        raise ParameterError(f"family size must be positive, got {m}")
     bound = q1 / (1.0 + harmonic(m - 1))
     if t >= bound:
         raise ApplicabilityError(
@@ -294,11 +294,11 @@ def solve_oracle_qprime(f00: float, f01: float, q: float, w1: float) -> float:
     y_target = q/2 for the symmetric weight w1 = 0.5.
     """
     if not 0.0 <= f00 <= 1.0 or not 0.0 <= f01 <= 1.0:
-        raise ValueError("fractions must lie in [0, 1]")
+        raise ParameterError("fractions must lie in [0, 1]")
     if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+        raise ParameterError(f"q must lie in (0, 1), got {q}")
     if w1 not in (0.0, 0.5, 1.0):
-        raise ValueError(f"w1 must be one of 0, 0.5, 1, got {w1}")
+        raise ParameterError(f"w1 must be one of 0, 0.5, 1, got {w1}")
     scale = 0.5 if w1 == 0.5 else 1.0
     target = scale * q
     b = f01 + 1.0

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .data import DiscoveryReport, HypothesisScore, StudyPairData, score_rows
-from .errors import DataError
+from .errors import DataError, ParameterError
 from .numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
 from .selection import SelectionRule, _select_mask, select_rows
 
@@ -78,29 +78,31 @@ class ProcedureParams:
     """Level configuration for a procedure run.
 
     ``q1``/``q`` hold the per-stage and overall levels (alpha1/alpha in
-    FWER mode). ``w1`` is only used by the symmetric procedure. ``t`` is
-    the selection threshold required by the thresholded dependence mode.
+    FWER mode); ``q1`` is None for a single-level procedure, which runs at
+    ``q``. ``w1`` is only used by the symmetric procedure. ``t`` is the
+    selection threshold required by the thresholded dependence mode.
     Building one is the only check of these parameters: the procedures,
-    the simulator's scenarios and the CLI all build one before running.
+    the simulator's scenarios and the CLI all build one before running,
+    and it refuses a bad value with :class:`ParameterError`.
     """
 
-    q1: float
+    q1: float | None
     q: float
     w1: float | None = None
     mode: Dependence = Dependence.INDEPENDENT
     t: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.q1 < self.q < 1.0:
-            raise ValueError(
+        if not (0.0 < self.q < 1.0 if self.q1 is None else 0.0 < self.q1 < self.q < 1.0):
+            raise ParameterError(
                 f"levels must satisfy 0 < q1 < q < 1, got q1={self.q1}, q={self.q}"
             )
         if self.w1 is not None and not 0.0 <= self.w1 <= 1.0:
-            raise ValueError(f"w1 must lie in [0, 1], got {self.w1}")
+            raise ParameterError(f"w1 must lie in [0, 1], got {self.w1}")
         if self.t is not None and not 0.0 < self.t < 1.0:
-            raise ValueError(f"t must lie in (0, 1), got {self.t}")
+            raise ParameterError(f"t must lie in (0, 1), got {self.t}")
         if self.mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and self.t is None:
-            raise ValueError("the thresholded dependence mode requires t")
+            raise ParameterError("the thresholded dependence mode requires t")
 
     @property
     def c(self) -> float:
@@ -123,7 +125,7 @@ def _effective_levels(
     if mode is Dependence.ARBITRARY_BOTH:
         h_r1 = np.vectorize(harmonic, otypes=[float])(np.maximum(r1, 1))
         return q1 / harmonic(m), q2 / h_r1
-    raise ValueError(f"unknown dependence mode {mode!r}")
+    raise ParameterError(f"unknown dependence mode {mode!r}")
 
 
 def _gather_selected(
@@ -162,11 +164,12 @@ _NO_SCORES = {"scored_rows": np.zeros(0, dtype=np.intp), "z": np.zeros(0), "adju
 def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t):
     """Row kernel of :func:`fdr_two_stage`, study one primary.
 
-    The statistic z = max(m*p1/q1_eff, R1*p2/q2_eff) is at most r exactly
-    when both p-values clear their stage-r thresholds (r*q1_eff/m,
-    r*q2_eff/R1), so the fixed-point rejection count is the step-up over z
-    at thresholds 1, 2, ...; unselected entries get z = inf. Returns the
-    mask, z and the effective levels.
+    An entry clears the stage-r thresholds (r*q1_eff/m, r*q2_eff/R1) from
+    its smallest such r on: the ceiling of z = max(m*p1/q1_eff,
+    R1*p2/q2_eff), corrected by those comparisons, which round otherwise.
+    The step-up over these r rejects the largest r that exactly r entries
+    clear (Blanchard & Roquain's self-consistency form). Unselected entries
+    get z = inf. Returns the mask, z and the effective levels.
     """
     q1_eff, q2_eff = _effective_levels(q1, q, mode, t, m, r1)
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and np.any(sel & (p1 > t)):
@@ -176,7 +179,15 @@ def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t)
         )
     z = np.maximum(m * p1 / q1_eff, r1 * p2 / q2_eff)
     z[~sel] = np.inf
-    return kernels.step_up_rows(z, np.arange(1.0, z.shape[1] + 1)), z, q1_eff, q2_eff
+    r1 = np.maximum(r1, 1)  # a row with R1 = 0 selects nothing
+
+    def clears(r):
+        return (p1 <= r * q1_eff / m) & (p2 <= r * q2_eff / r1)
+
+    r = np.maximum(np.ceil(z), 1.0)
+    r[(r > 1.0) & clears(r - 1.0)] -= 1.0
+    r[~clears(r)] += 1.0
+    return kernels.step_up_rows(r, np.arange(1.0, r.shape[1] + 1)), z, q1_eff, q2_eff
 
 
 def _directed_fdr_rows(p1, p2, rule: SelectionRule, m: int, q1, q, mode, t):
@@ -220,10 +231,10 @@ def fdr_two_stage(
 
     Reported per-hypothesis values: ``z_value`` is the two-study statistic
     max(m*p1~/c, R1*p2~/(1-c)) on the dependence-rescaled p-values, and
-    ``adjusted_p`` its step-up adjustment, so thresholding adjusted values
-    at q reproduces the rejection set. When the dataset lists only part of
-    the follow-up set (``r1_declared``), adjusted values are upper-bound
-    estimates and the unlisted rows are treated as non-rejectable.
+    ``adjusted_p`` its step-up adjustment: thresholding adjusted values at
+    q reproduces the rejection set, up to rounding on a threshold. With
+    only part of the follow-up set listed (``r1_declared``), adjusted
+    values are upper-bound estimates and unlisted rows are non-rejectable.
     """
     ProcedureParams(q1, q, mode=mode, t=t)
     label = f"fdr_two_stage[{mode.value}]"
@@ -288,13 +299,13 @@ def _adjust_columns(
     replicability adjusted value, capped at 1: Z itself for the
     ``bonferroni`` flavor, its step-up adjustment for ``fdr``."""
     if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie in (0, 1), got {c}")
+        raise ParameterError(f"c must lie in (0, 1), got {c}")
     z = np.maximum(m * p1 / c, r1 * p2 / (1.0 - c))
     if flavor == "bonferroni":
         return z, np.minimum(z, 1.0)
     if flavor == "fdr":
         return z, np.minimum(kernels.stepup_adjust(z), 1.0)
-    raise ValueError(f"unknown adjustment flavor {flavor!r}")
+    raise ParameterError(f"unknown adjustment flavor {flavor!r}")
 
 
 def fdr_replicability_adjust(data: StudyPairData, c: float) -> Sequence[HypothesisScore]:
@@ -476,8 +487,7 @@ def baseline_partial_conjunction(data: StudyPairData, q: float) -> DiscoveryRepo
     """Step-up procedure at level q on the per-hypothesis maximum of the
     two study p-values: the conservative baseline that ignores the
     two-stage structure entirely. Requires complete data."""
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+    ProcedureParams(None, q)
     data.require_complete("the partial-conjunction baseline")
     stat = np.maximum(data.p1, data.p2)
     return _bh_report(data, stat, q, "baseline_partial_conjunction")
@@ -504,10 +514,9 @@ def baseline_naive_bh_bh(
     Implemented for comparison only. Its FDR over no-replicability nulls
     is not controlled and can approach one; see the simulation suite.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+    ProcedureParams(None, q)
     if primary not in (1, 2):
-        raise ValueError(f"primary study must be 1 or 2, got {primary}")
+        raise ParameterError(f"primary study must be 1 or 2, got {primary}")
     data.require_complete("the naive two-step baseline")
     m = data.m
     first, mask = _naive_rows(data.p1[None], data.p2[None], q, m, primary)
@@ -544,8 +553,7 @@ def baseline_fisher_meta(data: StudyPairData, q: float) -> DiscoveryReport:
     Answers "associated in at least one study", not "replicated in both";
     included as the standard meta-analysis comparison point.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"q must lie in (0, 1), got {q}")
+    ProcedureParams(None, q)
     data.require_complete("the meta-analysis baseline")
     combined = fisher_combined_pvalues(data.p1, data.p2)
     return _bh_report(data, combined, q, "baseline_fisher_meta")

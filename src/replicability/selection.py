@@ -17,14 +17,14 @@ import numpy as np
 
 from . import kernels
 from .data import StudyPairData
-from .errors import DataError
+from .errors import DataError, ParameterError
 
 
 def bh_reject(pvalues, q: float) -> set[int]:
     """Indices rejected by the Benjamini-Hochberg step-up procedure at
     level q."""
     if not 0.0 < q < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {q}")
+        raise ParameterError(f"level must lie in (0, 1), got {q}")
     p = np.asarray(pvalues, dtype=float)[None]
     return set(np.flatnonzero(kernels.bh_rows(p, q, p.size)[0]).tolist())
 
@@ -56,13 +56,13 @@ class SelectionRule:
     def __post_init__(self):
         field = _REQUIRED.get(self.kind)
         if field is not None and getattr(self, field) is None:
-            raise DataError(f"{self.kind} selection needs {field}")
+            raise ParameterError(f"{self.kind} selection needs {field}")
         if self.k is not None and (not isinstance(self.k, Integral) or self.k < 1):
-            raise DataError(f"{self.kind} selection needs an integer k >= 1, got {self.k!r}")
+            raise ParameterError(f"{self.kind} selection needs an integer k >= 1, got {self.k!r}")
         for name in ("level", "threshold"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
-                raise DataError(f"{self.kind} selection needs {name} in (0, 1), got {value}")
+                raise ParameterError(f"{self.kind} selection needs {name} in (0, 1), got {value}")
 
     @staticmethod
     def bh_at_level(level: float) -> "SelectionRule":
@@ -106,7 +106,7 @@ def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
     """Selection mask of a rule of one of the ``ROW_KINDS`` over (n, k)
     primary p-values, each row listing k members of a family of m."""
     if rule.kind in ("bh", "bonferroni") and rule.level is None:
-        raise DataError(
+        raise ParameterError(
             f"{rule.kind} selection without a level runs only inside a "
             "procedure, at its primary-stage level"
         )
@@ -120,7 +120,7 @@ def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
         if rule.k > m:
             raise DataError(f"top_k selection asks for {rule.k} of {m} hypotheses")
         return kernels.top_k_rows(p1, rule.k)
-    raise ValueError(f"unknown selection rule kind {rule.kind!r}")
+    raise ParameterError(f"unknown selection rule kind {rule.kind!r}")
 
 
 def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np.ndarray:
@@ -184,7 +184,7 @@ def probe_validity(
     hypotheses are selected, a seeded subsample is probed.
     """
     if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+        raise ParameterError("grid_size must be at least 2")
     p1 = data.p1_array()
     base_mask = _select_mask(rule, data, p1)
     base = tuple(np.flatnonzero(base_mask).tolist())

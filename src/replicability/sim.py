@@ -29,7 +29,7 @@ import numpy as np
 
 from . import kernels, procedures
 from .data import StudyPairData, TruthAssignment
-from .errors import DataError
+from .errors import ParameterError
 from .numeric import ndtr, ndtri, solve_oracle_qprime
 from .procedures import Dependence, ProcedureParams
 from .selection import ROW_KINDS, SelectionRule
@@ -57,9 +57,9 @@ class SimProcedure:
     """Which procedure a scenario runs, with its levels. The selection is a
     ``SelectionRule`` of one of the kinds computed from p1 alone; the
     default level-less ``bh`` runs at each direction's primary-stage level
-    (for ``fwer``, as p1 <= alpha1/m). With ``q1`` set, the levels, ``w1``
-    and ``t`` are checked by ``ProcedureParams`` (``ValueError``); an
-    ``oracle`` scenario checks them at its calibrated levels."""
+    (for ``fwer``, as p1 <= alpha1/m). ``ProcedureParams`` checks the
+    levels, ``w1`` and ``t`` of every kind, also those it does not read;
+    an ``oracle`` scenario also checks them at its calibrated levels."""
 
     kind: str = "fdr"
     q1: float | None = None
@@ -83,19 +83,16 @@ class SimProcedure:
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
-            raise DataError(f"unknown procedure kind {self.kind!r}")
+            raise ParameterError(f"unknown procedure kind {self.kind!r}")
         if self.kind in ("fdr", "fdr_symmetric", "fwer") and self.q1 is None:
-            raise DataError(f"procedure {self.kind!r} needs q1 (or alpha1)")
-        if self.q1 is not None:
-            ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t)
-        elif not 0.0 < self.q < 1.0:
-            raise DataError(f"q must lie in (0, 1), got {self.q}")
+            raise ParameterError(f"procedure {self.kind!r} needs q1 (or alpha1)")
+        ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t)
         if self.fwer_method not in ("bonferroni", "holm"):
-            raise DataError(f"unknown FWER method {self.fwer_method!r}")
+            raise ParameterError(f"unknown FWER method {self.fwer_method!r}")
         if self.primary not in (1, 2):
-            raise DataError(f"primary study must be 1 or 2, got {self.primary}")
+            raise ParameterError(f"primary study must be 1 or 2, got {self.primary}")
         if self.selection.kind not in ROW_KINDS:
-            raise DataError(
+            raise ParameterError(
                 f"selection {self.selection.kind!r} does not run in a simulation; "
                 f"expected one of {', '.join(ROW_KINDS)}"
             )
@@ -124,16 +121,16 @@ class SimScenario:
 
     def __post_init__(self):
         if self.m < 1:
-            raise DataError("m must be positive")
+            raise ParameterError("m must be positive")
         if self.reps < 1:
-            raise DataError("reps must be positive")
+            raise ParameterError("reps must be positive")
         if self.seed < 0:
-            raise DataError(f"seed must be a non-negative integer, got {self.seed}")
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
         fr = (self.f00, self.f01, self.f10, self.f11)
         if any(f < 0 or f > 1 for f in fr):
-            raise DataError("fractions must lie in [0, 1]")
+            raise ParameterError("fractions must lie in [0, 1]")
         if abs(sum(fr) - 1.0) > 1e-12:
-            raise DataError(f"fractions must sum to 1, got {sum(fr)!r}")
+            raise ParameterError(f"fractions must sum to 1, got {sum(fr)!r}")
         has_direct = self.sigma1 is not None and self.sigma2 is not None
         has_split = (
             self.sigma is not None
@@ -141,14 +138,14 @@ class SimScenario:
             and self.n_total is not None
         )
         if has_direct == has_split:
-            raise DataError(
+            raise ParameterError(
                 "specify either sigma1 and sigma2, or the allocation form "
                 "sigma, zeta, n_total"
             )
-        if has_split and not 0.0 < self.zeta < 1.0:
-            raise DataError(f"zeta must lie in (0, 1), got {self.zeta}")
+        if has_split and not (0.0 < self.zeta < 1.0 and self.n_total > 0):
+            raise ParameterError(f"need zeta in (0, 1) and N > 0, got {self.zeta}, {self.n_total}")
         if self.sd1 <= 0 or self.sd2 <= 0:
-            raise DataError("standard deviations must be positive")
+            raise ParameterError("standard deviations must be positive")
         proc = self.procedure
         if proc.kind == "oracle":  # the levels the oracle runs at, (q', 2q')
             qp = solve_oracle_qprime(self.f00, self.f01, proc.q, proc.w1)
@@ -437,13 +434,13 @@ def _scenario_at(scenario: SimScenario, axis: str, value: float) -> SimScenario:
         return replace(scenario, procedure=proc)
     if axis == "zeta":
         if scenario.zeta is None:
-            raise DataError("zeta sweep needs the sigma/zeta/n_total allocation form")
+            raise ParameterError("zeta sweep needs the sigma/zeta/n_total allocation form")
         return replace(scenario, zeta=value)
     if axis == "k_selected":
         k = int(value) if float(value).is_integer() else value  # SelectionRule refuses the rest
         proc = replace(scenario.procedure, selection=SelectionRule("top_k", k=k))
         return replace(scenario, procedure=proc)
-    raise DataError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
+    raise ParameterError(f"unknown sweep axis {axis!r}; expected one of {_SWEEP_AXES}")
 
 
 def sweep(
@@ -456,7 +453,7 @@ def sweep(
     """
     grid = list(grid)
     if not grid:
-        raise DataError("sweep grid must be non-empty")
+        raise ParameterError("sweep grid must be non-empty")
     return [
         (float(v), run_scenario(_scenario_at(scenario, axis, float(v)), workers=workers))
         for v in grid
@@ -476,9 +473,8 @@ def analytic_power_bonf_max(mu11: float, mu21: float, m: int, alpha: float) -> f
     unit variances) is rejected when the conservative max-p-value test is
     Bonferroni-corrected across m hypotheses at level alpha."""
     if m < 1:
-        raise ValueError("m must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ParameterError(f"m must be positive, got {m}")
+    ProcedureParams(None, alpha)
     z = _upper_z(alpha / m)
     return float(_right_tail(z - mu11) * _right_tail(z - mu21))
 
@@ -494,11 +490,8 @@ def analytic_power_two_stage(
     in log space and truncated once the binomial mass is exhausted.
     """
     if m < 1:
-        raise ValueError("m must be positive")
-    if not 0.0 < alpha1 < alpha < 1.0:
-        raise ValueError(
-            f"levels must satisfy 0 < alpha1 < alpha < 1, got {alpha1}, {alpha}"
-        )
+        raise ParameterError(f"m must be positive, got {m}")
+    ProcedureParams(alpha1, alpha)
     p_sel = float(_right_tail(_upper_z(alpha1 / m) - mu11))
     p_null = alpha1 / m
     if m == 1:

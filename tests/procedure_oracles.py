@@ -75,7 +75,9 @@ def select(rule, p1: np.ndarray, m: int, level: float) -> np.ndarray:
 
 
 def directed_fdr(p1, p2, rule, m: int, q1: float, q: float, mode: Dependence, t) -> np.ndarray:
-    """The two-stage FDR procedure on one family, study one primary."""
+    """The two-stage FDR procedure on one family, study one primary, by
+    its definition: a scan over every candidate rejection count that
+    compares the p-values with the stage thresholds."""
     sel = select(rule, p1, m, q1)
     r1 = int(sel.sum())
     q1_eff, q2_eff = q1, q - q1
@@ -86,9 +88,16 @@ def directed_fdr(p1, p2, rule, m: int, q1: float, q: float, mode: Dependence, t)
     if mode is Dependence.ARBITRARY_BOTH:
         q2_eff = (q - q1) / harmonic(max(r1, 1))
     idx = np.flatnonzero(sel)
-    z = np.maximum(m * p1[idx] / q1_eff, r1 * p2[idx] / q2_eff)
+    a, b = p1[idx], p2[idx]
+
+    def clears(r: int) -> np.ndarray:
+        return (a <= r * q1_eff / m) & (b <= r * q2_eff / r1)
+
+    # the largest r that exactly r selected entries clear
+    r2 = max((r for r in range(1, r1 + 1) if np.count_nonzero(clears(r)) == r), default=0)
     mask = np.zeros(m, dtype=bool)
-    mask[idx[stepup_on_rank_scale(z)]] = True
+    if r2:
+        mask[idx[clears(r2)]] = True
     return mask
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import replicability
 from conftest import BAD_PVALUE_FILES
-from replicability import sim
+from replicability import dataio, sim
 from replicability.cli import main
 
 HIPPO = resources.files("replicability.fixtures") / "hippocampal_volume.csv"
@@ -186,6 +186,44 @@ class TestExitCodes:
         code = main(["analyze", "--input", "/nonexistent/x.csv", "--q1", "0.01", "--q", "0.05"])
         assert code == 4
 
+    @pytest.mark.parametrize("argv, code", [
+        pytest.param(["analyze", "--q", "1.5"], 1, id="q_above_one"),
+        pytest.param(["analyze", "--selection", "bh:1.5"], 1, id="selection_level"),
+        pytest.param(["analyze", "--dependence", "sideways"], 1, id="dependence"),
+        pytest.param(["adjust", "--c", "1.5"], 1, id="adjust_c"),
+        pytest.param(["adjust", "--dependence", "item2"], 1, id="adjust_item2_without_t"),
+        pytest.param(["adjust", "--dependence", "item2", "--t", "1.5"], 1, id="adjust_t"),
+        pytest.param(["power", "--m", "0"], 1, id="power_m"),
+        pytest.param(["power", "--grid-c", "0.1:0.9:0"], 1, id="power_empty_grid"),
+        pytest.param(["probe-selection", "--grid-size", "1"], 1, id="probe_grid_size"),
+        pytest.param(["calibrate-oracle", "--w1", "0.3"], 1, id="oracle_w1"),
+        # a bare ValueError is no parameter check: a bug, with its traceback
+        pytest.param(["analyze"], 5, id="bug"),
+    ])
+    def test_exit_code_names_the_error_class(
+        self, hippo_csv, tmp_path, capsys, monkeypatch, argv, code
+    ):
+        command, *flags = argv
+        defaults = {
+            "analyze": ["--input", hippo_csv, "--q1", "0.025", "--q", "0.05", "--out", tmp_path],
+            "adjust": ["--input", hippo_csv, "--c", "0.5", "--q", "0.05",
+                       "--out", tmp_path / "a.csv"],
+            "power": ["--mu11", "3", "--mu21", "3", "--m", "100", "--alpha", "0.05"],
+            "probe-selection": ["--input", hippo_csv, "--selection", "top:2"],
+            "calibrate-oracle": ["--f00", "0.9", "--f01", "0.01", "--q", "0.05"],
+        }[command]
+        if code == 5:
+            def bug(path):
+                raise ValueError("not a parameter check")
+            monkeypatch.setattr(dataio, "parse_pvalue_csv", bug)
+        # a later flag wins over the default given before it
+        assert main([command, *map(str, defaults), *flags]) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err.startswith("usage error:") and "Traceback" not in err
+        else:
+            assert "Traceback" in err and "not a parameter check" in err
+
 
 class TestAdjust:
     def test_table_output(self, crohns_csv, tmp_path):
@@ -273,7 +311,15 @@ class TestSimulate:
             "f00 = 0.9\nf01 = 0.025\nf10 = 0.025", "f00 = 0\nf01 = 0\nf10 = 0.95"
         ).replace("procedure = fdr\nq1 = 0.025\nq = 0.05", "procedure = oracle\nq = 0.6"),
         lambda text: text.replace("procedure = fdr", "procedure = naive_bh_bh") + "primary = 3\n",
-    ], ids=["q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary"])
+        # checked although the procedure reads neither
+        lambda text: text.replace(
+            "procedure = fdr\nq1 = 0.025", "procedure = partial_conjunction"
+        ) + "w1 = 7\ndependence = item2\n",
+        lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = 1\nzeta = 0.5\nN = 0"),
+    ], ids=[
+        "q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary",
+        "unread_w1_and_t", "n_total_zero",
+    ])
     def test_refused_scenario_value_is_data_error_naming_file(self, tmp_path, capsys, edit):
         scen = tmp_path / "s.txt"
         scen.write_text(edit(SCENARIO))

@@ -139,6 +139,19 @@ class TestFdrTwoStage:
         assert report.r2 == 1
         oracle = fdr_two_stage_rscan(data, rule, 0.025, 0.05)
         assert oracle.rejected_ids == report.rejected_ids
+        # h2's p1 lies exactly on the stage-3 threshold 3*q1/m, where
+        # z = m*p1/q1 rounds to 3.0000000000000004: the definition keeps it
+        p1 = [1e-4, 0.5, 0.025 * 3 / 4, 1e-4]
+        data = make_data(p1, [0.00625, None, 0.00625, 0.00625])
+        report = fdr_two_stage(data, FOLLOWUP, 0.025, 0.05)
+        assert report.rejected_ids == ("h0", "h2", "h3")
+        assert fdr_two_stage_rscan(data, FOLLOWUP, 0.025, 0.05).rejected_ids == report.rejected_ids
+        # the simulator's kernel, selecting the same three rows
+        mask = _directed_fdr_rows(
+            np.array([p1]), np.full((1, 4), 0.00625), SelectionRule.fixed_threshold(0.02),
+            4, 0.025, 0.05, Dependence.INDEPENDENT, None,
+        )
+        assert mask[0].tolist() == [True, False, True, True]
 
     def test_crohns_unmodified_rejects_all_36(self):
         data = load_crohns_disease()

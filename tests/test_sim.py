@@ -493,9 +493,9 @@ def _outcome(call):
 )
 def test_row_kernels_match_library(scenario, start, snap):
     """Each row's batched mask is the library's rejected set on that row's
-    dataset, the reference procedure's mask and, for the FDR procedures on
-    unsnapped p-values, the exhaustive scan's rejected set; the kernels
-    refuse exactly what the library refuses."""
+    dataset, the reference procedure's mask and, for the FDR procedures,
+    the exhaustive scan's rejected set, also on p-values placed exactly on
+    a threshold; the kernels refuse exactly what the library refuses."""
     m, n = scenario.m, scenario.reps
     p1, p2 = _pvalues(scenario, _streams(scenario), start, n)
     if snap is not None:  # onto the grid level*k/m: ties, and values at a threshold
@@ -516,8 +516,6 @@ def test_row_kernels_match_library(scenario, start, snap):
         rejected = {ids[j] for j in np.flatnonzero(mask)}
         assert rejected == set(report.rejected_ids)
         assert np.array_equal(mask, reference_mask(scenario, a, b))
-        # the scan compares p-values with r*q1/m and r*q2/R1, whose rounding
-        # differs from z's for p-values placed exactly on a threshold
-        if snap is None and scenario.procedure.kind in ("fdr", "fdr_symmetric", "oracle"):
+        if scenario.procedure.kind in ("fdr", "fdr_symmetric", "oracle"):
             data = StudyPairData.from_columns(ids, a, b)
             assert rejected == _rscan_run(scenario, data)
