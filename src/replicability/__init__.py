@@ -19,9 +19,7 @@ from .data import (
     HypothesisRecord,
     HypothesisScore,
     StudyPairData,
-    TruthAssignment,
     ValidationIssue,
-    ValidationResult,
     validate_dataset,
 )
 from .dataio import parse_pvalue_csv, parse_scenario_file, write_pvalue_csv
@@ -86,9 +84,7 @@ __all__ = [
     "SimProcedure",
     "SimScenario",
     "StudyPairData",
-    "TruthAssignment",
     "ValidationIssue",
-    "ValidationResult",
     "analytic_power_bonf_max",
     "analytic_power_two_stage",
     "baseline_fisher_meta",

@@ -45,11 +45,6 @@ class AdjustedTable:
     z: np.ndarray
     adjusted: np.ndarray
     modified: np.ndarray | None
-    m: int
-    r1: int
-    c: float
-    flavor: str
-    mode: Dependence
     adjusted_is_upper_bound: bool = False
 
     @property
@@ -117,10 +112,5 @@ def build_adjusted_table(
         z=z[order],
         adjusted=adjusted[order],
         modified=None if modified is None else modified[order],
-        m=m,
-        r1=r1,
-        c=c,
-        flavor=flavor,
-        mode=mode,
         adjusted_is_upper_bound=r1 > idx.size,
     )

@@ -1,5 +1,5 @@
 """Core domain types: per-hypothesis p-value pairs, study datasets,
-truth assignments for simulations, and discovery reports.
+dataset validation, and discovery reports.
 
 All types are immutable value objects after construction and safe to share
 across threads. Hypothesis order is preserved from the input everywhere;
@@ -9,12 +9,15 @@ set-valued outputs are reported in input order for determinism.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
+# Truth states as (primary, follow-up): I00 null in both studies, I01 and I10
+# non-null only in the follow-up and only in the primary, I11 non-null in
+# both (the replicable signals). Simulated truth is uint8 codes into this.
 TRUTH_LABELS = ("I00", "I01", "I10", "I11")
 
 
@@ -138,9 +141,6 @@ class StudyPairData:
         """A writable copy of the primary p-values."""
         return self.p1.copy()
 
-    def followed_up_ids(self) -> tuple[str, ...]:
-        return tuple(self.ids[i] for i in np.flatnonzero(~np.isnan(self.p2)))
-
     @property
     def r1_listed(self) -> int:
         """Number of rows carrying a follow-up p-value."""
@@ -174,55 +174,6 @@ class StudyPairData:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class TruthAssignment:
-    """Which of the four truth states each hypothesis is in.
-
-    State names follow the convention (primary, follow-up): I00 null in
-    both studies, I10 non-null only in the primary, I01 non-null only in
-    the follow-up, I11 non-null in both (the replicable signals).
-    Stored as uint8 codes indexing TRUTH_LABELS; build from labels with
-    ``TruthAssignment(labels)`` or from codes with :meth:`from_codes`.
-    """
-
-    _codes: np.ndarray
-
-    def __init__(self, labels: Iterable[str]):
-        lut = {k: i for i, k in enumerate(TRUTH_LABELS)}
-        try:
-            codes = [lut[x] for x in labels]
-        except KeyError as exc:
-            raise ValueError(f"unknown truth label {exc.args[0]!r}") from None
-        self._store(np.array(codes, dtype=np.uint8))
-
-    @classmethod
-    def from_codes(cls, codes) -> TruthAssignment:
-        """Assignment over a copy of ``codes``, each in 0..3."""
-        codes = np.array(codes, dtype=np.uint8)
-        if codes.size and codes.max() >= len(TRUTH_LABELS):
-            raise ValueError(f"unknown truth code {int(codes.max())}")
-        truth = object.__new__(cls)
-        truth._store(codes)
-        return truth
-
-    def _store(self, codes: np.ndarray) -> None:
-        codes.flags.writeable = False
-        object.__setattr__(self, "_codes", codes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruthAssignment):
-            return NotImplemented
-        return np.array_equal(self._codes, other._codes)
-
-    @property
-    def m(self) -> int:
-        return self._codes.size
-
-    def counts(self) -> dict[str, int]:
-        totals = np.bincount(self._codes, minlength=len(TRUTH_LABELS)).tolist()
-        return dict(zip(TRUTH_LABELS, totals))
-
-
 @dataclass(frozen=True)
 class ValidationIssue:
     """One problem: ``field`` is ``id``, ``p1``, ``p2``, ``m`` or ``r1``,
@@ -234,25 +185,13 @@ class ValidationIssue:
     row: int | None = None
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-    def messages(self) -> list[str]:
-        return [f"{i.where}: {i.message}" for i in self.issues]
-
-
-def validate_dataset(data: StudyPairData) -> ValidationResult:
-    """Check ranges, id uniqueness, and override consistency.
+def validate_dataset(data: StudyPairData) -> tuple[ValidationIssue, ...]:
+    """Check ranges, id uniqueness, and override consistency; an empty
+    tuple means the dataset is valid.
 
     P-values must lie in [0, 1] (NaN or infinite values do not); a NaN
     ``p2`` is an absent follow-up value, not a problem. Per-record issues
-    come first, in record order. Diagnostic only: always returns a result,
-    never raises.
+    come first, in record order. Diagnostic only: never raises.
     """
     ids, p1, p2 = data.ids, data.p1, data.p2
     bad_p1 = ~((p1 >= 0.0) & (p1 <= 1.0))
@@ -295,7 +234,7 @@ def validate_dataset(data: StudyPairData) -> ValidationResult:
         )
     elif r1_decl is not None and r1_decl > data.m:
         override("r1", f"declared follow-up count {r1_decl} exceeds the family size m={data.m}")
-    return ValidationResult(tuple(issues))
+    return tuple(issues)
 
 
 @dataclass(frozen=True)
@@ -345,15 +284,6 @@ class DiscoveryReport:
     z: np.ndarray
     adjusted: np.ndarray
     adjusted_is_upper_bound: bool = False
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiscoveryReport):
-            return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return all(
-            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
-            for a, b in pairs
-        )
 
     @property
     def rejected_ids(self) -> tuple[str, ...]:

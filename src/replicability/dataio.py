@@ -190,7 +190,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
         ids, np.concatenate(p1_parts), np.concatenate(p2_parts),
         declared.get("m"), declared.get("r1"),
     )
-    issues = validate_dataset(data).issues  # rows in order, then the directives
+    issues = validate_dataset(data)  # rows in order, then the directives
     if fault is not None and (not issues or issues[0].row is None):
         raise fault
     if issues:
@@ -223,9 +223,7 @@ def write_pvalue_csv(data: StudyPairData, path) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def write_discoveries_csv(
-    data: StudyPairData, report: DiscoveryReport, path, full: bool = True
-) -> None:
+def write_discoveries_csv(data: StudyPairData, report: DiscoveryReport, path) -> None:
     """One row per scored hypothesis, flagged ``rejected`` by row position."""
     rows = report.scored_rows
     columns = [
@@ -236,7 +234,7 @@ def write_discoveries_csv(
         report.adjusted,
         np.where(np.isin(rows, report.rejected_rows), "1", "0").tolist(),
     ]
-    Path(path).write_text(csv_text(DISCOVERY_HEADER, columns, full), encoding="utf-8")
+    Path(path).write_text(csv_text(DISCOVERY_HEADER, columns), encoding="utf-8")
 
 
 def write_adjusted_csv(table: AdjustedTable, path, full: bool = False) -> None:

@@ -217,8 +217,6 @@ def chisq_survival_even_df(x: float, df: int) -> float:
         value = math.exp(-u) * total
     else:
         # log-space: -u + log(sum u^k/k!)
-        if u == 0.0:
-            return 1.0
         logs = [k * math.log(u) - math.lgamma(k + 1) for k in range(n_terms)]
         peak = max(logs)
         log_sum = peak + math.log(sum(math.exp(v - peak) for v in logs))

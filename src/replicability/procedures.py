@@ -232,9 +232,10 @@ def fdr_two_stage(
     Reported per-hypothesis values: ``z_value`` is the two-study statistic
     max(m*p1~/c, R1*p2~/(1-c)) on the dependence-rescaled p-values, and
     ``adjusted_p`` its step-up adjustment: thresholding adjusted values at
-    q reproduces the rejection set, up to rounding on a threshold. With
-    only part of the follow-up set listed (``r1_declared``), adjusted
-    values are upper-bound estimates and unlisted rows are non-rejectable.
+    q reproduces the rejection set exactly (on a stage threshold, where z
+    rounds, the rejections decide the side of q). With only part of the
+    follow-up set listed (``r1_declared``), adjusted values are
+    upper-bound estimates and unlisted rows are non-rejectable.
     """
     ProcedureParams(q1, q, mode=mode, t=t)
     label = f"fdr_two_stage[{mode.value}]"
@@ -242,8 +243,10 @@ def fdr_two_stage(
     m = data.m
     sel = np.ones((1, idx.size), dtype=bool)
     mask, z, q1_eff, q2_eff = _fdr_rows(p1[None], p2[None], sel, r1, m, q1, q, mode, t)
-    z = z[0]
-    rows = idx[mask[0]]
+    z, mask = z[0], mask[0]
+    rows = idx[mask]
+    adjusted = np.minimum(q * kernels.stepup_adjust(z), 1.0)
+    adjusted = np.where(mask, np.minimum(adjusted, q), np.maximum(adjusted, np.nextafter(q, 1)))
     return DiscoveryReport(
         procedure=label,
         ids=data.ids,
@@ -253,7 +256,7 @@ def fdr_two_stage(
         followup_threshold=rows.size * q2_eff / r1 if r1 else 0.0,
         scored_rows=idx,
         z=q * z,
-        adjusted=np.minimum(q * kernels.stepup_adjust(z), 1.0),
+        adjusted=adjusted,
         adjusted_is_upper_bound=r1 > idx.size,
     )
 
@@ -314,9 +317,11 @@ def fdr_replicability_adjust(data: StudyPairData, c: float) -> Sequence[Hypothes
     Z_j = max(m*p1_j/c, R1*p2_j/(1-c)); the i-th smallest adjusted value is
     min over ranks j >= i of Z_(j)/j, capped at 1. Running the two-stage
     FDR procedure at levels (c*q, q) rejects exactly the hypotheses with
-    adjusted value at most q. Scores are read sorted by Z ascending.
-    When only part of the follow-up set is listed, the values are
-    upper-bound estimates (unlisted rows could only lower them).
+    adjusted value at most q, up to rounding on a stage threshold, which
+    :func:`fdr_two_stage`'s own ``adjusted_p`` does not show. Scores are
+    read sorted by Z ascending. When only part of the follow-up set is
+    listed, the values are upper-bound estimates (unlisted rows could only
+    lower them).
     """
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
     z, adjusted = _adjust_columns(p1, p2, data.m, r1, c, "fdr")
@@ -568,7 +573,6 @@ def oracle_calibrated_run(
     w1: float = 1.0,
     mode: Dependence = Dependence.INDEPENDENT,
     t: float | None = None,
-    rule_reverse: SelectionRule | None = None,
 ) -> DiscoveryReport:
     """Run the two-stage procedure at the oracle-calibrated levels
     (q', 2q'), where q' solves the calibration quadratic in the known
@@ -577,5 +581,5 @@ def oracle_calibrated_run(
     FDR control at q; w1 selects the direction (0.5 runs symmetrically).
     """
     qp = solve_oracle_qprime(f00, f01, q, w1)
-    report = fdr_symmetric(data, rule, w1, qp, 2.0 * qp, mode, t, rule_reverse=rule_reverse)
+    report = fdr_symmetric(data, rule, w1, qp, 2.0 * qp, mode, t)
     return replace(report, procedure=f"oracle[q'={qp:.6g},w1={w1:g}]")

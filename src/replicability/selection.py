@@ -166,12 +166,14 @@ class ValidityProbeReport:
         return not self.counterexamples
 
 
+_MAX_PROBED = 200  # selected hypotheses probe_validity perturbs at most
+
+
 def probe_validity(
     rule: SelectionRule,
     data: StudyPairData,
     grid_size: int = 16,
     seed: int = 0,
-    max_probed: int = 200,
 ) -> ValidityProbeReport:
     """Empirically stress the validity condition of a selection rule.
 
@@ -180,7 +182,7 @@ def probe_validity(
     of the selection are ignored (the condition only constrains ones that
     keep it selected), and any remaining perturbation that changes the
     selected set is reported as a counterexample. Evidence, not proof: a
-    clean report does not certify the rule. When more than ``max_probed``
+    clean report does not certify the rule. When more than ``_MAX_PROBED``
     hypotheses are selected, a seeded subsample is probed.
     """
     if grid_size < 2:
@@ -189,9 +191,9 @@ def probe_validity(
     base_mask = _select_mask(rule, data, p1)
     base = tuple(np.flatnonzero(base_mask).tolist())
     selected = list(base)
-    if len(selected) > max_probed:
+    if len(selected) > _MAX_PROBED:
         rng = np.random.default_rng(seed)
-        selected = sorted(rng.choice(selected, size=max_probed, replace=False).tolist())
+        selected = sorted(rng.choice(selected, size=_MAX_PROBED, replace=False).tolist())
     grid = np.linspace(0.0, 1.0, grid_size + 1)[1:]  # (0, 1], endpoint included
     ids = data.ids
     found: list[ValidityCounterexample] = []

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels, procedures
-from .data import StudyPairData, TruthAssignment
+from .data import StudyPairData
 from .errors import ParameterError
 from .numeric import ndtr, ndtri, solve_oracle_qprime
 from .procedures import Dependence, ProcedureParams
@@ -284,19 +284,20 @@ def _rep_ids(m: int) -> tuple[str, ...]:
     return tuple(("h" + text[1:].replace("\n1", "\nh")).split("\n"))
 
 
-def generate_rep(
-    scenario: SimScenario, rep_index: int
-) -> tuple[StudyPairData, TruthAssignment]:
+def generate_rep(scenario: SimScenario, rep_index: int) -> tuple[StudyPairData, np.ndarray]:
     """One simulated dataset, a pure function of (seed, rep_index): the
-    p-values :func:`run_scenario` draws for repetition ``rep_index``.
+    p-values :func:`run_scenario` draws for repetition ``rep_index``, and
+    the truth as a read-only uint8 array of codes indexing
+    :data:`~replicability.data.TRUTH_LABELS`.
 
     Truth states are laid out in contiguous blocks (I00, I01, I10, I11);
     the p-values are exchangeable within blocks, so the layout carries no
     information.
     """
     p1, p2 = _pvalues(scenario, _streams(scenario), rep_index, 1)
-    data = StudyPairData.from_columns(_rep_ids(scenario.m), p1[0], p2[0])
-    return data, TruthAssignment.from_codes(_truth_codes(scenario))
+    codes = _truth_codes(scenario)
+    codes.flags.writeable = False
+    return StudyPairData.from_columns(_rep_ids(scenario.m), p1[0], p2[0]), codes
 
 
 def _build_runner(scenario: SimScenario):

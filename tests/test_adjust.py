@@ -7,7 +7,7 @@ from conftest import _followup_instance, make_data, random_instance
 from replicability.adjust import build_adjusted_table
 from replicability.data import StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
-from replicability.errors import DataError
+from replicability.errors import DataError, ParameterError
 from replicability.procedures import (
     Dependence,
     fdr_two_stage,
@@ -86,6 +86,11 @@ def test_no_modified_column_for_independent_mode():
     data = load_hippocampal_volume()
     table = build_adjusted_table(data, c=0.5, flavor="fdr")
     assert all(r.adjusted_p_modified is None for r in table.rows)
+
+
+def test_unknown_flavor_is_parameter_error():
+    with pytest.raises(ParameterError, match="holm"):
+        build_adjusted_table(load_hippocampal_volume(), c=0.5, flavor="holm")
 
 
 def test_item2_mode_needs_q_and_t():

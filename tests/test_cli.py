@@ -316,9 +316,17 @@ class TestSimulate:
             "procedure = fdr\nq1 = 0.025", "procedure = partial_conjunction"
         ) + "w1 = 7\ndependence = item2\n",
         lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = 1\nzeta = 0.5\nN = 0"),
+        lambda text: text.replace("m = 400", "m = four hundred"),
+        lambda text: text.replace("m = 400\n", ""),
+        lambda text: text + "reps 60\n",
+        lambda text: text + "sweep_grid = 2.0, 3.0\n",
+        lambda text: text + "sweep_axis = mu\n",
+        lambda text: text + "sweep_axis = mu\nsweep_grid = 0.2, x\n",
+        lambda text: text + "sweep_axis = mu\nsweep_grid = ,\n",
     ], ids=[
         "q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary",
-        "unread_w1_and_t", "n_total_zero",
+        "unread_w1_and_t", "n_total_zero", "m_not_a_number", "m_missing", "line_without_equals",
+        "grid_without_axis", "axis_without_grid", "grid_not_a_number", "grid_empty",
     ])
     def test_refused_scenario_value_is_data_error_naming_file(self, tmp_path, capsys, edit):
         scen = tmp_path / "s.txt"

@@ -4,7 +4,6 @@ import pytest
 from replicability.data import (
     HypothesisRecord,
     StudyPairData,
-    TruthAssignment,
     validate_dataset,
 )
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
@@ -13,22 +12,22 @@ from replicability.errors import DataError
 
 def test_p1_out_of_range_flagged():
     data = StudyPairData([HypothesisRecord("a", 1.2, 0.5)])
-    result = validate_dataset(data)
-    assert not result.ok
-    assert any("p1 out of range" in m for m in result.messages())
+    issues = validate_dataset(data)
+    assert [(i.field, i.row) for i in issues] == [("p1", 0)]
+    assert "p1 out of range" in issues[0].message
 
 
 def test_duplicate_id_flagged():
     data = StudyPairData(
         [HypothesisRecord("rs1", 0.1, 0.2), HypothesisRecord("rs1", 0.2, 0.3)]
     )
-    result = validate_dataset(data)
-    assert any("duplicate id" in m for m in result.messages())
+    issues = validate_dataset(data)
+    assert any("duplicate id" in i.message for i in issues)
 
 
 def test_bundled_fixtures_validate():
     for data in (load_hippocampal_volume(), load_crohns_disease()):
-        assert validate_dataset(data).ok
+        assert validate_dataset(data) == ()
 
 
 def test_hippocampal_fixture_shape():
@@ -47,7 +46,7 @@ def test_crohns_fixture_shape():
 
 def test_m_override_must_cover_rows():
     data = StudyPairData([HypothesisRecord("a", 0.1)] * 3, m_declared=2)
-    assert not validate_dataset(data).ok
+    assert validate_dataset(data)
 
 
 def test_r1_override_must_cover_followups():
@@ -55,7 +54,7 @@ def test_r1_override_must_cover_followups():
         [HypothesisRecord("a", 0.1, 0.3), HypothesisRecord("b", 0.1, 0.4)],
         r1_declared=1,
     )
-    assert not validate_dataset(data).ok
+    assert validate_dataset(data)
 
 
 def test_effective_sizes_ordering():
@@ -65,7 +64,7 @@ def test_effective_sizes_ordering():
         m_declared=10,
         r1_declared=4,
     )
-    assert validate_dataset(data).ok
+    assert validate_dataset(data) == ()
     assert data.m >= data.r1_declared >= data.r1_listed
 
 
@@ -86,18 +85,6 @@ def test_swap_studies_roundtrip():
     )
     back = data.swap_studies().swap_studies()
     assert back == data
-
-
-def test_truth_assignment_counts():
-    truth = TruthAssignment(("I00", "I11", "I11", "I01"))
-    counts = truth.counts()
-    assert counts == {"I00": 1, "I01": 1, "I10": 0, "I11": 2}
-    assert sum(counts.values()) == truth.m
-
-
-def test_truth_assignment_rejects_unknown_label():
-    with pytest.raises(ValueError):
-        TruthAssignment(("I00", "huh"))
 
 
 def test_nan_p2_record_refused():

@@ -26,7 +26,7 @@ from replicability.procedures import (
     fwer_two_stage,
     oracle_calibrated_run,
 )
-from replicability.selection import SelectionRule
+from replicability.selection import SelectionRule, select
 
 FOLLOWUP = SelectionRule.followed_up()
 
@@ -211,13 +211,24 @@ class TestFdrTwoStage:
 
     def test_self_consistency(self):
         rng = np.random.default_rng(6)
-        for _ in range(100):
-            data, q1, q, _ = random_instance(rng, max_m=60)
+        instances = [random_instance(rng, max_m=60)[:3] for _ in range(100)]
+        # h2's p1 on the stage-3 threshold 3*q1/m, where z rounds: up to
+        # 3.0000000000000004 (h2 rejected), and one ulp above it down to
+        # exactly 3 (h2 not rejected)
+        instances.append((
+            make_data([1e-4, 0.5, 0.025 * 3 / 4, 1e-4], [0.00625, None, 0.00625, 0.00625]),
+            0.025, 0.05,
+        ))
+        instances.append((
+            make_data([1e-4, 1e-4, 0.015000000000000001, 0.9], [1e-3, 1e-3, 1e-3, None]),
+            0.02, 0.04,
+        ))
+        for data, q1, q in instances:
             report = fdr_two_stage(data, FOLLOWUP, q1, q)
             by_id = {r.id: r for r in data.records}
             expected = {
                 rid
-                for rid in data.followed_up_ids()
+                for rid in select(FOLLOWUP, data)
                 if by_id[rid].p1 <= report.primary_threshold
                 and by_id[rid].p2 <= report.followup_threshold
             }
@@ -261,9 +272,12 @@ class TestFdrTwoStage:
             data, q1, q, _ = random_instance(rng, max_m=40)
             rule = SelectionRule.bh_at_level(q1)
             report = fdr_two_stage(data, rule, q1, q)
-            from replicability.selection import select
-
             assert set(report.rejected_ids) <= set(select(rule, data))
+
+    def test_declared_r1_below_selected_count_is_data_error(self):
+        data = make_data([1e-3, 2e-3, 0.5], [0.01, 0.02, None], r1_declared=1)
+        with pytest.raises(DataError, match="declared follow-up count 1"):
+            fdr_two_stage(data, FOLLOWUP, 0.025, 0.05)
 
     def test_item2_needs_threshold_compatible_selection(self):
         data = make_data([1e-3, 1e-8], [0.01, 0.01], m_declared=10000)

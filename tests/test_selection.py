@@ -167,12 +167,12 @@ class TestProbeValidity:
         report = probe_validity(SelectionRule.top_k(5), data, grid_size=12, seed=1)
         assert report.looks_valid
 
-    def test_median_coupled_rule_caught(self, monkeypatch):
+    @pytest.fixture
+    def median_rule(self, monkeypatch):
         # "select p1 <= 2*median(p1)": shrinking a selected p-value moves the
         # median and drops another index, so the rule is invalid.
         import replicability.selection as sel_mod
 
-        median_rule = SelectionRule("median2x")
         original = sel_mod._select_mask
 
         def patched(rule, data, p1):
@@ -181,10 +181,26 @@ class TestProbeValidity:
             return original(rule, data, p1)
 
         monkeypatch.setattr(sel_mod, "_select_mask", patched)
+        return SelectionRule("median2x")
+
+    def test_median_coupled_rule_caught(self, median_rule):
         data = make_data([0.5, 0.4, 1.0])
         report = probe_validity(median_rule, data, grid_size=16, seed=1)
         assert not report.looks_valid
         assert any(ce.perturbed_id for ce in report.counterexamples)
+
+    def test_large_selection_probes_a_seeded_subsample(self, median_rule):
+        data = make_data(np.random.default_rng(8).random(400) * 0.8)
+        assert len(select(median_rule, data)) > 200
+
+        def counterexamples(seed):
+            report = probe_validity(median_rule, data, grid_size=4, seed=seed)
+            assert report.probed == 200
+            return report.counterexamples
+
+        first = counterexamples(1)
+        assert first and first == counterexamples(1)
+        assert {c.perturbed_id for c in first} != {c.perturbed_id for c in counterexamples(2)}
 
     def test_grid_size_validation(self):
         data = make_data([0.1])

@@ -78,7 +78,7 @@ class TestGenerateRep:
         a_data, a_truth = generate_rep(BASE, 3)
         b_data, b_truth = generate_rep(BASE, 3)
         assert a_data == b_data
-        assert a_truth == b_truth
+        assert np.array_equal(a_truth, b_truth)
 
     def test_ids_zero_padded(self):
         for m in (1, 9, 10, 200, 1000):
@@ -113,13 +113,15 @@ class TestGenerateRep:
             reps=1, seed=5,
         )
         data, truth = generate_rep(scenario, 0)
-        assert truth.counts()["I11"] == 20000
+        assert truth.tolist() == [TRUTH_LABELS.index("I11")] * 20000
         z = special.ndtri(1.0 - data.p1_array())
         assert abs(z.mean() - 3.0) < 3.0 / math.sqrt(20000) * 3.0
 
     def test_truth_matches_fractions(self):
         _, truth = generate_rep(BASE, 0)
-        assert truth.counts() == {"I00": 180, "I01": 5, "I10": 5, "I11": 10}
+        assert truth.dtype == np.uint8 and not truth.flags.writeable
+        labels = [TRUTH_LABELS[code] for code in truth]
+        assert [labels.count(label) for label in TRUTH_LABELS] == [180, 5, 5, 10]
 
 
 class TestRunScenario:
@@ -443,8 +445,8 @@ def test_chunk_rows_equal_single_rep_calls(scenario, start, n):
         data, truth = generate_rep(scenario, start + i)
         assert np.array_equal(p1[i], data.p1)
         assert np.array_equal(p2[i], data.p2)
-    assert truth.counts() == dict(zip(TRUTH_LABELS, truth_block_sizes(
-        scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11))))
+    assert np.bincount(truth, minlength=4).tolist() == list(truth_block_sizes(
+        scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11)))
 
 
 def _library_run(scenario: SimScenario, data):
