@@ -55,10 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--q", type=float)
     analyze.add_argument("--alpha1", type=float)
     analyze.add_argument("--alpha", type=float)
-    analyze.add_argument("--dependence", default="independent")
+    analyze.add_argument("--dependence")
     analyze.add_argument("--t", type=float)
     analyze.add_argument("--selection", default="followup")
-    analyze.add_argument("--method", choices=("bonferroni", "holm"), default="bonferroni")
+    analyze.add_argument("--method", choices=("bonferroni", "holm"))
     analyze.add_argument("--out", default=".")
     analyze.add_argument("--quiet", action="store_true")
 
@@ -104,17 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _levels(args) -> tuple[float, float]:
-    if args.mode == "fwer":
-        lo, hi = args.alpha1, args.alpha
-        names = "--alpha1/--alpha"
-    else:
-        lo = args.q1 if args.q1 is not None else args.alpha1
-        hi = args.q if args.q is not None else args.alpha
-        names = "--q1/--q"
-    if lo is None or hi is None:
-        raise ParameterError(f"{args.mode} mode needs {names}")
-    return lo, hi
+def _levels(args) -> dict:
+    """The SimProcedure fields that the flags of ``analyze`` set, read as
+    the scenario keys of the same names: a flag that ``--mode`` does not
+    read is refused, and so is a level given under both spellings."""
+    given = dataio._read_keys(vars(args), args.mode, prefix="--")
+    if "q1" not in given or "q" not in given:
+        raise ParameterError(f"{args.mode} mode needs --q1 (or --alpha1) and --q (or --alpha)")
+    return given
 
 
 def _write_report(args, data, report, params: dict) -> None:
@@ -139,19 +136,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    given = _levels(args)
+    lo, hi, rule = given["q1"], given["q"], given["selection"]
     data = dataio.parse_pvalue_csv(args.input)
-    rule = dataio.parse_rule_spec(args.selection)
-    lo, hi = _levels(args)
-    mode = dataio.parse_dependence(args.dependence)
-    procedures.ProcedureParams(lo, hi, mode=mode, t=args.t)
     if args.mode == "fwer":
-        report = procedures.fwer_two_stage(
-            data, rule, lo, hi, procedures.FwerMethod(args.method)
-        )
-        params = {"alpha1": lo, "alpha": hi, "method": args.method}
+        method = given.get("fwer_method", procedures.FwerMethod.BONFERRONI)
+        report = procedures.fwer_two_stage(data, rule, lo, hi, method)
+        params = {"alpha1": lo, "alpha": hi, "method": method.value}
     else:
-        report = procedures.fdr_two_stage(data, rule, lo, hi, mode, args.t)
-        params = {"q1": lo, "q": hi, "dependence": mode.value, "t": args.t}
+        mode, t = given.get("mode", procedures.Dependence.INDEPENDENT), given.get("t")
+        report = procedures.fdr_two_stage(data, rule, lo, hi, mode, t)
+        params = {"q1": lo, "q": hi, "dependence": mode.value, "t": t}
     _write_report(args, data, report, params)
     if not args.quiet:
         for rid in report.rejected_ids:

@@ -18,7 +18,7 @@ import numpy as np
 from .adjust import AdjustedTable
 from .data import DiscoveryReport, StudyPairData, validate_dataset
 from .errors import DataError, ParameterError
-from .procedures import Dependence
+from .procedures import Dependence, FwerMethod
 from .selection import SelectionRule
 from .sim import SimEstimate, SimProcedure, SimScenario, _scenario_at
 
@@ -277,26 +277,17 @@ def sim_csv_text(rows: list[tuple[float, SimEstimate]]) -> str:
 
 
 _DEPENDENCE_ALIASES = {
-    "independent": Dependence.INDEPENDENT,
     "prds": Dependence.PRDS_FOLLOWUP,
-    "prds_followup": Dependence.PRDS_FOLLOWUP,
     "item1": Dependence.ARBITRARY_PRIMARY_ITEM1,
-    "arbitrary_primary_item1": Dependence.ARBITRARY_PRIMARY_ITEM1,
     "item2": Dependence.ARBITRARY_PRIMARY_ITEM2,
-    "arbitrary_primary_item2": Dependence.ARBITRARY_PRIMARY_ITEM2,
     "both": Dependence.ARBITRARY_BOTH,
-    "arbitrary_both": Dependence.ARBITRARY_BOTH,
 }
 
 
 def parse_dependence(text: str) -> Dependence:
-    try:
-        return _DEPENDENCE_ALIASES[text.strip().lower()]
-    except KeyError:
-        raise ParameterError(
-            f"unknown dependence mode {text!r}; expected one of "
-            f"{sorted(set(_DEPENDENCE_ALIASES))}"
-        ) from None
+    """A dependence mode by its value or short alias, in any case."""
+    text = text.strip().lower()
+    return _DEPENDENCE_ALIASES.get(text) or Dependence(text)
 
 
 def parse_rule_spec(spec: str) -> SelectionRule:
@@ -334,8 +325,8 @@ class ScenarioFile:
     sweep_grid: tuple[float, ...] | None = None
 
 
-# scenario key: the SimScenario or SimProcedure field it sets, and the
-# parser of its value; an alias comes before its key, which wins over it
+# scenario key, and analyze flag of the same name: the field it sets and
+# the parser of its value; a field with two keys takes one of them
 _SCENARIO_KEYS = {
     "m": ("m", int),
     **{
@@ -353,25 +344,42 @@ _SCENARIO_KEYS = {
     "w1": ("w1", float),
     "dependence": ("mode", parse_dependence),
     "t": ("t", float),
-    "method": ("fwer_method", str),
+    "method": ("fwer_method", FwerMethod),
     "primary": ("primary", int),
     "selection": ("selection", parse_rule_spec),
 }
 _PROCEDURE_FIELDS = {f.name for f in fields(SimProcedure)}
 
 
+def _read_keys(raw: dict, kind: str, prefix: str = "") -> dict:
+    """The fields that the keys of ``raw`` set, parsed; a key whose value is
+    None is absent. Refuses a field set by both of its keys and a procedure
+    field that ``kind`` does not read, naming each key ``prefix`` + key."""
+    # SimProcedure refuses an unknown kind, so here it reads every field
+    unread = _PROCEDURE_FIELDS - {"kind", *SimProcedure._READS.get(kind, _PROCEDURE_FIELDS)}
+    values: dict = {}
+    keys: dict[str, str] = {}  # the key each field was read from
+    for key, (name, parse) in _SCENARIO_KEYS.items():
+        if raw.get(key) is None:
+            continue
+        if name in unread:
+            raise ParameterError(f"procedure {kind!r} does not read {prefix}{key}")
+        if name in keys:
+            raise ParameterError(f"{prefix}{keys[name]} and {prefix}{key} set the same level")
+        keys[name] = key
+        try:
+            values[name] = parse(raw[key])
+        except DataError:  # a ParameterError names its fault itself
+            raise
+        except ValueError:
+            raise DataError(f"cannot parse {prefix}{key} value {raw[key]!r}") from None
+    return values
+
+
 def _scenario(raw: dict[str, str]) -> SimScenario:
     """The scenario the keys of ``raw`` give, every other field at its
     default."""
-    values: dict = {}
-    for key, (name, parse) in _SCENARIO_KEYS.items():
-        if key in raw:
-            try:
-                values[name] = parse(raw[key])
-            except DataError:  # a ParameterError names its fault itself
-                raise
-            except ValueError:
-                raise DataError(f"cannot parse {key} value {raw[key]!r}") from None
+    values = _read_keys(raw, raw.get("procedure", SimProcedure.kind))
     for field in fields(SimScenario):
         if field.default is MISSING and field.name not in values:
             raise DataError(f"missing required key {field.name!r}")

@@ -45,12 +45,21 @@ __all__ = [
 ]
 
 
-class FwerMethod(str, Enum):
+class _Choice(str, Enum):
+    """An option whose unknown value raises :class:`ParameterError`."""
+
+    @classmethod
+    def _missing_(cls, value):
+        choices = ", ".join(member.value for member in cls)
+        raise ParameterError(f"{value!r} is not a valid {cls.__name__}; expected one of {choices}")
+
+
+class FwerMethod(_Choice):
     BONFERRONI = "bonferroni"
     HOLM = "holm"
 
 
-class Dependence(str, Enum):
+class Dependence(_Choice):
     """Dependence assumption for the two studies.
 
     ``independent``: all p-values jointly independent.
@@ -445,7 +454,9 @@ def fdr_symmetric(
     ``bh`` or ``bonferroni`` rule runs at each direction's primary level.
     Weights 0 and 1 degenerate to a single directed run, which keeps that
     run's upper-bound flag. The report's thresholds and scores are those of
-    the first direction that runs. The reversed direction (w1 < 1) requires
+    the first direction that runs: for 0 < w1 < 1, a scored row that only
+    the reversed direction rejects has an ``adjusted_p`` above w1*q, the
+    first direction's level. The reversed direction (w1 < 1) requires
     complete data: study two's family is every listed row, so a partial
     listing cannot stand for it.
     """

@@ -22,7 +22,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,7 @@ from . import kernels, procedures
 from .data import StudyPairData
 from .errors import ParameterError
 from .numeric import ndtr, ndtri, solve_oracle_qprime
-from .procedures import Dependence, ProcedureParams
+from .procedures import Dependence, FwerMethod, ProcedureParams
 from .selection import ROW_KINDS, SelectionRule
 
 _log = logging.getLogger(__name__)
@@ -54,12 +54,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimProcedure:
-    """Which procedure a scenario runs, with its levels. The selection is a
-    ``SelectionRule`` of one of the kinds computed from p1 alone; the
-    default level-less ``bh`` runs at each direction's primary-stage level
-    (for ``fwer``, as p1 <= alpha1/m). ``ProcedureParams`` checks the
-    levels, ``w1`` and ``t`` of every kind, also those it does not read;
-    an ``oracle`` scenario also checks them at its calibrated levels."""
+    """Which procedure a scenario runs, with its levels. ``_READS`` lists
+    the fields each kind reads; any other field is refused unless at its
+    default. The selection is a ``SelectionRule`` of one of the kinds
+    computed from p1 alone; the default level-less ``bh`` runs at each
+    direction's primary-stage level (for ``fwer``, as p1 <= alpha1/m). An
+    ``oracle`` scenario also checks its calibrated levels."""
 
     kind: str = "fdr"
     q1: float | None = None
@@ -67,28 +67,31 @@ class SimProcedure:
     w1: float = 1.0
     mode: Dependence = Dependence.INDEPENDENT
     t: float | None = None
-    fwer_method: str = "bonferroni"
+    fwer_method: FwerMethod = FwerMethod.BONFERRONI
     primary: int = 1
     selection: SelectionRule = SelectionRule("bh")
 
-    _KINDS = (
-        "fdr",
-        "fdr_symmetric",
-        "fwer",
-        "partial_conjunction",
-        "naive_bh_bh",
-        "fisher_meta",
-        "oracle",
-    )
+    _READS = {
+        "fdr": ("q1", "q", "mode", "t", "selection"),
+        "fdr_symmetric": ("q1", "q", "mode", "t", "selection", "w1"),
+        "fwer": ("q1", "q", "fwer_method", "selection"),
+        "partial_conjunction": ("q",),
+        "naive_bh_bh": ("q", "primary"),
+        "fisher_meta": ("q",),
+        "oracle": ("q", "w1", "mode", "t", "selection"),
+    }
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._READS:
             raise ParameterError(f"unknown procedure kind {self.kind!r}")
-        if self.kind in ("fdr", "fdr_symmetric", "fwer") and self.q1 is None:
+        reads = ("kind", *self._READS[self.kind])
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ParameterError(f"procedure {self.kind!r} does not read {f.name}")
+        if "q1" in self._READS[self.kind] and self.q1 is None:
             raise ParameterError(f"procedure {self.kind!r} needs q1 (or alpha1)")
         ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t)
-        if self.fwer_method not in ("bonferroni", "holm"):
-            raise ParameterError(f"unknown FWER method {self.fwer_method!r}")
+        FwerMethod(self.fwer_method)
         if self.primary not in (1, 2):
             raise ParameterError(f"primary study must be 1 or 2, got {self.primary}")
         if self.selection.kind not in ROW_KINDS:
@@ -178,13 +181,6 @@ def truth_block_sizes(m: int, fractions) -> tuple[int, int, int, int]:
     return tuple(base)
 
 
-def _block_means(scenario: SimScenario) -> tuple[np.ndarray, np.ndarray]:
-    # block order I00, I01, I10, I11; h1 = 1 on I10, I11; h2 = 1 on I01, I11
-    mu1 = np.array([0.0, 0.0, scenario.mu1, scenario.mu1])
-    mu2 = np.array([0.0, scenario.mu2, 0.0, scenario.mu2])
-    return mu1, mu2
-
-
 def _streams(scenario: SimScenario) -> list[tuple[int, slice, float, np.ndarray]]:
     """(study, columns, mean in sd units, Philox key) of every non-empty
     truth block, study 0 being the primary.
@@ -196,7 +192,9 @@ def _streams(scenario: SimScenario) -> list[tuple[int, slice, float, np.ndarray]
         scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11)
     )
     ends = np.cumsum(sizes).tolist()
-    mu1, mu2 = _block_means(scenario)
+    # block order I00, I01, I10, I11; h1 = 1 on I10, I11; h2 = 1 on I01, I11
+    mu1 = np.array([0.0, 0.0, scenario.mu1, scenario.mu1])
+    mu2 = np.array([0.0, scenario.mu2, 0.0, scenario.mu2])
     out = []
     for study, (mus, sd) in enumerate(((mu1, scenario.sd1), (mu2, scenario.sd2))):
         for block, size in enumerate(sizes):
@@ -305,17 +303,6 @@ def _build_runner(scenario: SimScenario):
     the row kernels the library procedures run."""
     proc, m, q = scenario.procedure, scenario.m, scenario.procedure.q
     rule, mode, t = proc.selection, proc.mode, proc.t
-    if proc.kind == "fdr":
-        return lambda p1, p2: procedures._directed_fdr_rows(p1, p2, rule, m, proc.q1, q, mode, t)
-    if proc.kind == "fdr_symmetric":
-        return lambda p1, p2: procedures._symmetric_rows(
-            p1, p2, rule, proc.w1, m, proc.q1, q, mode, t
-        )
-    if proc.kind == "oracle":
-        qp = solve_oracle_qprime(scenario.f00, scenario.f01, q, proc.w1)
-        return lambda p1, p2: procedures._symmetric_rows(
-            p1, p2, rule, proc.w1, m, qp, 2.0 * qp, mode, t
-        )
     if proc.kind == "fwer":
         return lambda p1, p2: procedures._selected_fwer_rows(
             p1, p2, rule, m, proc.q1, q, proc.fwer_method
@@ -324,7 +311,14 @@ def _build_runner(scenario: SimScenario):
         return lambda p1, p2: kernels.bh_rows(np.maximum(p1, p2), q, m)
     if proc.kind == "fisher_meta":
         return lambda p1, p2: kernels.bh_rows(procedures.fisher_combined_pvalues(p1, p2), q, m)
-    return lambda p1, p2: procedures._naive_rows(p1, p2, q, m, proc.primary)[1]
+    if proc.kind == "naive_bh_bh":
+        return lambda p1, p2: procedures._naive_rows(p1, p2, q, m, proc.primary)[1]
+    q1 = proc.q1
+    if proc.kind == "oracle":  # at the calibrated levels (q', 2q')
+        q1 = solve_oracle_qprime(scenario.f00, scenario.f01, q, proc.w1)
+        q = 2.0 * q1
+    # fdr reads no w1: it is the symmetric procedure at the default w1 = 1
+    return lambda p1, p2: procedures._symmetric_rows(p1, p2, rule, proc.w1, m, q1, q, mode, t)
 
 
 @dataclass(frozen=True)
@@ -461,14 +455,6 @@ def sweep(
     ]
 
 
-def _upper_z(p):
-    return -ndtri(p)
-
-
-def _right_tail(x):
-    return ndtr(-np.asarray(x, dtype=float))
-
-
 def analytic_power_bonf_max(mu11: float, mu21: float, m: int, alpha: float) -> float:
     """Probability that the one non-null hypothesis (effects mu11, mu21,
     unit variances) is rejected when the conservative max-p-value test is
@@ -476,8 +462,8 @@ def analytic_power_bonf_max(mu11: float, mu21: float, m: int, alpha: float) -> f
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
     ProcedureParams(None, alpha)
-    z = _upper_z(alpha / m)
-    return float(_right_tail(z - mu11) * _right_tail(z - mu21))
+    z = ndtri(alpha / m)
+    return float(ndtr(z + mu11) * ndtr(z + mu21))
 
 
 def analytic_power_two_stage(
@@ -493,10 +479,10 @@ def analytic_power_two_stage(
     if m < 1:
         raise ParameterError(f"m must be positive, got {m}")
     ProcedureParams(alpha1, alpha)
-    p_sel = float(_right_tail(_upper_z(alpha1 / m) - mu11))
+    p_sel = float(ndtr(ndtri(alpha1 / m) + mu11))
     p_null = alpha1 / m
     if m == 1:
-        return p_sel * float(_right_tail(_upper_z(alpha - alpha1) - mu21))
+        return p_sel * float(ndtr(ndtri(alpha - alpha1) + mu21))
     mean = (m - 1) * p_null
     sd = math.sqrt((m - 1) * p_null * (1.0 - p_null))
     kcap = min(m, int(math.ceil(mean + 1 + 20.0 * sd + 60.0)))
@@ -514,5 +500,5 @@ def analytic_power_two_stage(
         if kcap == m or pmf[-1] < 1e-16 * pmf.sum():
             break
         kcap = min(m, kcap * 2)
-    stage2 = _right_tail(_upper_z((alpha - alpha1) / ks) - mu21)
+    stage2 = ndtr(ndtri((alpha - alpha1) / ks) + mu21)
     return p_sel * float(np.sum(pmf * stage2))

@@ -296,22 +296,26 @@ class TestSimulate:
 
     def test_oracle_w1_off_grid_is_data_error(self, tmp_path, capsys):
         scen = tmp_path / "s.txt"
-        scen.write_text(SCENARIO.replace("procedure = fdr", "procedure = oracle") + "w1 = 0.3\n")
+        oracle = SCENARIO.replace("procedure = fdr\nq1 = 0.025", "procedure = oracle")
+        scen.write_text(oracle + "w1 = 0.3\n")
         assert main(["simulate", "--scenario", str(scen)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "w1" in err
+        assert err.startswith("data error:") and "w1 must be one of" in err
 
     @pytest.mark.parametrize("edit", [
         lambda text: text.replace("q1 = 0.025", "q1 = 0.05"),
-        lambda text: text + "w1 = 1.5\n",
+        lambda text: text.replace("procedure = fdr", "procedure = fdr_symmetric") + "w1 = 1.5\n",
         lambda text: text + "dependence = item2\n",
         lambda text: text + "dependence = item2\nt = 1.5\n",
         # the oracle's calibrated levels (q', 2q') = (0.6, 1.2) are no level pair
         lambda text: text.replace(
             "f00 = 0.9\nf01 = 0.025\nf10 = 0.025", "f00 = 0\nf01 = 0\nf10 = 0.95"
         ).replace("procedure = fdr\nq1 = 0.025\nq = 0.05", "procedure = oracle\nq = 0.6"),
-        lambda text: text.replace("procedure = fdr", "procedure = naive_bh_bh") + "primary = 3\n",
-        # checked although the procedure reads neither
+        lambda text: text.replace("procedure = fdr\nq1 = 0.025", "procedure = naive_bh_bh").replace(
+            "selection = bh\n", ""
+        ) + "primary = 3\n",
+        lambda text: text.replace("procedure = fdr", "procedure = fwer") + "method = hollm\n",
+        # refused: the procedure reads neither
         lambda text: text.replace(
             "procedure = fdr\nq1 = 0.025", "procedure = partial_conjunction"
         ) + "w1 = 7\ndependence = item2\n",
@@ -325,6 +329,7 @@ class TestSimulate:
         lambda text: text + "sweep_axis = mu\nsweep_grid = ,\n",
     ], ids=[
         "q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary",
+        "fwer_method",
         "unread_w1_and_t", "n_total_zero", "m_not_a_number", "m_missing", "line_without_equals",
         "grid_without_axis", "axis_without_grid", "grid_not_a_number", "grid_empty",
     ])
@@ -339,8 +344,8 @@ class TestSimulate:
     def test_analyze_item2_without_t_is_usage_error(self, hippo_csv, tmp_path, capsys):
         # a missing flag, not a value read from a file
         assert main([
-            "analyze", "--input", str(hippo_csv), "--mode", "fwer", "--alpha1", "0.025",
-            "--alpha", "0.05", "--dependence", "item2", "--out", str(tmp_path / "o"),
+            "analyze", "--input", str(hippo_csv), "--q1", "0.025",
+            "--q", "0.05", "--dependence", "item2", "--out", str(tmp_path / "o"),
         ]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 

@@ -19,7 +19,7 @@ from replicability.dataio import (
     write_discoveries_csv,
     write_pvalue_csv,
 )
-from replicability.errors import DataError
+from replicability.errors import DataError, ParameterError
 from replicability.procedures import Dependence, fdr_two_stage
 from replicability.selection import SelectionRule
 from replicability.sim import SimProcedure, SimScenario
@@ -156,7 +156,9 @@ def test_parse_dependence_aliases():
     assert parse_dependence("ITEM2") is Dependence.ARBITRARY_PRIMARY_ITEM2
     assert parse_dependence("prds") is Dependence.PRDS_FOLLOWUP
     assert parse_dependence("both") is Dependence.ARBITRARY_BOTH
-    with pytest.raises(DataError):
+    assert parse_dependence(" Arbitrary_Both ") is Dependence.ARBITRARY_BOTH
+    assert parse_dependence("prds_followup") is Dependence.PRDS_FOLLOWUP
+    with pytest.raises(ParameterError, match="'sideways' is not a valid Dependence"):
         parse_dependence("sideways")
 
 
@@ -214,8 +216,6 @@ def test_scenario_defaults_and_aliases(tmp_path):
     parsed = parse_scenario_file(path).scenario
     assert parsed.procedure == SimProcedure(q1=0.02, q=0.04)
     assert (parsed.reps, parsed.seed) == (1000, 0)
-    path.write_text(required + "q1 = 0.01\nalpha1 = 0.02\nq = 0.03\nalpha = 0.04\n")
-    assert parse_scenario_file(path).scenario.procedure == SimProcedure(q1=0.01, q=0.03)
 
 
 @pytest.mark.parametrize("axis, grid, message", [

@@ -81,12 +81,13 @@ def _pvalue_partial(out: Path) -> None:
     write_pvalue_csv(StudyPairData(records, 2_500_000, 17), out / "partial.csv")
 
 
-def _simulate(**keys: str):
-    """A ``simulate`` case on SCENARIO without its sweep, with ``keys`` set."""
+def _simulate(**keys: str | None):
+    """A ``simulate`` case on SCENARIO without its sweep, with ``keys`` set,
+    or removed where the value is None."""
     lines = dict(line.split(" = ", 1) for line in SCENARIO.splitlines())
     del lines["sweep_axis"], lines["sweep_grid"]
     lines.update(keys)
-    text = "".join(f"{key} = {value}\n" for key, value in lines.items())
+    text = "".join(f"{key} = {value}\n" for key, value in lines.items() if value is not None)
     return _cli("simulate", "--scenario", "{scenario}", "--out", "{out}/sim.csv", scenario_text=text)
 
 
@@ -132,7 +133,7 @@ CASES = {
         m="1000", procedure="fdr_symmetric", w1="0.5", dependence="both", reps="200",
     ),
     "simulate_oracle_half": _simulate(
-        procedure="oracle", w1="0.5", mu1="1.5", mu2="1.5", reps="200",
+        procedure="oracle", q1=None, w1="0.5", mu1="1.5", mu2="1.5", reps="200",
     ),
     "simulate_fdr_item2_threshold": _simulate(
         dependence="item2", t="0.001", selection="threshold:0.001", reps="200",

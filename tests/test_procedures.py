@@ -7,7 +7,7 @@ from conftest import _followup_instance, make_data, random_instance
 from procedure_oracles import directed_fdr_full_width
 from replicability.data import HypothesisRecord, StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
-from replicability.errors import ApplicabilityError, DataError, ReplicabilityError
+from replicability.errors import ApplicabilityError, DataError, ParameterError, ReplicabilityError
 from replicability.numeric import harmonic
 from replicability.procedures import (
     Dependence,
@@ -77,6 +77,11 @@ class TestFwerTwoStage:
         data = make_data([0.5], [0.5])
         with pytest.raises(ValueError):
             fwer_two_stage(data, FOLLOWUP, 0.05, 0.05)
+
+    def test_unknown_method_is_parameter_error(self):
+        data = make_data([0.5], [0.5])
+        with pytest.raises(ParameterError, match="'hollm' is not a valid FwerMethod"):
+            fwer_two_stage(data, FOLLOWUP, 0.025, 0.05, method="hollm")
 
     def test_bad_level_with_levelless_rule_is_a_level_error(self):
         data = make_data([0.5], [0.5])

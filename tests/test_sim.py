@@ -409,7 +409,7 @@ def sim_scenarios(draw):
     sizes = [c * m // total for c in counts]
     sizes[0] += m - sum(sizes)
     f00, f01, f10, f11 = (size / m for size in sizes)
-    kind = draw(st.sampled_from(SimProcedure._KINDS))
+    kind = draw(st.sampled_from(list(SimProcedure._READS)))
     q = draw(st.sampled_from([0.05, 0.1, 0.2]))
     q1 = draw(st.sampled_from([0.2, 0.5, 0.8])) * q
     w1 = draw(st.sampled_from([0.0, 0.5, 1.0] if kind == "oracle" else [0.0, 0.3, 0.5, 1.0]))
@@ -424,11 +424,13 @@ def sim_scenarios(draw):
         selection = SelectionRule("fixed_threshold", threshold=t * draw(st.sampled_from([0.5, 2.0])))
     else:
         selection = SelectionRule(sel)
-    procedure = SimProcedure(
-        kind=kind, q1=q1, q=q, w1=w1, mode=mode, t=t,
+    drawn = dict(
+        q1=q1, q=q, w1=w1, mode=mode, t=t,
         fwer_method=draw(st.sampled_from(["bonferroni", "holm"])),
         primary=draw(st.sampled_from([1, 2])), selection=selection,
     )
+    # every field is drawn, and the procedure gets those its kind reads
+    procedure = SimProcedure(kind=kind, **{name: drawn[name] for name in SimProcedure._READS[kind]})
     return SimScenario(
         m=m, f00=f00, f01=f01, f10=f10, f11=f11,
         mu1=draw(st.floats(0.0, 5.0)), mu2=draw(st.floats(0.0, 5.0)),
@@ -501,7 +503,7 @@ def test_row_kernels_match_library(scenario, start, snap):
     m, n = scenario.m, scenario.reps
     p1, p2 = _pvalues(scenario, _streams(scenario), start, n)
     if snap is not None:  # onto the grid level*k/m: ties, and values at a threshold
-        level = getattr(scenario.procedure, snap)
+        level = getattr(scenario.procedure, snap) or scenario.procedure.q
         p1, p2 = (np.minimum(level * np.ceil(p * m / level) / m, 1.0) for p in (p1, p2))
     ids = [f"h{j}" for j in range(m)]
     library = [
