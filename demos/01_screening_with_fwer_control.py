@@ -10,7 +10,7 @@ survives a Bonferroni cut within the followed-up set.
 
 from replicability import (
     SelectionRule,
-    bonf_replicability_adjust,
+    build_adjusted_table,
     fwer_two_stage,
     load_hippocampal_volume,
 )
@@ -34,9 +34,12 @@ for alpha1 in (0.025, 0.04):
 # spends more of the budget on the (much harder) primary stage.
 print("Bonferroni-replicability adjusted p-values")
 print(f"{'id':8s} {'p1':>10s} {'p2':>10s}   c=0.2    c=0.5    c=0.8")
-columns = {c: bonf_replicability_adjust(data, c) for c in (0.2, 0.5, 0.8)}
-for i, rec in enumerate(data.records):
-    cells = "  ".join(f"{columns[c][i].adjusted_p:7.4f}" for c in (0.2, 0.5, 0.8))
+columns = {
+    c: {row.id: row.adjusted_p for row in build_adjusted_table(data, c, "bonferroni").rows}
+    for c in (0.2, 0.5, 0.8)
+}
+for rec in data.records:
+    cells = "  ".join(f"{columns[c][rec.id]:7.4f}" for c in (0.2, 0.5, 0.8))
     print(f"{rec.id:8s} {rec.p1:10.2g} {rec.p2:10.2g}  {cells}")
 print()
 print("only MSRB3 stays below 0.05, and only for c >= 0.5")

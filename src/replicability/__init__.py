@@ -17,7 +17,6 @@ from .adjust import AdjustedRow, AdjustedTable, build_adjusted_table
 from .data import (
     DiscoveryReport,
     HypothesisRecord,
-    HypothesisScore,
     StudyPairData,
     ValidationIssue,
     validate_dataset,
@@ -40,8 +39,6 @@ from .procedures import (
     baseline_fisher_meta,
     baseline_naive_bh_bh,
     baseline_partial_conjunction,
-    bonf_replicability_adjust,
-    fdr_replicability_adjust,
     fdr_symmetric,
     fdr_two_stage,
     fdr_two_stage_rscan,
@@ -75,7 +72,6 @@ __all__ = [
     "DiscoveryReport",
     "FwerMethod",
     "HypothesisRecord",
-    "HypothesisScore",
     "ParameterError",
     "ProcedureParams",
     "ReplicabilityError",
@@ -91,10 +87,8 @@ __all__ = [
     "baseline_naive_bh_bh",
     "baseline_partial_conjunction",
     "bh_reject",
-    "bonf_replicability_adjust",
     "build_adjusted_table",
     "chisq_survival_even_df",
-    "fdr_replicability_adjust",
     "fdr_symmetric",
     "fdr_two_stage",
     "fdr_two_stage_rscan",

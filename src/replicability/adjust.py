@@ -73,18 +73,22 @@ def build_adjusted_table(
     with p1 replaced by min(H_m * p1, 1) (and p2 by min(H_R1 * p2, 1) when
     both studies are dependence-corrected). The thresholded mode rescales
     p1 by q1/q1_tilde instead, which depends on the run level: it needs
-    ``q`` (so q1 = c*q) and the selection threshold ``t``. A given ``q``
-    and ``t`` are checked as the levels (c*q, q) of a run.
+    ``q`` (so q1 = c*q) and the selection threshold ``t``, checked as the
+    levels (c*q, q) of a run. No other mode reads them, and each refuses a
+    given ``q`` or ``t``.
 
     Rescaled p-values are capped at 1 before the statistic is formed; an
     adjusted value above 1 is meaningless, so only hopeless rows are
     affected.
     """
     mode = Dependence(mode)
-    if q is not None:
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
+        if q is None:
+            raise ParameterError("the thresholded mode rescales p1 by c*q/q1_tilde, which needs q")
         ProcedureParams(c * q, q, mode=mode, t=t)
-    elif mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
-        raise ParameterError("the thresholded mode rescales p1 by c*q/q1_tilde, which needs q")
+    elif t is not None or q is not None:
+        name = "t" if t is not None else "q"
+        raise ParameterError(f"{mode.value} does not read {name}; only the thresholded mode does")
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
     m = data.m
     z, adjusted = _adjust_columns(p1, p2, m, r1, c, flavor)

@@ -92,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--q", type=float, required=True)
     oracle.add_argument("--w1", type=float, default=1.0)
     oracle.add_argument("--input", help="also run the calibrated procedure")
-    oracle.add_argument("--selection", default="followup")
-    oracle.add_argument("--out", default=".")
+    oracle.add_argument("--selection")
+    oracle.add_argument("--out")
     oracle.add_argument("--quiet", action="store_true")
 
     probe = sub.add_parser("probe-selection", help="stress a selection rule's validity")
@@ -114,16 +114,16 @@ def _levels(args) -> dict:
     return given
 
 
-def _write_report(args, data, report, params: dict) -> None:
-    """discoveries.csv and summary.txt under ``--out``, and unless
-    ``--quiet`` the rejection count on stdout."""
-    out = Path(args.out)
+def _write_report(out: str, quiet: bool, data, report, params: dict) -> None:
+    """discoveries.csv and summary.txt under ``out``, and unless ``quiet``
+    the rejection count on stdout."""
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_discoveries_csv(data, report, out / "discoveries.csv")
     (out / "summary.txt").write_text(
         dataio.summary_text(report, data, params), encoding="utf-8"
     )
-    if not args.quiet:
+    if not quiet:
         print(f"{report.procedure}: rejected {report.r2} of R1={report.r1}")
 
 
@@ -147,7 +147,7 @@ def _cmd_analyze(args) -> int:
         mode, t = given.get("mode", procedures.Dependence.INDEPENDENT), given.get("t")
         report = procedures.fdr_two_stage(data, rule, lo, hi, mode, t)
         params = {"q1": lo, "q": hi, "dependence": mode.value, "t": t}
-    _write_report(args, data, report, params)
+    _write_report(args.out, args.quiet, data, report, params)
     if not args.quiet:
         for rid in report.rejected_ids:
             print(f"  {rid}")
@@ -208,16 +208,20 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_calibrate_oracle(args) -> int:
+    if not args.input:
+        for flag in ("selection", "out", "quiet"):
+            if getattr(args, flag) not in (None, False):
+                raise ParameterError(f"--{flag} is read only with --input")
     qp = sim.solve_oracle_qprime(args.f00, args.f01, args.q, args.w1)
     print(f"q_prime = {qp:.6g}")
     if args.input:
         data = dataio.parse_pvalue_csv(args.input)
-        rule = dataio.parse_rule_spec(args.selection)
+        rule = dataio.parse_rule_spec("followup" if args.selection is None else args.selection)
         report = procedures.oracle_calibrated_run(
             data, rule, args.f00, args.f01, args.q, args.w1
         )
         params = {"f00": args.f00, "f01": args.f01, "q": args.q, "w1": args.w1}
-        _write_report(args, data, report, params)
+        _write_report(args.out or ".", args.quiet, data, report, params)
     return EXIT_OK
 
 

@@ -237,37 +237,16 @@ def validate_dataset(data: StudyPairData) -> tuple[ValidationIssue, ...]:
     return tuple(issues)
 
 
-@dataclass(frozen=True)
-class HypothesisScore:
-    """Per-hypothesis output of a procedure run: the two-study statistic
-    and the adjusted p-value (both on the run's effective scale)."""
-
-    id: str
-    z_value: float
-    adjusted_p: float
-
-
-def score_rows(
-    ids: tuple[str, ...], rows: np.ndarray, z: np.ndarray, adjusted: np.ndarray
-) -> Sequence[HypothesisScore]:
-    """Row ``i`` is the score of dataset position ``rows[i]``, with
-    statistic ``z[i]`` and adjusted value ``adjusted[i]``, built when it is
-    read."""
-    return RowView(
-        len(rows), lambda i: HypothesisScore(ids[rows[i]], float(z[i]), float(adjusted[i]))
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class DiscoveryReport:
     """Outcome of a replicability procedure run, as columns of dataset
     positions into ``ids``, the dataset's id tuple.
 
-    ``rejected_rows`` ascends and is a subset of the followed-up rows.
-    ``scored_rows`` are the rows the run scores, with the two-study
-    statistic in ``z`` and the adjusted p-value, at most 1, in ``adjusted``
-    (all empty for a run without scores). ``rejected_ids`` and
-    ``per_hypothesis`` read them as ids and :class:`HypothesisScore`s.
+    ``rejected_rows`` ascends and is a subset of the followed-up rows;
+    ``rejected_ids`` reads it as ids. ``scored_rows`` are the rows the run
+    scores: the i-th has the two-study statistic ``z[i]`` and the adjusted
+    p-value ``adjusted[i]``, at most 1, and its id is
+    ``ids[scored_rows[i]]`` (all three empty for a run without scores).
     ``primary_threshold`` / ``followup_threshold`` are the realized
     cut-offs applied to p1 / p2. ``adjusted_is_upper_bound`` marks the
     adjusted values as upper-bound estimates when the dataset lists only
@@ -292,7 +271,3 @@ class DiscoveryReport:
     @property
     def r2(self) -> int:
         return len(self.rejected_rows)
-
-    @property
-    def per_hypothesis(self) -> Sequence[HypothesisScore]:
-        return score_rows(self.ids, self.scored_rows, self.z, self.adjusted)

@@ -16,14 +16,13 @@ arbitrary dependence within a study.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import kernels
-from .data import DiscoveryReport, HypothesisScore, StudyPairData, score_rows
+from .data import DiscoveryReport, StudyPairData
 from .errors import DataError, ParameterError
 from .numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
 from .selection import SelectionRule, _select_mask, select_rows
@@ -33,10 +32,8 @@ __all__ = [
     "Dependence",
     "ProcedureParams",
     "fwer_two_stage",
-    "bonf_replicability_adjust",
     "fdr_two_stage",
     "fdr_two_stage_rscan",
-    "fdr_replicability_adjust",
     "fdr_symmetric",
     "baseline_partial_conjunction",
     "baseline_naive_bh_bh",
@@ -88,8 +85,10 @@ class ProcedureParams:
 
     ``q1``/``q`` hold the per-stage and overall levels (alpha1/alpha in
     FWER mode); ``q1`` is None for a single-level procedure, which runs at
-    ``q``. ``w1`` is only used by the symmetric procedure. ``t`` is the
-    selection threshold required by the thresholded dependence mode.
+    ``q``. ``w1`` is only used by the symmetric procedure. ``mode`` may be
+    given as a :class:`Dependence` or its value and is stored as the
+    member; the procedures run on that member. ``t`` is the selection
+    threshold required by the thresholded dependence mode.
     Building one is the only check of these parameters: the procedures,
     the simulator's scenarios and the CLI all build one before running,
     and it refuses a bad value with :class:`ParameterError`.
@@ -102,6 +101,7 @@ class ProcedureParams:
     t: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "mode", Dependence(self.mode))
         if not (0.0 < self.q < 1.0 if self.q1 is None else 0.0 < self.q1 < self.q < 1.0):
             raise ParameterError(
                 f"levels must satisfy 0 < q1 < q < 1, got q1={self.q1}, q={self.q}"
@@ -131,10 +131,8 @@ def _effective_levels(
         return q1 / harmonic(m), q2
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
         return solve_q1_tilde_thresholded(q1, m, t), q2
-    if mode is Dependence.ARBITRARY_BOTH:
-        h_r1 = np.vectorize(harmonic, otypes=[float])(np.maximum(r1, 1))
-        return q1 / harmonic(m), q2 / h_r1
-    raise ParameterError(f"unknown dependence mode {mode!r}")
+    h_r1 = np.vectorize(harmonic, otypes=[float])(np.maximum(r1, 1))  # ARBITRARY_BOTH
+    return q1 / harmonic(m), q2 / h_r1
 
 
 def _gather_selected(
@@ -238,15 +236,15 @@ def fdr_two_stage(
     (r*q1_eff/m, r*q2_eff/R1) and rejects them. Dependence corrections
     shrink the effective levels per ``mode``.
 
-    Reported per-hypothesis values: ``z_value`` is the two-study statistic
+    The report's ``z`` column is the two-study statistic
     max(m*p1~/c, R1*p2~/(1-c)) on the dependence-rescaled p-values, and
-    ``adjusted_p`` its step-up adjustment: thresholding adjusted values at
+    ``adjusted`` its step-up adjustment: thresholding adjusted values at
     q reproduces the rejection set exactly (on a stage threshold, where z
     rounds, the rejections decide the side of q). With only part of the
     follow-up set listed (``r1_declared``), adjusted values are
     upper-bound estimates and unlisted rows are non-rejectable.
     """
-    ProcedureParams(q1, q, mode=mode, t=t)
+    mode = ProcedureParams(q1, q, mode=mode, t=t).mode
     label = f"fdr_two_stage[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
@@ -282,7 +280,7 @@ def fdr_two_stage_rscan(
     defining fixed point by exhaustive scan over every candidate rejection
     count, comparing raw p-values against the stage thresholds. Quadratic
     in R1; intended for cross-checking the production path in tests."""
-    ProcedureParams(q1, q, mode=mode, t=t)
+    mode = ProcedureParams(q1, q, mode=mode, t=t).mode
     label = f"fdr_two_stage_rscan[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
@@ -318,36 +316,6 @@ def _adjust_columns(
     if flavor == "fdr":
         return z, np.minimum(kernels.stepup_adjust(z), 1.0)
     raise ParameterError(f"unknown adjustment flavor {flavor!r}")
-
-
-def fdr_replicability_adjust(data: StudyPairData, c: float) -> Sequence[HypothesisScore]:
-    """Step-up replicability adjusted p-values for the followed-up rows.
-
-    Z_j = max(m*p1_j/c, R1*p2_j/(1-c)); the i-th smallest adjusted value is
-    min over ranks j >= i of Z_(j)/j, capped at 1. Running the two-stage
-    FDR procedure at levels (c*q, q) rejects exactly the hypotheses with
-    adjusted value at most q, up to rounding on a stage threshold, which
-    :func:`fdr_two_stage`'s own ``adjusted_p`` does not show. Scores are
-    read sorted by Z ascending. When only part of the follow-up set is
-    listed, the values are upper-bound estimates (unlisted rows could only
-    lower them).
-    """
-    idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
-    z, adjusted = _adjust_columns(p1, p2, data.m, r1, c, "fdr")
-    order = np.argsort(z, kind="stable")
-    return score_rows(data.ids, idx[order], z[order], adjusted[order])
-
-
-def bonf_replicability_adjust(data: StudyPairData, c: float) -> Sequence[HypothesisScore]:
-    """Bonferroni-flavor replicability adjusted p-values, input order.
-
-    adjusted_j = min(max(m*p1_j/c, R1*p2_j/(1-c)), 1): the smallest overall
-    level alpha at which the two-stage FWER procedure with Bonferroni
-    stages at (c*alpha, alpha) rejects hypothesis j.
-    """
-    idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
-    z, adjusted = _adjust_columns(p1, p2, data.m, r1, c, "bonferroni")
-    return score_rows(data.ids, idx, z, adjusted)
 
 
 def _fwer_rule(rule: SelectionRule, alpha1: float) -> SelectionRule:
@@ -455,12 +423,12 @@ def fdr_symmetric(
     Weights 0 and 1 degenerate to a single directed run, which keeps that
     run's upper-bound flag. The report's thresholds and scores are those of
     the first direction that runs: for 0 < w1 < 1, a scored row that only
-    the reversed direction rejects has an ``adjusted_p`` above w1*q, the
+    the reversed direction rejects has an ``adjusted`` value above w1*q, the
     first direction's level. The reversed direction (w1 < 1) requires
     complete data: study two's family is every listed row, so a partial
     listing cannot stand for it.
     """
-    ProcedureParams(q1, q, w1, mode, t)
+    mode = ProcedureParams(q1, q, w1, mode, t).mode
     if w1 < 1.0:
         data.require_complete("the symmetric procedure" if w1 > 0.0 else "the reversed direction")
     runs = []

@@ -90,7 +90,8 @@ class SimProcedure:
                 raise ParameterError(f"procedure {self.kind!r} does not read {f.name}")
         if "q1" in self._READS[self.kind] and self.q1 is None:
             raise ParameterError(f"procedure {self.kind!r} needs q1 (or alpha1)")
-        ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t)
+        mode = ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t).mode
+        object.__setattr__(self, "mode", mode)
         FwerMethod(self.fwer_method)
         if self.primary not in (1, 2):
             raise ParameterError(f"primary study must be 1 or 2, got {self.primary}")

@@ -19,8 +19,6 @@ from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
 from replicability.procedures import (
     Dependence,
-    bonf_replicability_adjust,
-    fdr_replicability_adjust,
     fdr_two_stage,
     fdr_two_stage_rscan,
     fwer_two_stage,
@@ -57,7 +55,7 @@ def test_criterion_1_fwer_example_golden():
         "DPP4": 1.0000, "ASTN2": 1.0000, "MSRB3": 0.06875,
         "WIF1": 0.2750, "HRK": 0.6000,
     }
-    got = {s.id: s.adjusted_p for s in bonf_replicability_adjust(data, 0.2)}
+    got = {s.id: s.adjusted_p for s in build_adjusted_table(data, 0.2, "bonferroni").rows}
     for rid, want in published_c02.items():
         if abs(got[rid] - want) > 5e-5 * want:
             failures.append(f"c=0.2 {rid}: {got[rid]!r} != {want}")
@@ -66,7 +64,7 @@ def test_criterion_1_fwer_example_golden():
     # max formula (the follow-up term 5*0.2/0.5 = 2 saturates to 1) and is
     # excluded as a known table anomaly.
     published_c05 = {"DPP4": 1.0000, "MSRB3": 0.0275, "WIF1": 0.1100, "HRK": 0.2400}
-    got = {s.id: s.adjusted_p for s in bonf_replicability_adjust(data, 0.5)}
+    got = {s.id: s.adjusted_p for s in build_adjusted_table(data, 0.5, "bonferroni").rows}
     for rid, want in published_c05.items():
         if abs(got[rid] - want) > 5e-5 * want:
             failures.append(f"c=0.5 {rid}: {got[rid]!r} != {want}")
@@ -161,7 +159,7 @@ def test_criterion_2_fdr_example_golden():
     # Adjusted columns at c = 0.8. Column 6: the 36 published rows are the
     # 36 smallest statistics among all 126 followed up, so their ranks (and
     # adjusted values) are fully recoverable from the published subset.
-    col6 = {s.id: s.adjusted_p for s in fdr_replicability_adjust(data, 0.8)}
+    col6 = {s.id: s.adjusted_p for s in build_adjusted_table(data, 0.8, "fdr").rows}
     for rid, (want6, _) in PUBLISHED_CROHNS.items():
         if abs(col6[rid] - want6) > 0.03 * want6:
             failures.append(f"col6 {rid}: {col6[rid]:.4g} vs {want6}")
@@ -369,7 +367,7 @@ def test_criterion_6_oracle_equivalence():
         data, q1, q = _random_partial_instance(rng)
         fast = fdr_two_stage(data, rule, q1, q)
         slow = fdr_two_stage_rscan(data, rule, q1, q)
-        adjusted = fdr_replicability_adjust(data, q1 / q)
+        adjusted = build_adjusted_table(data, q1 / q, "fdr").rows
         flagged = {s.id for s in adjusted if s.adjusted_p <= q}
         if fast.rejected_ids != slow.rejected_ids:
             mismatches += 1

@@ -110,6 +110,15 @@ def test_item2_mode_needs_q_and_t():
     assert all(r.adjusted_p_modified is not None for r in table.rows)
 
 
+@pytest.mark.parametrize("given", [{"t": 5e-5}, {"q": 0.05}, {"t": 5e-5, "q": 0.05}])
+@pytest.mark.parametrize(
+    "mode", [mode for mode in Dependence if mode is not Dependence.ARBITRARY_PRIMARY_ITEM2]
+)
+def test_t_and_q_refused_outside_item2(mode, given):
+    with pytest.raises(ParameterError, match=f"does not read {next(iter(given))};"):
+        build_adjusted_table(load_crohns_disease(), 0.8, "fdr", mode, **given)
+
+
 def test_fdr_duality_on_random_instances():
     # thresholding the fdr-flavor table at q reproduces the procedure run
     rng = np.random.default_rng(2)
@@ -181,7 +190,8 @@ def test_modified_duality_on_followup_instances(seed, mode):
     # thresholding the dependence-corrected column at q reproduces the run
     # under the same correction
     data, q1, q, t = _followup_instance(np.random.default_rng(seed), mode)
-    table = build_adjusted_table(data, q1 / q, "fdr", mode, t, q)
+    level = q if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 else None  # read only by item 2
+    table = build_adjusted_table(data, q1 / q, "fdr", mode, t, level)
     flagged = {r.id for r in table.rows if r.adjusted_p_modified <= q}
     run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q, mode, t)
     assert flagged == set(run.rejected_ids)

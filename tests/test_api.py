@@ -1,7 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import replicability
 from replicability import procedures, sim
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", [replicability, procedures, sim], ids=lambda m: m.__name__)
@@ -9,3 +14,20 @@ def test_every_exported_name_resolves(module):
     # a deleted name cannot stay in __all__, where `import *` would fail on it
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_benchmark_trace_hooks_exist(monkeypatch):
+    # `benchmark/run.py --trace 1` patches each target through
+    # owner.__dict__[attr] and reads len(data.records) and len(table.rows);
+    # only the benchmark's own slow self-test runs that path
+    monkeypatch.chdir(REPO)  # run.py finds src/ from the working directory
+    monkeypatch.syspath_prepend(str(REPO / "benchmark"))  # it imports its siblings by name
+    spec = importlib.util.spec_from_file_location("benchmark_run", REPO / "benchmark" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    pkg = run.import_package()
+    targets = run._targets(pkg)
+    assert [(owner, attr) for owner, attr, *_ in targets if attr not in owner.__dict__] == []
+    data = replicability.load_hippocampal_volume()
+    assert len(data.records) == 5
+    assert len(pkg.adjust.build_adjusted_table(data, 0.5).rows) == 5

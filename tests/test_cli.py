@@ -191,8 +191,12 @@ class TestExitCodes:
         pytest.param(["analyze", "--selection", "bh:1.5"], 1, id="selection_level"),
         pytest.param(["analyze", "--dependence", "sideways"], 1, id="dependence"),
         pytest.param(["adjust", "--c", "1.5"], 1, id="adjust_c"),
-        pytest.param(["adjust", "--dependence", "item2"], 1, id="adjust_item2_without_t"),
-        pytest.param(["adjust", "--dependence", "item2", "--t", "1.5"], 1, id="adjust_t"),
+        pytest.param(
+            ["adjust", "--dependence", "item2", "--q", "0.05"], 1, id="adjust_item2_without_t"
+        ),
+        pytest.param(
+            ["adjust", "--dependence", "item2", "--t", "1.5", "--q", "0.05"], 1, id="adjust_t"
+        ),
         pytest.param(["power", "--m", "0"], 1, id="power_m"),
         pytest.param(["power", "--grid-c", "0.1:0.9:0"], 1, id="power_empty_grid"),
         pytest.param(["probe-selection", "--grid-size", "1"], 1, id="probe_grid_size"),
@@ -206,8 +210,7 @@ class TestExitCodes:
         command, *flags = argv
         defaults = {
             "analyze": ["--input", hippo_csv, "--q1", "0.025", "--q", "0.05", "--out", tmp_path],
-            "adjust": ["--input", hippo_csv, "--c", "0.5", "--q", "0.05",
-                       "--out", tmp_path / "a.csv"],
+            "adjust": ["--input", hippo_csv, "--c", "0.5", "--out", tmp_path / "a.csv"],
             "power": ["--mu11", "3", "--mu21", "3", "--m", "100", "--alpha", "0.05"],
             "probe-selection": ["--input", hippo_csv, "--selection", "top:2"],
             "calibrate-oracle": ["--f00", "0.9", "--f01", "0.01", "--q", "0.05"],
@@ -249,6 +252,16 @@ class TestAdjust:
         assert row[0] == "MSRB3"
         # round-trip form: parsing the field recovers the exact double
         assert float(row[4]) == 2.5e6 * 5.5e-9 / 0.2
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--dependence", "item1", "--t", "0.3", "--q", "0.5"], "t"),
+        (["--flavor", "bonferroni", "--q", "0.5"], "q"),
+    ])
+    def test_t_and_q_refused_outside_item2(self, crohns_csv, tmp_path, capsys, flags, named):
+        out = tmp_path / "adjusted.csv"
+        code = main(["adjust", "--input", str(crohns_csv), "--c", "0.8", *flags, "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert f"does not read {named};" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -408,6 +421,13 @@ class TestCalibrateOracle:
             "--q", "0.05", "--w1", "0.5",
         ])
         assert "q_prime = 0.0487932" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--selection", "bh:0.01"], ["--out", "o"], ["--quiet"]])
+    def test_run_flags_refused_without_input(self, capsys, flag):
+        code = main(["calibrate-oracle", "--f00", "0.9", "--f01", "0.05", "--q", "0.05", *flag])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: {flag[0]} is read only with --input")
 
     def test_degenerate(self, capsys):
         main(["calibrate-oracle", "--f00", "0", "--f01", "0", "--q", "0.05"])

@@ -1,3 +1,6 @@
+from dataclasses import fields
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import _followup_instance, make_data, random_instance
 from procedure_oracles import directed_fdr_full_width
+from replicability.adjust import build_adjusted_table
 from replicability.data import HypothesisRecord, StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import ApplicabilityError, DataError, ParameterError, ReplicabilityError
@@ -17,8 +21,6 @@ from replicability.procedures import (
     baseline_fisher_meta,
     baseline_naive_bh_bh,
     baseline_partial_conjunction,
-    bonf_replicability_adjust,
-    fdr_replicability_adjust,
     fdr_symmetric,
     fdr_two_stage,
     fdr_two_stage_rscan,
@@ -29,6 +31,22 @@ from replicability.procedures import (
 from replicability.selection import SelectionRule, select
 
 FOLLOWUP = SelectionRule.followed_up()
+
+
+def _adjusted(data: StudyPairData, c: float, flavor: str) -> dict[str, float]:
+    """The adjusted p-value of each followed-up row, by id."""
+    return {r.id: r.adjusted_p for r in build_adjusted_table(data, c, flavor).rows}
+
+
+def _flagged(report, q: float) -> set[str]:
+    """Ids of the scored rows whose reported adjusted value is at most q."""
+    return {report.ids[i] for i in report.scored_rows[report.adjusted <= q].tolist()}
+
+
+def _report_fields(report) -> dict:
+    """Every field of a report, with its columns as lists."""
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
 
 def _completed(data: StudyPairData, rng: np.random.Generator) -> StudyPairData:
@@ -98,13 +116,13 @@ class TestBonfAdjust:
     # c=0.5/0.8, MSRB3 at c=0.8) are pinned to the formula value instead.
     def test_c02_column(self):
         data = load_hippocampal_volume()
-        got = [s.adjusted_p for s in bonf_replicability_adjust(data, 0.2)]
-        expected = [1.0, 1.0, 0.06875, 0.2750, 0.6000]
+        got = _adjusted(data, 0.2, "bonferroni")
+        expected = {"DPP4": 1.0, "ASTN2": 1.0, "MSRB3": 0.06875, "WIF1": 0.2750, "HRK": 0.6000}
         assert got == pytest.approx(expected, rel=5e-4)
 
     def test_c05_column_excluding_astn2(self):
         data = load_hippocampal_volume()
-        got = {s.id: s.adjusted_p for s in bonf_replicability_adjust(data, 0.5)}
+        got = _adjusted(data, 0.5, "bonferroni")
         assert got["DPP4"] == pytest.approx(1.0)
         assert got["MSRB3"] == pytest.approx(0.0275, rel=5e-4)
         assert got["WIF1"] == pytest.approx(0.1100, rel=5e-4)
@@ -115,21 +133,19 @@ class TestBonfAdjust:
 
     def test_msrb3_c02_value(self):
         data = load_hippocampal_volume()
-        got = {s.id: s.adjusted_p for s in bonf_replicability_adjust(data, 0.2)}
+        got = _adjusted(data, 0.2, "bonferroni")
         assert got["MSRB3"] == pytest.approx(0.06875, rel=1e-6)
 
     def test_zero_pvalues(self):
         data = make_data([0.0], [0.0])
-        assert bonf_replicability_adjust(data, 0.5)[0].adjusted_p == 0.0
+        assert _adjusted(data, 0.5, "bonferroni")["h0"] == 0.0
 
     def test_rejection_duality_with_bonferroni_run(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
             data, a1, a, _ = random_instance(rng, max_m=50)
             report = fwer_two_stage(data, FOLLOWUP, a1, a, FwerMethod.BONFERRONI)
-            adjusted = {
-                s.id: s.adjusted_p for s in bonf_replicability_adjust(data, a1 / a)
-            }
+            adjusted = _adjusted(data, a1 / a, "bonferroni")
             by_threshold = {rid for rid, v in adjusted.items() if v <= a}
             assert by_threshold == set(report.rejected_ids)
 
@@ -240,8 +256,7 @@ class TestFdrTwoStage:
             assert expected == set(report.rejected_ids)
             assert len(report.rejected_ids) == report.r2
             # report-level duality: rejected iff reported adjusted <= q
-            flagged = {s.id for s in report.per_hypothesis if s.adjusted_p <= q}
-            assert flagged == set(report.rejected_ids)
+            assert _flagged(report, q) == set(report.rejected_ids)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(list(Dependence)))
@@ -254,8 +269,7 @@ class TestFdrTwoStage:
         passes &= data.p2 <= report.followup_threshold
         assert set(np.asarray(data.ids)[passes]) == set(report.rejected_ids)
         assert len(report.rejected_ids) == report.r2
-        flagged = {s.id for s in report.per_hypothesis if s.adjusted_p <= q}
-        assert flagged == set(report.rejected_ids)
+        assert _flagged(report, q) == set(report.rejected_ids)
 
     def test_monotone_in_pvalues(self):
         rng = np.random.default_rng(7)
@@ -313,8 +327,8 @@ class TestStepUpEquivalences:
             fast = fdr_two_stage(data, FOLLOWUP, q1, q)
             slow = fdr_two_stage_rscan(data, FOLLOWUP, q1, q)
             assert fast.rejected_ids == slow.rejected_ids
-            adjusted = fdr_replicability_adjust(data, q1 / q)
-            by_threshold = {s.id for s in adjusted if s.adjusted_p <= q}
+            adjusted = _adjusted(data, q1 / q, "fdr")
+            by_threshold = {rid for rid, v in adjusted.items() if v <= q}
             assert by_threshold == set(fast.rejected_ids)
 
     def test_rscan_agrees_under_modified_modes(self):
@@ -333,8 +347,7 @@ class TestStepUpEquivalences:
 class TestFdrAdjust:
     def test_crohns_top_rows(self):
         data = load_crohns_disease()
-        scores = fdr_replicability_adjust(data, 0.8)
-        by_id = {s.id: s.adjusted_p for s in scores}
+        by_id = _adjusted(data, 0.8, "fdr")
         assert by_id["chr1:67417979"] == pytest.approx(2.53e-28, rel=0.02)
         assert by_id["chr1:67414547"] == pytest.approx(9.69e-27, rel=0.02)
 
@@ -349,20 +362,12 @@ class TestFdrAdjust:
             m_declared=data.m_declared,
             r1_declared=data.r1_declared,
         )
-        scores = {s.id: s.adjusted_p for s in fdr_replicability_adjust(scaled, 0.8)}
+        scores = _adjusted(scaled, 0.8, "fdr")
         assert scores["chr1:67417979"] == pytest.approx(3.53e-27, rel=0.02)
 
     def test_single_zero(self):
         data = make_data([0.0], [0.0])
-        scores = fdr_replicability_adjust(data, 0.5)
-        assert scores[0].adjusted_p == 0.0
-
-    def test_sorted_by_z(self):
-        rng = np.random.default_rng(11)
-        data, _, _, _ = random_instance(rng, max_m=30)
-        scores = fdr_replicability_adjust(data, 0.5)
-        zs = [s.z_value for s in scores]
-        assert zs == sorted(zs)
+        assert _adjusted(data, 0.5, "fdr")["h0"] == 0.0
 
 
 class TestSymmetric:
@@ -465,7 +470,7 @@ class TestBaselines:
 
     def test_fisher_zero_saturates(self):
         report = baseline_fisher_meta(make_data([0.0], [0.5]), 0.05)
-        assert report.per_hypothesis[0].z_value == 0.0
+        assert report.z[0] == 0.0
         assert report.rejected_ids == ("h0",)
 
 
@@ -482,8 +487,7 @@ def test_report_duality_of_scored_reports(seed):
         baseline_partial_conjunction(complete, q),
         baseline_fisher_meta(complete, q),
     ):
-        flagged = {s.id for s in report.per_hypothesis if s.adjusted_p <= q}
-        assert flagged == set(report.rejected_ids), report.procedure
+        assert _flagged(report, q) == set(report.rejected_ids), report.procedure
 
 
 class TestOracleRun:
@@ -533,6 +537,30 @@ class TestProcedureParams:
     def test_item2_requires_t(self):
         with pytest.raises(ValueError):
             ProcedureParams(q1=0.01, q=0.05, mode=Dependence.ARBITRARY_PRIMARY_ITEM2)
+
+    @staticmethod
+    def _entry_points():
+        data, rule = load_crohns_disease(), SelectionRule.fixed_threshold(5e-5)
+        return [
+            partial(fdr_two_stage, data, rule, 0.04, 0.05),
+            partial(fdr_two_stage_rscan, data, rule, 0.04, 0.05),
+            partial(fdr_symmetric, data, rule, 1.0, 0.04, 0.05),
+            partial(oracle_calibrated_run, data, rule, 0.999, 0.00036, 0.05, 1.0),
+        ]
+
+    @pytest.mark.parametrize("mode", list(Dependence), ids=lambda mode: mode.value)
+    def test_mode_by_value_runs_as_the_member(self, mode):
+        t = 5e-5 if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 else None
+        assert ProcedureParams(0.04, 0.05, mode=mode.value, t=t).mode is mode
+        for run in self._entry_points():
+            assert _report_fields(run(mode.value, t)) == _report_fields(run(mode, t))
+
+    def test_cli_alias_is_no_mode(self):
+        with pytest.raises(ParameterError, match="'item1' is not a valid Dependence"):
+            ProcedureParams(0.04, 0.05, mode="item1")
+        for run in self._entry_points():
+            with pytest.raises(ParameterError, match="'item1' is not a valid Dependence"):
+                run("item1")
 
 
 def _rejected_or_refusal(*args):

@@ -12,7 +12,7 @@ from scipy import special, stats
 from procedure_oracles import fdr_directions, reference_mask
 from replicability import sim
 from replicability.data import TRUTH_LABELS, StudyPairData
-from replicability.errors import DataError, ReplicabilityError
+from replicability.errors import DataError, ParameterError, ReplicabilityError
 from replicability.numeric import harmonic
 from replicability.procedures import (
     Dependence,
@@ -159,6 +159,16 @@ class TestRunScenario:
             )
         with pytest.raises(DataError, match="at most t=1e-06"):
             run_scenario(scenario)
+
+    def test_mode_by_value_runs_as_the_member(self):
+        member = Dependence.ARBITRARY_PRIMARY_ITEM1
+        by_value = replace(BASE.procedure, mode=member.value)
+        assert by_value.mode is member
+        assert run_scenario(replace(BASE, procedure=by_value)) == run_scenario(
+            replace(BASE, procedure=replace(BASE.procedure, mode=member))
+        )
+        with pytest.raises(ParameterError, match="'item1' is not a valid Dependence"):
+            replace(BASE.procedure, mode="item1")
 
     def test_throughput_logged_at_info(self, caplog):
         with caplog.at_level(logging.INFO, logger="replicability"):
