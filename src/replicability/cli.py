@@ -165,8 +165,6 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.workers < 1:
-        raise ParameterError(f"--workers must be at least 1, got {args.workers}")
     parsed = dataio.parse_scenario_file(args.scenario)
     if parsed.sweep_axis is not None:
         rows = sim.sweep(

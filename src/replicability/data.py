@@ -1,5 +1,6 @@
-"""Core domain types: per-hypothesis p-value pairs, study datasets,
-dataset validation, and discovery reports.
+"""Core domain types: the two-study dataset, built from columns of ids and
+p-values, its validation (the first fault, or None), and discovery
+reports.
 
 All types are immutable value objects after construction and safe to share
 across threads. Hypothesis order is preserved from the input everywhere;
@@ -8,8 +9,9 @@ set-valued outputs are reported in input order for determinism.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -23,9 +25,9 @@ TRUTH_LABELS = ("I00", "I01", "I10", "I11")
 
 @dataclass(frozen=True)
 class HypothesisRecord:
-    """One hypothesis: its label, primary-study p-value, and (optionally)
-    its follow-up-study p-value. A missing follow-up value means the
-    hypothesis was not followed up; it is never encoded as a number."""
+    """One row of :attr:`StudyPairData.records`: a hypothesis's label,
+    primary-study p-value and follow-up p-value, None if it was not
+    followed up."""
 
     id: str
     p1: float
@@ -54,11 +56,9 @@ class RowView(Sequence):
 class StudyPairData:
     """A family of hypotheses tested in a primary and a follow-up study.
 
-    Stored as columns: ``ids`` (a tuple), ``p1`` and ``p2`` (read-only
-    float64 arrays), with NaN in ``p2`` marking a hypothesis that was not
-    followed up. Build from records with ``StudyPairData(records, ...)``,
-    where absence is spelled ``None``, or from arrays with
-    :meth:`from_columns`.
+    Built from columns, ``StudyPairData(ids, p1, p2)``, and stored as
+    ``ids`` (a tuple) and copies of ``p1`` and ``p2`` as read-only float64
+    arrays. NaN in ``p2`` marks a hypothesis that was not followed up.
 
     ``m_declared`` overrides the family size when the dataset lists only a
     subset of the tested hypotheses (e.g. only the ones followed up out of
@@ -72,33 +72,8 @@ class StudyPairData:
     m_declared: int | None = None
     r1_declared: int | None = None
 
-    def __init__(
-        self,
-        records: Iterable[HypothesisRecord],
-        m_declared: int | None = None,
-        r1_declared: int | None = None,
-    ):
-        records = tuple(records)
-        nan_p2 = [r.id for r in records if r.p2 != r.p2]  # only NaN differs from itself
-        if nan_p2:
-            raise DataError(
-                f"record {nan_p2[0]!r}: p2 is NaN; a hypothesis that was not "
-                "followed up has p2=None"
-            )
-        p2 = [np.nan if r.p2 is None else r.p2 for r in records]
-        self._fill(
-            tuple(r.id for r in records), [r.p1 for r in records], p2, m_declared, r1_declared
-        )
-
-    @classmethod
-    def from_columns(cls, ids, p1, p2, m_declared=None, r1_declared=None) -> StudyPairData:
-        """Dataset over copies of the given columns; NaN in ``p2`` means
-        the hypothesis was not followed up."""
-        data = object.__new__(cls)
-        data._fill(tuple(ids), p1, p2, m_declared, r1_declared)
-        return data
-
-    def _fill(self, ids, p1, p2, m_declared, r1_declared) -> None:
+    def __init__(self, ids, p1, p2, m_declared: int | None = None, r1_declared: int | None = None):
+        ids = tuple(ids)
         p1, p2 = np.array(p1, dtype=float), np.array(p2, dtype=float)
         if not p1.shape == p2.shape == (len(ids),):
             raise ValueError(f"columns differ in length: {len(ids)}, {p1.shape}, {p2.shape}")
@@ -154,10 +129,8 @@ class StudyPairData:
         """Exchange the roles of the two studies. Requires complete data."""
         missing = self._first_missing()
         if missing is not None:
-            raise DataError(
-                f"cannot swap study roles: record {missing!r} has no follow-up p-value"
-            )
-        return StudyPairData.from_columns(self.ids, self.p2, self.p1, self.m_declared)
+            raise DataError(f"cannot swap study roles: record {missing!r} has no follow-up p-value")
+        return StudyPairData(self.ids, self.p2, self.p1, self.m_declared)
 
     def require_complete(self, what: str) -> None:
         missing = self._first_missing()
@@ -185,56 +158,54 @@ class ValidationIssue:
     row: int | None = None
 
 
-def validate_dataset(data: StudyPairData) -> tuple[ValidationIssue, ...]:
-    """Check ranges, id uniqueness, and override consistency; an empty
-    tuple means the dataset is valid.
+def validate_dataset(data: StudyPairData) -> ValidationIssue | None:
+    """The first fault of a dataset, or None if it is valid.
 
     P-values must lie in [0, 1] (NaN or infinite values do not); a NaN
-    ``p2`` is an absent follow-up value, not a problem. Per-record issues
-    come first, in record order. Diagnostic only: never raises.
+    ``p2`` is an absent follow-up value, not a fault. Ids must be
+    non-empty and unique. Faults are ordered by row, and within a row as
+    id, ``p1``, ``p2``; the ``m`` and then the ``r1`` override come after
+    every row. Diagnostic only: never raises.
     """
     ids, p1, p2 = data.ids, data.p1, data.p2
     bad_p1 = ~((p1 >= 0.0) & (p1 <= 1.0))
     bad_p2 = (p2 < 0.0) | (p2 > 1.0)
-    id_problems: dict[int, str] = {}
-    if "" in ids or len(set(ids)) < len(ids):
+    bad = np.flatnonzero(bad_p1 | bad_p2)
+    # an id fault matters only up to the first row with a bad p-value
+    end = int(bad[0]) + 1 if bad.size else len(ids)
+    if bad.size or "" in ids or len(set(ids)) < len(ids):
         seen: set[str] = set()
-        for i, rid in enumerate(ids):
-            if not rid:
-                id_problems[i] = "empty id"
-            elif rid in seen:
-                id_problems[i] = "duplicate id"
+        for i, rid in enumerate(islice(ids, end)):
+            if not rid or rid in seen:
+                message = "duplicate id" if rid else "empty id"
+                return ValidationIssue(f"record {i} ({rid!r})", message, "id", i)
             seen.add(rid)
-    issues: list[ValidationIssue] = []
-    for i in sorted(id_problems.keys() | set(np.flatnonzero(bad_p1 | bad_p2).tolist())):
-        where = f"record {i} ({ids[i]!r})"
-        if i in id_problems:
-            issues.append(ValidationIssue(where, id_problems[i], "id", i))
-        for name, bad, col in (("p1", bad_p1, p1), ("p2", bad_p2, p2)):
-            if bad[i]:
-                issues.append(
-                    ValidationIssue(where, f"{name} out of range: {float(col[i])!r}", name, i)
-                )
-    m_decl, r1_decl, n, listed = data.m_declared, data.r1_declared, len(ids), data.r1_listed
-
-    def override(name: str, message: str) -> None:
-        issues.append(ValidationIssue(f"{name} override", message, name))
-
+    if bad.size:
+        i = end - 1
+        name, col = ("p1", p1) if bad_p1[i] else ("p2", p2)
+        message = f"{name} out of range: {float(col[i])!r}"
+        return ValidationIssue(f"record {i} ({ids[i]!r})", message, name, i)
+    m_decl, r1_decl, n = data.m_declared, data.r1_declared, len(ids)
     if m_decl is not None and m_decl < 1:
-        override("m", "must be positive")
-    elif m_decl is not None and m_decl < n:
-        override("m", f"declared family size {m_decl} is smaller than the {n} rows listed")
-    if r1_decl is not None and r1_decl < 1:
-        override("r1", "must be positive")
-    elif r1_decl is not None and r1_decl < listed:
-        override(
-            "r1",
+        return ValidationIssue("m override", "must be positive", "m")
+    if m_decl is not None and m_decl < n:
+        message = f"declared family size {m_decl} is smaller than the {n} rows listed"
+        return ValidationIssue("m override", message, "m")
+    if r1_decl is None:
+        return None
+    listed = data.r1_listed
+    if r1_decl < 1:
+        message = "must be positive"
+    elif r1_decl < listed:
+        message = (
             f"declared follow-up count {r1_decl} is smaller than the {listed} "
-            "follow-up rows listed",
+            "follow-up rows listed"
         )
-    elif r1_decl is not None and r1_decl > data.m:
-        override("r1", f"declared follow-up count {r1_decl} exceeds the family size m={data.m}")
-    return tuple(issues)
+    elif r1_decl > data.m:
+        message = f"declared follow-up count {r1_decl} exceeds the family size m={data.m}"
+    else:
+        return None
+    return ValidationIssue("r1 override", message, "r1")
 
 
 @dataclass(frozen=True, eq=False)

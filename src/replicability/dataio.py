@@ -142,8 +142,8 @@ def parse_pvalue_csv(path) -> StudyPairData:
     declare the true family and follow-up sizes when the file lists only a
     subset of rows. The dataset is refused (``DataError`` naming the line)
     if a line is malformed, if a p2 is a literal ``nan``, or if
-    :func:`validate_dataset` finds anything wrong with it; of several
-    faults, the one on the earliest data line is named.
+    :func:`validate_dataset` finds a fault in it; of several faults, the
+    one on the earliest data line is named.
     """
     path = Path(path)
     declared: dict[str, int] = {}  # directive values by name ("m", "r1")
@@ -186,20 +186,16 @@ def parse_pvalue_csv(path) -> StudyPairData:
             p1_parts.append(p1)
             p2_parts.append(p2)
             lineno += len(lines)
-    data = StudyPairData.from_columns(
+    data = StudyPairData(
         ids, np.concatenate(p1_parts), np.concatenate(p2_parts),
         declared.get("m"), declared.get("r1"),
     )
-    issues = validate_dataset(data)  # rows in order, then the directives
-    if fault is not None and (not issues or issues[0].row is None):
+    issue = validate_dataset(data)  # rows in order, then the directives
+    if fault is not None and (issue is None or issue.row is None):
         raise fault
-    if issues:
-        first = issues[0]
-        if first.field in declared_at:
-            line = declared_at[first.field]
-        else:
-            line = _row_line(path, first.row)
-        raise DataError(f"{path}:{line}: {first.where}: {first.message}")
+    if issue is not None:
+        line = declared_at[issue.field] if issue.row is None else _row_line(path, issue.row)
+        raise DataError(f"{path}:{line}: {issue.where}: {issue.message}")
     return data
 
 

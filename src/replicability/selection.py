@@ -29,9 +29,10 @@ def bh_reject(pvalues, q: float) -> set[int]:
     return set(np.flatnonzero(kernels.bh_rows(p, q, p.size)[0]).tolist())
 
 
-# the parameter each kind cannot run without; a level-less bh or
-# bonferroni rule takes a procedure's primary-stage level
-_REQUIRED = {"top_k": "k", "fixed_threshold": "threshold", "explicit": "ids"}
+# the parameter each kind reads; each kind needs its own, except that a
+# level-less bh or bonferroni rule takes a procedure's primary-stage level
+_READS = {"bh": "level", "bonferroni": "level", "top_k": "k", "fixed_threshold": "threshold",
+          "explicit": "ids", "followup": None}
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,13 @@ class SelectionRule:
     ids: frozenset[str] | None = None
 
     def __post_init__(self):
-        field = _REQUIRED.get(self.kind)
-        if field is not None and getattr(self, field) is None:
+        if self.kind not in _READS:
+            raise ParameterError(f"unknown selection rule kind {self.kind!r}")
+        field = _READS[self.kind]
+        for name in ("level", "k", "threshold", "ids"):
+            if name != field and getattr(self, name) is not None:
+                raise ParameterError(f"{self.kind} selection does not read {name}")
+        if field not in (None, "level") and getattr(self, field) is None:
             raise ParameterError(f"{self.kind} selection needs {field}")
         if self.k is not None and (not isinstance(self.k, Integral) or self.k < 1):
             raise ParameterError(f"{self.kind} selection needs an integer k >= 1, got {self.k!r}")
@@ -120,20 +126,14 @@ def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
         if rule.k > m:
             raise DataError(f"top_k selection asks for {rule.k} of {m} hypotheses")
         return kernels.top_k_rows(p1, rule.k)
-    raise ParameterError(f"unknown selection rule kind {rule.kind!r}")
 
 
 def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np.ndarray:
     if rule.kind == "explicit":
-        known = set(data.ids)
-        unknown = rule.ids - known
+        unknown = sorted(rule.ids - set(data.ids))
         if unknown:
-            raise DataError(
-                f"explicit selection names ids absent from the dataset: "
-                f"{sorted(unknown)[:3]}..."
-                if len(unknown) > 3
-                else f"explicit selection names ids absent from the dataset: {sorted(unknown)}"
-            )
+            shown = f"{unknown[:3]}..." if len(unknown) > 3 else f"{unknown}"
+            raise DataError(f"explicit selection names ids absent from the dataset: {shown}")
         return np.isin(np.array(data.ids, dtype=object), list(rule.ids))
     if rule.kind == "followup":
         return ~np.isnan(data.p2)
@@ -187,6 +187,8 @@ def probe_validity(
     """
     if grid_size < 2:
         raise ParameterError("grid_size must be at least 2")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     p1 = data.p1_array()
     base_mask = _select_mask(rule, data, p1)
     base = tuple(np.flatnonzero(base_mask).tolist())

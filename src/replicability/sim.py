@@ -24,6 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -296,7 +297,7 @@ def generate_rep(scenario: SimScenario, rep_index: int) -> tuple[StudyPairData, 
     p1, p2 = _pvalues(scenario, _streams(scenario), rep_index, 1)
     codes = _truth_codes(scenario)
     codes.flags.writeable = False
-    return StudyPairData.from_columns(_rep_ids(scenario.m), p1[0], p2[0]), codes
+    return StudyPairData(_rep_ids(scenario.m), p1[0], p2[0]), codes
 
 
 def _build_runner(scenario: SimScenario):
@@ -356,8 +357,11 @@ def run_scenario(
     Repetitions run in chunks of about 64k p-values per study, on
     ``workers`` threads; a repetition's rows depend only on its index, and
     aggregation is in index order, so the result is identical for any
-    ``workers``. Logs one INFO line with the throughput.
+    ``workers``, an integer of at least 1. Logs one INFO line with the
+    throughput.
     """
+    if not isinstance(workers, Integral) or workers < 1:
+        raise ParameterError(f"workers (--workers) must be an integer >= 1, got {workers!r}")
     start_time = time.perf_counter()
     runner = _build_runner(scenario)
     streams = _streams(scenario)
@@ -371,7 +375,7 @@ def run_scenario(
     rejections = np.empty(reps)
 
     starts = range(0, reps, chunk)
-    threads = max(1, min(workers, len(starts)))
+    threads = min(workers, len(starts))
 
     def run_chunks(offset: int) -> None:
         # each thread takes every threads-th chunk, with its own generators

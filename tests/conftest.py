@@ -1,17 +1,15 @@
 import numpy as np
 
-from replicability.data import HypothesisRecord, StudyPairData
+from replicability.data import StudyPairData
 from replicability.numeric import harmonic
 from replicability.procedures import Dependence
 
 
 def make_data(p1, p2=None, ids=None, **kw) -> StudyPairData:
-    rows = []
-    for i, p in enumerate(p1):
-        rid = ids[i] if ids is not None else f"h{i}"
-        follow = None if p2 is None or p2[i] is None else float(p2[i])
-        rows.append(HypothesisRecord(rid, float(p), follow))
-    return StudyPairData(rows, **kw)
+    """A dataset with ids h0, h1, ... unless given; None in ``p2``, or no
+    ``p2`` at all, marks a row that was not followed up."""
+    p2 = [np.nan] * len(p1) if p2 is None else [np.nan if v is None else v for v in p2]
+    return StudyPairData([f"h{i}" for i in range(len(p1))] if ids is None else ids, p1, p2, **kw)
 
 
 def random_instance(rng: np.random.Generator, max_m: int = 200, max_r1: int = 50):
@@ -50,7 +48,7 @@ def _followup_instance(rng: np.random.Generator, mode: Dependence):
     p1[follow] = rng.random(k) * min(scale * k * q1 / m, t or 1.0)
     p2 = np.full(m, np.nan)
     p2[follow] = rng.random(k) * min(scale * (q - q1), 1.0)
-    return StudyPairData.from_columns([f"h{i}" for i in range(m)], p1, p2), q1, q, t
+    return StudyPairData([f"h{i}" for i in range(m)], p1, p2), q1, q, t
 
 
 # Files the p-value reader must refuse: name -> (text, line named, field named).
@@ -70,4 +68,9 @@ BAD_PVALUE_FILES = {
     "nan_p2_before_malformed": ("id,p1,p2\na,0.1,nan\nb,0.1\n", 2, "p2"),
     "malformed_before_p1": ("id,p1,p2\na,0.1\nb,1.5,0.2\n", 2, "expected 3 fields"),
     "p1_before_nan_p2": ("id,p1,p2\na,0.1,0.2\nb,-1,0.1\nc,0.1,nan\n", 3, "p1"),
+    # p1 written as -log10 p: most rows out of range, and each with p2 too
+    "many_out_of_range": (
+        "id,p1,p2\na,0.5,\n" + "".join(f"r{i},{i + 1.5},{-i}\n" for i in range(1, 500)),
+        3, "record 1 ('r1'): p1 out of range: 2.5",
+    ),
 }

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from replicability.data import HypothesisRecord, StudyPairData
+from replicability.data import StudyPairData
 from replicability.errors import DataError
 
 PVALUE_HEADER = "id,p1,p2"
@@ -28,7 +28,9 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
     path = Path(path)
     m_declared: int | None = None
     r1_declared: int | None = None
-    records: list[HypothesisRecord] = []
+    ids: list[str] = []
+    p1s: list[float] = []
+    p2s: list[float] = []  # NaN where not followed up
     header_seen = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -58,8 +60,14 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
             if not rid:
                 raise DataError(f"{where}: empty id")
             p1 = _parse_float(p1_text, where, "p1")
-            p2 = None if p2_text == "" else _parse_float(p2_text, where, "p2")
-            records.append(HypothesisRecord(rid, p1, p2))
+            p2 = float("nan")  # not followed up
+            if p2_text:
+                p2 = _parse_float(p2_text, where, "p2")
+                if p2 != p2:
+                    raise DataError(f"{where}: p2 is nan; leave it empty if not followed up")
+            ids.append(rid)
+            p1s.append(p1)
+            p2s.append(p2)
     if not header_seen:
         raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
-    return StudyPairData(records, m_declared=m_declared, r1_declared=r1_declared)
+    return StudyPairData(ids, p1s, p2s, m_declared=m_declared, r1_declared=r1_declared)

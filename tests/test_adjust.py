@@ -52,7 +52,7 @@ def test_table_order_is_adjusted_then_python_id_order(ids, data, flavor, mode):
     p1 = data.draw(st.lists(pvalue, min_size=n, max_size=n))
     p2 = data.draw(st.lists(pvalue, min_size=n, max_size=n))
     table = build_adjusted_table(
-        StudyPairData.from_columns(ids, p1, p2), c=0.5, flavor=flavor, mode=mode
+        StudyPairData(ids, p1, p2), c=0.5, flavor=flavor, mode=mode
     )
     rows = list(table.rows)
     assert sorted(row.id for row in rows) == sorted(ids)

@@ -1,4 +1,7 @@
+import contextlib
 import importlib.util
+import io
+import re
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,16 @@ def test_benchmark_trace_hooks_exist(monkeypatch):
     data = replicability.load_hippocampal_volume()
     assert len(data.records) == 5
     assert len(pkg.adjust.build_adjusted_table(data, 0.5).rows) == 5
+
+
+def test_readme_quickstart_prints_what_it_says():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(block, {})
+    lines = printed.getvalue().splitlines()
+    assert lines == ["36", "23", "record 1 ('rs2') p1 out of range: 1.3"]
+    # each print's comment starts with what it prints
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert [c.startswith(out) for c, out in zip(comments, lines, strict=True)] == [True] * 3

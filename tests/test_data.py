@@ -1,33 +1,33 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from replicability.data import (
     HypothesisRecord,
     StudyPairData,
+    ValidationIssue,
     validate_dataset,
 )
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import DataError
+from validation_oracle import first_fault_loop
 
 
 def test_p1_out_of_range_flagged():
-    data = StudyPairData([HypothesisRecord("a", 1.2, 0.5)])
-    issues = validate_dataset(data)
-    assert [(i.field, i.row) for i in issues] == [("p1", 0)]
-    assert "p1 out of range" in issues[0].message
+    issue = validate_dataset(StudyPairData(["a"], [1.2], [0.5]))
+    assert (issue.field, issue.row) == ("p1", 0)
+    assert "p1 out of range" in issue.message
 
 
 def test_duplicate_id_flagged():
-    data = StudyPairData(
-        [HypothesisRecord("rs1", 0.1, 0.2), HypothesisRecord("rs1", 0.2, 0.3)]
-    )
-    issues = validate_dataset(data)
-    assert any("duplicate id" in i.message for i in issues)
+    issue = validate_dataset(StudyPairData(["rs1", "rs1"], [0.1, 0.2], [0.2, 0.3]))
+    assert issue == ValidationIssue("record 1 ('rs1')", "duplicate id", "id", 1)
 
 
 def test_bundled_fixtures_validate():
     for data in (load_hippocampal_volume(), load_crohns_disease()):
-        assert validate_dataset(data) == ()
+        assert validate_dataset(data) is None
 
 
 def test_hippocampal_fixture_shape():
@@ -45,26 +45,19 @@ def test_crohns_fixture_shape():
 
 
 def test_m_override_must_cover_rows():
-    data = StudyPairData([HypothesisRecord("a", 0.1)] * 3, m_declared=2)
-    assert validate_dataset(data)
+    data = StudyPairData(["a", "b", "c"], [0.1] * 3, [np.nan] * 3, m_declared=2)
+    assert validate_dataset(data).field == "m"
 
 
 def test_r1_override_must_cover_followups():
-    data = StudyPairData(
-        [HypothesisRecord("a", 0.1, 0.3), HypothesisRecord("b", 0.1, 0.4)],
-        r1_declared=1,
-    )
-    assert validate_dataset(data)
+    data = StudyPairData(["a", "b"], [0.1, 0.1], [0.3, 0.4], r1_declared=1)
+    assert validate_dataset(data).field == "r1"
 
 
 def test_effective_sizes_ordering():
     # m >= r1 >= listed follow-up rows, for any valid dataset
-    data = StudyPairData(
-        [HypothesisRecord("a", 0.1, 0.3), HypothesisRecord("b", 0.2)],
-        m_declared=10,
-        r1_declared=4,
-    )
-    assert validate_dataset(data) == ()
+    data = StudyPairData(["a", "b"], [0.1, 0.2], [0.3, np.nan], m_declared=10, r1_declared=4)
+    assert validate_dataset(data) is None
     assert data.m >= data.r1_declared >= data.r1_listed
 
 
@@ -74,31 +67,42 @@ def test_absent_p2_is_none_not_number():
 
 
 def test_swap_studies_requires_complete():
-    data = StudyPairData([HypothesisRecord("a", 0.1, None)])
+    data = StudyPairData(["a"], [0.1], [np.nan])
     with pytest.raises(DataError):
         data.swap_studies()
 
 
 def test_swap_studies_roundtrip():
-    data = StudyPairData(
-        [HypothesisRecord("a", 0.1, 0.2), HypothesisRecord("b", 0.3, 0.4)]
-    )
+    data = StudyPairData(["a", "b"], [0.1, 0.3], [0.2, 0.4])
     back = data.swap_studies().swap_studies()
     assert back == data
 
 
-def test_nan_p2_record_refused():
-    with pytest.raises(DataError):
-        StudyPairData([HypothesisRecord("a", 0.1, float("nan"))])
-
-
 def test_columns_and_records_agree():
     recs = [HypothesisRecord("a", 0.1, 0.2), HypothesisRecord("b", 0.3)]
-    data = StudyPairData(recs, m_declared=9)
-    assert data == StudyPairData.from_columns(
-        ("a", "b"), [0.1, 0.3], [0.2, np.nan], m_declared=9
-    )
+    data = StudyPairData(["a", "b"], [0.1, 0.3], [0.2, np.nan], m_declared=9)
+    assert data == StudyPairData(("a", "b"), (0.1, 0.3), (0.2, np.nan), m_declared=9)
     assert data.records == tuple(recs)
     assert data.records[-1] == recs[1] and data.records[:1] == (recs[0],)
     with pytest.raises(ValueError):
         data.p1[0] = 0.5  # columns are read-only; p1_array() gives a copy
+
+
+_ROW_IDS = st.sampled_from(["", "a", "b", "c", "d"])  # empty and repeated ids
+_PVALUES = st.sampled_from([0.0, 0.3, 1.0, -0.2, 1.5, np.nan, np.inf, -np.inf])
+_OVERRIDE = st.none() | st.integers(-1, 9)
+
+
+@st.composite
+def datasets(draw) -> StudyPairData:
+    """Small datasets with several faults per row and across rows."""
+    ids = draw(st.lists(_ROW_IDS, max_size=8))
+    p1 = draw(st.lists(_PVALUES, min_size=len(ids), max_size=len(ids)))
+    p2 = draw(st.lists(_PVALUES, min_size=len(ids), max_size=len(ids)))
+    return StudyPairData(ids, p1, p2, draw(_OVERRIDE), draw(_OVERRIDE))
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=datasets())
+def test_first_fault_matches_row_loop(data):
+    assert validate_dataset(data) == first_fault_loop(data)

@@ -14,10 +14,11 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from replicability.cli import main
-from replicability.data import HypothesisRecord, StudyPairData
+from replicability.data import StudyPairData
 from replicability.dataio import parse_pvalue_csv, write_pvalue_csv
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -72,13 +73,13 @@ def _pvalue_roundtrip(out: Path) -> None:
 
 
 def _pvalue_partial(out: Path) -> None:
-    records = [
-        HypothesisRecord("a", 5.2e-8, 0.7),
-        HypothesisRecord("b", 1.0),
-        HypothesisRecord("c", 0.0, 5e-324),
-        HypothesisRecord("d", 3.141592653589793e-12),
-    ]
-    write_pvalue_csv(StudyPairData(records, 2_500_000, 17), out / "partial.csv")
+    data = StudyPairData(
+        ["a", "b", "c", "d"],
+        [5.2e-8, 1.0, 0.0, 3.141592653589793e-12],
+        [0.7, np.nan, 5e-324, np.nan],  # b and d not followed up
+        2_500_000, 17,
+    )
+    write_pvalue_csv(data, out / "partial.csv")
 
 
 def _simulate(**keys: str | None):

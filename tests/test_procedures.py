@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import _followup_instance, make_data, random_instance
 from procedure_oracles import directed_fdr_full_width
 from replicability.adjust import build_adjusted_table
-from replicability.data import HypothesisRecord, StudyPairData
+from replicability.data import StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import ApplicabilityError, DataError, ParameterError, ReplicabilityError
 from replicability.numeric import harmonic
@@ -52,7 +52,7 @@ def _report_fields(report) -> dict:
 def _completed(data: StudyPairData, rng: np.random.Generator) -> StudyPairData:
     """``data`` with a uniform p2 drawn for every row not followed up."""
     p2 = np.where(np.isnan(data.p2), rng.random(data.m), data.p2)
-    return StudyPairData.from_columns(data.ids, data.p1, p2)
+    return StudyPairData(data.ids, data.p1, p2)
 
 
 class TestFwerTwoStage:
@@ -276,12 +276,12 @@ class TestFdrTwoStage:
         for _ in range(50):
             data, q1, q, _ = random_instance(rng, max_m=40)
             before = set(fdr_two_stage(data, FOLLOWUP, q1, q).rejected_ids)
-            j = int(rng.integers(0, len(data.records)))
-            rec = data.records[j]
-            shrunk = list(data.records)
-            shrunk[j] = HypothesisRecord(rec.id, rec.p1 / 3.0, rec.p2 / 3.0)
+            j = int(rng.integers(0, len(data.ids)))
+            p1, p2 = data.p1_array(), data.p2.copy()
+            p1[j] /= 3.0
+            p2[j] /= 3.0
             after = set(
-                fdr_two_stage(StudyPairData(shrunk), FOLLOWUP, q1, q).rejected_ids
+                fdr_two_stage(StudyPairData(data.ids, p1, p2), FOLLOWUP, q1, q).rejected_ids
             )
             assert before <= after
 
@@ -355,12 +355,8 @@ class TestFdrAdjust:
         data = load_crohns_disease()
         factor = harmonic(data.m)
         scaled = StudyPairData(
-            [
-                HypothesisRecord(r.id, min(factor * r.p1, 1.0), r.p2)
-                for r in data.records
-            ],
-            m_declared=data.m_declared,
-            r1_declared=data.r1_declared,
+            data.ids, np.minimum(factor * data.p1, 1.0), data.p2,
+            m_declared=data.m_declared, r1_declared=data.r1_declared,
         )
         scores = _adjusted(scaled, 0.8, "fdr")
         assert scores["chr1:67417979"] == pytest.approx(3.53e-27, rel=0.02)
@@ -576,9 +572,7 @@ def test_rejections_invariant_under_row_permutation(seed, bh, mode):
     rng = np.random.default_rng(seed)
     data, q1, q, t = _followup_instance(rng, mode)
     order = rng.permutation(len(data.ids))
-    shuffled = StudyPairData.from_columns(
-        [data.ids[i] for i in order], data.p1[order], data.p2[order]
-    )
+    shuffled = StudyPairData([data.ids[i] for i in order], data.p1[order], data.p2[order])
     rule = SelectionRule.bh_at_level(q1) if bh else FOLLOWUP
     before = _rejected_or_refusal(data, rule, q1, q, mode, t)
     after = _rejected_or_refusal(shuffled, rule, q1, q, mode, t)
@@ -601,7 +595,7 @@ def test_lowering_a_pvalue_never_removes_a_rejection(seed, mode, study, shrink):
     j = rng.choice(np.flatnonzero(~np.isnan(data.p2)))
     p1, p2 = data.p1.copy(), data.p2.copy()
     (p1 if study == 1 else p2)[j] *= shrink
-    lowered = StudyPairData.from_columns(data.ids, p1, p2)
+    lowered = StudyPairData(data.ids, p1, p2)
     before = fdr_two_stage(data, FOLLOWUP, q1, q, mode, t).rejected_ids
     after = fdr_two_stage(lowered, FOLLOWUP, q1, q, mode, t).rejected_ids
     assert set(before) <= set(after)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from replicability.data import HypothesisRecord, StudyPairData
-from replicability.errors import DataError
+from conftest import make_data
+from replicability.errors import DataError, ParameterError
 from replicability.selection import (
     SelectionRule,
     bh_reject,
@@ -22,15 +22,6 @@ def bh_scan_oracle(pvalues, q):
         if pvalues[i] <= rank * q / m:
             k_star = rank
     return set(order[:k_star])
-
-
-def make_data(p1, p2=None, **kw):
-    rows = []
-    for i, p in enumerate(p1):
-        rows.append(
-            HypothesisRecord(f"h{i}", p, None if p2 is None else p2[i])
-        )
-    return StudyPairData(rows, **kw)
 
 
 class TestBhReject:
@@ -121,6 +112,21 @@ class TestSelect:
         with pytest.raises(DataError, match=f"needs {field}"):
             SelectionRule(kind)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="bogus"), "unknown selection rule kind 'bogus'"),
+        (dict(kind="bh", level=0.1, k=3), "bh selection does not read k"),
+        (dict(kind="bonferroni", threshold=0.1), "bonferroni selection does not read threshold"),
+        (dict(kind="top_k", k=2, threshold=0.3), "top_k selection does not read threshold"),
+        (dict(kind="fixed_threshold", threshold=0.1, level=0.2),
+         "fixed_threshold selection does not read level"),
+        (dict(kind="explicit", ids=frozenset("a"), k=1), "explicit selection does not read k"),
+        (dict(kind="followup", level=0.5), "followup selection does not read level"),
+        (dict(kind="followup", ids=frozenset("a")), "followup selection does not read ids"),
+    ])
+    def test_unknown_kind_or_unread_parameter_refused(self, kwargs, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            SelectionRule(**kwargs)
+
     def test_out_of_range_level_refused(self):
         with pytest.raises(DataError, match="level in"):
             SelectionRule("bh", level=2.0)
@@ -181,6 +187,7 @@ class TestProbeValidity:
             return original(rule, data, p1)
 
         monkeypatch.setattr(sel_mod, "_select_mask", patched)
+        monkeypatch.setitem(sel_mod._READS, "median2x", None)  # a kind reading no parameter
         return SelectionRule("median2x")
 
     def test_median_coupled_rule_caught(self, median_rule):
@@ -206,3 +213,10 @@ class TestProbeValidity:
         data = make_data([0.1])
         with pytest.raises(ValueError):
             probe_validity(SelectionRule.top_k(1), data, grid_size=1)
+
+    @pytest.mark.parametrize("n", [20, 500])  # all probed, and a seeded subsample
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
+    def test_seed_must_be_a_non_negative_integer(self, n, seed):
+        data = make_data(np.linspace(0.001, 0.4, n))
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            probe_validity(SelectionRule.fixed_threshold(0.5), data, grid_size=2, seed=seed)

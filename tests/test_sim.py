@@ -312,6 +312,14 @@ class TestSweep:
             sweep(BASE, "mu", [])
 
 
+@pytest.mark.parametrize("workers", [0, -3, 1.5])
+@pytest.mark.parametrize("run", [run_scenario, partial(sweep, axis="mu", grid=[3.0])],
+                         ids=["run_scenario", "sweep"])
+def test_workers_below_one_refused(run, workers):
+    with pytest.raises(ParameterError, match=f"workers .* >= 1, got {workers}"):
+        run(BASE, workers=workers)
+
+
 def mc_power_two_stage(mu11, mu21, m, a1, a, reps, seed):
     """Independent oracle for the closed-form two-stage power: simulates
     the signal's statistics directly and the bystander selection count as
@@ -517,7 +525,7 @@ def test_row_kernels_match_library(scenario, start, snap):
         p1, p2 = (np.minimum(level * np.ceil(p * m / level) / m, 1.0) for p in (p1, p2))
     ids = [f"h{j}" for j in range(m)]
     library = [
-        _outcome(partial(_library_run, scenario, StudyPairData.from_columns(ids, a, b)))
+        _outcome(partial(_library_run, scenario, StudyPairData(ids, a, b)))
         for a, b in zip(p1, p2)
     ]
     refused = [r for r in library if isinstance(r, type)]
@@ -531,5 +539,5 @@ def test_row_kernels_match_library(scenario, start, snap):
         assert rejected == set(report.rejected_ids)
         assert np.array_equal(mask, reference_mask(scenario, a, b))
         if scenario.procedure.kind in ("fdr", "fdr_symmetric", "oracle"):
-            data = StudyPairData.from_columns(ids, a, b)
+            data = StudyPairData(ids, a, b)
             assert rejected == _rscan_run(scenario, data)
