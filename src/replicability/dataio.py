@@ -27,7 +27,8 @@ DISCOVERY_HEADER = "id,p1,p2,z,adjusted_p,rejected"
 SIM_HEADER = "point,avg_fdp,fdp_se,avg_power,power_se,avg_rejections"
 
 _DIRECTIVE = re.compile(r"^#\s*(m|r1)\s*=\s*(\d+)\s*$")
-_BLOCK_CHARS = 1 << 20  # characters per block of lines: ~30k GWAS rows
+_BLOCK_CHARS = 1 << 20  # per block of lines (~30k GWAS rows): split at once if clean
+_UNCLEAN = "# \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # '#', and what str.strip removes in ASCII but \n
 
 
 def fmt(x: float | None, full: bool = True) -> str:
@@ -64,9 +65,9 @@ def _parse_float(text: str, where: str, name: str) -> float:
         raise DataError(f"{where}: cannot parse {name} value {text!r}") from None
 
 
-def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float | None]:
+def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float]:
     """One stripped data line, data row ``row`` (0-based), as (id, p1, p2),
-    None for an absent p2. A literal nan p2 is refused: it is not absence."""
+    NaN for an absent p2. A literal nan p2 is refused: it is not absence."""
     parts = line.split(",")
     if len(parts) != 3:
         raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
@@ -75,7 +76,7 @@ def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float | Non
         raise DataError(f"{where}: empty id")
     p1 = _parse_float(p1_text, where, "p1")
     if p2_text == "":
-        return rid, p1, None
+        return rid, p1, np.nan
     p2 = _parse_float(p2_text, where, "p2")
     if p2 != p2:
         raise DataError(
@@ -86,15 +87,17 @@ def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float | Non
 
 
 def _parse_lines(
-    lines: list[str], lineno: int, first_row: int, path: Path
+    text: str, lineno: int, first_row: int, path: Path, comments: list
 ) -> tuple[tuple[list, list, list], DataError | None]:
     """Line-by-line parse of a block whose first line is ``lineno + 1`` and
     first data row ``first_row``: the (ids, p1, p2) columns of its rows before
     the first malformed line, and that line's error (None if every line is
-    well formed)."""
+    well formed). Comment lines up to there go into ``comments``."""
     columns: tuple[list, list, list] = ([], [], [])
-    for k, s in enumerate(map(str.strip, lines), start=lineno + 1):
-        if s and s[0] != "#":
+    for k, s in enumerate(map(str.strip, text.split("\n")), start=lineno + 1):
+        if s[:1] == "#":
+            comments.append((k, s))
+        elif s:
             try:
                 row = _parse_row(s, f"{path}:{k}", first_row + len(columns[0]))
             except DataError as fault:
@@ -104,27 +107,40 @@ def _parse_lines(
     return columns, None
 
 
-def _parse_block(rows: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Columns of stripped data lines, converted a block at a time.
-
-    Raises ValueError on any line :func:`_parse_row` would refuse, on a
-    literal nan p2, and on an empty block; the caller then parses the
-    block line by line.
-    """
-    if set(map(str.count, rows, repeat(","))) != {2}:
+def _parse_clean(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Columns of a clean block of whole lines, split and converted at once.
+    Clean: ASCII with no comment or padding, each line three fields with a
+    non-empty id and p1. Raises ValueError on any other block, on a value
+    that is not a float and on a literal nan p2."""
+    if not text.isascii() or any(c in text for c in _UNCLEAN):
+        raise ValueError("not clean")
+    chars = np.frombuffer(text.encode("ascii"), np.uint8)
+    seps = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
+    if len(seps) % 3:
         raise ValueError("field count")
-    fields = ",".join(rows).split(",")
-    ids = list(map(str.strip, fields[0::3]))
-    if "" in ids:
-        raise ValueError("empty id")
-    p1 = np.fromiter(map(float, fields[1::3]), float, len(rows))
-    p2_text = list(map(str.strip, fields[2::3]))
-    present = np.fromiter(map(bool, p2_text), bool, len(rows))
-    p2 = np.full(len(rows), np.nan)
-    p2[present] = np.fromiter(map(float, compress(p2_text, present)), float)
+    # per line: comma, comma, newline, each ending a field; id and p1 non-empty
+    widths = (np.diff(seps, prepend=-1) - 1).reshape(-1, 3)
+    if (chars[seps].reshape(-1, 3) != tuple(b",,\n")).any() or not widths[:, :2].all():
+        raise ValueError("malformed line")
+    fields = text.replace("\n", ",").split(",")  # 3 per line, then ""
+    p1 = np.fromiter(map(float, fields[1::3]), float, len(widths))
+    present = widths[:, 2] > 0
+    p2 = np.full(len(widths), np.nan)
+    p2[present] = np.fromiter(map(float, compress(fields[2::3], present.tolist())), float)
     if np.isnan(p2[present]).any():
         raise ValueError("nan p2")
-    return ids, p1, p2
+    return fields[0:-1:3], p1, p2
+
+
+def _blocks(fh):
+    """The rest of ``fh`` in blocks of whole lines, each ending in a newline."""
+    tail = ""
+    while chunk := fh.read(_BLOCK_CHARS):
+        head, newline, tail = (tail + chunk).rpartition("\n")
+        if newline:
+            yield head + newline
+    if tail:
+        yield tail + "\n"
 
 
 def _row_line(path: Path, row: int) -> int:
@@ -144,57 +160,46 @@ def parse_pvalue_csv(path) -> StudyPairData:
     if a line is malformed, if a p2 is a literal ``nan``, or if
     :func:`validate_dataset` finds a fault in it; of several faults, the
     one on the earliest data line is named.
+
+    After the header, a clean block of lines (see :func:`_parse_clean`) is
+    split at once, and any other read line by line with the same result.
     """
     path = Path(path)
-    declared: dict[str, int] = {}  # directive values by name ("m", "r1")
-    declared_at: dict[str, int] = {}  # and the lines they were read from
-
-    def comment(line: str, lineno: int) -> None:
-        hit = _DIRECTIVE.match(line)
-        if hit:
-            declared[hit.group(1)] = int(hit.group(2))
-            declared_at[hit.group(1)] = lineno
-
-    ids: list[str] = []
-    p1_parts, p2_parts = [np.zeros(0)], [np.zeros(0)]
+    comments: list[tuple[int, str]] = []  # (line number, text) of comment lines
+    ids, p1_parts, p2_parts = [], [np.zeros(0)], [np.zeros(0)]
     fault = None  # the first malformed line's error; reading stops there
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if line.startswith("#"):
-                comment(line, lineno)
+            if line[:1] == "#":
+                comments.append((lineno, line))
             elif line:
-                if line != PVALUE_HEADER:
-                    raise DataError(
-                        f"{path}:{lineno}: expected header {PVALUE_HEADER!r}, got {line!r}"
-                    )
                 break
         else:
             raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
-        while fault is None and (lines := fh.readlines(_BLOCK_CHARS)):
-            rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
-            if len(rows) < len(lines):
-                for k, s in enumerate(map(str.strip, lines), start=lineno + 1):
-                    if s.startswith("#"):
-                        comment(s, k)
+        if line != PVALUE_HEADER:
+            raise DataError(f"{path}:{lineno}: expected header {PVALUE_HEADER!r}, got {line!r}")
+        for text in _blocks(fh):
             try:
-                block_ids, p1, p2 = _parse_block(rows)
+                block_ids, p1, p2 = _parse_clean(text)
             except ValueError:  # line by line, so that a fault names its line
-                (block_ids, p1, p2), fault = _parse_lines(lines, lineno, len(ids), path)
-                p2 = np.array(p2, dtype=float)  # an absent p2 (None) becomes NaN
+                (block_ids, p1, p2), fault = _parse_lines(text, lineno, len(ids), path, comments)
+                lineno += text.count("\n") - len(block_ids)  # lines that are not rows
+            lineno += len(block_ids)
             ids.extend(block_ids)
             p1_parts.append(p1)
             p2_parts.append(p2)
-            lineno += len(lines)
-    data = StudyPairData(
-        ids, np.concatenate(p1_parts), np.concatenate(p2_parts),
-        declared.get("m"), declared.get("r1"),
-    )
+            if fault is not None:
+                break
+    # each directive's last value, and the line it was read from
+    declared = {hit[1]: (int(hit[2]), k) for k, s in comments if (hit := _DIRECTIVE.match(s))}
+    m, r1 = (declared.get(name, (None,))[0] for name in ("m", "r1"))
+    data = StudyPairData(ids, np.concatenate(p1_parts), np.concatenate(p2_parts), m, r1)
     issue = validate_dataset(data)  # rows in order, then the directives
     if fault is not None and (issue is None or issue.row is None):
         raise fault
     if issue is not None:
-        line = declared_at[issue.field] if issue.row is None else _row_line(path, issue.row)
+        line = declared[issue.field][1] if issue.row is None else _row_line(path, issue.row)
         raise DataError(f"{path}:{line}: {issue.where}: {issue.message}")
     return data
 

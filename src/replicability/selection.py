@@ -185,8 +185,8 @@ def probe_validity(
     clean report does not certify the rule. When more than ``_MAX_PROBED``
     hypotheses are selected, a seeded subsample is probed.
     """
-    if grid_size < 2:
-        raise ParameterError("grid_size must be at least 2")
+    if not isinstance(grid_size, Integral) or grid_size < 2:
+        raise ParameterError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
     if not isinstance(seed, Integral) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     p1 = data.p1_array()

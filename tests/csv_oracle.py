@@ -64,7 +64,10 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
             if p2_text:
                 p2 = _parse_float(p2_text, where, "p2")
                 if p2 != p2:
-                    raise DataError(f"{where}: p2 is nan; leave it empty if not followed up")
+                    raise DataError(
+                        f"{where}: record {len(ids)} ({rid!r}): p2 out of range: nan; "
+                        "leave it empty if not followed up"
+                    )
             ids.append(rid)
             p1s.append(p1)
             p2s.append(p2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import BAD_PVALUE_FILES, make_data
 from csv_oracle import parse_pvalue_csv_lines
 from replicability import dataio
+from replicability.data import StudyPairData
 from replicability.dataio import (
     fmt,
     parse_dependence,
@@ -22,7 +23,7 @@ from replicability.dataio import (
 from replicability.errors import DataError, ParameterError
 from replicability.procedures import Dependence, fdr_two_stage
 from replicability.selection import SelectionRule
-from replicability.sim import SimProcedure, SimScenario
+from replicability.sim import SimProcedure, SimScenario, generate_rep
 
 
 def test_parse_basic(tmp_path):
@@ -352,3 +353,70 @@ def test_block_reader_matches_line_oracle(tmp_path, text, block):
     with mock.patch.object(dataio, "_BLOCK_CHARS", block):
         got = _outcome(parse_pvalue_csv, path)
     assert got == _outcome(parse_pvalue_csv_lines, path)
+
+
+# lines that leave a block unclean, planted late in an otherwise clean file;
+# a 2-field line then a 4-field one has as many commas as two good lines,
+# and with numeric ids every field of the pair converts
+_LATE = ["# note", "#", "# r1=700", "#m = 5000", "x ,0.5,0.1", "x,0.5, ", "\tx,0.5,",
+         "é1,0.5,0.1", "x\u00a0,0.5,", "x,0.5,nan", "x,0.5,NaN", "", "x,,0.5", ",0.5,0.1",
+         "id,p1,p2", "x,0.5", "x,0.5,0.1,0.2", "7,0.5\n8,0.5,0.1,0.2", "crlf"]
+
+
+@st.composite
+def late_fault_files(draw, planted: str) -> tuple[str, int]:
+    """CSV text with no comment, padding, non-ASCII character or malformed
+    line up to ``planted`` in its second half ("crlf": CRLF endings from
+    there on), and the number of characters after the header up to half
+    way through that line."""
+    pairs = draw(st.lists(st.tuples(_P, st.none() | _P), min_size=20, max_size=120))
+    number = draw(_NUMBER)
+    rows = [f"r{i},{number(p1)},{'' if p2 is None else number(p2)}" for i, (p1, p2) in
+            enumerate(pairs)]
+    at = draw(st.integers(len(rows) // 2, len(rows)))
+    head = "# m=100000\nid,p1,p2\n" + "".join(row + "\n" for row in rows[:at])
+    if planted == "crlf":
+        tail = "".join(row + "\r\n" for row in rows[at:])
+    else:
+        tail = "".join(line + "\n" for line in [planted, *rows[at:]])
+    text = head + tail
+    if draw(st.booleans()):  # a last line with no newline
+        text = text.rstrip("\r\n")
+    cut = len(head) - len("# m=100000\nid,p1,p2\n") + max(1, len(planted) // 2)
+    return text, cut
+
+
+@pytest.mark.parametrize("planted", _LATE)
+def test_block_reader_meets_late_faults(tmp_path, planted):
+    # block None ends the first block half way through the planted line
+    @settings(max_examples=25, deadline=None)
+    @given(case=late_fault_files(planted), block=st.sampled_from([1, 40, 1 << 20, None]))
+    def check(case, block):
+        text, cut = case
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(dataio, "_BLOCK_CHARS", block or cut):
+            got = _outcome(parse_pvalue_csv, path)
+        assert got == _outcome(parse_pvalue_csv_lines, path)
+
+    check()
+
+
+@pytest.mark.parametrize("block", [1000, 1 << 20])
+@pytest.mark.parametrize("newline", ["\n", ""])
+def test_clean_file_never_reads_line_by_line(tmp_path, block, newline):
+    # a later change that sends clean files down the slow path fails here
+    scenario = SimScenario(m=3000, f00=0.9, f01=0.025, f10=0.025, f11=0.05, mu1=3.0, mu2=3.0,
+                           sigma1=1.0, sigma2=1.0)
+    data, _ = generate_rep(scenario, 0)
+    followed = np.where(data.p1 <= 0.05, data.p2, np.nan)  # a screen's follow-up
+    data = StudyPairData(data.ids, data.p1, followed, m_declared=100_000)
+    path = tmp_path / "clean.csv"
+    write_pvalue_csv(data, path)
+    path.write_text(path.read_text().rstrip("\n") + newline)
+    refuse = mock.Mock(side_effect=AssertionError("a clean block was read line by line"))
+    with (
+        mock.patch.object(dataio, "_BLOCK_CHARS", block),
+        mock.patch.object(dataio, "_parse_lines", refuse),
+    ):
+        assert parse_pvalue_csv(path) == data

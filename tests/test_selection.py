@@ -214,6 +214,12 @@ class TestProbeValidity:
         with pytest.raises(ValueError):
             probe_validity(SelectionRule.top_k(1), data, grid_size=1)
 
+    @pytest.mark.parametrize("grid_size", [2.5, "16"])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        data = make_data([0.1])
+        with pytest.raises(ParameterError, match="grid_size must be an integer"):
+            probe_validity(SelectionRule.top_k(1), data, grid_size=grid_size)
+
     @pytest.mark.parametrize("n", [20, 500])  # all probed, and a seeded subsample
     @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
     def test_seed_must_be_a_non_negative_integer(self, n, seed):
