@@ -95,8 +95,11 @@ class StudyPairData:
 
     @property
     def m(self) -> int:
-        """Effective family size."""
-        return self.m_declared if self.m_declared is not None else len(self.ids)
+        """Effective family size; DataError if empty: no procedure runs on it."""
+        m = self.m_declared if self.m_declared is not None else len(self.ids)
+        if m < 1:
+            raise DataError(f"the family size m must be positive, got {m}")
+        return m
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -158,14 +161,21 @@ class ValidationIssue:
     row: int | None = None
 
 
+def _may_repeat(ids: Sequence[str]) -> bool:
+    """Whether two ids may be equal: equal ids have equal hashes."""
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    hashes.sort()
+    return bool((hashes[1:] == hashes[:-1]).any())
+
+
 def validate_dataset(data: StudyPairData) -> ValidationIssue | None:
     """The first fault of a dataset, or None if it is valid.
 
-    P-values must lie in [0, 1] (NaN or infinite values do not); a NaN
-    ``p2`` is an absent follow-up value, not a fault. Ids must be
-    non-empty and unique. Faults are ordered by row, and within a row as
-    id, ``p1``, ``p2``; the ``m`` and then the ``r1`` override come after
-    every row. Diagnostic only: never raises.
+    P-values must lie in [0, 1] (NaN or infinite values do not; a NaN
+    ``p2`` is an absent follow-up value), ids be non-empty and unique
+    (repeats are found by sorting their hashes) and the family non-empty.
+    Faults are ordered by row, within a row as id, ``p1``, ``p2``; the
+    ``m`` and then the ``r1`` override come after every row. Never raises.
     """
     ids, p1, p2 = data.ids, data.p1, data.p2
     bad_p1 = ~((p1 >= 0.0) & (p1 <= 1.0))
@@ -173,7 +183,7 @@ def validate_dataset(data: StudyPairData) -> ValidationIssue | None:
     bad = np.flatnonzero(bad_p1 | bad_p2)
     # an id fault matters only up to the first row with a bad p-value
     end = int(bad[0]) + 1 if bad.size else len(ids)
-    if bad.size or "" in ids or len(set(ids)) < len(ids):
+    if bad.size or "" in ids or _may_repeat(ids):
         seen: set[str] = set()
         for i, rid in enumerate(islice(ids, end)):
             if not rid or rid in seen:
@@ -186,6 +196,8 @@ def validate_dataset(data: StudyPairData) -> ValidationIssue | None:
         message = f"{name} out of range: {float(col[i])!r}"
         return ValidationIssue(f"record {i} ({ids[i]!r})", message, name, i)
     m_decl, r1_decl, n = data.m_declared, data.r1_declared, len(ids)
+    if m_decl is None and n == 0:
+        return ValidationIssue("family", "no rows listed and no m declared", "m")
     if m_decl is not None and m_decl < 1:
         return ValidationIssue("m override", "must be positive", "m")
     if m_decl is not None and m_decl < n:

@@ -159,7 +159,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
     subset of rows. The dataset is refused (``DataError`` naming the line)
     if a line is malformed, if a p2 is a literal ``nan``, or if
     :func:`validate_dataset` finds a fault in it; of several faults, the
-    one on the earliest data line is named.
+    one on the earliest data line is named, an empty family at the header.
 
     After the header, a clean block of lines (see :func:`_parse_clean`) is
     split at once, and any other read line by line with the same result.
@@ -179,6 +179,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
             raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
         if line != PVALUE_HEADER:
             raise DataError(f"{path}:{lineno}: expected header {PVALUE_HEADER!r}, got {line!r}")
+        declared = {"m": (None, lineno)}  # no m directive: None, named at the header
         for text in _blocks(fh):
             try:
                 block_ids, p1, p2 = _parse_clean(text)
@@ -192,9 +193,14 @@ def parse_pvalue_csv(path) -> StudyPairData:
             if fault is not None:
                 break
     # each directive's last value, and the line it was read from
-    declared = {hit[1]: (int(hit[2]), k) for k, s in comments if (hit := _DIRECTIVE.match(s))}
+    declared |= {hit[1]: (int(hit[2]), k) for k, s in comments if (hit := _DIRECTIVE.match(s))}
     m, r1 = (declared.get(name, (None,))[0] for name in ("m", "r1"))
-    data = StudyPairData(ids, np.concatenate(p1_parts), np.concatenate(p2_parts), m, r1)
+    # free the id list, the parts and the joined columns as each is copied
+    ids = tuple(ids)
+    p1, p2 = np.concatenate(p1_parts), np.concatenate(p2_parts)
+    del p1_parts, p2_parts
+    data = StudyPairData(ids, p1, p2, m, r1)
+    del p1, p2
     issue = validate_dataset(data)  # rows in order, then the directives
     if fault is not None and (issue is None or issue.row is None):
         raise fault

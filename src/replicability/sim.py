@@ -132,8 +132,10 @@ class SimScenario:
         if self.seed < 0:
             raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
         fr = (self.f00, self.f01, self.f10, self.f11)
-        if any(f < 0 or f > 1 for f in fr):
+        if not all(0.0 <= f <= 1.0 for f in fr):  # NaN fails too
             raise ParameterError("fractions must lie in [0, 1]")
+        if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
+            raise ParameterError(f"means must be finite, got {self.mu1}, {self.mu2}")
         if abs(sum(fr) - 1.0) > 1e-12:
             raise ParameterError(f"fractions must sum to 1, got {sum(fr)!r}")
         has_direct = self.sigma1 is not None and self.sigma2 is not None
@@ -149,8 +151,8 @@ class SimScenario:
             )
         if has_split and not (0.0 < self.zeta < 1.0 and self.n_total > 0):
             raise ParameterError(f"need zeta in (0, 1) and N > 0, got {self.zeta}, {self.n_total}")
-        if self.sd1 <= 0 or self.sd2 <= 0:
-            raise ParameterError("standard deviations must be positive")
+        if not (0.0 < self.sd1 < math.inf and 0.0 < self.sd2 < math.inf):
+            raise ParameterError("standard deviations must be positive and finite")
         proc = self.procedure
         if proc.kind == "oracle":  # the levels the oracle runs at, (q', 2q')
             qp = solve_oracle_qprime(self.f00, self.f01, proc.q, proc.w1)
@@ -464,8 +466,8 @@ def analytic_power_bonf_max(mu11: float, mu21: float, m: int, alpha: float) -> f
     """Probability that the one non-null hypothesis (effects mu11, mu21,
     unit variances) is rejected when the conservative max-p-value test is
     Bonferroni-corrected across m hypotheses at level alpha."""
-    if m < 1:
-        raise ParameterError(f"m must be positive, got {m}")
+    if m < 1 or not (math.isfinite(mu11) and math.isfinite(mu21)):
+        raise ParameterError(f"need m >= 1 and finite effects, got m={m}, {mu11}, {mu21}")
     ProcedureParams(None, alpha)
     z = ndtri(alpha / m)
     return float(ndtr(z + mu11) * ndtr(z + mu21))
@@ -481,8 +483,8 @@ def analytic_power_two_stage(
     which is binomial; the series over the selection count is evaluated
     in log space and truncated once the binomial mass is exhausted.
     """
-    if m < 1:
-        raise ParameterError(f"m must be positive, got {m}")
+    if m < 1 or not (math.isfinite(mu11) and math.isfinite(mu21)):
+        raise ParameterError(f"need m >= 1 and finite effects, got m={m}, {mu11}, {mu21}")
     ProcedureParams(alpha1, alpha)
     p_sel = float(ndtr(ndtri(alpha1 / m) + mu11))
     p_null = alpha1 / m

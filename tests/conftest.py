@@ -60,6 +60,7 @@ BAD_PVALUE_FILES = {
     "p2_nan": ("id,p1,p2\na,0.1,nan\n", 2, "p2"),
     "p2_inf": ("id,p1,p2\na,0.1,0.2\n\nb,0.1,inf\n", 4, "p2"),
     "duplicate_id": ("id,p1,p2\na,0.1,0.2\nb,0.2,\na,0.3,0.4\n", 4, "duplicate id"),
+    "empty_family": ("id,p1,p2\n", 1, "family: no rows listed and no m declared"),
     "m_below_rows": ("# m=2\nid,p1,p2\na,0.1,\nb,0.2,\nc,0.3,\n", 1, "m override"),
     "r1_below_followups": ("id,p1,p2\n# r1=1\na,0.1,0.2\nb,0.2,0.3\n", 2, "r1 override"),
     "r1_above_m": ("# m=3\nid,p1,p2\na,0.1,0.2\n# r1=4\n", 4, "r1 override"),

@@ -165,6 +165,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:{line}:" in err and field in err
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--mode", "fwer", "--q1", "0.01", "--q", "0.05", "--out", "o"],
+        ["adjust", "--c", "0.5", "--out", "a.csv"],
+        ["calibrate-oracle", "--f00", "0.9", "--f01", "0.01", "--q", "0.05", "--out", "o"],
+        ["probe-selection", "--selection", "top:1"],
+    ], ids=["analyze_fwer", "adjust", "calibrate_oracle", "probe_selection"])
+    def test_empty_family_is_data_error_naming_file(self, tmp_path, capsys, monkeypatch, argv):
+        # a header and no rows or # m=: every reading command refuses it, as
+        # test_bad_pvalues_are_data_errors shows for analyze in fdr mode
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "empty.csv"
+        bad.write_text("id,p1,p2\n")
+        assert main([*argv[:1], "--input", str(bad), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{bad}:1: family" in err
+
     def test_nan_is_not_absence(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -198,6 +214,8 @@ class TestExitCodes:
             ["adjust", "--dependence", "item2", "--t", "1.5", "--q", "0.05"], 1, id="adjust_t"
         ),
         pytest.param(["power", "--m", "0"], 1, id="power_m"),
+        pytest.param(["power", "--mu21", "nan"], 1, id="power_mu21_nan"),
+        pytest.param(["power", "--mu11", "inf", "--grid-c", "0.1:0.9:3"], 1, id="power_grid_inf"),
         pytest.param(["power", "--grid-c", "0.1:0.9:0"], 1, id="power_empty_grid"),
         pytest.param(["probe-selection", "--grid-size", "1"], 1, id="probe_grid_size"),
         pytest.param(["calibrate-oracle", "--w1", "0.3"], 1, id="oracle_w1"),
@@ -333,6 +351,13 @@ class TestSimulate:
             "procedure = fdr\nq1 = 0.025", "procedure = partial_conjunction"
         ) + "w1 = 7\ndependence = item2\n",
         lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = 1\nzeta = 0.5\nN = 0"),
+        lambda text: text.replace("f00 = 0.9", "f00 = nan"),
+        lambda text: text.replace("mu2 = 2.5", "mu2 = nan"),
+        lambda text: text.replace("mu1 = 2.5", "mu1 = -inf"),
+        lambda text: text.replace("sigma2 = 0.5", "sigma2 = inf"),
+        lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = inf\nzeta = 0.5\nN = 9"),
+        lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = 1\nzeta = nan\nN = 9"),
+        lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = 1\nzeta = 0.5\nN = inf"),
         lambda text: text.replace("m = 400", "m = four hundred"),
         lambda text: text.replace("m = 400\n", ""),
         lambda text: text + "reps 60\n",
@@ -343,7 +368,9 @@ class TestSimulate:
     ], ids=[
         "q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary",
         "fwer_method",
-        "unread_w1_and_t", "n_total_zero", "m_not_a_number", "m_missing", "line_without_equals",
+        "unread_w1_and_t", "n_total_zero", "f00_nan", "mu2_nan", "mu1_minus_inf", "sigma2_inf",
+        "sigma_inf", "zeta_nan", "n_total_inf",
+        "m_not_a_number", "m_missing", "line_without_equals",
         "grid_without_axis", "axis_without_grid", "grid_not_a_number", "grid_empty",
     ])
     def test_refused_scenario_value_is_data_error_naming_file(self, tmp_path, capsys, edit):

@@ -7,6 +7,7 @@ from replicability.data import (
     HypothesisRecord,
     StudyPairData,
     ValidationIssue,
+    _may_repeat,
     validate_dataset,
 )
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
@@ -106,3 +107,20 @@ def datasets(draw) -> StudyPairData:
 @given(data=datasets())
 def test_first_fault_matches_row_loop(data):
     assert validate_dataset(data) == first_fault_loop(data)
+
+
+# empty, repeated, non-ASCII and NUL-bearing ids, and any other short text
+_ANY_IDS = st.sampled_from(["", "a", "a\x00", "\x00", "é", "e\u0301", "日本"]) | st.text(max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(_ANY_IDS, max_size=40))
+def test_hash_filter_flags_every_repeat(ids):
+    # equal ids hash equally under any PYTHONHASHSEED: no repeat slips through
+    if len(set(ids)) < len(ids):
+        assert _may_repeat(ids)
+
+
+def test_hash_filter_passes_distinct_ids():
+    assert not _may_repeat([]) and not _may_repeat(["a"])
+    assert not _may_repeat([f"rs{i}" for i in range(10_000)] + ["", "a\x00", "é"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 from unittest import mock
 
@@ -51,11 +52,35 @@ def test_parse_scientific_and_decimal(tmp_path):
     assert data.records[1].p2 == 1e-4
 
 
-def test_header_only_is_valid_empty(tmp_path):
+def test_header_only_is_refused_as_empty_family(tmp_path):
+    # no rows and no declared m: a family no procedure can run on
     path = tmp_path / "in.csv"
-    path.write_text("id,p1,p2\n")
-    data = parse_pvalue_csv(path)
-    assert data.records == ()
+    path.write_text("# a comment\nid,p1,p2\n")
+    with pytest.raises(DataError) as err:
+        parse_pvalue_csv(path)
+    assert str(err.value) == f"{path}:2: family: no rows listed and no m declared"
+    path.write_text("# m=5\nid,p1,p2\n")  # a declared family may list no rows
+    assert parse_pvalue_csv(path).records == ()
+
+
+def test_read_keeps_one_copy_of_each_column(tmp_path):
+    # a genome-wide screen with a small follow-up: while the dataset is built
+    # and validated, the reader's own columns are gone and the repeated-id
+    # check holds 8 bytes per row, so the traced peak stays near what is kept
+    rng = np.random.default_rng(11)
+    n = 200_000
+    p1 = rng.random(n)
+    p2 = np.where(rng.random(n) < 0.01, rng.random(n), np.nan)
+    path = tmp_path / "in.csv"
+    write_pvalue_csv(StudyPairData([f"rs{i:06d}" for i in range(n)], p1, p2), path)
+    tracemalloc.start()
+    try:
+        data = parse_pvalue_csv(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.r1_listed == np.count_nonzero(~np.isnan(p2))
+    assert peak <= 1.75 * kept, f"peak {peak / kept:.2f}x what the dataset keeps"
 
 
 def test_malformed_row_reports_line_number(tmp_path):

@@ -486,6 +486,23 @@ def test_report_duality_of_scored_reports(seed):
         assert _flagged(report, q) == set(report.rejected_ids), report.procedure
 
 
+@pytest.mark.parametrize("run", [
+    partial(fdr_two_stage, rule=FOLLOWUP, q1=0.025, q=0.05),
+    partial(fdr_two_stage_rscan, rule=FOLLOWUP, q1=0.025, q=0.05),
+    partial(fwer_two_stage, rule=FOLLOWUP, alpha1=0.025, alpha=0.05),
+    partial(fdr_symmetric, rule=FOLLOWUP, w1=0.5, q1=0.025, q=0.05),
+    partial(oracle_calibrated_run, rule=FOLLOWUP, f00=0.9, f01=0.01, q=0.05),
+    partial(baseline_partial_conjunction, q=0.05),
+    partial(baseline_naive_bh_bh, q=0.05),
+    partial(baseline_fisher_meta, q=0.05),
+    partial(build_adjusted_table, c=0.5),
+], ids=lambda run: run.func.__name__)
+@pytest.mark.parametrize("m_declared", [None, 0])
+def test_empty_family_is_data_error(run, m_declared):
+    with pytest.raises(DataError, match="family size m must be positive, got 0"):
+        run(StudyPairData([], [], [], m_declared))
+
+
 class TestOracleRun:
     def test_degenerate_fractions_run_at_q_2q(self):
         rng = np.random.default_rng(15)

@@ -25,6 +25,8 @@ def first_fault_loop(data: StudyPairData) -> ValidationIssue | None:
             return ValidationIssue(where, f"p2 out of range: {p2!r}", "p2", i)
     rows = len(data.ids)
     m, r1 = data.m_declared, data.r1_declared
+    if m is None and rows == 0:  # an empty family, which no procedure can run on
+        return ValidationIssue("family", "no rows listed and no m declared", "m")
     if m is not None:
         if m < 1:
             return ValidationIssue("m override", "must be positive", "m")
