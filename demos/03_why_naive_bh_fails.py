@@ -14,7 +14,7 @@ FDP is 1 whenever it rejects anything, while the two-stage procedure
 stays below its nominal level.
 """
 
-from replicability import SimProcedure, SimScenario, run_scenario
+from replicability import Procedure, SimScenario, run_scenario
 
 COMMON = dict(
     m=1000, f00=0.0, f01=0.5, f10=0.5, f11=0.0,
@@ -24,12 +24,12 @@ COMMON = dict(
 print(f"{'mu':>4s} {'naive FDP':>10s} {'two-stage FDP':>14s}")
 for mu in (1.0, 2.0, 3.0, 5.0):
     naive = run_scenario(SimScenario(
-        mu1=mu, mu2=mu, procedure=SimProcedure(kind="naive_bh_bh", q=0.05),
+        mu1=mu, mu2=mu, procedure=Procedure(kind="naive_bh_bh", q=0.05),
         **COMMON,
     ))
     two_stage = run_scenario(SimScenario(
         mu1=mu, mu2=mu,
-        procedure=SimProcedure(kind="fdr_symmetric", q1=0.025, q=0.05, w1=0.5),
+        procedure=Procedure(kind="fdr_symmetric", q1=0.025, q=0.05, w1=0.5),
         **COMMON,
     ))
     print(f"{mu:4.1f} {naive.avg_fdp:10.3f} {two_stage.avg_fdp:14.3f}")

@@ -11,12 +11,12 @@ Desk-scale settings (400 repetitions) keep this under half a minute;
 published-table settings are m = 1000 with 1000 repetitions.
 """
 
-from replicability import SimProcedure, SimScenario, sweep
+from replicability import Procedure, SimScenario, sweep
 
 scenario = SimScenario(
     m=1000, f00=0.9, f01=0.025, f10=0.025, f11=0.05,
     mu1=2.0, mu2=2.0, sigma1=0.5, sigma2=0.5,
-    procedure=SimProcedure(kind="fdr", q1=0.025, q=0.05),
+    procedure=Procedure(kind="fdr", q1=0.025, q=0.05),
     reps=400, seed=11,
 )
 

@@ -12,7 +12,7 @@ GWAS-like composition and shows the realized FDP moving closer to the
 nominal level while the discovery count grows.
 """
 
-from replicability import SimProcedure, SimScenario, run_scenario, solve_oracle_qprime
+from replicability import Procedure, SimScenario, run_scenario, solve_oracle_qprime
 
 f00, f01, q = 0.9, 0.025, 0.05
 for w1 in (1.0, 0.5, 0.0):
@@ -25,10 +25,10 @@ COMMON = dict(
     mu1=2.0, mu2=2.0, sigma1=0.5, sigma2=0.5, reps=400, seed=33,
 )
 plain = run_scenario(SimScenario(
-    procedure=SimProcedure(kind="fdr", q1=0.025, q=q), **COMMON,
+    procedure=Procedure(kind="fdr", q1=0.025, q=q), **COMMON,
 ))
 oracle = run_scenario(SimScenario(
-    procedure=SimProcedure(kind="oracle", q=q, w1=1.0), **COMMON,
+    procedure=Procedure(kind="oracle", q=q, w1=1.0), **COMMON,
 ))
 print(f"{'':12s} {'avg FDP':>8s} {'power':>8s} {'rejections':>11s}")
 print(f"{'plain':12s} {plain.avg_fdp:8.3f} {plain.avg_power:8.3f} "

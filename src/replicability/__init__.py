@@ -35,6 +35,7 @@ from .numeric import (
 from .procedures import (
     Dependence,
     FwerMethod,
+    Procedure,
     ProcedureParams,
     baseline_fisher_meta,
     baseline_naive_bh_bh,
@@ -49,7 +50,6 @@ from .procedures import (
 from .selection import SelectionRule, bh_reject, probe_validity, select
 from .sim import (
     SimEstimate,
-    SimProcedure,
     SimScenario,
     analytic_power_bonf_max,
     analytic_power_two_stage,
@@ -73,11 +73,11 @@ __all__ = [
     "FwerMethod",
     "HypothesisRecord",
     "ParameterError",
+    "Procedure",
     "ProcedureParams",
     "ReplicabilityError",
     "SelectionRule",
     "SimEstimate",
-    "SimProcedure",
     "SimScenario",
     "StudyPairData",
     "ValidationIssue",

@@ -16,7 +16,8 @@ import numpy as np
 from .data import RowView, StudyPairData
 from .errors import ParameterError
 from .numeric import harmonic, solve_q1_tilde_thresholded
-from .procedures import Dependence, ProcedureParams, _adjust_columns, _gather_selected
+from .params import Dependence, ProcedureParams
+from .procedures import _adjust_columns, _gather_selected
 from .selection import SelectionRule
 
 

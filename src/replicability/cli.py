@@ -24,6 +24,7 @@ import numpy as np
 from . import adjust as adjust_mod
 from . import dataio, procedures, sim
 from .errors import ApplicabilityError, DataError, ParameterError
+from .numeric import solve_oracle_qprime
 from .selection import probe_validity
 
 EXIT_OK = 0
@@ -105,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _levels(args) -> dict:
-    """The SimProcedure fields that the flags of ``analyze`` set, read as
-    the scenario keys of the same names: a flag that ``--mode`` does not
-    read is refused, and so is a level given under both spellings."""
+    """The :class:`procedures.Procedure` fields that the flags of ``analyze``
+    set, read as the scenario keys of the same names: a flag that ``--mode``
+    does not read is refused, and so is a level given under both spellings."""
     given = dataio._read_keys(vars(args), args.mode, prefix="--")
     if "q1" not in given or "q" not in given:
         raise ParameterError(f"{args.mode} mode needs --q1 (or --alpha1) and --q (or --alpha)")
@@ -136,18 +137,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    given = _levels(args)
-    lo, hi, rule = given["q1"], given["q"], given["selection"]
+    procedure = procedures.Procedure(kind=args.mode, **_levels(args))
     data = dataio.parse_pvalue_csv(args.input)
-    if args.mode == "fwer":
-        method = given.get("fwer_method", procedures.FwerMethod.BONFERRONI)
-        report = procedures.fwer_two_stage(data, rule, lo, hi, method)
-        params = {"alpha1": lo, "alpha": hi, "method": method.value}
-    else:
-        mode, t = given.get("mode", procedures.Dependence.INDEPENDENT), given.get("t")
-        report = procedures.fdr_two_stage(data, rule, lo, hi, mode, t)
-        params = {"q1": lo, "q": hi, "dependence": mode.value, "t": t}
-    _write_report(args.out, args.quiet, data, report, params)
+    report = procedure.run(data)
+    _write_report(args.out, args.quiet, data, report, procedure.settings())
     if not args.quiet:
         for rid in report.rejected_ids:
             print(f"  {rid}")
@@ -188,6 +181,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _cmd_power(args) -> int:
     if args.grid_c:
+        if args.alpha1 is not None:
+            raise ParameterError("--alpha1 is not read with --grid-c, which sets it to c * alpha")
         grid = _parse_grid(args.grid_c)
         power = [
             sim.analytic_power_two_stage(args.mu11, args.mu21, args.m, c * args.alpha, args.alpha)
@@ -195,6 +190,8 @@ def _cmd_power(args) -> int:
         ]
         _emit(dataio.csv_text("c,power", [grid, [f"{v:.6g}" for v in power]]), args.out)
         return EXIT_OK
+    if args.out is not None:
+        raise ParameterError("--out is read only with --grid-c")
     pi1 = sim.analytic_power_bonf_max(args.mu11, args.mu21, args.m, args.alpha)
     print(f"pi1 = {pi1:.6g}")
     if args.alpha1 is not None:
@@ -210,14 +207,13 @@ def _cmd_calibrate_oracle(args) -> int:
         for flag in ("selection", "out", "quiet"):
             if getattr(args, flag) not in (None, False):
                 raise ParameterError(f"--{flag} is read only with --input")
-    qp = sim.solve_oracle_qprime(args.f00, args.f01, args.q, args.w1)
+    qp = solve_oracle_qprime(args.f00, args.f01, args.q, args.w1)
     print(f"q_prime = {qp:.6g}")
     if args.input:
-        data = dataio.parse_pvalue_csv(args.input)
         rule = dataio.parse_rule_spec("followup" if args.selection is None else args.selection)
-        report = procedures.oracle_calibrated_run(
-            data, rule, args.f00, args.f01, args.q, args.w1
-        )
+        procedure = procedures.Procedure(kind="oracle", q=args.q, w1=args.w1, selection=rule)
+        data = dataio.parse_pvalue_csv(args.input)
+        report = procedure.run(data, (args.f00, args.f01))
         params = {"f00": args.f00, "f01": args.f01, "q": args.q, "w1": args.w1}
         _write_report(args.out or ".", args.quiet, data, report, params)
     return EXIT_OK

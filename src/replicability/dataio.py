@@ -18,9 +18,10 @@ import numpy as np
 from .adjust import AdjustedTable
 from .data import DiscoveryReport, StudyPairData, validate_dataset
 from .errors import DataError, ParameterError
-from .procedures import Dependence, FwerMethod
+from .params import Dependence, FwerMethod
+from .procedures import Procedure
 from .selection import SelectionRule
-from .sim import SimEstimate, SimProcedure, SimScenario, _scenario_at
+from .sim import SimEstimate, SimScenario, _scenario_at
 
 PVALUE_HEADER = "id,p1,p2"
 DISCOVERY_HEADER = "id,p1,p2,z,adjusted_p,rejected"
@@ -355,15 +356,15 @@ _SCENARIO_KEYS = {
     "primary": ("primary", int),
     "selection": ("selection", parse_rule_spec),
 }
-_PROCEDURE_FIELDS = {f.name for f in fields(SimProcedure)}
+_PROCEDURE_FIELDS = {f.name for f in fields(Procedure)}
 
 
 def _read_keys(raw: dict, kind: str, prefix: str = "") -> dict:
     """The fields that the keys of ``raw`` set, parsed; a key whose value is
     None is absent. Refuses a field set by both of its keys and a procedure
     field that ``kind`` does not read, naming each key ``prefix`` + key."""
-    # SimProcedure refuses an unknown kind, so here it reads every field
-    unread = _PROCEDURE_FIELDS - {"kind", *SimProcedure._READS.get(kind, _PROCEDURE_FIELDS)}
+    # Procedure refuses an unknown kind, so here it reads every field
+    unread = _PROCEDURE_FIELDS - {"kind", *Procedure._READS.get(kind, _PROCEDURE_FIELDS)}
     values: dict = {}
     keys: dict[str, str] = {}  # the key each field was read from
     for key, (name, parse) in _SCENARIO_KEYS.items():
@@ -386,11 +387,11 @@ def _read_keys(raw: dict, kind: str, prefix: str = "") -> dict:
 def _scenario(raw: dict[str, str]) -> SimScenario:
     """The scenario the keys of ``raw`` give, every other field at its
     default."""
-    values = _read_keys(raw, raw.get("procedure", SimProcedure.kind))
+    values = _read_keys(raw, raw.get("procedure", Procedure.kind))
     for field in fields(SimScenario):
         if field.default is MISSING and field.name not in values:
             raise DataError(f"missing required key {field.name!r}")
-    procedure = SimProcedure(**{k: values.pop(k) for k in _PROCEDURE_FIELDS & values.keys()})
+    procedure = Procedure(**{k: values.pop(k) for k in _PROCEDURE_FIELDS & values.keys()})
     return SimScenario(procedure=procedure, **values)
 
 

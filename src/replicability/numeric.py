@@ -24,6 +24,7 @@ import math
 import numpy as np
 
 from .errors import ApplicabilityError, ParameterError
+from .params import ProcedureParams
 
 # Smallest positive (subnormal) double; used to keep tail probabilities
 # strictly positive for finite arguments.
@@ -257,10 +258,7 @@ def solve_q1_tilde_thresholded(q1: float, m: int, t: float) -> float:
     hits the fixed point ceil(t*m/x_k - 1) == k with x_k = q1/(1 + H_k).
     The first (smallest) such k yields the maximal solution.
     """
-    if not 0.0 < q1 < 1.0:
-        raise ParameterError(f"q1 must lie in (0, 1), got {q1}")
-    if not 0.0 < t < 1.0:
-        raise ParameterError(f"threshold t must lie in (0, 1), got {t}")
+    ProcedureParams(None, q1, t=t)
     if m < 1:
         raise ParameterError(f"family size must be positive, got {m}")
     bound = q1 / (1.0 + harmonic(m - 1))
@@ -293,8 +291,7 @@ def solve_oracle_qprime(f00: float, f01: float, q: float, w1: float) -> float:
     """
     if not 0.0 <= f00 <= 1.0 or not 0.0 <= f01 <= 1.0:
         raise ParameterError("fractions must lie in [0, 1]")
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"q must lie in (0, 1), got {q}")
+    ProcedureParams(None, q, w1)
     if w1 not in (0.0, 0.5, 1.0):
         raise ParameterError(f"w1 must be one of 0, 0.5, 1, got {w1}")
     scale = 0.5 if w1 == 0.5 else 1.0

@@ -16,8 +16,7 @@ arbitrary dependence within a study.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,12 +24,14 @@ from . import kernels
 from .data import DiscoveryReport, StudyPairData
 from .errors import DataError, ParameterError
 from .numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
-from .selection import SelectionRule, _select_mask, select_rows
+from .params import Dependence, FwerMethod, ProcedureParams
+from .selection import ROW_KINDS, SelectionRule, _select_mask, select_rows
 
 __all__ = [
     "FwerMethod",
     "Dependence",
     "ProcedureParams",
+    "Procedure",
     "fwer_two_stage",
     "fdr_two_stage",
     "fdr_two_stage_rscan",
@@ -40,82 +41,6 @@ __all__ = [
     "baseline_fisher_meta",
     "oracle_calibrated_run",
 ]
-
-
-class _Choice(str, Enum):
-    """An option whose unknown value raises :class:`ParameterError`."""
-
-    @classmethod
-    def _missing_(cls, value):
-        choices = ", ".join(member.value for member in cls)
-        raise ParameterError(f"{value!r} is not a valid {cls.__name__}; expected one of {choices}")
-
-
-class FwerMethod(_Choice):
-    BONFERRONI = "bonferroni"
-    HOLM = "holm"
-
-
-class Dependence(_Choice):
-    """Dependence assumption for the two studies.
-
-    ``independent``: all p-values jointly independent.
-    ``prds_followup``: positive regression dependence within the follow-up
-    study. This is a modeling assumption, not a checkable property of the
-    data; error control is unchanged, so the procedure behaves exactly as
-    under independence and the mode exists for explicit user intent.
-    ``arbitrary_primary_item1``: arbitrary dependence within the primary
-    study; the primary-stage level is divided by the harmonic sum H_m.
-    ``arbitrary_primary_item2``: same guarantee, but exploits that the
-    follow-up set only contains hypotheses with p1 <= t; needs ``t``.
-    ``arbitrary_both``: arbitrary dependence within both studies; the
-    follow-up-stage level is additionally divided by H_R1.
-    """
-
-    INDEPENDENT = "independent"
-    PRDS_FOLLOWUP = "prds_followup"
-    ARBITRARY_PRIMARY_ITEM1 = "arbitrary_primary_item1"
-    ARBITRARY_PRIMARY_ITEM2 = "arbitrary_primary_item2"
-    ARBITRARY_BOTH = "arbitrary_both"
-
-
-@dataclass(frozen=True)
-class ProcedureParams:
-    """Level configuration for a procedure run.
-
-    ``q1``/``q`` hold the per-stage and overall levels (alpha1/alpha in
-    FWER mode); ``q1`` is None for a single-level procedure, which runs at
-    ``q``. ``w1`` is only used by the symmetric procedure. ``mode`` may be
-    given as a :class:`Dependence` or its value and is stored as the
-    member; the procedures run on that member. ``t`` is the selection
-    threshold required by the thresholded dependence mode.
-    Building one is the only check of these parameters: the procedures,
-    the simulator's scenarios and the CLI all build one before running,
-    and it refuses a bad value with :class:`ParameterError`.
-    """
-
-    q1: float | None
-    q: float
-    w1: float | None = None
-    mode: Dependence = Dependence.INDEPENDENT
-    t: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", Dependence(self.mode))
-        if not (0.0 < self.q < 1.0 if self.q1 is None else 0.0 < self.q1 < self.q < 1.0):
-            raise ParameterError(
-                f"levels must satisfy 0 < q1 < q < 1, got q1={self.q1}, q={self.q}"
-            )
-        if self.w1 is not None and not 0.0 <= self.w1 <= 1.0:
-            raise ParameterError(f"w1 must lie in [0, 1], got {self.w1}")
-        if self.t is not None and not 0.0 < self.t < 1.0:
-            raise ParameterError(f"t must lie in (0, 1), got {self.t}")
-        if self.mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and self.t is None:
-            raise ParameterError("the thresholded dependence mode requires t")
-
-    @property
-    def c(self) -> float:
-        return self.q1 / self.q
 
 
 def _effective_levels(
@@ -340,12 +265,12 @@ def _fwer_rows(p1, p2, sel, r1, m: int, alpha1: float, alpha: float, method) -> 
     return sel & primary & followup
 
 
-def _selected_fwer_rows(p1, p2, rule: SelectionRule, m: int, alpha1, alpha, method):
-    """:func:`_fwer_rows` on whole families: ``rule`` selects, and R1 is
-    each row's selection count."""
-    sel = select_rows(_fwer_rule(rule, alpha1), p1, m)
+def _selected_fwer_rows(proc: "Procedure", p1, p2, m: int, alpha1, alpha):
+    """:func:`_fwer_rows` on whole families: the procedure's rule selects,
+    and R1 is each row's selection count."""
+    sel = select_rows(_fwer_rule(proc.selection, alpha1), p1, m)
     r1 = np.maximum(np.count_nonzero(sel, axis=1), 1)[:, None]
-    return _fwer_rows(p1, p2, sel, r1, m, alpha1, alpha, method)
+    return _fwer_rows(p1, p2, sel, r1, m, alpha1, alpha, proc.fwer_method)
 
 
 def fwer_two_stage(
@@ -390,11 +315,12 @@ def fwer_two_stage(
     )
 
 
-def _symmetric_rows(p1, p2, rule: SelectionRule, w1: float, m: int, q1, q, mode, t):
-    """Row kernel of :func:`fdr_symmetric` on whole families: the union of
-    the directed runs at (w1*q1, w1*q), study one primary, and at
-    ((1-w1)*q1, (1-w1)*q), study two primary; a direction with zero
-    weight is skipped."""
+def _symmetric_rows(proc: "Procedure", p1, p2, m: int, q1, q):
+    """Row kernel of :func:`fdr_symmetric` on whole families, at levels
+    (q1, q): the union of the directed runs at (w1*q1, w1*q), study one
+    primary, and at ((1-w1)*q1, (1-w1)*q), study two primary; a direction
+    with zero weight is skipped. It is the ``fdr`` kernel at w1 = 1."""
+    w1, rule, mode, t = proc.w1, proc.selection, proc.mode, proc.t
     mask = np.zeros(p1.shape, dtype=bool)
     if w1 > 0.0:
         mask |= _directed_fdr_rows(p1, p2, rule, m, w1 * q1, w1 * q, mode, t)
@@ -562,3 +488,126 @@ def oracle_calibrated_run(
     qp = solve_oracle_qprime(f00, f01, q, w1)
     report = fdr_symmetric(data, rule, w1, qp, 2.0 * qp, mode, t)
     return replace(report, procedure=f"oracle[q'={qp:.6g},w1={w1:g}]")
+
+
+# kind: (run(proc, data, fractions), its library procedure, and kernel(proc,
+# p1, p2, m, q1, q), its row kernel at the levels of Procedure.levels). Each
+# calls the procedures by their module-level names, which a tracer may patch.
+_KINDS = {
+    "fdr": (
+        lambda p, data, fr: fdr_two_stage(data, p.selection, p.q1, p.q, p.mode, p.t),
+        _symmetric_rows,
+    ),
+    "fdr_symmetric": (
+        lambda p, data, fr: fdr_symmetric(data, p.selection, p.w1, p.q1, p.q, p.mode, p.t),
+        _symmetric_rows,
+    ),
+    "fwer": (
+        lambda p, data, fr: fwer_two_stage(data, p.selection, p.q1, p.q, p.fwer_method),
+        _selected_fwer_rows,
+    ),
+    "partial_conjunction": (
+        lambda p, data, fr: baseline_partial_conjunction(data, p.q),
+        lambda p, p1, p2, m, q1, q: kernels.bh_rows(np.maximum(p1, p2), q, m),
+    ),
+    "naive_bh_bh": (
+        lambda p, data, fr: baseline_naive_bh_bh(data, p.q, p.primary),
+        lambda p, p1, p2, m, q1, q: _naive_rows(p1, p2, q, m, p.primary)[1],
+    ),
+    "fisher_meta": (
+        lambda p, data, fr: baseline_fisher_meta(data, p.q),
+        lambda p, p1, p2, m, q1, q: kernels.bh_rows(fisher_combined_pvalues(p1, p2), q, m),
+    ),
+    "oracle": (
+        lambda p, data, fr: oracle_calibrated_run(data, p.selection, *fr, p.q, p.w1, p.mode, p.t),
+        _symmetric_rows,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Procedure:
+    """A procedure kind with its levels: :meth:`run` is its library
+    procedure on a dataset, :meth:`kernel` its row kernel for the simulator.
+    ``_READS`` lists the fields each kind reads; any other field is refused
+    unless at its default. The default level-less ``bh`` selection runs at
+    each direction's primary-stage level (for ``fwer``, as p1 <= alpha1/m).
+    The ``oracle`` runs at levels calibrated from the known fractions
+    ``(f00, f01)`` of doubly-null and follow-up-only hypotheses, which
+    :meth:`run` and :meth:`kernel` take and the other kinds ignore."""
+
+    kind: str = "fdr"
+    q1: float | None = None
+    q: float = 0.05
+    w1: float = 1.0
+    mode: Dependence = Dependence.INDEPENDENT
+    t: float | None = None
+    fwer_method: FwerMethod = FwerMethod.BONFERRONI
+    primary: int = 1
+    selection: SelectionRule = SelectionRule("bh")
+
+    _READS = {
+        "fdr": ("q1", "q", "mode", "t", "selection"),
+        "fdr_symmetric": ("q1", "q", "mode", "t", "selection", "w1"),
+        "fwer": ("q1", "q", "fwer_method", "selection"),
+        "partial_conjunction": ("q",),
+        "naive_bh_bh": ("q", "primary"),
+        "fisher_meta": ("q",),
+        "oracle": ("q", "w1", "mode", "t", "selection"),
+    }
+
+    def __post_init__(self):
+        if self.kind not in self._READS:
+            raise ParameterError(f"unknown procedure kind {self.kind!r}")
+        reads = ("kind", *self._READS[self.kind])
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ParameterError(f"procedure {self.kind!r} does not read {f.name}")
+        if "q1" in self._READS[self.kind] and self.q1 is None:
+            raise ParameterError(f"procedure {self.kind!r} needs q1 (or alpha1)")
+        mode = ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t).mode
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "fwer_method", FwerMethod(self.fwer_method))
+        if self.primary not in (1, 2):
+            raise ParameterError(f"primary study must be 1 or 2, got {self.primary}")
+
+    def levels(self, fractions=None) -> tuple[float | None, float]:
+        """The (primary, overall) levels the kind runs at: (q1, q), or the
+        oracle's calibrated (q', 2q') from ``fractions``, checked."""
+        if self.kind != "oracle":
+            return self.q1, self.q
+        if fractions is None:
+            raise ParameterError("procedure 'oracle' needs the fractions (f00, f01)")
+        qp = solve_oracle_qprime(*fractions, self.q, self.w1)
+        ProcedureParams(qp, 2.0 * qp, self.w1, self.mode, self.t)
+        return qp, 2.0 * qp
+
+    def run(self, data: StudyPairData, fractions=None) -> DiscoveryReport:
+        """The library procedure of this kind on ``data``."""
+        self.levels(fractions)  # refuses an oracle without its fractions
+        return _KINDS[self.kind][0](self, data, fractions)
+
+    def kernel(self, m: int, fractions=None):
+        """mask = f(p1, p2) over (n, m) rows, one family of m per row, at
+        levels resolved once; only a selection made from p1 alone runs so."""
+        if self.selection.kind not in ROW_KINDS:
+            raise ParameterError(
+                f"selection {self.selection.kind!r} does not run in a simulation; "
+                f"expected one of {', '.join(ROW_KINDS)}"
+            )
+        q1, q = self.levels(fractions)
+        rows = _KINDS[self.kind][1]
+        return lambda p1, p2: rows(self, p1, p2, m, q1, q)
+
+    def rows(self, p1: np.ndarray, p2: np.ndarray, m: int, fractions=None) -> np.ndarray:
+        """The (n, m) rejection mask of :meth:`kernel` on one set of rows."""
+        return self.kernel(m, fractions)(p1, p2)
+
+    def settings(self) -> dict:
+        """The fields this kind reads but its selection, keyed as a run
+        summary names them (an FWER run's levels are alpha1 and alpha)."""
+        keys = {"mode": "dependence", "fwer_method": "method"}
+        if self.kind == "fwer":
+            keys.update(q1="alpha1", q="alpha")
+        names = [name for name in self._READS[self.kind] if name != "selection"]
+        return {keys.get(n, n): getattr(getattr(self, n), "value", getattr(self, n)) for n in names}

@@ -18,13 +18,13 @@ import numpy as np
 from . import kernels
 from .data import StudyPairData
 from .errors import DataError, ParameterError
+from .params import ProcedureParams
 
 
 def bh_reject(pvalues, q: float) -> set[int]:
     """Indices rejected by the Benjamini-Hochberg step-up procedure at
     level q."""
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"level must lie in (0, 1), got {q}")
+    ProcedureParams(None, q)
     p = np.asarray(pvalues, dtype=float)[None]
     return set(np.flatnonzero(kernels.bh_rows(p, q, p.size)[0]).tolist())
 

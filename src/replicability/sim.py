@@ -22,18 +22,18 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 
-from . import kernels, procedures
 from .data import StudyPairData
 from .errors import ParameterError
-from .numeric import ndtr, ndtri, solve_oracle_qprime
-from .procedures import Dependence, FwerMethod, ProcedureParams
-from .selection import ROW_KINDS, SelectionRule
+from .numeric import ndtr, ndtri
+from .params import ProcedureParams
+from .procedures import Procedure
+from .selection import SelectionRule
 
 _log = logging.getLogger(__name__)
 
@@ -41,7 +41,6 @@ _log = logging.getLogger(__name__)
 _CHUNK_VALUES = 1 << 16
 
 __all__ = [
-    "SimProcedure",
     "SimScenario",
     "SimEstimate",
     "truth_block_sizes",
@@ -51,56 +50,6 @@ __all__ = [
     "analytic_power_bonf_max",
     "analytic_power_two_stage",
 ]
-
-
-@dataclass(frozen=True)
-class SimProcedure:
-    """Which procedure a scenario runs, with its levels. ``_READS`` lists
-    the fields each kind reads; any other field is refused unless at its
-    default. The selection is a ``SelectionRule`` of one of the kinds
-    computed from p1 alone; the default level-less ``bh`` runs at each
-    direction's primary-stage level (for ``fwer``, as p1 <= alpha1/m). An
-    ``oracle`` scenario also checks its calibrated levels."""
-
-    kind: str = "fdr"
-    q1: float | None = None
-    q: float = 0.05
-    w1: float = 1.0
-    mode: Dependence = Dependence.INDEPENDENT
-    t: float | None = None
-    fwer_method: FwerMethod = FwerMethod.BONFERRONI
-    primary: int = 1
-    selection: SelectionRule = SelectionRule("bh")
-
-    _READS = {
-        "fdr": ("q1", "q", "mode", "t", "selection"),
-        "fdr_symmetric": ("q1", "q", "mode", "t", "selection", "w1"),
-        "fwer": ("q1", "q", "fwer_method", "selection"),
-        "partial_conjunction": ("q",),
-        "naive_bh_bh": ("q", "primary"),
-        "fisher_meta": ("q",),
-        "oracle": ("q", "w1", "mode", "t", "selection"),
-    }
-
-    def __post_init__(self):
-        if self.kind not in self._READS:
-            raise ParameterError(f"unknown procedure kind {self.kind!r}")
-        reads = ("kind", *self._READS[self.kind])
-        for f in fields(self):
-            if f.name not in reads and getattr(self, f.name) != f.default:
-                raise ParameterError(f"procedure {self.kind!r} does not read {f.name}")
-        if "q1" in self._READS[self.kind] and self.q1 is None:
-            raise ParameterError(f"procedure {self.kind!r} needs q1 (or alpha1)")
-        mode = ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t).mode
-        object.__setattr__(self, "mode", mode)
-        FwerMethod(self.fwer_method)
-        if self.primary not in (1, 2):
-            raise ParameterError(f"primary study must be 1 or 2, got {self.primary}")
-        if self.selection.kind not in ROW_KINDS:
-            raise ParameterError(
-                f"selection {self.selection.kind!r} does not run in a simulation; "
-                f"expected one of {', '.join(ROW_KINDS)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -120,7 +69,7 @@ class SimScenario:
     sigma: float | None = None
     zeta: float | None = None
     n_total: float | None = None
-    procedure: SimProcedure = SimProcedure(q1=0.025)
+    procedure: Procedure = Procedure(q1=0.025)
     reps: int = 1000
     seed: int = 0
 
@@ -153,10 +102,7 @@ class SimScenario:
             raise ParameterError(f"need zeta in (0, 1) and N > 0, got {self.zeta}, {self.n_total}")
         if not (0.0 < self.sd1 < math.inf and 0.0 < self.sd2 < math.inf):
             raise ParameterError("standard deviations must be positive and finite")
-        proc = self.procedure
-        if proc.kind == "oracle":  # the levels the oracle runs at, (q', 2q')
-            qp = solve_oracle_qprime(self.f00, self.f01, proc.q, proc.w1)
-            ProcedureParams(qp, 2.0 * qp, proc.w1, proc.mode, proc.t)
+        self.procedure.kernel(self.m, (self.f00, self.f01))  # refuses what cannot run on rows
 
     @property
     def sd1(self) -> float:
@@ -296,33 +242,12 @@ def generate_rep(scenario: SimScenario, rep_index: int) -> tuple[StudyPairData, 
     the p-values are exchangeable within blocks, so the layout carries no
     information.
     """
-    p1, p2 = _pvalues(scenario, _streams(scenario), rep_index, 1)
+    if not isinstance(rep_index, Integral) or rep_index < 0:
+        raise ParameterError(f"rep_index must be a non-negative integer, got {rep_index!r}")
+    p1, p2 = _pvalues(scenario, _streams(scenario), int(rep_index), 1)
     codes = _truth_codes(scenario)
     codes.flags.writeable = False
     return StudyPairData(_rep_ids(scenario.m), p1[0], p2[0]), codes
-
-
-def _build_runner(scenario: SimScenario):
-    """The scenario's procedure as mask = f(p1, p2) over (n, m) rows, on
-    the row kernels the library procedures run."""
-    proc, m, q = scenario.procedure, scenario.m, scenario.procedure.q
-    rule, mode, t = proc.selection, proc.mode, proc.t
-    if proc.kind == "fwer":
-        return lambda p1, p2: procedures._selected_fwer_rows(
-            p1, p2, rule, m, proc.q1, q, proc.fwer_method
-        )
-    if proc.kind == "partial_conjunction":
-        return lambda p1, p2: kernels.bh_rows(np.maximum(p1, p2), q, m)
-    if proc.kind == "fisher_meta":
-        return lambda p1, p2: kernels.bh_rows(procedures.fisher_combined_pvalues(p1, p2), q, m)
-    if proc.kind == "naive_bh_bh":
-        return lambda p1, p2: procedures._naive_rows(p1, p2, q, m, proc.primary)[1]
-    q1 = proc.q1
-    if proc.kind == "oracle":  # at the calibrated levels (q', 2q')
-        q1 = solve_oracle_qprime(scenario.f00, scenario.f01, q, proc.w1)
-        q = 2.0 * q1
-    # fdr reads no w1: it is the symmetric procedure at the default w1 = 1
-    return lambda p1, p2: procedures._symmetric_rows(p1, p2, rule, proc.w1, m, q1, q, mode, t)
 
 
 @dataclass(frozen=True)
@@ -365,12 +290,12 @@ def run_scenario(
     if not isinstance(workers, Integral) or workers < 1:
         raise ParameterError(f"workers (--workers) must be an integer >= 1, got {workers!r}")
     start_time = time.perf_counter()
-    runner = _build_runner(scenario)
+    m, reps = scenario.m, scenario.reps
+    kernel = scenario.procedure.kernel(m, (scenario.f00, scenario.f01))
     streams = _streams(scenario)
     codes = _truth_codes(scenario)
     non_replicable = codes != 3
     n11 = int(np.count_nonzero(codes == 3))
-    m, reps = scenario.m, scenario.reps
     chunk = max(1, _CHUNK_VALUES // m)
     fdp = np.empty(reps)
     power = np.empty(reps)
@@ -384,7 +309,7 @@ def run_scenario(
         gens = _generators(streams)
         for start in starts[offset::threads]:
             rows = slice(start, min(start + chunk, reps))
-            mask = runner(*_pvalues(scenario, streams, start, rows.stop - start, gens))
+            mask = kernel(*_pvalues(scenario, streams, start, rows.stop - start, gens))
             r = np.count_nonzero(mask, axis=1)
             v = np.count_nonzero(mask & non_replicable, axis=1)
             fdp[rows] = v / np.maximum(r, 1)

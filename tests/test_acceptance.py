@@ -19,13 +19,13 @@ from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
 from replicability.procedures import (
     Dependence,
+    Procedure,
     fdr_two_stage,
     fdr_two_stage_rscan,
     fwer_two_stage,
 )
 from replicability.selection import SelectionRule
 from replicability.sim import (
-    SimProcedure,
     SimScenario,
     analytic_power_bonf_max,
     analytic_power_two_stage,
@@ -232,7 +232,7 @@ def test_criterion_4_simulation_table():
         scenario = SimScenario(
             m=1000, f00=0.9, f01=0.025, f10=0.025, f11=0.05,
             mu1=mu, mu2=mu, sigma1=0.5, sigma2=0.5,
-            procedure=SimProcedure(kind="fdr", q1=c * 0.05, q=0.05),
+            procedure=Procedure(kind="fdr", q1=c * 0.05, q=0.05),
             reps=1000, seed=SEED,
         )
         est = run_scenario(scenario)
@@ -288,12 +288,12 @@ def test_criterion_5_error_control_suite():
     q = 0.05
     failures = []
     controlled = [
-        SimProcedure(kind="fdr", q1=0.025, q=q),
-        SimProcedure(kind="fdr_symmetric", q1=0.025, q=q, w1=0.0),
-        SimProcedure(kind="fdr_symmetric", q1=0.025, q=q, w1=0.5),
-        SimProcedure(kind="fdr_symmetric", q1=0.025, q=q, w1=1.0),
-        SimProcedure(kind="partial_conjunction", q=q),
-        SimProcedure(kind="oracle", q=q, w1=1.0),
+        Procedure(kind="fdr", q1=0.025, q=q),
+        Procedure(kind="fdr_symmetric", q1=0.025, q=q, w1=0.0),
+        Procedure(kind="fdr_symmetric", q1=0.025, q=q, w1=0.5),
+        Procedure(kind="fdr_symmetric", q1=0.025, q=q, w1=1.0),
+        Procedure(kind="partial_conjunction", q=q),
+        Procedure(kind="oracle", q=q, w1=1.0),
     ]
     for i, config in enumerate(CONTROL_CONFIGS):
         for proc in controlled:
@@ -306,7 +306,7 @@ def test_criterion_5_error_control_suite():
                 )
         # FWER of the two-stage screening procedure: P(any false rejection)
         est = run_scenario(
-            _scenario(config, SimProcedure(kind="fwer", q1=0.025, q=q)),
+            _scenario(config, Procedure(kind="fwer", q1=0.025, q=q)),
             retain_trace=True,
         )
         any_false = np.asarray(est.trace[0]) > 0.0
@@ -317,7 +317,7 @@ def test_criterion_5_error_control_suite():
 
     # the naive per-study baseline is invalid: FDP blows up on the
     # cross-signal configurations
-    naive = SimProcedure(kind="naive_bh_bh", q=q)
+    naive = Procedure(kind="naive_bh_bh", q=q)
     est_extreme = run_scenario(_scenario(CONTROL_CONFIGS[3], naive))
     if est_extreme.avg_fdp < 0.9:
         failures.append(f"naive FDP {est_extreme.avg_fdp:.3f} < 0.9 on half/half config")

@@ -433,6 +433,21 @@ class TestPower:
         assert len(lines) == 8
 
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--alpha1", "0.025", "--grid-c", "0.2:0.8:7"], "--alpha1 is not read with --grid-c"),
+        (["--out", "{out}"], "--out is read only with --grid-c"),
+    ], ids=["alpha1_with_grid", "out_without_grid"])
+    def test_unread_flag_refused(self, tmp_path, capsys, flags, needle):
+        out = tmp_path / "power.csv"
+        code = main([
+            "power", "--mu11", "4.5", "--mu21", "4.5", "--m", "100", "--alpha", "0.05",
+            *(flag.format(out=out) for flag in flags),
+        ])
+        stdout, err = capsys.readouterr()
+        assert code == 1 and stdout == "" and not out.exists()
+        assert err.startswith(f"usage error: {needle}")
+
+
 class TestCalibrateOracle:
     def test_prints_level(self, capsys):
         assert main([

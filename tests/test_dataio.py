@@ -22,9 +22,9 @@ from replicability.dataio import (
     write_pvalue_csv,
 )
 from replicability.errors import DataError, ParameterError
-from replicability.procedures import Dependence, fdr_two_stage
+from replicability.procedures import Dependence, Procedure, fdr_two_stage
 from replicability.selection import SelectionRule
-from replicability.sim import SimProcedure, SimScenario, generate_rep
+from replicability.sim import SimScenario, generate_rep
 
 
 def test_parse_basic(tmp_path):
@@ -230,7 +230,7 @@ def test_scenario_keys_name_every_field():
     # each key sets a field, and every field but the nested procedure has a key
     named = {name for name, _ in dataio._SCENARIO_KEYS.values()}
     scenario_fields = {f.name for f in fields(SimScenario)}
-    procedure_fields = {f.name for f in fields(SimProcedure)}
+    procedure_fields = {f.name for f in fields(Procedure)}
     assert named <= scenario_fields | procedure_fields
     assert (scenario_fields | procedure_fields) - {"procedure"} <= named
 
@@ -240,7 +240,7 @@ def test_scenario_defaults_and_aliases(tmp_path):
     path = tmp_path / "s.txt"
     path.write_text(required + "alpha1 = 0.02\nalpha = 0.04\n")
     parsed = parse_scenario_file(path).scenario
-    assert parsed.procedure == SimProcedure(q1=0.02, q=0.04)
+    assert parsed.procedure == Procedure(q1=0.02, q=0.04)
     assert (parsed.reps, parsed.seed) == (1000, 0)
 
 

@@ -1,5 +1,5 @@
-"""Each procedure reads only its own parameters. ``SimProcedure._READS``
-is the one table of them; ``SimProcedure``, scenario files and
+"""Each procedure reads only its own parameters. ``Procedure._READS``
+is the one table of them; ``Procedure``, scenario files and
 ``analyze`` refuse every other parameter, and the README documents the
 same table."""
 
@@ -12,12 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from replicability import dataio
+from replicability import dataio, procedures
 from replicability.cli import main
 from replicability.errors import ParameterError
-from replicability.procedures import Dependence, FwerMethod
+from replicability.procedures import Dependence, FwerMethod, Procedure
 from replicability.selection import SelectionRule
-from replicability.sim import SimProcedure
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 HIPPO = str(resources.files("replicability.fixtures") / "hippocampal_volume.csv")
@@ -47,14 +46,14 @@ FIELD_INPUT = {
 }
 UNREAD = [
     (kind, f.name)
-    for kind in SimProcedure._READS
-    for f in fields(SimProcedure)
-    if f.name not in ("kind", *SimProcedure._READS[kind])
+    for kind in Procedure._READS
+    for f in fields(Procedure)
+    if f.name not in ("kind", *Procedure._READS[kind])
 ]
 
 
 def _levels(kind: str) -> dict:
-    return {"q1": 0.025} if "q1" in SimProcedure._READS[kind] else {}
+    return {"q1": 0.025} if "q1" in Procedure._READS[kind] else {}
 
 
 def _cli(argv, tmp_path, scenario=None):
@@ -72,7 +71,7 @@ def _cli(argv, tmp_path, scenario=None):
 def _library(kind, field):
     def run(tmp_path):
         try:
-            SimProcedure(kind=kind, **_levels(kind), **{field: FIELD_INPUT[field][0]})
+            Procedure(kind=kind, **_levels(kind), **{field: FIELD_INPUT[field][0]})
         except ParameterError as exc:  # the class the CLI exits 1 with
             return 1, str(exc)
         return 0, ""
@@ -144,9 +143,32 @@ def test_unread_or_doubled_parameter_refused(case, tmp_path):
         assert needle.format(scenario=tmp_path / "s.txt") in message
 
 
+def test_every_kind_has_one_table_entry():
+    """A kind in ``Procedure._READS`` without its library procedure and row
+    kernel in ``procedures._KINDS`` could be built but never run."""
+    assert set(procedures._KINDS) == set(Procedure._READS)
+    for kind, (run, kernel) in procedures._KINDS.items():
+        assert callable(run) and callable(kernel), kind
+
+
+def test_oracle_needs_its_fractions():
+    oracle = Procedure(kind="oracle", q=0.05, selection=SelectionRule("followup"))
+    data = dataio.parse_pvalue_csv(HIPPO)
+    with pytest.raises(ParameterError, match="fractions"):
+        oracle.run(data)
+    assert oracle.run(data, (0.9, 0.05)).procedure.startswith("oracle[")
+
+
+def test_selection_that_needs_a_dataset_runs_only_in_the_library():
+    fdr = Procedure(q1=0.025, selection=SelectionRule("followup"))
+    assert fdr.run(dataio.parse_pvalue_csv(HIPPO)).procedure.startswith("fdr_two_stage")
+    with pytest.raises(ParameterError, match="selection 'followup' does not run in a simulation"):
+        fdr.kernel(100)
+
+
 def test_read_parameters_run(tmp_path):
     """Every field a kind reads is accepted, from a file too."""
-    for kind, reads in SimProcedure._READS.items():
+    for kind, reads in Procedure._READS.items():
         lines = "".join(
             f"{FIELD_INPUT[name][1]} = {FIELD_INPUT[name][2]}\n" for name in reads if name != "q"
         )
@@ -169,8 +191,8 @@ def _readme_key_table() -> list[list[str]]:
 
 def test_readme_scenario_keys_match_the_tables():
     """The README lists every scenario key once, and says which procedures
-    read each one, as ``SimProcedure._READS`` does."""
-    everyone = set(SimProcedure._READS)
+    read each one, as ``Procedure._READS`` does."""
+    everyone = set(Procedure._READS)
     listed = []
     for keys, _, read_by, _ in _readme_key_table():
         row_keys = re.findall(r"`([^`]+)`", keys)
@@ -179,7 +201,7 @@ def test_readme_scenario_keys_match_the_tables():
         for key in row_keys:
             name = dataio._SCENARIO_KEYS.get(key, (None,))[0]
             if name in dataio._PROCEDURE_FIELDS - {"kind"}:
-                assert kinds == {k for k, reads in SimProcedure._READS.items() if name in reads}, key
+                assert kinds == {k for k, reads in Procedure._READS.items() if name in reads}, key
             else:
                 assert kinds == everyone, key
     assert sorted(listed) == sorted([*dataio._SCENARIO_KEYS, "sweep_axis", "sweep_grid"])

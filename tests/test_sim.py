@@ -16,20 +16,13 @@ from replicability.errors import DataError, ParameterError, ReplicabilityError
 from replicability.numeric import harmonic
 from replicability.procedures import (
     Dependence,
-    baseline_fisher_meta,
-    baseline_naive_bh_bh,
-    baseline_partial_conjunction,
-    fdr_symmetric,
+    Procedure,
     fdr_two_stage,
     fdr_two_stage_rscan,
-    fwer_two_stage,
-    oracle_calibrated_run,
 )
 from replicability.selection import SelectionRule
 from replicability.sim import (
-    SimProcedure,
     SimScenario,
-    _build_runner,
     _pvalues,
     _streams,
     analytic_power_bonf_max,
@@ -50,7 +43,7 @@ BASE = SimScenario(
     mu2=3.0,
     sigma1=1.0,
     sigma2=1.0,
-    procedure=SimProcedure(kind="fdr", q1=0.025, q=0.05),
+    procedure=Procedure(kind="fdr", q1=0.025, q=0.05),
     reps=50,
     seed=7,
 )
@@ -91,12 +84,21 @@ class TestGenerateRep:
         b_data, _ = generate_rep(BASE, 1)
         assert a_data != b_data
 
+    @pytest.mark.parametrize("rep_index", [-1, 1.5, 2.0, "3", None])
+    def test_rep_index_not_a_repetition_refused(self, rep_index):
+        # -1 would seek a wrapped Philox counter: no repetition run_scenario draws
+        with pytest.raises(ParameterError, match=f"rep_index .* got {rep_index!r}"):
+            generate_rep(BASE, rep_index)
+
+    def test_numpy_rep_index_is_that_repetition(self):
+        assert generate_rep(BASE, np.int64(3))[0] == generate_rep(BASE, 3)[0]
+
     def test_null_pvalues_uniform(self):
         # all-null scenario: pooled p-values pass a KS uniformity check
         scenario = SimScenario(
             m=1000, f00=1.0, f01=0.0, f10=0.0, f11=0.0,
             mu1=3.0, mu2=3.0, sigma1=1.0, sigma2=1.0,
-            procedure=SimProcedure(kind="partial_conjunction", q=0.05),
+            procedure=Procedure(kind="partial_conjunction", q=0.05),
             reps=1, seed=123,
         )
         pooled = np.concatenate(
@@ -109,7 +111,7 @@ class TestGenerateRep:
         scenario = SimScenario(
             m=20000, f00=0.0, f01=0.0, f10=0.0, f11=1.0,
             mu1=3.0, mu2=1.0, sigma1=1.0, sigma2=1.0,
-            procedure=SimProcedure(kind="partial_conjunction", q=0.05),
+            procedure=Procedure(kind="partial_conjunction", q=0.05),
             reps=1, seed=5,
         )
         data, truth = generate_rep(scenario, 0)
@@ -144,7 +146,7 @@ class TestRunScenario:
         scenario = SimScenario(
             m=1000, f00=0.9, f01=0.025, f10=0.025, f11=0.05,
             mu1=2.0, mu2=2.0, sigma1=0.5, sigma2=0.5,
-            procedure=SimProcedure(
+            procedure=Procedure(
                 kind="fdr", q1=0.025, q=0.05,
                 mode=Dependence.ARBITRARY_PRIMARY_ITEM2, t=1e-6,
                 selection=SelectionRule("bh"),
@@ -187,7 +189,7 @@ class TestRunScenario:
         scenario = SimScenario(
             m=500, f00=0.5, f01=0.25, f10=0.25, f11=0.0,
             mu1=3.0, mu2=3.0, sigma1=1.0, sigma2=1.0,
-            procedure=SimProcedure(kind="fdr", q1=0.025, q=0.05),
+            procedure=Procedure(kind="fdr", q1=0.025, q=0.05),
             reps=200, seed=11,
         )
         est = run_scenario(scenario)
@@ -198,7 +200,7 @@ class TestRunScenario:
         est = run_scenario(SimScenario(
             m=50, f00=0.9, f01=0.0, f10=0.0, f11=0.1,
             mu1=3.0, mu2=3.0, sigma1=1.0, sigma2=1.0,
-            procedure=SimProcedure(kind="fdr", q1=0.025, q=0.05),
+            procedure=Procedure(kind="fdr", q1=0.025, q=0.05),
             reps=1, seed=2,
         ))
         assert est.fdp_se is None
@@ -215,7 +217,7 @@ class TestRunScenario:
         scenario = SimScenario(
             m=100, f00=0.9, f01=0.0, f10=0.0, f11=0.1,
             mu1=2.0, mu2=2.0, sigma=10.0, zeta=0.5, n_total=1000,
-            procedure=SimProcedure(kind="fdr", q1=0.025, q=0.05),
+            procedure=Procedure(kind="fdr", q1=0.025, q=0.05),
             reps=10, seed=3,
         )
         assert scenario.sd1 == pytest.approx(10.0 / math.sqrt(500))
@@ -223,16 +225,16 @@ class TestRunScenario:
 
     def test_all_procedure_kinds_run(self):
         kinds = [
-            SimProcedure(kind="fdr", q1=0.025, q=0.05),
-            SimProcedure(kind="fdr_symmetric", q1=0.025, q=0.05, w1=0.5),
-            SimProcedure(kind="fwer", q1=0.025, q=0.05),
-            SimProcedure(kind="fwer", q1=0.025, q=0.05, fwer_method="holm"),
-            SimProcedure(kind="partial_conjunction", q=0.05),
-            SimProcedure(kind="naive_bh_bh", q=0.05),
-            SimProcedure(kind="naive_bh_bh", q=0.05, primary=2),
-            SimProcedure(kind="fisher_meta", q=0.05),
-            SimProcedure(kind="oracle", q=0.05, w1=1.0),
-            SimProcedure(kind="oracle", q=0.05, w1=0.5),
+            Procedure(kind="fdr", q1=0.025, q=0.05),
+            Procedure(kind="fdr_symmetric", q1=0.025, q=0.05, w1=0.5),
+            Procedure(kind="fwer", q1=0.025, q=0.05),
+            Procedure(kind="fwer", q1=0.025, q=0.05, fwer_method="holm"),
+            Procedure(kind="partial_conjunction", q=0.05),
+            Procedure(kind="naive_bh_bh", q=0.05),
+            Procedure(kind="naive_bh_bh", q=0.05, primary=2),
+            Procedure(kind="fisher_meta", q=0.05),
+            Procedure(kind="oracle", q=0.05, w1=1.0),
+            Procedure(kind="oracle", q=0.05, w1=0.5),
         ]
         for proc in kinds:
             est = run_scenario(
@@ -252,7 +254,7 @@ class TestRunScenario:
             SelectionRule("top_k", k=20),
             SelectionRule("fixed_threshold", threshold=1e-3),
         ]:
-            proc = SimProcedure(kind="fdr", q1=0.025, q=0.05, selection=sel)
+            proc = Procedure(kind="fdr", q1=0.025, q=0.05, selection=sel)
             est = run_scenario(
                 SimScenario(
                     m=100, f00=0.9, f01=0.025, f10=0.025, f11=0.05,
@@ -270,12 +272,12 @@ class TestRunScenario:
     ])
     def test_procedure_validated(self, kwargs):
         with pytest.raises(DataError):
-            SimProcedure(**kwargs)
+            Procedure(**kwargs)
 
     def test_selection_without_its_parameter_refused(self):
         # refused where the library refuses it: when the rule is built
         with pytest.raises(DataError, match="needs threshold"):
-            run_scenario(replace(BASE, procedure=SimProcedure(
+            run_scenario(replace(BASE, procedure=Procedure(
                 kind="fdr", q1=0.025, q=0.05, selection=SelectionRule("fixed_threshold"),
             )))
 
@@ -284,7 +286,7 @@ class TestRunScenario:
             SimScenario(
                 m=10, f00=0.9, f01=0.2, f10=0.0, f11=0.0,
                 mu1=1.0, mu2=1.0, sigma1=1.0, sigma2=1.0,
-                procedure=SimProcedure(kind="fdr", q1=0.02, q=0.05),
+                procedure=Procedure(kind="fdr", q1=0.02, q=0.05),
                 reps=1, seed=0,
             )
 
@@ -377,7 +379,7 @@ class TestPublishedCurveShapes:
         scenario = SimScenario(
             m=500, f00=0.9, f01=0.025, f10=0.025, f11=0.05,
             mu1=3.0, mu2=3.0, sigma=10.0, zeta=0.5, n_total=1000,
-            procedure=SimProcedure(kind="fdr_symmetric", q1=0.025, q=0.05, w1=0.5),
+            procedure=Procedure(kind="fdr_symmetric", q1=0.025, q=0.05, w1=0.5),
             reps=200, seed=31,
         )
         rows = dict(sweep(scenario, "zeta", [0.1, 0.3, 0.5, 0.7, 0.9]))
@@ -393,7 +395,7 @@ class TestPublishedCurveShapes:
             base = SimScenario(
                 m=1000, f00=0.9, f01=0.025, f10=0.025, f11=0.05,
                 mu1=mu1, mu2=3.0, sigma1=0.5, sigma2=1.0,
-                procedure=SimProcedure(
+                procedure=Procedure(
                     kind="fdr_symmetric", q1=0.025, q=0.05, w1=0.5,
                     selection=SelectionRule("bh"),
                 ),
@@ -427,7 +429,7 @@ def sim_scenarios(draw):
     sizes = [c * m // total for c in counts]
     sizes[0] += m - sum(sizes)
     f00, f01, f10, f11 = (size / m for size in sizes)
-    kind = draw(st.sampled_from(list(SimProcedure._READS)))
+    kind = draw(st.sampled_from(list(Procedure._READS)))
     q = draw(st.sampled_from([0.05, 0.1, 0.2]))
     q1 = draw(st.sampled_from([0.2, 0.5, 0.8])) * q
     w1 = draw(st.sampled_from([0.0, 0.5, 1.0] if kind == "oracle" else [0.0, 0.3, 0.5, 1.0]))
@@ -448,7 +450,7 @@ def sim_scenarios(draw):
         primary=draw(st.sampled_from([1, 2])), selection=selection,
     )
     # every field is drawn, and the procedure gets those its kind reads
-    procedure = SimProcedure(kind=kind, **{name: drawn[name] for name in SimProcedure._READS[kind]})
+    procedure = Procedure(kind=kind, **{name: drawn[name] for name in Procedure._READS[kind]})
     return SimScenario(
         m=m, f00=f00, f01=f01, f10=f10, f11=f11,
         mu1=draw(st.floats(0.0, 5.0)), mu2=draw(st.floats(0.0, 5.0)),
@@ -467,26 +469,6 @@ def test_chunk_rows_equal_single_rep_calls(scenario, start, n):
         assert np.array_equal(p2[i], data.p2)
     assert np.bincount(truth, minlength=4).tolist() == list(truth_block_sizes(
         scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11)))
-
-
-def _library_run(scenario: SimScenario, data):
-    """The library call of the scenario's procedure; a level-less selection
-    runs at each direction's primary-stage level on both sides."""
-    proc = scenario.procedure
-    q, q1, w1, mode, t, rule = proc.q, proc.q1, proc.w1, proc.mode, proc.t, proc.selection
-    if proc.kind == "fdr":
-        return fdr_two_stage(data, rule, q1, q, mode, t)
-    if proc.kind == "fdr_symmetric":
-        return fdr_symmetric(data, rule, w1, q1, q, mode, t)
-    if proc.kind == "oracle":
-        return oracle_calibrated_run(data, rule, scenario.f00, scenario.f01, q, w1, mode, t)
-    if proc.kind == "fwer":
-        return fwer_two_stage(data, rule, q1, q, proc.fwer_method)
-    if proc.kind == "partial_conjunction":
-        return baseline_partial_conjunction(data, q)
-    if proc.kind == "fisher_meta":
-        return baseline_fisher_meta(data, q)
-    return baseline_naive_bh_bh(data, q, proc.primary)
 
 
 def _rscan_run(scenario: SimScenario, data) -> set[str]:
@@ -514,22 +496,23 @@ def _outcome(call):
     snap=st.sampled_from([None, "q", "q1"]),
 )
 def test_row_kernels_match_library(scenario, start, snap):
-    """Each row's batched mask is the library's rejected set on that row's
-    dataset, the reference procedure's mask and, for the FDR procedures,
-    the exhaustive scan's rejected set, also on p-values placed exactly on
-    a threshold; the kernels refuse exactly what the library refuses."""
+    """Each row of ``Procedure.rows`` is the rejected set of
+    ``Procedure.run`` on that row's dataset, the reference procedure's mask
+    and, for the FDR procedures, the exhaustive scan's rejected set, also on
+    p-values placed exactly on a threshold; the kernels refuse exactly what
+    the library refuses."""
     m, n = scenario.m, scenario.reps
     p1, p2 = _pvalues(scenario, _streams(scenario), start, n)
     if snap is not None:  # onto the grid level*k/m: ties, and values at a threshold
         level = getattr(scenario.procedure, snap) or scenario.procedure.q
         p1, p2 = (np.minimum(level * np.ceil(p * m / level) / m, 1.0) for p in (p1, p2))
     ids = [f"h{j}" for j in range(m)]
+    proc, fractions = scenario.procedure, (scenario.f00, scenario.f01)
     library = [
-        _outcome(partial(_library_run, scenario, StudyPairData(ids, a, b)))
-        for a, b in zip(p1, p2)
+        _outcome(partial(proc.run, StudyPairData(ids, a, b), fractions)) for a, b in zip(p1, p2)
     ]
     refused = [r for r in library if isinstance(r, type)]
-    masks = _outcome(lambda: _build_runner(scenario)(p1, p2))
+    masks = _outcome(lambda: proc.rows(p1, p2, m, fractions))
     if isinstance(masks, type):
         assert masks in refused
         return
