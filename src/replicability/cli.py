@@ -24,7 +24,6 @@ import numpy as np
 from . import adjust as adjust_mod
 from . import dataio, procedures, sim
 from .errors import ApplicabilityError, DataError, ParameterError
-from .numeric import solve_oracle_qprime
 from .selection import probe_validity
 
 EXIT_OK = 0
@@ -207,11 +206,11 @@ def _cmd_calibrate_oracle(args) -> int:
         for flag in ("selection", "out", "quiet"):
             if getattr(args, flag) not in (None, False):
                 raise ParameterError(f"--{flag} is read only with --input")
-    qp = solve_oracle_qprime(args.f00, args.f01, args.q, args.w1)
+    rule = dataio.parse_rule_spec("followup" if args.selection is None else args.selection)
+    procedure = procedures.Procedure(kind="oracle", q=args.q, w1=args.w1, selection=rule)
+    qp, _ = procedure.levels((args.f00, args.f01))  # refuses a level pair no run accepts
     print(f"q_prime = {qp:.6g}")
     if args.input:
-        rule = dataio.parse_rule_spec("followup" if args.selection is None else args.selection)
-        procedure = procedures.Procedure(kind="oracle", q=args.q, w1=args.w1, selection=rule)
         data = dataio.parse_pvalue_csv(args.input)
         report = procedure.run(data, (args.f00, args.f01))
         params = {"f00": args.f00, "f01": args.f01, "q": args.q, "w1": args.w1}

@@ -52,13 +52,19 @@ class RowView(Sequence):
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
+def _kept(p) -> bool:
+    """Whether a dataset keeps column ``p``: a read-only float64 array owning its data."""
+    return type(p) is np.ndarray and p.dtype == float and p.flags.owndata and not p.flags.writeable
+
+
 @dataclass(frozen=True, eq=False)
 class StudyPairData:
     """A family of hypotheses tested in a primary and a follow-up study.
 
     Built from columns, ``StudyPairData(ids, p1, p2)``, and stored as
-    ``ids`` (a tuple) and copies of ``p1`` and ``p2`` as read-only float64
-    arrays. NaN in ``p2`` marks a hypothesis that was not followed up.
+    ``ids`` (a tuple) and ``p1`` and ``p2`` as read-only float64 arrays: a
+    column that already is one and owns its data is kept, any other is
+    copied. NaN in ``p2`` marks a hypothesis that was not followed up.
 
     ``m_declared`` overrides the family size when the dataset lists only a
     subset of the tested hypotheses (e.g. only the ones followed up out of
@@ -74,7 +80,7 @@ class StudyPairData:
 
     def __init__(self, ids, p1, p2, m_declared: int | None = None, r1_declared: int | None = None):
         ids = tuple(ids)
-        p1, p2 = np.array(p1, dtype=float), np.array(p2, dtype=float)
+        p1, p2 = (p if _kept(p) else np.array(p, dtype=float) for p in (p1, p2))
         if not p1.shape == p2.shape == (len(ids),):
             raise ValueError(f"columns differ in length: {len(ids)}, {p1.shape}, {p2.shape}")
         p1.flags.writeable = p2.flags.writeable = False

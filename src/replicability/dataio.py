@@ -29,6 +29,7 @@ SIM_HEADER = "point,avg_fdp,fdp_se,avg_power,power_se,avg_rejections"
 
 _DIRECTIVE = re.compile(r"^#\s*(m|r1)\s*=\s*(\d+)\s*$")
 _BLOCK_CHARS = 1 << 20  # per block of lines (~30k GWAS rows): split at once if clean
+_COLUMN_ROWS = 1 << 15  # first capacity of the p1 and p2 columns, doubled as they fill
 _UNCLEAN = "# \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # '#', and what str.strip removes in ASCII but \n
 
 
@@ -163,11 +164,12 @@ def parse_pvalue_csv(path) -> StudyPairData:
     one on the earliest data line is named, an empty family at the header.
 
     After the header, a clean block of lines (see :func:`_parse_clean`) is
-    split at once, and any other read line by line with the same result.
+    split at once, and any other read line by line with the same result;
+    either way its values go into the two growing columns the dataset keeps.
     """
     path = Path(path)
     comments: list[tuple[int, str]] = []  # (line number, text) of comment lines
-    ids, p1_parts, p2_parts = [], [np.zeros(0)], [np.zeros(0)]
+    ids, p1, p2 = [], np.empty(_COLUMN_ROWS), np.empty(_COLUMN_ROWS)
     fault = None  # the first malformed line's error; reading stops there
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -183,25 +185,27 @@ def parse_pvalue_csv(path) -> StudyPairData:
         declared = {"m": (None, lineno)}  # no m directive: None, named at the header
         for text in _blocks(fh):
             try:
-                block_ids, p1, p2 = _parse_clean(text)
+                block_ids, *values = _parse_clean(text)
             except ValueError:  # line by line, so that a fault names its line
-                (block_ids, p1, p2), fault = _parse_lines(text, lineno, len(ids), path, comments)
+                (block_ids, *values), fault = _parse_lines(text, lineno, len(ids), path, comments)
                 lineno += text.count("\n") - len(block_ids)  # lines that are not rows
             lineno += len(block_ids)
+            n = len(ids)
             ids.extend(block_ids)
-            p1_parts.append(p1)
-            p2_parts.append(p2)
+            if len(ids) > len(p1):  # double in place, or more for a larger block
+                for column in (p1, p2):
+                    column.resize(max(len(ids), 2 * len(column)), refcheck=False)
+            p1[n : len(ids)], p2[n : len(ids)] = values
             if fault is not None:
                 break
     # each directive's last value, and the line it was read from
     declared |= {hit[1]: (int(hit[2]), k) for k, s in comments if (hit := _DIRECTIVE.match(s))}
     m, r1 = (declared.get(name, (None,))[0] for name in ("m", "r1"))
-    # free the id list, the parts and the joined columns as each is copied
-    ids = tuple(ids)
-    p1, p2 = np.concatenate(p1_parts), np.concatenate(p2_parts)
-    del p1_parts, p2_parts
+    ids = tuple(ids)  # frees the id list
+    for column in (p1, p2):
+        column.resize(len(ids), refcheck=False)
+        column.flags.writeable = False
     data = StudyPairData(ids, p1, p2, m, r1)
-    del p1, p2
     issue = validate_dataset(data)  # rows in order, then the directives
     if fault is not None and (issue is None or issue.row is None):
         raise fault
@@ -234,13 +238,15 @@ def write_pvalue_csv(data: StudyPairData, path) -> None:
 def write_discoveries_csv(data: StudyPairData, report: DiscoveryReport, path) -> None:
     """One row per scored hypothesis, flagged ``rejected`` by row position."""
     rows = report.scored_rows
+    rejected = np.zeros(len(data.ids), dtype=bool)
+    rejected[report.rejected_rows] = True
     columns = [
         list(map(data.ids.__getitem__, rows.tolist())),
         data.p1[rows],
         data.p2[rows],
         report.z,
         report.adjusted,
-        np.where(np.isin(rows, report.rejected_rows), "1", "0").tolist(),
+        np.where(rejected[rows], "1", "0").tolist(),
     ]
     Path(path).write_text(csv_text(DISCOVERY_HEADER, columns), encoding="utf-8")
 

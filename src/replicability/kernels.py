@@ -35,8 +35,23 @@ def step_up_rows(stat: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
 def bh_rows(p: np.ndarray, q: float, m_eff) -> np.ndarray:
     """Benjamini-Hochberg step-up at level q per row, with thresholds
     i*q/m_eff over a family of ``m_eff`` (one value, or an (n, 1) column
-    of one per row) that may be larger than the row."""
-    return step_up_rows(p, q * np.arange(1, p.shape[1] + 1) / m_eff)
+    of one per row) that may be larger than the row. Only entries at or
+    below the last threshold can pass: they are packed to the left of each
+    row, padded with inf, stepped up and scattered back."""
+    if p.size == 0:
+        return np.zeros(p.shape, dtype=bool)
+    n, k = p.shape
+    src = np.flatnonzero(p <= q * k / m_eff)  # the last threshold, computed alike
+    count = np.bincount(src // k, minlength=n)
+    slots = np.arange(count.max()) < count[:, None]
+    # both list entries row by row, so a row's i-th candidate goes to slot i
+    dst = np.flatnonzero(slots)
+    packed = np.full(slots.size, np.inf)
+    packed[dst] = p.ravel()[src]
+    thresholds = q * np.arange(1, slots.shape[1] + 1) / m_eff
+    mask = np.zeros(p.size, dtype=bool)
+    mask[src] = step_up_rows(packed.reshape(slots.shape), thresholds).ravel()[dst]
+    return mask.reshape(p.shape)
 
 
 def holm_rows(p: np.ndarray, level: float, m_eff) -> np.ndarray:

@@ -126,6 +126,10 @@ def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
         if rule.k > m:
             raise DataError(f"top_k selection asks for {rule.k} of {m} hypotheses")
         return kernels.top_k_rows(p1, rule.k)
+    raise ParameterError(
+        f"{rule.kind} selection is not made from primary p-values alone; "
+        f"expected one of {', '.join(ROW_KINDS)}"
+    )
 
 
 def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np.ndarray:

@@ -475,6 +475,15 @@ class TestCalibrateOracle:
         main(["calibrate-oracle", "--f00", "0", "--f01", "0", "--q", "0.05"])
         assert "q_prime = 0.05" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("with_input", [False, True], ids=["alone", "with_input"])
+    def test_level_pair_refused_before_printing(self, crohns_csv, tmp_path, capsys, with_input):
+        # (q', 2q') = (0.6, 1.2) is no level pair: nothing is printed for it
+        flags = ["--input", str(crohns_csv), "--out", str(tmp_path / "o")] if with_input else []
+        code = main(["calibrate-oracle", "--f00", "0", "--f01", "0", "--q", "0.6", *flags])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and not (tmp_path / "o").exists()
+        assert err.startswith("usage error: levels need 0 < q1 < q < 1, got q1=0.6, q=1.2")
+
     def test_with_input_runs_procedure(self, crohns_csv, tmp_path, capsys):
         out = tmp_path / "o"
         code = main([

@@ -89,6 +89,18 @@ def test_columns_and_records_agree():
         data.p1[0] = 0.5  # columns are read-only; p1_array() gives a copy
 
 
+def test_writable_columns_are_copied_and_owned_read_only_ones_kept():
+    p1, p2 = np.array([0.1, 0.3]), np.array([0.2, 0.4])
+    data = StudyPairData(["a", "b"], p1, p2[:])  # a writable array and a view of one
+    p1[0] = p2[0] = 0.9  # the caller writes on after building the dataset
+    assert data.p1.tolist() == [0.1, 0.3] and data.p2.tolist() == [0.2, 0.4]
+    view = p2[:]
+    view.flags.writeable = False  # read-only, but another array owns its data
+    assert StudyPairData(["a", "b"], p1, view).p2 is not view
+    p1.flags.writeable = False
+    assert StudyPairData(["a", "b"], p1, p1).p1 is p1
+
+
 _ROW_IDS = st.sampled_from(["", "a", "b", "c", "d"])  # empty and repeated ids
 _PVALUES = st.sampled_from([0.0, 0.3, 1.0, -0.2, 1.5, np.nan, np.inf, -np.inf])
 _OVERRIDE = st.none() | st.integers(-1, 9)

@@ -83,6 +83,22 @@ def test_read_keeps_one_copy_of_each_column(tmp_path):
     assert peak <= 1.75 * kept, f"peak {peak / kept:.2f}x what the dataset keeps"
 
 
+@pytest.mark.parametrize("rows", [1, 3, dataio._COLUMN_ROWS])
+def test_parsed_columns_are_kept_read_only_and_exact(tmp_path, rows):
+    # the dataset keeps the reader's columns, cut to the row count
+    path = tmp_path / "in.csv"
+    path.write_text("id,p1,p2\n" + "".join(f"r{i},0.{i + 1},\n" for i in range(5)) + "x,0.5,0.25\n")
+    with (
+        mock.patch.object(dataio, "_BLOCK_CHARS", 12),
+        mock.patch.object(dataio, "_COLUMN_ROWS", rows),
+    ):
+        data = parse_pvalue_csv(path)
+    for column in (data.p1, data.p2):
+        assert column.flags.owndata and not column.flags.writeable
+        assert column.shape == (len(data.ids),) == (6,)
+    assert data.p1.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.5] and data.p2[5] == 0.25
+
+
 def test_malformed_row_reports_line_number(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("id,p1,p2\nok,0.1,0.2\nbad,xyz,0.2\n")
@@ -369,13 +385,20 @@ def _outcome(parse, path):
         return str(exc)
 
 
+# first column capacities: 1 makes every block grow the columns
+_COLUMN_ROWS = st.sampled_from([1, dataio._COLUMN_ROWS])
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=pvalue_files(), block=st.sampled_from([1, 40, 1 << 20]))
-def test_block_reader_matches_line_oracle(tmp_path, text, block):
+@given(text=pvalue_files(), block=st.sampled_from([1, 40, 1 << 20]), rows=_COLUMN_ROWS)
+def test_block_reader_matches_line_oracle(tmp_path, text, block, rows):
     path = tmp_path / "in.csv"
     path.write_bytes(text.encode())
-    with mock.patch.object(dataio, "_BLOCK_CHARS", block):
+    with (
+        mock.patch.object(dataio, "_BLOCK_CHARS", block),
+        mock.patch.object(dataio, "_COLUMN_ROWS", rows),
+    ):
         got = _outcome(parse_pvalue_csv, path)
     assert got == _outcome(parse_pvalue_csv_lines, path)
 
@@ -415,12 +438,16 @@ def late_fault_files(draw, planted: str) -> tuple[str, int]:
 def test_block_reader_meets_late_faults(tmp_path, planted):
     # block None ends the first block half way through the planted line
     @settings(max_examples=25, deadline=None)
-    @given(case=late_fault_files(planted), block=st.sampled_from([1, 40, 1 << 20, None]))
-    def check(case, block):
+    @given(case=late_fault_files(planted), block=st.sampled_from([1, 40, 1 << 20, None]),
+           rows=_COLUMN_ROWS)
+    def check(case, block, rows):
         text, cut = case
         path = tmp_path / "in.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(dataio, "_BLOCK_CHARS", block or cut):
+        with (
+            mock.patch.object(dataio, "_BLOCK_CHARS", block or cut),
+            mock.patch.object(dataio, "_COLUMN_ROWS", rows),
+        ):
             got = _outcome(parse_pvalue_csv, path)
         assert got == _outcome(parse_pvalue_csv_lines, path)
 

@@ -10,6 +10,7 @@ from replicability.selection import (
     bh_reject,
     probe_validity,
     select,
+    select_rows,
 )
 
 
@@ -142,6 +143,13 @@ class TestSelect:
     def test_followed_up_rule(self):
         data = make_data([0.1, 0.2, 0.3], p2=[0.5, None, 0.7])
         assert select(SelectionRule.followed_up(), data) == ("h0", "h2")
+
+    @pytest.mark.parametrize("rule", [SelectionRule.followed_up(), SelectionRule.explicit({"a"})],
+                             ids=["followup", "explicit"])
+    def test_select_rows_refuses_a_rule_not_made_from_p1(self, rule):
+        # these rules read the dataset, so no mask over p1 rows stands for them
+        with pytest.raises(ParameterError, match=f"^{rule.kind} selection is not made"):
+            select_rows(rule, np.zeros((1, 3)), 3)
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
