@@ -36,16 +36,11 @@ from .procedures import (
     Dependence,
     FwerMethod,
     Procedure,
-    ProcedureParams,
-    baseline_fisher_meta,
-    baseline_naive_bh_bh,
-    baseline_partial_conjunction,
     fdr_symmetric,
     fdr_two_stage,
     fdr_two_stage_rscan,
     fisher_combined_pvalues,
     fwer_two_stage,
-    oracle_calibrated_run,
 )
 from .selection import SelectionRule, bh_reject, probe_validity, select
 from .sim import (
@@ -74,7 +69,6 @@ __all__ = [
     "HypothesisRecord",
     "ParameterError",
     "Procedure",
-    "ProcedureParams",
     "ReplicabilityError",
     "SelectionRule",
     "SimEstimate",
@@ -83,9 +77,6 @@ __all__ = [
     "ValidationIssue",
     "analytic_power_bonf_max",
     "analytic_power_two_stage",
-    "baseline_fisher_meta",
-    "baseline_naive_bh_bh",
-    "baseline_partial_conjunction",
     "bh_reject",
     "build_adjusted_table",
     "chisq_survival_even_df",
@@ -98,7 +89,6 @@ __all__ = [
     "harmonic",
     "load_crohns_disease",
     "load_hippocampal_volume",
-    "oracle_calibrated_run",
     "parse_pvalue_csv",
     "parse_scenario_file",
     "probe_validity",

@@ -16,7 +16,7 @@ import numpy as np
 from .data import RowView, StudyPairData
 from .errors import ParameterError
 from .numeric import harmonic, solve_q1_tilde_thresholded
-from .params import Dependence, ProcedureParams
+from .params import Dependence, check_levels
 from .procedures import _adjust_columns, _gather_selected
 from .selection import SelectionRule
 
@@ -60,6 +60,23 @@ class AdjustedTable:
         return RowView(len(self.ids), row)
 
 
+def _check_arguments(c: float, flavor: str, mode, t, q) -> Dependence:
+    """Checks :func:`build_adjusted_table`'s arguments but its data; returns the mode."""
+    if not 0.0 < c < 1.0:
+        raise ParameterError(f"c must lie in (0, 1), got {c}")
+    if flavor not in ("bonferroni", "fdr"):
+        raise ParameterError(f"unknown adjustment flavor {flavor!r}")
+    mode = Dependence(mode)
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
+        if q is None:
+            raise ParameterError("the thresholded mode rescales p1 by c*q/q1_tilde, which needs q")
+        check_levels(c * q, q, mode=mode, t=t)
+    elif t is not None or q is not None:
+        name = "t" if t is not None else "q"
+        raise ParameterError(f"{mode.value} does not read {name}; only the thresholded mode does")
+    return mode
+
+
 def build_adjusted_table(
     data: StudyPairData,
     c: float,
@@ -82,14 +99,7 @@ def build_adjusted_table(
     adjusted value above 1 is meaningless, so only hopeless rows are
     affected.
     """
-    mode = Dependence(mode)
-    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
-        if q is None:
-            raise ParameterError("the thresholded mode rescales p1 by c*q/q1_tilde, which needs q")
-        ProcedureParams(c * q, q, mode=mode, t=t)
-    elif t is not None or q is not None:
-        name = "t" if t is not None else "q"
-        raise ParameterError(f"{mode.value} does not read {name}; only the thresholded mode does")
+    mode = _check_arguments(c, flavor, mode, t, q)
     idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
     m = data.m
     z, adjusted = _adjust_columns(p1, p2, m, r1, c, flavor)

@@ -22,9 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import adjust as adjust_mod
-from . import dataio, procedures, sim
+from . import dataio, procedures, selection, sim
 from .errors import ApplicabilityError, DataError, ParameterError
-from .selection import probe_validity
 
 EXIT_OK = 0
 EXIT_INTERNAL = 5  # any exception not in _EXITS: a bug
@@ -147,8 +146,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_adjust(args) -> int:
-    data = dataio.parse_pvalue_csv(args.input)
     mode = dataio.parse_dependence(args.dependence)
+    adjust_mod._check_arguments(args.c, args.flavor, mode, args.t, args.q)
+    data = dataio.parse_pvalue_csv(args.input)
     table = adjust_mod.build_adjusted_table(
         data, c=args.c, flavor=args.flavor, mode=mode, t=args.t, q=args.q
     )
@@ -219,9 +219,10 @@ def _cmd_calibrate_oracle(args) -> int:
 
 
 def _cmd_probe_selection(args) -> int:
-    data = dataio.parse_pvalue_csv(args.input)
     rule = dataio.parse_rule_spec(args.selection)
-    report = probe_validity(data=data, rule=rule, grid_size=args.grid_size, seed=args.seed)
+    selection._check_probe(rule, args.grid_size, args.seed)
+    data = dataio.parse_pvalue_csv(args.input)
+    report = selection.probe_validity(rule, data, args.grid_size, args.seed)
     print(
         f"rule={report.rule_kind} probed={report.probed} "
         f"counterexamples={len(report.counterexamples)}"

@@ -19,7 +19,7 @@ from .adjust import AdjustedTable
 from .data import DiscoveryReport, StudyPairData, validate_dataset
 from .errors import DataError, ParameterError
 from .params import Dependence, FwerMethod
-from .procedures import Procedure
+from .procedures import _KINDS, Procedure
 from .selection import SelectionRule
 from .sim import SimEstimate, SimScenario, _scenario_at
 
@@ -370,7 +370,8 @@ def _read_keys(raw: dict, kind: str, prefix: str = "") -> dict:
     None is absent. Refuses a field set by both of its keys and a procedure
     field that ``kind`` does not read, naming each key ``prefix`` + key."""
     # Procedure refuses an unknown kind, so here it reads every field
-    unread = _PROCEDURE_FIELDS - {"kind", *Procedure._READS.get(kind, _PROCEDURE_FIELDS)}
+    reads = _KINDS[kind][0] if kind in _KINDS else _PROCEDURE_FIELDS
+    unread = _PROCEDURE_FIELDS - {"kind", *reads}
     values: dict = {}
     keys: dict[str, str] = {}  # the key each field was read from
     for key, (name, parse) in _SCENARIO_KEYS.items():

@@ -32,26 +32,38 @@ def step_up_rows(stat: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return _at_or_below(stat, ordered, np.where(passing.any(axis=1), last, 0))
 
 
+def packed_rows(chosen: np.ndarray, columns, fill: float, rows) -> np.ndarray:
+    """``rows`` on each row's chosen entries only: those of each (n, k) array
+    of ``columns`` are packed to the left of an (n, max count) array, padded
+    with ``fill``, and the mask rows(slots, *packed) is scattered back to
+    (n, k); ``slots`` marks the packed entries."""
+    count = np.count_nonzero(chosen, axis=1)
+    slots = np.arange(count.max(initial=0)) < count[:, None]
+    # both list entries row by row, so a row's i-th chosen entry goes to slot i
+    src, dst = np.flatnonzero(chosen), np.flatnonzero(slots)
+    packed = np.full((len(columns), slots.size), fill)
+    for out, column in zip(packed, columns):
+        out[dst] = column.ravel()[src]
+    packed_mask = rows(slots, *packed.reshape((len(columns),) + slots.shape))
+    mask = np.zeros(chosen.size, dtype=bool)
+    mask[src] = packed_mask.ravel()[dst]
+    return mask.reshape(chosen.shape)
+
+
 def bh_rows(p: np.ndarray, q: float, m_eff) -> np.ndarray:
     """Benjamini-Hochberg step-up at level q per row, with thresholds
     i*q/m_eff over a family of ``m_eff`` (one value, or an (n, 1) column
     of one per row) that may be larger than the row. Only entries at or
-    below the last threshold can pass: they are packed to the left of each
-    row, padded with inf, stepped up and scattered back."""
+    below the last threshold can pass, so only they are stepped up, packed
+    with inf padding."""
     if p.size == 0:
         return np.zeros(p.shape, dtype=bool)
-    n, k = p.shape
-    src = np.flatnonzero(p <= q * k / m_eff)  # the last threshold, computed alike
-    count = np.bincount(src // k, minlength=n)
-    slots = np.arange(count.max()) < count[:, None]
-    # both list entries row by row, so a row's i-th candidate goes to slot i
-    dst = np.flatnonzero(slots)
-    packed = np.full(slots.size, np.inf)
-    packed[dst] = p.ravel()[src]
-    thresholds = q * np.arange(1, slots.shape[1] + 1) / m_eff
-    mask = np.zeros(p.size, dtype=bool)
-    mask[src] = step_up_rows(packed.reshape(slots.shape), thresholds).ravel()[dst]
-    return mask.reshape(p.shape)
+    chosen = p <= q * p.shape[1] / m_eff  # the last threshold, computed alike
+
+    def step_up(slots, packed):
+        return step_up_rows(packed, q * np.arange(1, packed.shape[1] + 1) / m_eff)
+
+    return packed_rows(chosen, (p,), np.inf, step_up)
 
 
 def holm_rows(p: np.ndarray, level: float, m_eff) -> np.ndarray:

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ApplicabilityError, ParameterError
-from .params import ProcedureParams
+from .params import check_levels
 
 # Smallest positive (subnormal) double; used to keep tail probabilities
 # strictly positive for finite arguments.
@@ -258,7 +258,7 @@ def solve_q1_tilde_thresholded(q1: float, m: int, t: float) -> float:
     hits the fixed point ceil(t*m/x_k - 1) == k with x_k = q1/(1 + H_k).
     The first (smallest) such k yields the maximal solution.
     """
-    ProcedureParams(None, q1, t=t)
+    check_levels(None, q1, t=t)
     if m < 1:
         raise ParameterError(f"family size must be positive, got {m}")
     bound = q1 / (1.0 + harmonic(m - 1))
@@ -291,7 +291,7 @@ def solve_oracle_qprime(f00: float, f01: float, q: float, w1: float) -> float:
     """
     if not 0.0 <= f00 <= 1.0 or not 0.0 <= f01 <= 1.0:
         raise ParameterError("fractions must lie in [0, 1]")
-    ProcedureParams(None, q, w1)
+    check_levels(None, q, w1)
     if w1 not in (0.0, 0.5, 1.0):
         raise ParameterError(f"w1 must be one of 0, 0.5, 1, got {w1}")
     scale = 0.5 if w1 == 0.5 else 1.0

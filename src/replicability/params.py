@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ParameterError
@@ -45,41 +44,21 @@ class Dependence(_Choice):
     ARBITRARY_BOTH = "arbitrary_both"
 
 
-@dataclass(frozen=True)
-class ProcedureParams:
-    """Level configuration for a procedure run.
-
-    ``q1``/``q`` hold the per-stage and overall levels (alpha1/alpha in
-    FWER mode); ``q1`` is None for a single-level procedure, which runs at
-    ``q``. ``w1`` is only used by the symmetric procedure. ``mode`` may be
-    given as a :class:`Dependence` or its value and is stored as the
-    member; the procedures run on that member. ``t`` is the selection
-    threshold required by the thresholded dependence mode.
-    Building one is the only check of these parameters: the procedures,
-    the numeric solvers, the simulator's scenarios and the CLI all build
-    one before running, and it refuses a bad value with
-    :class:`ParameterError`.
-    """
-
-    q1: float | None
-    q: float
-    w1: float | None = None
-    mode: Dependence = Dependence.INDEPENDENT
-    t: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", Dependence(self.mode))
-        if self.q1 is None and not 0.0 < self.q < 1.0:
-            raise ParameterError(f"level must lie in (0, 1), got {self.q}")
-        if self.q1 is not None and not 0.0 < self.q1 < self.q < 1.0:
-            raise ParameterError(f"levels need 0 < q1 < q < 1, got q1={self.q1}, q={self.q}")
-        if self.w1 is not None and not 0.0 <= self.w1 <= 1.0:
-            raise ParameterError(f"w1 must lie in [0, 1], got {self.w1}")
-        if self.t is not None and not 0.0 < self.t < 1.0:
-            raise ParameterError(f"t must lie in (0, 1), got {self.t}")
-        if self.mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and self.t is None:
-            raise ParameterError("the thresholded dependence mode requires t")
-
-    @property
-    def c(self) -> float:
-        return self.q1 / self.q
+def check_levels(q1, q, w1=None, mode=Dependence.INDEPENDENT, t=None) -> Dependence:
+    """Refuses bad levels with :class:`ParameterError` and returns ``mode``
+    (a :class:`Dependence` or its value) as the member. ``q1``/``q`` are the
+    per-stage and overall levels (alpha1/alpha in FWER mode), ``q1`` None
+    at one level ``q``; ``w1`` is the symmetric weight, ``t`` the selection
+    threshold of the thresholded mode."""
+    mode = Dependence(mode)
+    if q1 is None and not 0.0 < q < 1.0:
+        raise ParameterError(f"level must lie in (0, 1), got {q}")
+    if q1 is not None and not 0.0 < q1 < q < 1.0:
+        raise ParameterError(f"levels need 0 < q1 < q < 1, got q1={q1}, q={q}")
+    if w1 is not None and not 0.0 <= w1 <= 1.0:
+        raise ParameterError(f"w1 must lie in [0, 1], got {w1}")
+    if t is not None and not 0.0 < t < 1.0:
+        raise ParameterError(f"t must lie in (0, 1), got {t}")
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and t is None:
+        raise ParameterError("the thresholded dependence mode requires t")
+    return mode

@@ -24,22 +24,17 @@ from . import kernels
 from .data import DiscoveryReport, StudyPairData
 from .errors import DataError, ParameterError
 from .numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
-from .params import Dependence, FwerMethod, ProcedureParams
+from .params import Dependence, FwerMethod, check_levels
 from .selection import ROW_KINDS, SelectionRule, _select_mask, select_rows
 
 __all__ = [
     "FwerMethod",
     "Dependence",
-    "ProcedureParams",
     "Procedure",
     "fwer_two_stage",
     "fdr_two_stage",
     "fdr_two_stage_rscan",
     "fdr_symmetric",
-    "baseline_partial_conjunction",
-    "baseline_naive_bh_bh",
-    "baseline_fisher_meta",
-    "oracle_calibrated_run",
 ]
 
 
@@ -90,7 +85,7 @@ _NO_SCORES = {"scored_rows": np.zeros(0, dtype=np.intp), "z": np.zeros(0), "adju
 # a time, the FDR kernel on each row's selected entries; the library
 # procedures run them on one row. ``sel`` marks the selected entries and
 # ``r1`` is R1, one count or an (n, 1) column of one per row. They take
-# checked levels: each caller has built a ProcedureParams from them.
+# levels that each caller has passed through check_levels.
 
 
 def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t):
@@ -125,23 +120,12 @@ def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t)
 def _directed_fdr_rows(p1, p2, rule: SelectionRule, m: int, q1, q, mode, t):
     """:func:`_fdr_rows` on whole families: ``rule`` selects at primary
     level q1, and R1 is each row's selection count. Like :func:`fdr_two_stage`,
-    the step-up sees only the selected entries: each row's are packed to
-    the left of an (n, max R1) array, padded with p = 1 where ``sel`` is
-    False, and the mask is scattered back to (n, m)."""
+    the step-up sees only the selected entries, packed with p = 1 padding."""
     sel = select_rows(rule.at_level(q1), p1, m)
-    r1 = np.count_nonzero(sel, axis=1)
-    packed_sel = np.arange(r1.max(initial=0)) < r1[:, None]
-    # both list entries row by row, so a row's i-th selected entry goes
-    # to column i of its packed row
-    src, dst = np.flatnonzero(sel), np.flatnonzero(packed_sel)
-    packed = np.ones((2, packed_sel.size))
-    packed[0, dst] = p1.ravel()[src]
-    packed[1, dst] = p2.ravel()[src]
-    packed = packed.reshape((2,) + packed_sel.shape)
-    packed_mask = _fdr_rows(*packed, packed_sel, r1[:, None], m, q1, q, mode, t)[0]
-    mask = np.zeros(p1.size, dtype=bool)
-    mask[src] = packed_mask.ravel()[dst]
-    return mask.reshape(p1.shape)
+    r1 = np.count_nonzero(sel, axis=1)[:, None]
+    return kernels.packed_rows(
+        sel, (p1, p2), 1.0, lambda slots, a, b: _fdr_rows(a, b, slots, r1, m, q1, q, mode, t)[0]
+    )
 
 
 def fdr_two_stage(
@@ -169,7 +153,7 @@ def fdr_two_stage(
     follow-up set listed (``r1_declared``), adjusted values are
     upper-bound estimates and unlisted rows are non-rejectable.
     """
-    mode = ProcedureParams(q1, q, mode=mode, t=t).mode
+    mode = check_levels(q1, q, mode=mode, t=t)
     label = f"fdr_two_stage[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
@@ -205,7 +189,7 @@ def fdr_two_stage_rscan(
     defining fixed point by exhaustive scan over every candidate rejection
     count, comparing raw p-values against the stage thresholds. Quadratic
     in R1; intended for cross-checking the production path in tests."""
-    mode = ProcedureParams(q1, q, mode=mode, t=t).mode
+    mode = check_levels(q1, q, mode=mode, t=t)
     label = f"fdr_two_stage_rscan[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
@@ -232,15 +216,10 @@ def _adjust_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The statistic Z = max(m*p1/c, R1*p2/(1-c)) of each row and its
     replicability adjusted value, capped at 1: Z itself for the
-    ``bonferroni`` flavor, its step-up adjustment for ``fdr``."""
-    if not 0.0 < c < 1.0:
-        raise ParameterError(f"c must lie in (0, 1), got {c}")
+    ``bonferroni`` flavor, its step-up adjustment for ``fdr``. The caller
+    has checked c and the flavor."""
     z = np.maximum(m * p1 / c, r1 * p2 / (1.0 - c))
-    if flavor == "bonferroni":
-        return z, np.minimum(z, 1.0)
-    if flavor == "fdr":
-        return z, np.minimum(kernels.stepup_adjust(z), 1.0)
-    raise ParameterError(f"unknown adjustment flavor {flavor!r}")
+    return z, np.minimum(z if flavor == "bonferroni" else kernels.stepup_adjust(z), 1.0)
 
 
 def _fwer_rule(rule: SelectionRule, alpha1: float) -> SelectionRule:
@@ -294,7 +273,7 @@ def fwer_two_stage(
     alpha1.
     """
     method = FwerMethod(method)
-    ProcedureParams(alpha1, alpha)
+    check_levels(alpha1, alpha)
     label = f"fwer_two_stage[{method.value}]"
     idx, p1, p2, r1 = _gather_selected(data, _fwer_rule(rule, alpha1), label)
     m = data.m
@@ -354,7 +333,7 @@ def fdr_symmetric(
     complete data: study two's family is every listed row, so a partial
     listing cannot stand for it.
     """
-    mode = ProcedureParams(q1, q, w1, mode, t).mode
+    mode = check_levels(q1, q, w1, mode, t)
     if w1 < 1.0:
         data.require_complete("the symmetric procedure" if w1 > 0.0 else "the reversed direction")
     runs = []
@@ -374,37 +353,32 @@ def fdr_symmetric(
     )
 
 
-def _bh_report(
-    data: StudyPairData, stat: np.ndarray, q: float, label: str
-) -> DiscoveryReport:
-    m = data.m
-    mask = kernels.bh_rows(stat[None], q, m)[0]
-    threshold = np.count_nonzero(mask) * q / m
-    return DiscoveryReport(
-        procedure=label,
-        ids=data.ids,
-        rejected_rows=np.flatnonzero(mask),
-        r1=m,
-        primary_threshold=threshold,
-        followup_threshold=threshold,
-        scored_rows=np.arange(stat.size),
-        z=stat,
-        adjusted=np.minimum(kernels.stepup_adjust(m * stat), 1.0),
-    )
+def _stepup_kind(stat, label: str, what: str):
+    """The ``_KINDS`` entry of a baseline that steps up at level q over
+    ``stat(p1, p2)`` on complete data, which ``what`` names in its refusal."""
 
+    def run(proc: "Procedure", data: StudyPairData, fractions) -> DiscoveryReport:
+        data.require_complete(what)
+        m, values = data.m, stat(data.p1, data.p2)
+        mask = kernels.bh_rows(values[None], proc.q, m)[0]
+        threshold = np.count_nonzero(mask) * proc.q / m
+        return DiscoveryReport(
+            procedure=label,
+            ids=data.ids,
+            rejected_rows=np.flatnonzero(mask),
+            r1=m,
+            primary_threshold=threshold,
+            followup_threshold=threshold,
+            scored_rows=np.arange(values.size),
+            z=values,
+            adjusted=np.minimum(kernels.stepup_adjust(m * values), 1.0),
+        )
 
-def baseline_partial_conjunction(data: StudyPairData, q: float) -> DiscoveryReport:
-    """Step-up procedure at level q on the per-hypothesis maximum of the
-    two study p-values: the conservative baseline that ignores the
-    two-stage structure entirely. Requires complete data."""
-    ProcedureParams(None, q)
-    data.require_complete("the partial-conjunction baseline")
-    stat = np.maximum(data.p1, data.p2)
-    return _bh_report(data, stat, q, "baseline_partial_conjunction")
+    return ("q",), run, lambda p, p1, p2, m, q1, q: kernels.bh_rows(stat(p1, p2), q, m)
 
 
 def _naive_rows(p1, p2, q: float, m: int, primary: int):
-    """Row kernel of :func:`baseline_naive_bh_bh`: the first-stage mask
+    """Row kernel of the ``naive_bh_bh`` baseline: the first-stage mask
     (step-up at q within the primary study) and the final rejections
     (step-up at q within the other study over the k1 first-stage
     rejections)."""
@@ -414,26 +388,14 @@ def _naive_rows(p1, p2, q: float, m: int, primary: int):
     return first, first & kernels.bh_rows(np.where(first, b, np.inf), q, k1)
 
 
-def baseline_naive_bh_bh(
-    data: StudyPairData, q: float, primary: int = 1
-) -> DiscoveryReport:
-    """The invalid folk procedure: step-up at level q within the primary
-    study, then step-up at level q within the other study restricted to
-    the first-stage rejections, reporting the intersection.
-
-    Implemented for comparison only. Its FDR over no-replicability nulls
-    is not controlled and can approach one; see the simulation suite.
-    """
-    ProcedureParams(None, q)
-    if primary not in (1, 2):
-        raise ParameterError(f"primary study must be 1 or 2, got {primary}")
+def _naive_run(proc: "Procedure", data: StudyPairData, fractions) -> DiscoveryReport:
     data.require_complete("the naive two-step baseline")
-    m = data.m
-    first, mask = _naive_rows(data.p1[None], data.p2[None], q, m, primary)
+    m, q = data.m, proc.q
+    first, mask = _naive_rows(data.p1[None], data.p2[None], q, m, proc.primary)
     rows = np.flatnonzero(mask[0])
     k1 = int(first.sum())
     return DiscoveryReport(
-        procedure=f"baseline_naive_bh_bh[primary={primary}]",
+        procedure=f"baseline_naive_bh_bh[primary={proc.primary}]",
         ids=data.ids,
         rejected_rows=rows,
         r1=k1,
@@ -457,71 +419,43 @@ def fisher_combined_pvalues(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
         return np.where(np.isinf(u), 0.0, np.exp(-u) * (1.0 + u))
 
 
-def baseline_fisher_meta(data: StudyPairData, q: float) -> DiscoveryReport:
-    """Fisher-combination meta-analysis followed by step-up at level q.
-
-    Answers "associated in at least one study", not "replicated in both";
-    included as the standard meta-analysis comparison point.
-    """
-    ProcedureParams(None, q)
-    data.require_complete("the meta-analysis baseline")
-    combined = fisher_combined_pvalues(data.p1, data.p2)
-    return _bh_report(data, combined, q, "baseline_fisher_meta")
+def _oracle_run(proc: "Procedure", data: StudyPairData, fractions) -> DiscoveryReport:
+    qp, q = proc.levels(fractions)
+    report = fdr_symmetric(data, proc.selection, proc.w1, qp, q, proc.mode, proc.t)
+    return replace(report, procedure=f"oracle[q'={qp:.6g},w1={proc.w1:g}]")
 
 
-def oracle_calibrated_run(
-    data: StudyPairData,
-    rule: SelectionRule,
-    f00: float,
-    f01: float,
-    q: float,
-    w1: float = 1.0,
-    mode: Dependence = Dependence.INDEPENDENT,
-    t: float | None = None,
-) -> DiscoveryReport:
-    """Run the two-stage procedure at the oracle-calibrated levels
-    (q', 2q'), where q' solves the calibration quadratic in the known
-    fractions of doubly-null (f00) and follow-up-only (f01) hypotheses.
-    Less conservative than the plain procedure at (q1, q) while keeping
-    FDR control at q; w1 selects the direction (0.5 runs symmetrically).
-    """
-    qp = solve_oracle_qprime(f00, f01, q, w1)
-    report = fdr_symmetric(data, rule, w1, qp, 2.0 * qp, mode, t)
-    return replace(report, procedure=f"oracle[q'={qp:.6g},w1={w1:g}]")
-
-
-# kind: (run(proc, data, fractions), its library procedure, and kernel(proc,
-# p1, p2, m, q1, q), its row kernel at the levels of Procedure.levels). Each
-# calls the procedures by their module-level names, which a tracer may patch.
+# kind: (the fields it reads, run(proc, data, fractions) its library procedure,
+# kernel(proc, p1, p2, m, q1, q) its row kernel at the levels of Procedure.levels).
+# The runs call the procedures by their module-level names, which a tracer may patch.
 _KINDS = {
     "fdr": (
+        ("q1", "q", "mode", "t", "selection"),
         lambda p, data, fr: fdr_two_stage(data, p.selection, p.q1, p.q, p.mode, p.t),
         _symmetric_rows,
     ),
     "fdr_symmetric": (
+        ("q1", "q", "mode", "t", "selection", "w1"),
         lambda p, data, fr: fdr_symmetric(data, p.selection, p.w1, p.q1, p.q, p.mode, p.t),
         _symmetric_rows,
     ),
     "fwer": (
+        ("q1", "q", "fwer_method", "selection"),
         lambda p, data, fr: fwer_two_stage(data, p.selection, p.q1, p.q, p.fwer_method),
         _selected_fwer_rows,
     ),
-    "partial_conjunction": (
-        lambda p, data, fr: baseline_partial_conjunction(data, p.q),
-        lambda p, p1, p2, m, q1, q: kernels.bh_rows(np.maximum(p1, p2), q, m),
+    "partial_conjunction": _stepup_kind(
+        np.maximum, "baseline_partial_conjunction", "the partial-conjunction baseline"
     ),
     "naive_bh_bh": (
-        lambda p, data, fr: baseline_naive_bh_bh(data, p.q, p.primary),
+        ("q", "primary"),
+        _naive_run,
         lambda p, p1, p2, m, q1, q: _naive_rows(p1, p2, q, m, p.primary)[1],
     ),
-    "fisher_meta": (
-        lambda p, data, fr: baseline_fisher_meta(data, p.q),
-        lambda p, p1, p2, m, q1, q: kernels.bh_rows(fisher_combined_pvalues(p1, p2), q, m),
+    "fisher_meta": _stepup_kind(
+        fisher_combined_pvalues, "baseline_fisher_meta", "the meta-analysis baseline"
     ),
-    "oracle": (
-        lambda p, data, fr: oracle_calibrated_run(data, p.selection, *fr, p.q, p.w1, p.mode, p.t),
-        _symmetric_rows,
-    ),
+    "oracle": (("q", "w1", "mode", "t", "selection"), _oracle_run, _symmetric_rows),
 }
 
 
@@ -529,12 +463,21 @@ _KINDS = {
 class Procedure:
     """A procedure kind with its levels: :meth:`run` is its library
     procedure on a dataset, :meth:`kernel` its row kernel for the simulator.
-    ``_READS`` lists the fields each kind reads; any other field is refused
+    ``_KINDS`` lists the fields each kind reads; any other field is refused
     unless at its default. The default level-less ``bh`` selection runs at
     each direction's primary-stage level (for ``fwer``, as p1 <= alpha1/m).
-    The ``oracle`` runs at levels calibrated from the known fractions
-    ``(f00, f01)`` of doubly-null and follow-up-only hypotheses, which
-    :meth:`run` and :meth:`kernel` take and the other kinds ignore."""
+
+    ``fdr``, ``fdr_symmetric`` and ``fwer`` (levels alpha1, alpha) run
+    :func:`fdr_two_stage`, :func:`fdr_symmetric` and :func:`fwer_two_stage`.
+    The baselines step up at level q on complete data: ``partial_conjunction``
+    on max(p1, p2), ignoring the two stages; ``fisher_meta`` on
+    :func:`fisher_combined_pvalues` ("associated in at least one study", not
+    "replicated in both"); the invalid ``naive_bh_bh`` within study
+    ``primary``, then within the other over its rejections (its FDR can
+    approach one). The ``oracle`` runs :func:`fdr_symmetric` at (q', 2q'),
+    q' by :func:`solve_oracle_qprime` from the known fractions ``(f00, f01)``
+    of doubly-null and follow-up-only hypotheses that :meth:`run` and
+    :meth:`kernel` take: less conservative than (q1, q), FDR control at q."""
 
     kind: str = "fdr"
     q1: float | None = None
@@ -546,30 +489,21 @@ class Procedure:
     primary: int = 1
     selection: SelectionRule = SelectionRule("bh")
 
-    _READS = {
-        "fdr": ("q1", "q", "mode", "t", "selection"),
-        "fdr_symmetric": ("q1", "q", "mode", "t", "selection", "w1"),
-        "fwer": ("q1", "q", "fwer_method", "selection"),
-        "partial_conjunction": ("q",),
-        "naive_bh_bh": ("q", "primary"),
-        "fisher_meta": ("q",),
-        "oracle": ("q", "w1", "mode", "t", "selection"),
-    }
-
     def __post_init__(self):
-        if self.kind not in self._READS:
+        if self.kind not in _KINDS:
             raise ParameterError(f"unknown procedure kind {self.kind!r}")
-        reads = ("kind", *self._READS[self.kind])
+        reads = _KINDS[self.kind][0]
         for f in fields(self):
-            if f.name not in reads and getattr(self, f.name) != f.default:
+            if f.name not in ("kind", *reads) and getattr(self, f.name) != f.default:
                 raise ParameterError(f"procedure {self.kind!r} does not read {f.name}")
-        if "q1" in self._READS[self.kind] and self.q1 is None:
+        if "q1" in reads and self.q1 is None:
             raise ParameterError(f"procedure {self.kind!r} needs q1 (or alpha1)")
-        mode = ProcedureParams(self.q1, self.q, self.w1, self.mode, self.t).mode
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mode", check_levels(self.q1, self.q, self.w1, self.mode, self.t))
         object.__setattr__(self, "fwer_method", FwerMethod(self.fwer_method))
         if self.primary not in (1, 2):
             raise ParameterError(f"primary study must be 1 or 2, got {self.primary}")
+        if not isinstance(self.selection, SelectionRule):
+            raise ParameterError(f"selection must be a SelectionRule, got {self.selection!r}")
 
     def levels(self, fractions=None) -> tuple[float | None, float]:
         """The (primary, overall) levels the kind runs at: (q1, q), or the
@@ -579,13 +513,12 @@ class Procedure:
         if fractions is None:
             raise ParameterError("procedure 'oracle' needs the fractions (f00, f01)")
         qp = solve_oracle_qprime(*fractions, self.q, self.w1)
-        ProcedureParams(qp, 2.0 * qp, self.w1, self.mode, self.t)
+        check_levels(qp, 2.0 * qp, self.w1, self.mode, self.t)
         return qp, 2.0 * qp
 
     def run(self, data: StudyPairData, fractions=None) -> DiscoveryReport:
         """The library procedure of this kind on ``data``."""
-        self.levels(fractions)  # refuses an oracle without its fractions
-        return _KINDS[self.kind][0](self, data, fractions)
+        return _KINDS[self.kind][1](self, data, fractions)
 
     def kernel(self, m: int, fractions=None):
         """mask = f(p1, p2) over (n, m) rows, one family of m per row, at
@@ -596,12 +529,8 @@ class Procedure:
                 f"expected one of {', '.join(ROW_KINDS)}"
             )
         q1, q = self.levels(fractions)
-        rows = _KINDS[self.kind][1]
+        rows = _KINDS[self.kind][2]
         return lambda p1, p2: rows(self, p1, p2, m, q1, q)
-
-    def rows(self, p1: np.ndarray, p2: np.ndarray, m: int, fractions=None) -> np.ndarray:
-        """The (n, m) rejection mask of :meth:`kernel` on one set of rows."""
-        return self.kernel(m, fractions)(p1, p2)
 
     def settings(self) -> dict:
         """The fields this kind reads but its selection, keyed as a run
@@ -609,5 +538,5 @@ class Procedure:
         keys = {"mode": "dependence", "fwer_method": "method"}
         if self.kind == "fwer":
             keys.update(q1="alpha1", q="alpha")
-        names = [name for name in self._READS[self.kind] if name != "selection"]
+        names = [name for name in _KINDS[self.kind][0] if name != "selection"]
         return {keys.get(n, n): getattr(getattr(self, n), "value", getattr(self, n)) for n in names}

@@ -18,13 +18,13 @@ import numpy as np
 from . import kernels
 from .data import StudyPairData
 from .errors import DataError, ParameterError
-from .params import ProcedureParams
+from .params import check_levels
 
 
 def bh_reject(pvalues, q: float) -> set[int]:
     """Indices rejected by the Benjamini-Hochberg step-up procedure at
     level q."""
-    ProcedureParams(None, q)
+    check_levels(None, q)
     p = np.asarray(pvalues, dtype=float)[None]
     return set(np.flatnonzero(kernels.bh_rows(p, q, p.size)[0]).tolist())
 
@@ -108,14 +108,19 @@ class SelectionRule:
 ROW_KINDS = ("bh", "bonferroni", "top_k", "fixed_threshold")
 
 
-def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
-    """Selection mask of a rule of one of the ``ROW_KINDS`` over (n, k)
-    primary p-values, each row listing k members of a family of m."""
+def _require_level(rule: SelectionRule) -> None:
+    """Refuses a level-less ``bh`` or ``bonferroni`` rule."""
     if rule.kind in ("bh", "bonferroni") and rule.level is None:
         raise ParameterError(
             f"{rule.kind} selection without a level runs only inside a "
             "procedure, at its primary-stage level"
         )
+
+
+def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
+    """Selection mask of a rule of one of the ``ROW_KINDS`` over (n, k)
+    primary p-values, each row listing k members of a family of m."""
+    _require_level(rule)
     if rule.kind == "bh":
         return kernels.bh_rows(p1, rule.level, m)
     if rule.kind == "bonferroni":
@@ -173,6 +178,15 @@ class ValidityProbeReport:
 _MAX_PROBED = 200  # selected hypotheses probe_validity perturbs at most
 
 
+def _check_probe(rule: SelectionRule, grid_size: int, seed: int) -> None:
+    """Checks :func:`probe_validity`'s arguments but its data."""
+    _require_level(rule)
+    if not isinstance(grid_size, Integral) or grid_size < 2:
+        raise ParameterError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
+    if not isinstance(seed, Integral) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def probe_validity(
     rule: SelectionRule,
     data: StudyPairData,
@@ -189,10 +203,7 @@ def probe_validity(
     clean report does not certify the rule. When more than ``_MAX_PROBED``
     hypotheses are selected, a seeded subsample is probed.
     """
-    if not isinstance(grid_size, Integral) or grid_size < 2:
-        raise ParameterError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
-    if not isinstance(seed, Integral) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_probe(rule, grid_size, seed)
     p1 = data.p1_array()
     base_mask = _select_mask(rule, data, p1)
     base = tuple(np.flatnonzero(base_mask).tolist())

@@ -31,7 +31,7 @@ import numpy as np
 from .data import StudyPairData
 from .errors import ParameterError
 from .numeric import ndtr, ndtri
-from .params import ProcedureParams
+from .params import check_levels
 from .procedures import Procedure
 from .selection import SelectionRule
 
@@ -393,7 +393,7 @@ def analytic_power_bonf_max(mu11: float, mu21: float, m: int, alpha: float) -> f
     Bonferroni-corrected across m hypotheses at level alpha."""
     if m < 1 or not (math.isfinite(mu11) and math.isfinite(mu21)):
         raise ParameterError(f"need m >= 1 and finite effects, got m={m}, {mu11}, {mu21}")
-    ProcedureParams(None, alpha)
+    check_levels(None, alpha)
     z = ndtri(alpha / m)
     return float(ndtr(z + mu11) * ndtr(z + mu21))
 
@@ -410,7 +410,7 @@ def analytic_power_two_stage(
     """
     if m < 1 or not (math.isfinite(mu11) and math.isfinite(mu21)):
         raise ParameterError(f"need m >= 1 and finite effects, got m={m}, {mu11}, {mu21}")
-    ProcedureParams(alpha1, alpha)
+    check_levels(alpha1, alpha)
     p_sel = float(ndtr(ndtri(alpha1 / m) + mu11))
     p_null = alpha1 / m
     if m == 1:

@@ -47,3 +47,27 @@ def test_readme_quickstart_prints_what_it_says():
     # each print's comment starts with what it prints
     comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
     assert [c.startswith(out) for c, out in zip(comments, lines, strict=True)] == [True] * 3
+
+
+def _feature_names(readme: str) -> list[str]:
+    """The callables that the README's bold feature bullets name: each code
+    span of the list in parentheses right after the bold title, up to the
+    first text that is not one, cut at its argument list."""
+    names = []
+    for spans in re.findall(r"^- \*\*[^*\n]+\*\*[^(\n]*\(((?:`[^`]+`(?:, )?)+)", readme, re.M):
+        names += [span.split("(", 1)[0] for span in re.findall(r"`([^`]+)`", spans)]
+    return names
+
+
+def test_readme_feature_bullets_name_live_callables():
+    """A feature bullet cannot name a deleted function."""
+    names = _feature_names((REPO / "README.md").read_text(encoding="utf-8"))
+    assert {"fdr_two_stage", "procedures.Procedure", "solve_oracle_qprime"} <= set(names)
+
+    def resolves(name: str) -> bool:
+        owner = replicability
+        for part in name.split("."):
+            owner = getattr(owner, part, None)
+        return callable(owner)
+
+    assert [name for name in names if not resolves(name)] == []

@@ -198,6 +198,32 @@ class TestExitCodes:
         assert main(["analyze", "--input", str(bad), "--q1", "0.01", "--q", "0.05"]) == 2
         assert f"{bad}:3: record 1 ('c'): p2 out of range: nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["adjust", "--input", "{bad}", "--c", "1.5"], id="adjust_c_bad_row"),
+        pytest.param(
+            ["adjust", "--input", "{missing}", "--c", "1.5", "--dependence", "sideways"],
+            id="adjust_dependence_missing_file",
+        ),
+        pytest.param(
+            ["adjust", "--input", "{bad}", "--c", "0.5", "--dependence", "item2", "--q", "0.05"],
+            id="adjust_item2_without_t_bad_row",
+        ),
+        pytest.param(
+            ["probe-selection", "--input", "{bad}", "--selection", "bh"], id="probe_levelless_bh",
+        ),
+        pytest.param(
+            ["probe-selection", "--input", "{missing}", "--selection", "top:2", "--grid-size", "1"],
+            id="probe_grid_size_missing_file",
+        ),
+    ])
+    def test_flag_refused_before_the_input_is_read(self, tmp_path, capsys, argv):
+        # a bad row (exit 2) or a missing file (exit 4) would hide the flag error
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,p1,p2\nrs1,zzz,0.1\n")
+        paths = {"bad": bad, "missing": tmp_path / "missing.csv"}
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_io_error_is_4(self, capsys):
         code = main(["analyze", "--input", "/nonexistent/x.csv", "--q1", "0.01", "--q", "0.05"])
         assert code == 4

@@ -1,4 +1,4 @@
-"""Each procedure reads only its own parameters. ``Procedure._READS``
+"""Each procedure reads only its own parameters. ``procedures._KINDS``
 is the one table of them; ``Procedure``, scenario files and
 ``analyze`` refuse every other parameter, and the README documents the
 same table."""
@@ -19,6 +19,7 @@ from replicability.procedures import Dependence, FwerMethod, Procedure
 from replicability.selection import SelectionRule
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+READS = {kind: reads for kind, (reads, _, _) in procedures._KINDS.items()}
 HIPPO = str(resources.files("replicability.fixtures") / "hippocampal_volume.csv")
 
 SCENARIO = """\
@@ -46,14 +47,14 @@ FIELD_INPUT = {
 }
 UNREAD = [
     (kind, f.name)
-    for kind in Procedure._READS
+    for kind in READS
     for f in fields(Procedure)
-    if f.name not in ("kind", *Procedure._READS[kind])
+    if f.name not in ("kind", *READS[kind])
 ]
 
 
 def _levels(kind: str) -> dict:
-    return {"q1": 0.025} if "q1" in Procedure._READS[kind] else {}
+    return {"q1": 0.025} if "q1" in READS[kind] else {}
 
 
 def _cli(argv, tmp_path, scenario=None):
@@ -144,11 +145,20 @@ def test_unread_or_doubled_parameter_refused(case, tmp_path):
 
 
 def test_every_kind_has_one_table_entry():
-    """A kind in ``Procedure._READS`` without its library procedure and row
-    kernel in ``procedures._KINDS`` could be built but never run."""
-    assert set(procedures._KINDS) == set(Procedure._READS)
-    for kind, (run, kernel) in procedures._KINDS.items():
-        assert callable(run) and callable(kernel), kind
+    """Each kind's one entry in ``procedures._KINDS`` holds the fields it
+    reads, its library procedure and its row kernel: a kind without all
+    three could be built but never run."""
+    names = {f.name for f in fields(Procedure)} - {"kind"}
+    for kind, (reads, run, kernel) in procedures._KINDS.items():
+        assert set(reads) <= names and callable(run) and callable(kernel), kind
+
+
+@pytest.mark.parametrize("selection", ["bh", ("bh", 0.02), None])
+def test_selection_must_be_a_rule(selection):
+    """A selection given as anything but a :class:`SelectionRule` is refused
+    when the procedure is built, not when it first runs."""
+    with pytest.raises(ParameterError, match="selection must be a SelectionRule"):
+        Procedure(kind="fdr", q1=0.02, selection=selection)
 
 
 def test_oracle_needs_its_fractions():
@@ -168,7 +178,7 @@ def test_selection_that_needs_a_dataset_runs_only_in_the_library():
 
 def test_read_parameters_run(tmp_path):
     """Every field a kind reads is accepted, from a file too."""
-    for kind, reads in Procedure._READS.items():
+    for kind, reads in READS.items():
         lines = "".join(
             f"{FIELD_INPUT[name][1]} = {FIELD_INPUT[name][2]}\n" for name in reads if name != "q"
         )
@@ -191,8 +201,8 @@ def _readme_key_table() -> list[list[str]]:
 
 def test_readme_scenario_keys_match_the_tables():
     """The README lists every scenario key once, and says which procedures
-    read each one, as ``Procedure._READS`` does."""
-    everyone = set(Procedure._READS)
+    read each one, as ``procedures._KINDS`` does."""
+    everyone = set(READS)
     listed = []
     for keys, _, read_by, _ in _readme_key_table():
         row_keys = re.findall(r"`([^`]+)`", keys)
@@ -201,7 +211,7 @@ def test_readme_scenario_keys_match_the_tables():
         for key in row_keys:
             name = dataio._SCENARIO_KEYS.get(key, (None,))[0]
             if name in dataio._PROCEDURE_FIELDS - {"kind"}:
-                assert kinds == {k for k, reads in Procedure._READS.items() if name in reads}, key
+                assert kinds == {k for k, reads in READS.items() if name in reads}, key
             else:
                 assert kinds == everyone, key
     assert sorted(listed) == sorted([*dataio._SCENARIO_KEYS, "sweep_axis", "sweep_grid"])

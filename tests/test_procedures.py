@@ -13,24 +13,30 @@ from replicability.data import StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import ApplicabilityError, DataError, ParameterError, ReplicabilityError
 from replicability.numeric import harmonic
+from replicability.params import check_levels
 from replicability.procedures import (
     Dependence,
     FwerMethod,
-    ProcedureParams,
+    Procedure,
     _directed_fdr_rows,
-    baseline_fisher_meta,
-    baseline_naive_bh_bh,
-    baseline_partial_conjunction,
     fdr_symmetric,
     fdr_two_stage,
     fdr_two_stage_rscan,
     fisher_combined_pvalues,
     fwer_two_stage,
-    oracle_calibrated_run,
 )
 from replicability.selection import SelectionRule, select
 
 FOLLOWUP = SelectionRule.followed_up()
+PARTIAL_CONJUNCTION = Procedure(kind="partial_conjunction", q=0.05)
+NAIVE = Procedure(kind="naive_bh_bh", q=0.05)
+FISHER = Procedure(kind="fisher_meta", q=0.05)
+
+
+def _oracle(data, rule, f00, f01, q, w1=1.0, mode=Dependence.INDEPENDENT, t=None):
+    """The oracle procedure at the calibrated levels of (f00, f01)."""
+    oracle = Procedure(kind="oracle", q=q, w1=w1, mode=mode, t=t, selection=rule)
+    return oracle.run(data, (f00, f01))
 
 
 def _adjusted(data: StudyPairData, c: float, flavor: str) -> dict[str, float]:
@@ -426,13 +432,8 @@ class TestSymmetric:
 
 class TestBaselines:
     def test_partial_conjunction_trivials(self):
-        assert (
-            baseline_partial_conjunction(make_data([1.0], [1.0]), 0.05).rejected_ids
-            == ()
-        )
-        assert baseline_partial_conjunction(
-            make_data([0.01], [0.03]), 0.05
-        ).rejected_ids == ("h0",)
+        assert PARTIAL_CONJUNCTION.run(make_data([1.0], [1.0])).rejected_ids == ()
+        assert PARTIAL_CONJUNCTION.run(make_data([0.01], [0.03])).rejected_ids == ("h0",)
 
     def test_partial_conjunction_misses_strong_two_study_signal(self):
         # one very strong pair among a million hypotheses: the max p-value
@@ -443,17 +444,17 @@ class TestBaselines:
         p1[0] = 0.025 / m
         p2[0] = 0.025 / 200.0
         data = make_data(p1, p2)
-        report = baseline_partial_conjunction(data, 0.05)
+        report = PARTIAL_CONJUNCTION.run(data)
         assert report.rejected_ids == ()
 
     def test_naive_two_step(self):
         data = make_data([0.001, 0.002, 0.9], [0.001, 0.9, 0.9])
-        report = baseline_naive_bh_bh(data, 0.05, primary=1)
+        report = Procedure(kind="naive_bh_bh", q=0.05, primary=1).run(data)
         assert report.rejected_ids == ("h0",)
 
     def test_naive_all_ones(self):
         data = make_data([1.0, 1.0], [1.0, 1.0])
-        assert baseline_naive_bh_bh(data, 0.05).rejected_ids == ()
+        assert NAIVE.run(data).rejected_ids == ()
 
     def test_fisher_combined_values(self):
         assert fisher_combined_pvalues(np.array([1.0]), np.array([1.0]))[0] == 1.0
@@ -461,11 +462,11 @@ class TestBaselines:
         assert combined == pytest.approx(0.0560518, abs=1e-4)
 
     def test_fisher_single_hypothesis_not_rejected(self):
-        report = baseline_fisher_meta(make_data([0.1], [0.1]), 0.05)
+        report = FISHER.run(make_data([0.1], [0.1]))
         assert report.rejected_ids == ()
 
     def test_fisher_zero_saturates(self):
-        report = baseline_fisher_meta(make_data([0.0], [0.5]), 0.05)
+        report = FISHER.run(make_data([0.0], [0.5]))
         assert report.z[0] == 0.0
         assert report.rejected_ids == ("h0",)
 
@@ -480,23 +481,27 @@ def test_report_duality_of_scored_reports(seed):
     complete = _completed(data, rng)
     for report in (
         fwer_two_stage(data, FOLLOWUP, q1, q, FwerMethod.BONFERRONI),
-        baseline_partial_conjunction(complete, q),
-        baseline_fisher_meta(complete, q),
+        Procedure(kind="partial_conjunction", q=q).run(complete),
+        Procedure(kind="fisher_meta", q=q).run(complete),
     ):
         assert _flagged(report, q) == set(report.rejected_ids), report.procedure
 
 
-@pytest.mark.parametrize("run", [
-    partial(fdr_two_stage, rule=FOLLOWUP, q1=0.025, q=0.05),
-    partial(fdr_two_stage_rscan, rule=FOLLOWUP, q1=0.025, q=0.05),
-    partial(fwer_two_stage, rule=FOLLOWUP, alpha1=0.025, alpha=0.05),
-    partial(fdr_symmetric, rule=FOLLOWUP, w1=0.5, q1=0.025, q=0.05),
-    partial(oracle_calibrated_run, rule=FOLLOWUP, f00=0.9, f01=0.01, q=0.05),
-    partial(baseline_partial_conjunction, q=0.05),
-    partial(baseline_naive_bh_bh, q=0.05),
-    partial(baseline_fisher_meta, q=0.05),
-    partial(build_adjusted_table, c=0.5),
-], ids=lambda run: run.func.__name__)
+# each run by the name of the library function it was before procedure kinds
+EMPTY_FAMILY_RUNS = {
+    "fdr_two_stage": partial(fdr_two_stage, rule=FOLLOWUP, q1=0.025, q=0.05),
+    "fdr_two_stage_rscan": partial(fdr_two_stage_rscan, rule=FOLLOWUP, q1=0.025, q=0.05),
+    "fwer_two_stage": partial(fwer_two_stage, rule=FOLLOWUP, alpha1=0.025, alpha=0.05),
+    "fdr_symmetric": partial(fdr_symmetric, rule=FOLLOWUP, w1=0.5, q1=0.025, q=0.05),
+    "oracle_calibrated_run": partial(_oracle, rule=FOLLOWUP, f00=0.9, f01=0.01, q=0.05),
+    "baseline_partial_conjunction": PARTIAL_CONJUNCTION.run,
+    "baseline_naive_bh_bh": NAIVE.run,
+    "baseline_fisher_meta": FISHER.run,
+    "build_adjusted_table": partial(build_adjusted_table, c=0.5),
+}
+
+
+@pytest.mark.parametrize("run", EMPTY_FAMILY_RUNS.values(), ids=EMPTY_FAMILY_RUNS)
 @pytest.mark.parametrize("m_declared", [None, 0])
 def test_empty_family_is_data_error(run, m_declared):
     with pytest.raises(DataError, match="family size m must be positive, got 0"):
@@ -508,16 +513,14 @@ class TestOracleRun:
         rng = np.random.default_rng(15)
         data, _, _, _ = random_instance(rng, max_m=40)
         rule = SelectionRule.followed_up()
-        got = oracle_calibrated_run(data, rule, 0.0, 0.0, 0.05, 1.0)
+        got = _oracle(data, rule, 0.0, 0.0, 0.05, 1.0)
         direct = fdr_two_stage(data, rule, 0.05, 0.10)
         assert got.rejected_ids == direct.rejected_ids
 
     def test_gwas_fractions_level(self):
         rng = np.random.default_rng(16)
         data, _, _, _ = random_instance(rng, max_m=40)
-        report = oracle_calibrated_run(
-            data, SelectionRule.followed_up(), 0.999, 0.00036, 0.05, 1.0
-        )
+        report = _oracle(data, SelectionRule.followed_up(), 0.999, 0.00036, 0.05, 1.0)
         assert "q'=0.0477" in report.procedure
 
     def test_wider_gap_rejects_no_less(self):
@@ -532,24 +535,65 @@ class TestOracleRun:
     def test_symmetric_weight(self):
         rng = np.random.default_rng(18)
         data, _, _, _ = random_instance(rng, max_m=40)
-        report = oracle_calibrated_run(
-            data, SelectionRule.bh_at_level(0.02), 0.9, 0.01, 0.05, 0.5
-        )
+        report = _oracle(data, SelectionRule.bh_at_level(0.02), 0.9, 0.01, 0.05, 0.5)
         assert report.procedure.startswith("oracle")
 
 
+# a complete family of 12, and per kind: its fields, then the label and the
+# rejections that the library function of the kind gave on it before
+# Procedure.run became its only entry point (oracle fractions (0.8, 0.05))
+COMPLETE = make_data(
+    [1e-5, 2e-4, 8e-4, 3e-3, 0.004, 0.02, 0.3, 0.6, 0.9, 1e-3, 0.5, 0.04],
+    [2e-3, 1e-4, 0.2, 1e-3, 0.9, 0.01, 0.01, 5e-4, 0.7, 2e-4, 1e-5, 0.3],
+)
+KIND_RUNS = {
+    "fdr": (dict(q1=0.025), "fdr_two_stage[independent]", (0, 1, 3, 9)),
+    "fdr_symmetric": (dict(q1=0.025, w1=0.5), "fdr_symmetric[w1=0.5,independent]", (0, 1, 3, 9)),
+    "fwer": (dict(q1=0.025, fwer_method="holm"), "fwer_two_stage[holm]", (0, 1, 9)),
+    "partial_conjunction": ({}, "baseline_partial_conjunction", (0, 1, 3, 5, 9)),
+    "naive_bh_bh": (dict(primary=2), "baseline_naive_bh_bh[primary=2]", (0, 1, 3, 5, 9)),
+    "fisher_meta": ({}, "baseline_fisher_meta", (0, 1, 2, 3, 4, 5, 6, 7, 9, 10)),
+    "oracle": (dict(w1=0.5), "oracle[q'=0.0467852,w1=0.5]", (0, 1, 3, 9)),
+}
+
+
+@pytest.mark.parametrize("kind", KIND_RUNS)
+def test_each_kind_runs_and_refuses_as_its_library_function(kind):
+    """``Procedure(kind).run`` labels and rejects as the kind's library
+    function did, and refuses what it refused, with the same error class:
+    a level out of range, ``primary=3``, an incomplete family where the
+    kind needs a complete one, and an oracle without its fractions."""
+    fields_, label, rejected = KIND_RUNS[kind]
+    procedure = Procedure(kind=kind, q=0.05, **fields_)
+    report = procedure.run(COMPLETE, (0.8, 0.05))
+    assert report.procedure == label
+    assert report.rejected_ids == tuple(f"h{i}" for i in rejected)
+    with pytest.raises(ParameterError, match="level"):
+        Procedure(kind=kind, **{**fields_, "q": 1.5})
+    with pytest.raises(ParameterError, match="primary study must be 1 or 2, got 3"):
+        Procedure(kind="naive_bh_bh", q=0.05, primary=3)
+    partial_family = make_data([1e-4, 0.02, 0.5], [1e-3, 0.01, None])
+    if kind in ("fdr", "fwer"):  # a follow-up of part of the family is their input
+        assert procedure.run(partial_family, (0.8, 0.05)).procedure == label
+    else:
+        with pytest.raises(DataError, match="requires follow-up p-values") as refused:
+            procedure.run(partial_family, (0.8, 0.05))
+        assert refused.type is DataError
+    if kind == "oracle":
+        with pytest.raises(ParameterError, match="needs the fractions"):
+            procedure.run(COMPLETE)
+
+
 class TestProcedureParams:
-    def test_c_ratio(self):
-        params = ProcedureParams(q1=0.025, q=0.05)
-        assert params.c == 0.5
+    """``check_levels``, the one check of a procedure's levels."""
 
     def test_level_ordering_enforced(self):
         with pytest.raises(ValueError):
-            ProcedureParams(q1=0.05, q=0.05)
+            check_levels(q1=0.05, q=0.05)
 
     def test_item2_requires_t(self):
         with pytest.raises(ValueError):
-            ProcedureParams(q1=0.01, q=0.05, mode=Dependence.ARBITRARY_PRIMARY_ITEM2)
+            check_levels(q1=0.01, q=0.05, mode=Dependence.ARBITRARY_PRIMARY_ITEM2)
 
     @staticmethod
     def _entry_points():
@@ -558,19 +602,19 @@ class TestProcedureParams:
             partial(fdr_two_stage, data, rule, 0.04, 0.05),
             partial(fdr_two_stage_rscan, data, rule, 0.04, 0.05),
             partial(fdr_symmetric, data, rule, 1.0, 0.04, 0.05),
-            partial(oracle_calibrated_run, data, rule, 0.999, 0.00036, 0.05, 1.0),
+            partial(_oracle, data, rule, 0.999, 0.00036, 0.05, 1.0),
         ]
 
     @pytest.mark.parametrize("mode", list(Dependence), ids=lambda mode: mode.value)
     def test_mode_by_value_runs_as_the_member(self, mode):
         t = 5e-5 if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 else None
-        assert ProcedureParams(0.04, 0.05, mode=mode.value, t=t).mode is mode
+        assert check_levels(0.04, 0.05, mode=mode.value, t=t) is mode
         for run in self._entry_points():
             assert _report_fields(run(mode.value, t)) == _report_fields(run(mode, t))
 
     def test_cli_alias_is_no_mode(self):
         with pytest.raises(ParameterError, match="'item1' is not a valid Dependence"):
-            ProcedureParams(0.04, 0.05, mode="item1")
+            check_levels(0.04, 0.05, mode="item1")
         for run in self._entry_points():
             with pytest.raises(ParameterError, match="'item1' is not a valid Dependence"):
                 run("item1")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from procedure_oracles import fdr_directions, reference_mask
-from replicability import sim
+from replicability import procedures, sim
 from replicability.data import TRUTH_LABELS, StudyPairData
 from replicability.errors import DataError, ParameterError, ReplicabilityError
 from replicability.numeric import harmonic
@@ -267,7 +267,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("kwargs", [
         dict(kind="partial_conjunction", q=1.5),
         dict(kind="fwer", q1=0.025, q=0.05, fwer_method="bonf"),
-        # baseline_naive_bh_bh refuses it too; the kernel would run study 2
+        # the library run refuses it too; the kernel would run study 2
         dict(kind="naive_bh_bh", q=0.05, primary=3),
     ])
     def test_procedure_validated(self, kwargs):
@@ -429,7 +429,7 @@ def sim_scenarios(draw):
     sizes = [c * m // total for c in counts]
     sizes[0] += m - sum(sizes)
     f00, f01, f10, f11 = (size / m for size in sizes)
-    kind = draw(st.sampled_from(list(Procedure._READS)))
+    kind = draw(st.sampled_from(list(procedures._KINDS)))
     q = draw(st.sampled_from([0.05, 0.1, 0.2]))
     q1 = draw(st.sampled_from([0.2, 0.5, 0.8])) * q
     w1 = draw(st.sampled_from([0.0, 0.5, 1.0] if kind == "oracle" else [0.0, 0.3, 0.5, 1.0]))
@@ -450,7 +450,7 @@ def sim_scenarios(draw):
         primary=draw(st.sampled_from([1, 2])), selection=selection,
     )
     # every field is drawn, and the procedure gets those its kind reads
-    procedure = Procedure(kind=kind, **{name: drawn[name] for name in Procedure._READS[kind]})
+    procedure = Procedure(kind=kind, **{name: drawn[name] for name in procedures._KINDS[kind][0]})
     return SimScenario(
         m=m, f00=f00, f01=f01, f10=f10, f11=f11,
         mu1=draw(st.floats(0.0, 5.0)), mu2=draw(st.floats(0.0, 5.0)),
@@ -496,7 +496,7 @@ def _outcome(call):
     snap=st.sampled_from([None, "q", "q1"]),
 )
 def test_row_kernels_match_library(scenario, start, snap):
-    """Each row of ``Procedure.rows`` is the rejected set of
+    """Each row of ``Procedure.kernel``'s mask is the rejected set of
     ``Procedure.run`` on that row's dataset, the reference procedure's mask
     and, for the FDR procedures, the exhaustive scan's rejected set, also on
     p-values placed exactly on a threshold; the kernels refuse exactly what
@@ -512,7 +512,7 @@ def test_row_kernels_match_library(scenario, start, snap):
         _outcome(partial(proc.run, StudyPairData(ids, a, b), fractions)) for a, b in zip(p1, p2)
     ]
     refused = [r for r in library if isinstance(r, type)]
-    masks = _outcome(lambda: proc.rows(p1, p2, m, fractions))
+    masks = _outcome(lambda: proc.kernel(m, fractions)(p1, p2))
     if isinstance(masks, type):
         assert masks in refused
         return
