@@ -114,14 +114,13 @@ def build_adjusted_table(
         if mode is Dependence.ARBITRARY_BOTH:
             p2_mod = np.minimum(harmonic(r1) * p2, 1.0)
         _, modified = _adjust_columns(p1_mod, p2_mod, m, r1, c, flavor)
-    ids = np.array(data.ids, dtype=object)[idx]
+    # idx's ids (the followed-up rows) as str objects: numpy's stop at a NUL
+    names = np.array(data.ids[~np.isnan(data.p2)].tolist(), dtype=object)
     rank = np.empty(idx.size, dtype=np.intp)
-    # objects compare by Python's str order; numpy's "<U" strings would
-    # take "a" and "a\x00" for equal
-    rank[np.argsort(ids, kind="stable")] = np.arange(idx.size)
+    rank[np.argsort(names, kind="stable")] = np.arange(idx.size)
     order = np.lexsort((rank, adjusted))
     return AdjustedTable(
-        ids=tuple(ids[order].tolist()),
+        ids=tuple(names[order].tolist()),
         p1=p1[order],
         p2=p2[order],
         z=z[order],

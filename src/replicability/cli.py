@@ -157,6 +157,7 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    sim._check_workers(args.workers)
     parsed = dataio.parse_scenario_file(args.scenario)
     if parsed.sweep_axis is not None:
         rows = sim.sweep(

@@ -10,10 +10,10 @@ set-valued outputs are reported in input order for determinism.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import DataError
 
@@ -52,9 +52,17 @@ class RowView(Sequence):
         return isinstance(other, Sequence) and tuple(self) == tuple(other)
 
 
-def _kept(p) -> bool:
-    """Whether a dataset keeps column ``p``: a read-only float64 array owning its data."""
-    return type(p) is np.ndarray and p.dtype == float and p.flags.owndata and not p.flags.writeable
+# the id column's dtype: UTF-8 with short ids inline, refusing a non-str
+ID = StringDType(coerce=False)
+
+
+def _column(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype``: kept if it is one that owns its data."""
+    kept = type(values) is np.ndarray and values.dtype == dtype
+    if not (kept and values.flags.owndata and not values.flags.writeable):
+        values = np.array(values, dtype=dtype)
+        values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +70,9 @@ class StudyPairData:
     """A family of hypotheses tested in a primary and a follow-up study.
 
     Built from columns, ``StudyPairData(ids, p1, p2)``, and stored as
-    ``ids`` (a tuple) and ``p1`` and ``p2`` as read-only float64 arrays: a
+    read-only arrays: ``ids`` of :data:`ID` strings (a non-str id is a
+    ValueError), which numpy compares only up to a NUL, so compare them as
+    Python str (``ids.tolist()``), and ``p1`` and ``p2`` of float64. A
     column that already is one and owns its data is kept, any other is
     copied. NaN in ``p2`` marks a hypothesis that was not followed up.
 
@@ -72,18 +82,16 @@ class StudyPairData:
     set size when only a subset of followed-up rows is available.
     """
 
-    _ids: tuple[str, ...]
+    _ids: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
     m_declared: int | None = None
     r1_declared: int | None = None
 
     def __init__(self, ids, p1, p2, m_declared: int | None = None, r1_declared: int | None = None):
-        ids = tuple(ids)
-        p1, p2 = (p if _kept(p) else np.array(p, dtype=float) for p in (p1, p2))
-        if not p1.shape == p2.shape == (len(ids),):
-            raise ValueError(f"columns differ in length: {len(ids)}, {p1.shape}, {p2.shape}")
-        p1.flags.writeable = p2.flags.writeable = False
+        ids, p1, p2 = _column(ids, ID), _column(p1, float), _column(p2, float)
+        if not p1.shape == p2.shape == ids.shape == (ids.size,):
+            raise ValueError(f"columns differ in length: {ids.size}, {p1.shape}, {p2.shape}")
         fields = dict(_ids=ids, p1=p1, p2=p2, m_declared=m_declared, r1_declared=r1_declared)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -92,11 +100,11 @@ class StudyPairData:
         if not isinstance(other, StudyPairData):
             return NotImplemented
         return (
-            self.ids == other.ids
-            and self.m_declared == other.m_declared
+            self.m_declared == other.m_declared
             and self.r1_declared == other.r1_declared
             and np.array_equal(self.p1, other.p1)
             and np.array_equal(self.p2, other.p2, equal_nan=True)
+            and self.ids.tolist() == other.ids.tolist()
         )
 
     @property
@@ -108,7 +116,7 @@ class StudyPairData:
         return m
 
     @property
-    def ids(self) -> tuple[str, ...]:
+    def ids(self) -> np.ndarray:
         return self._ids
 
     @property
@@ -167,9 +175,13 @@ class ValidationIssue:
     row: int | None = None
 
 
-def _may_repeat(ids: Sequence[str]) -> bool:
-    """Whether two ids may be equal: equal ids have equal hashes."""
-    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+def id_hashes(ids: Sequence[str]) -> np.ndarray:
+    """The ``hash`` of each id, as an int64 array."""
+    return np.fromiter(map(hash, ids), np.int64, len(ids))
+
+
+def _may_repeat(hashes: np.ndarray) -> bool:
+    """Whether two ids may be equal, from their hashes, sorted in place."""
     hashes.sort()
     return bool((hashes[1:] == hashes[:-1]).any())
 
@@ -183,15 +195,22 @@ def validate_dataset(data: StudyPairData) -> ValidationIssue | None:
     Faults are ordered by row, within a row as id, ``p1``, ``p2``; the
     ``m`` and then the ``r1`` override come after every row. Never raises.
     """
+    return _first_issue(data, id_hashes(data.ids.tolist()))
+
+
+def _first_issue(data: StudyPairData, hashes: np.ndarray) -> ValidationIssue | None:
+    """:func:`validate_dataset`, given the :func:`id_hashes` of the dataset's
+    ids, which it sorts in place: the ids are scanned for an empty id or a
+    repeat only if the hashes hold an empty id's hash or a repeat."""
     ids, p1, p2 = data.ids, data.p1, data.p2
     bad_p1 = ~((p1 >= 0.0) & (p1 <= 1.0))
     bad_p2 = (p2 < 0.0) | (p2 > 1.0)
     bad = np.flatnonzero(bad_p1 | bad_p2)
     # an id fault matters only up to the first row with a bad p-value
     end = int(bad[0]) + 1 if bad.size else len(ids)
-    if bad.size or "" in ids or _may_repeat(ids):
+    if bad.size or (hashes == hash("")).any() or _may_repeat(hashes):
         seen: set[str] = set()
-        for i, rid in enumerate(islice(ids, end)):
+        for i, rid in enumerate(ids[:end].tolist()):
             if not rid or rid in seen:
                 message = "duplicate id" if rid else "empty id"
                 return ValidationIssue(f"record {i} ({rid!r})", message, "id", i)
@@ -229,13 +248,15 @@ def validate_dataset(data: StudyPairData) -> ValidationIssue | None:
 @dataclass(frozen=True, eq=False)
 class DiscoveryReport:
     """Outcome of a replicability procedure run, as columns of dataset
-    positions into ``ids``, the dataset's id tuple.
+    positions into ``ids``, the dataset's id column (compare its ids as
+    Python str, see :class:`StudyPairData`).
 
     ``rejected_rows`` ascends and is a subset of the followed-up rows;
     ``rejected_ids`` reads it as ids. ``scored_rows`` are the rows the run
     scores: the i-th has the two-study statistic ``z[i]`` and the adjusted
     p-value ``adjusted[i]``, at most 1, and its id is
-    ``ids[scored_rows[i]]`` (all three empty for a run without scores).
+    ``ids[scored_rows[i]]`` (all three empty, the default, for a run
+    without scores).
     ``primary_threshold`` / ``followup_threshold`` are the realized
     cut-offs applied to p1 / p2. ``adjusted_is_upper_bound`` marks the
     adjusted values as upper-bound estimates when the dataset lists only
@@ -243,19 +264,19 @@ class DiscoveryReport:
     """
 
     procedure: str
-    ids: tuple[str, ...]
+    ids: np.ndarray
     rejected_rows: np.ndarray
     r1: int
     primary_threshold: float
     followup_threshold: float
-    scored_rows: np.ndarray
-    z: np.ndarray
-    adjusted: np.ndarray
+    scored_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    z: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    adjusted: np.ndarray = field(default_factory=lambda: np.zeros(0))
     adjusted_is_upper_bound: bool = False
 
     @property
     def rejected_ids(self) -> tuple[str, ...]:
-        return tuple(map(self.ids.__getitem__, self.rejected_rows.tolist()))
+        return tuple(self.ids[self.rejected_rows].tolist())
 
     @property
     def r2(self) -> int:

@@ -8,6 +8,7 @@ with a trailing newline.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import MISSING, dataclass, fields
 from itertools import compress, islice, repeat
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .adjust import AdjustedTable
-from .data import DiscoveryReport, StudyPairData, validate_dataset
+from .data import ID, DiscoveryReport, StudyPairData, _first_issue, id_hashes
 from .errors import DataError, ParameterError
 from .params import Dependence, FwerMethod
 from .procedures import _KINDS, Procedure
@@ -28,8 +29,8 @@ DISCOVERY_HEADER = "id,p1,p2,z,adjusted_p,rejected"
 SIM_HEADER = "point,avg_fdp,fdp_se,avg_power,power_se,avg_rejections"
 
 _DIRECTIVE = re.compile(r"^#\s*(m|r1)\s*=\s*(\d+)\s*$")
-_BLOCK_CHARS = 1 << 20  # per block of lines (~30k GWAS rows): split at once if clean
-_COLUMN_ROWS = 1 << 15  # first capacity of the p1 and p2 columns, doubled as they fill
+_BLOCK_CHARS = 1 << 17  # per block of lines (~4k GWAS rows): split at once if clean
+_COLUMN_ROWS = 1 << 15  # first capacity of the columns
 _UNCLEAN = "# \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # '#', and what str.strip removes in ASCII but \n
 
 
@@ -41,8 +42,14 @@ def fmt(x: float | None, full: bool = True) -> str:
     return repr(float(x)) if full else f"{float(x):.4g}"
 
 
-def _fmt_column(values: np.ndarray, full: bool) -> list[str]:
-    """:func:`fmt` of each value of a float column, formatted whole."""
+def _column_text(values, full: bool) -> list[str]:
+    """The fields of a column: of a float array, :func:`fmt` of each value,
+    formatted whole; of any other array, its strings; any other sequence
+    as it is."""
+    if not isinstance(values, np.ndarray):
+        return values
+    if values.dtype != float:
+        return values.tolist()
     if full:
         text = list(map(repr, values.tolist()))
     else:
@@ -55,8 +62,8 @@ def _fmt_column(values: np.ndarray, full: bool) -> list[str]:
 def csv_text(header: str, columns, full: bool = True) -> str:
     """CSV text: the header line, then one line per row of ``columns``.
     A column is a float array, NaN where absent, written as :func:`fmt`
-    would write each value, or any other sequence of str, written as is."""
-    fields = [_fmt_column(c, full) if isinstance(c, np.ndarray) else c for c in columns]
+    would write each value, or an array or sequence of str, written as is."""
+    fields = [_column_text(c, full) for c in columns]
     return "\n".join([header, *map(",".join, zip(*fields, strict=True))]) + "\n"
 
 
@@ -165,11 +172,14 @@ def parse_pvalue_csv(path) -> StudyPairData:
 
     After the header, a clean block of lines (see :func:`_parse_clean`) is
     split at once, and any other read line by line with the same result;
-    either way its values go into the two growing columns the dataset keeps.
+    either way its ids and values go into the three growing columns the
+    dataset keeps, and the ids' hashes into one for the repeated-id check.
     """
     path = Path(path)
     comments: list[tuple[int, str]] = []  # (line number, text) of comment lines
-    ids, p1, p2 = [], np.empty(_COLUMN_ROWS), np.empty(_COLUMN_ROWS)
+    dtypes = (ID, float, float, np.int64)  # the dataset's columns, and the ids' hashes
+    columns = ids, p1, p2, hashes = [np.empty(_COLUMN_ROWS, t) for t in dtypes]
+    rows = 0
     fault = None  # the first malformed line's error; reading stops there
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -183,30 +193,33 @@ def parse_pvalue_csv(path) -> StudyPairData:
         if line != PVALUE_HEADER:
             raise DataError(f"{path}:{lineno}: expected header {PVALUE_HEADER!r}, got {line!r}")
         declared = {"m": (None, lineno)}  # no m directive: None, named at the header
+        size, read = os.fstat(fh.fileno()).st_size, 0  # bytes in the file, chars read
         for text in _blocks(fh):
             try:
                 block_ids, *values = _parse_clean(text)
             except ValueError:  # line by line, so that a fault names its line
-                (block_ids, *values), fault = _parse_lines(text, lineno, len(ids), path, comments)
+                (block_ids, *values), fault = _parse_lines(text, lineno, rows, path, comments)
                 lineno += text.count("\n") - len(block_ids)  # lines that are not rows
             lineno += len(block_ids)
-            n = len(ids)
-            ids.extend(block_ids)
-            if len(ids) > len(p1):  # double in place, or more for a larger block
-                for column in (p1, p2):
-                    column.resize(max(len(ids), 2 * len(column)), refcheck=False)
-            p1[n : len(ids)], p2[n : len(ids)] = values
+            read += len(text)
+            end = rows + len(block_ids)
+            if end > len(p1):  # double in place, or less if the file's size foretells fewer
+                foretold = end * size // read * 65 // 64 or 2 * len(p1)  # a pipe's size is 0
+                for column in columns:
+                    column.resize(max(end, min(2 * len(column), foretold)), refcheck=False)
+            ids[rows:end], p1[rows:end], p2[rows:end] = block_ids, *values
+            hashes[rows:end] = id_hashes(block_ids)
+            rows = end
             if fault is not None:
                 break
     # each directive's last value, and the line it was read from
     declared |= {hit[1]: (int(hit[2]), k) for k, s in comments if (hit := _DIRECTIVE.match(s))}
     m, r1 = (declared.get(name, (None,))[0] for name in ("m", "r1"))
-    ids = tuple(ids)  # frees the id list
-    for column in (p1, p2):
-        column.resize(len(ids), refcheck=False)
-        column.flags.writeable = False
+    for column in columns:
+        column.resize(rows, refcheck=False)
+    ids.flags.writeable = p1.flags.writeable = p2.flags.writeable = False
     data = StudyPairData(ids, p1, p2, m, r1)
-    issue = validate_dataset(data)  # rows in order, then the directives
+    issue = _first_issue(data, hashes)  # rows in order, then the directives
     if fault is not None and (issue is None or issue.row is None):
         raise fault
     if issue is not None:
@@ -223,7 +236,7 @@ def _unreadable(rid: str) -> bool:
 
 
 def write_pvalue_csv(data: StudyPairData, path) -> None:
-    bad = next((rid for rid in data.ids if _unreadable(rid)), None)
+    bad = next((rid for rid in data.ids.tolist() if _unreadable(rid)), None)
     if bad is not None:
         raise DataError(
             f"id {bad!r} would not read back: an id is non-empty, has no comma, line "
@@ -240,8 +253,12 @@ def write_discoveries_csv(data: StudyPairData, report: DiscoveryReport, path) ->
     rows = report.scored_rows
     rejected = np.zeros(len(data.ids), dtype=bool)
     rejected[report.rejected_rows] = True
+    gather = rows  # ascending rows by a mask: numpy gathers strings so several times faster
+    if np.all(np.diff(rows) > 0):
+        gather = np.zeros(len(data.ids), dtype=bool)
+        gather[rows] = True
     columns = [
-        list(map(data.ids.__getitem__, rows.tolist())),
+        data.ids[gather],
         data.p1[rows],
         data.p2[rows],
         report.z,

@@ -1,8 +1,9 @@
-"""Procedure options and the one check of a procedure's levels."""
+"""Procedure options, and the one check each of a procedure's levels and of a count."""
 
 from __future__ import annotations
 
 from enum import Enum
+from numbers import Integral
 
 from .errors import ParameterError
 
@@ -62,3 +63,11 @@ def check_levels(q1, q, w1=None, mode=Dependence.INDEPENDENT, t=None) -> Depende
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and t is None:
         raise ParameterError("the thresholded dependence mode requires t")
     return mode
+
+
+def check_count(name: str, value, minimum: int) -> None:
+    """Refuses with :class:`ParameterError` naming ``name`` a count that is
+    a bool, is not integral or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        least = "a non-negative integer" if minimum == 0 else f"an integer of at least {minimum}"
+        raise ParameterError(f"{name} must be {least}, got {value!r}")

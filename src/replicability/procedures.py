@@ -17,6 +17,7 @@ arbitrary dependence within a study.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -74,10 +75,6 @@ def _gather_selected(
             f"{idx.size} selected rows"
         )
     return idx, p1, p2, r1
-
-
-# the score columns of a report that scores no hypothesis
-_NO_SCORES = {"scored_rows": np.zeros(0, dtype=np.intp), "z": np.zeros(0), "adjusted": np.zeros(0)}
 
 
 # Row kernels: each maps (n, k) p-value arrays, one family per row, to an
@@ -207,7 +204,6 @@ def fdr_two_stage_rscan(
         r1=r1,
         primary_threshold=r2 * q1_eff / m,
         followup_threshold=r2 * q2_eff / r1 if r1 else 0.0,
-        **_NO_SCORES,
     )
 
 
@@ -401,7 +397,6 @@ def _naive_run(proc: "Procedure", data: StudyPairData, fractions) -> DiscoveryRe
         r1=k1,
         primary_threshold=k1 * q / m,
         followup_threshold=rows.size * q / k1 if k1 else 0.0,
-        **_NO_SCORES,
     )
 
 
@@ -500,8 +495,9 @@ class Procedure:
             raise ParameterError(f"procedure {self.kind!r} needs q1 (or alpha1)")
         object.__setattr__(self, "mode", check_levels(self.q1, self.q, self.w1, self.mode, self.t))
         object.__setattr__(self, "fwer_method", FwerMethod(self.fwer_method))
-        if self.primary not in (1, 2):
-            raise ParameterError(f"primary study must be 1 or 2, got {self.primary}")
+        primary = self.primary
+        if isinstance(primary, bool) or not isinstance(primary, Integral) or primary not in (1, 2):
+            raise ParameterError(f"primary study must be 1 or 2, got {primary}")
         if not isinstance(self.selection, SelectionRule):
             raise ParameterError(f"selection must be a SelectionRule, got {self.selection!r}")
 

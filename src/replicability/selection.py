@@ -18,7 +18,7 @@ import numpy as np
 from . import kernels
 from .data import StudyPairData
 from .errors import DataError, ParameterError
-from .params import check_levels
+from .params import check_count, check_levels
 
 
 def bh_reject(pvalues, q: float) -> set[int]:
@@ -63,8 +63,9 @@ class SelectionRule:
                 raise ParameterError(f"{self.kind} selection does not read {name}")
         if field not in (None, "level") and getattr(self, field) is None:
             raise ParameterError(f"{self.kind} selection needs {field}")
-        if self.k is not None and (not isinstance(self.k, Integral) or self.k < 1):
-            raise ParameterError(f"{self.kind} selection needs an integer k >= 1, got {self.k!r}")
+        k = self.k
+        if k is not None and (isinstance(k, bool) or not isinstance(k, Integral) or k < 1):
+            raise ParameterError(f"{self.kind} selection needs an integer k >= 1, got {k!r}")
         for name in ("level", "threshold"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
@@ -139,11 +140,12 @@ def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
 
 def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np.ndarray:
     if rule.kind == "explicit":
-        unknown = sorted(rule.ids - set(data.ids))
+        ids = data.ids.tolist()  # as Python str: numpy's stop at a NUL
+        unknown = sorted(rule.ids.difference(ids))
         if unknown:
             shown = f"{unknown[:3]}..." if len(unknown) > 3 else f"{unknown}"
             raise DataError(f"explicit selection names ids absent from the dataset: {shown}")
-        return np.isin(np.array(data.ids, dtype=object), list(rule.ids))
+        return np.fromiter(map(rule.ids.__contains__, ids), bool, len(ids))
     if rule.kind == "followup":
         return ~np.isnan(data.p2)
     return select_rows(rule, p1[None], data.m)[0]
@@ -151,9 +153,7 @@ def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np
 
 def select(rule: SelectionRule, data: StudyPairData) -> tuple[str, ...]:
     """The follow-up set chosen by ``rule``, as ids in input order."""
-    mask = _select_mask(rule, data, data.p1)
-    ids = data.ids
-    return tuple(ids[i] for i in np.flatnonzero(mask))
+    return tuple(data.ids[_select_mask(rule, data, data.p1)].tolist())
 
 
 @dataclass(frozen=True)
@@ -181,10 +181,8 @@ _MAX_PROBED = 200  # selected hypotheses probe_validity perturbs at most
 def _check_probe(rule: SelectionRule, grid_size: int, seed: int) -> None:
     """Checks :func:`probe_validity`'s arguments but its data."""
     _require_level(rule)
-    if not isinstance(grid_size, Integral) or grid_size < 2:
-        raise ParameterError(f"grid_size must be an integer of at least 2, got {grid_size!r}")
-    if not isinstance(seed, Integral) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    check_count("grid_size", grid_size, 2)
+    check_count("seed", seed, 0)
 
 
 def probe_validity(
@@ -226,8 +224,8 @@ def probe_validity(
                         ValidityCounterexample(
                             perturbed_id=ids[j],
                             replacement_p1=float(v),
-                            selection_before=tuple(ids[i] for i in base),
-                            selection_after=tuple(ids[i] for i in after),
+                            selection_before=tuple(ids[list(base)].tolist()),
+                            selection_after=tuple(ids[list(after)].tolist()),
                         )
                     )
         p1[j] = original

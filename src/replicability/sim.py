@@ -28,10 +28,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .data import StudyPairData
+from .data import ID, StudyPairData
 from .errors import ParameterError
 from .numeric import ndtr, ndtri
-from .params import check_levels
+from .params import check_count, check_levels
 from .procedures import Procedure
 from .selection import SelectionRule
 
@@ -74,12 +74,11 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError("m must be positive")
-        if self.reps < 1:
-            raise ParameterError("reps must be positive")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
+        for name in ("m", "reps"):  # a bool or a float is no count either
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ParameterError(f"{name} must be positive")
+        check_count("seed", self.seed, 0)
         fr = (self.f00, self.f01, self.f10, self.f11)
         if not all(0.0 <= f <= 1.0 for f in fr):  # NaN fails too
             raise ParameterError("fractions must lie in [0, 1]")
@@ -223,13 +222,12 @@ def _truth_codes(scenario: SimScenario) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def _rep_ids(m: int) -> tuple[str, ...]:
-    """Ids h1..hm, zero-padded to one width."""
-    # 10**w + i is "1" then i padded to w digits: one join and one split
-    # build all m strings, with each leading "1" turned into an "h"
-    base = 10 ** len(str(m))
-    text = "\n".join(map(str, range(base + 1, base + m + 1)))
-    return tuple(("h" + text[1:].replace("\n1", "\nh")).split("\n"))
+def _rep_ids(m: int) -> np.ndarray:
+    """Ids h1..hm, zero-padded to one width, as a read-only id column."""
+    digits = np.strings.zfill(np.arange(1, m + 1).astype(ID), len(str(m)))
+    ids = np.strings.add(np.array("h", ID), digits)
+    ids.flags.writeable = False
+    return ids
 
 
 def generate_rep(scenario: SimScenario, rep_index: int) -> tuple[StudyPairData, np.ndarray]:
@@ -242,8 +240,7 @@ def generate_rep(scenario: SimScenario, rep_index: int) -> tuple[StudyPairData, 
     the p-values are exchangeable within blocks, so the layout carries no
     information.
     """
-    if not isinstance(rep_index, Integral) or rep_index < 0:
-        raise ParameterError(f"rep_index must be a non-negative integer, got {rep_index!r}")
+    check_count("rep_index", rep_index, 0)
     p1, p2 = _pvalues(scenario, _streams(scenario), int(rep_index), 1)
     codes = _truth_codes(scenario)
     codes.flags.writeable = False
@@ -276,6 +273,12 @@ def _mean_se(values: np.ndarray) -> tuple[float, float | None]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
+def _check_workers(workers) -> None:
+    """Refuses a worker count that is not an integer of at least 1."""
+    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+        raise ParameterError(f"workers (--workers) must be an integer >= 1, got {workers!r}")
+
+
 def run_scenario(
     scenario: SimScenario, workers: int = 1, retain_trace: bool = False
 ) -> SimEstimate:
@@ -287,8 +290,7 @@ def run_scenario(
     ``workers``, an integer of at least 1. Logs one INFO line with the
     throughput.
     """
-    if not isinstance(workers, Integral) or workers < 1:
-        raise ParameterError(f"workers (--workers) must be an integer >= 1, got {workers!r}")
+    _check_workers(workers)
     start_time = time.perf_counter()
     m, reps = scenario.m, scenario.reps
     kernel = scenario.procedure.kernel(m, (scenario.f00, scenario.f01))

@@ -224,6 +224,34 @@ class TestExitCodes:
         assert main([arg.format(**paths) for arg in argv]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(
+            ["analyze", "--input", "{missing}", "--q1", "0.05", "--q", "0.01"], id="analyze"
+        ),
+        pytest.param(["adjust", "--input", "{missing}", "--c", "1.5"], id="adjust"),
+        pytest.param(["simulate", "--scenario", "{missing}", "--workers", "0"], id="simulate"),
+        pytest.param(
+            ["power", "--mu11", "2", "--mu21", "2", "--m", "10", "--alpha", "0.05",
+             "--grid-c", "0:1:0", "--out", "{missing}/power.csv"],
+            id="power",
+        ),
+        pytest.param(
+            ["calibrate-oracle", "--input", "{missing}", "--f00", "0.9", "--f01", "0.01",
+             "--q", "0.05", "--w1", "0.3"],
+            id="calibrate_oracle",
+        ),
+        pytest.param(
+            ["probe-selection", "--input", "{missing}", "--selection", "top:0"],
+            id="probe_selection",
+        ),
+    ])
+    def test_every_command_refuses_a_flag_before_its_file(self, tmp_path, capsys, argv):
+        # each of the six commands: the missing file (exit 4) would hide the flag error
+        missing = tmp_path / "missing"
+        assert main([arg.format(missing=missing) for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not missing.exists()
+
     def test_io_error_is_4(self, capsys):
         code = main(["analyze", "--input", "/nonexistent/x.csv", "--q1", "0.01", "--q", "0.05"])
         assert code == 4

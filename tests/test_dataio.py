@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import BAD_PVALUE_FILES, make_data
 from csv_oracle import parse_pvalue_csv_lines
 from replicability import dataio
-from replicability.data import StudyPairData
+from replicability.data import ID, StudyPairData
 from replicability.dataio import (
     fmt,
     parse_dependence,
@@ -66,7 +66,8 @@ def test_header_only_is_refused_as_empty_family(tmp_path):
 def test_read_keeps_one_copy_of_each_column(tmp_path):
     # a genome-wide screen with a small follow-up: while the dataset is built
     # and validated, the reader's own columns are gone and the repeated-id
-    # check holds 8 bytes per row, so the traced peak stays near what is kept
+    # check holds 8 bytes per row, so the traced peak stays near what is kept;
+    # what is kept is 16 bytes of inline id and 2 x 8 of p-values per row
     rng = np.random.default_rng(11)
     n = 200_000
     p1 = rng.random(n)
@@ -81,6 +82,9 @@ def test_read_keeps_one_copy_of_each_column(tmp_path):
         tracemalloc.stop()
     assert data.r1_listed == np.count_nonzero(~np.isnan(p2))
     assert peak <= 1.75 * kept, f"peak {peak / kept:.2f}x what the dataset keeps"
+    assert kept <= 40 * n, f"{kept / n:.1f} bytes held per row"
+    ids = data.ids
+    assert ids.dtype == ID and ids.flags.owndata and not ids.flags.writeable
 
 
 @pytest.mark.parametrize("rows", [1, 3, dataio._COLUMN_ROWS])

@@ -77,7 +77,7 @@ class TestGenerateRep:
         for m in (1, 9, 10, 200, 1000):
             data, _ = generate_rep(replace(BASE, m=m), 0)
             width = len(str(m))
-            assert data.ids == tuple(f"h{i:0{width}d}" for i in range(1, m + 1))
+            assert data.ids.tolist() == [f"h{i:0{width}d}" for i in range(1, m + 1)]
 
     def test_reps_differ(self):
         a_data, _ = generate_rep(BASE, 0)
