@@ -9,13 +9,14 @@ set-valued outputs are reported in input order for determinism.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .errors import DataError
+from .errors import DataError, ParameterError
 
 # Truth states as (primary, follow-up): I00 null in both studies, I01 and I10
 # non-null only in the follow-up and only in the primary, I11 non-null in
@@ -79,7 +80,9 @@ class StudyPairData:
     ``m_declared`` overrides the family size when the dataset lists only a
     subset of the tested hypotheses (e.g. only the ones followed up out of
     millions screened). ``r1_declared`` likewise overrides the follow-up
-    set size when only a subset of followed-up rows is available.
+    set size when only a subset of followed-up rows is available. Each is
+    None or an integer (a bool or a float is a ParameterError); its range
+    is checked by :func:`validate_dataset`.
     """
 
     _ids: np.ndarray
@@ -92,6 +95,9 @@ class StudyPairData:
         ids, p1, p2 = _column(ids, ID), _column(p1, float), _column(p2, float)
         if not p1.shape == p2.shape == ids.shape == (ids.size,):
             raise ValueError(f"columns differ in length: {ids.size}, {p1.shape}, {p2.shape}")
+        for name, value in (("m_declared", m_declared), ("r1_declared", r1_declared)):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ParameterError(f"{name} must be an integer or None, got {value!r}")
         fields = dict(_ids=ids, p1=p1, p2=p2, m_declared=m_declared, r1_declared=r1_declared)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -175,6 +181,14 @@ class ValidationIssue:
     row: int | None = None
 
 
+# rows per slice in validation: no temporary spans a whole column
+_SLICE = 1 << 16
+
+
+def _slices(n: int) -> Iterator[slice]:
+    return (slice(at, at + _SLICE) for at in range(0, n, _SLICE))
+
+
 def id_hashes(ids: Sequence[str]) -> np.ndarray:
     """The ``hash`` of each id, as an int64 array."""
     return np.fromiter(map(hash, ids), np.int64, len(ids))
@@ -183,7 +197,7 @@ def id_hashes(ids: Sequence[str]) -> np.ndarray:
 def _may_repeat(hashes: np.ndarray) -> bool:
     """Whether two ids may be equal, from their hashes, sorted in place."""
     hashes.sort()
-    return bool((hashes[1:] == hashes[:-1]).any())
+    return any((hashes[1:][s] == hashes[:-1][s]).any() for s in _slices(len(hashes) - 1))
 
 
 def validate_dataset(data: StudyPairData) -> ValidationIssue | None:
@@ -203,23 +217,26 @@ def _first_issue(data: StudyPairData, hashes: np.ndarray) -> ValidationIssue | N
     ids, which it sorts in place: the ids are scanned for an empty id or a
     repeat only if the hashes hold an empty id's hash or a repeat."""
     ids, p1, p2 = data.ids, data.p1, data.p2
-    bad_p1 = ~((p1 >= 0.0) & (p1 <= 1.0))
-    bad_p2 = (p2 < 0.0) | (p2 > 1.0)
-    bad = np.flatnonzero(bad_p1 | bad_p2)
+    bad = None  # the first row with a p-value out of range
+    for s in _slices(len(ids)):
+        rows = np.flatnonzero(~((p1[s] >= 0.0) & (p1[s] <= 1.0)) | (p2[s] < 0.0) | (p2[s] > 1.0))
+        if rows.size:
+            bad = s.start + int(rows[0])
+            break
     # an id fault matters only up to the first row with a bad p-value
-    end = int(bad[0]) + 1 if bad.size else len(ids)
-    if bad.size or (hashes == hash("")).any() or _may_repeat(hashes):
+    end = len(ids) if bad is None else bad + 1
+    empty = any((hashes[s] == hash("")).any() for s in _slices(len(hashes)))
+    if bad is not None or empty or _may_repeat(hashes):
         seen: set[str] = set()
         for i, rid in enumerate(ids[:end].tolist()):
             if not rid or rid in seen:
                 message = "duplicate id" if rid else "empty id"
                 return ValidationIssue(f"record {i} ({rid!r})", message, "id", i)
             seen.add(rid)
-    if bad.size:
-        i = end - 1
-        name, col = ("p1", p1) if bad_p1[i] else ("p2", p2)
-        message = f"{name} out of range: {float(col[i])!r}"
-        return ValidationIssue(f"record {i} ({ids[i]!r})", message, name, i)
+    if bad is not None:
+        name, col = ("p1", p1) if not 0.0 <= p1[bad] <= 1.0 else ("p2", p2)
+        message = f"{name} out of range: {float(col[bad])!r}"
+        return ValidationIssue(f"record {bad} ({ids[bad]!r})", message, name, bad)
     m_decl, r1_decl, n = data.m_declared, data.r1_declared, len(ids)
     if m_decl is None and n == 0:
         return ValidationIssue("family", "no rows listed and no m declared", "m")

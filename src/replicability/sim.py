@@ -11,8 +11,8 @@ Random numbers come from counter-based Philox streams (Salmon et al.,
 SC'11): one key per (master seed, study, truth block), with each
 repetition reading its block from a counter offset set by its index.
 Repetitions run in chunks, as rows of (reps, m) arrays through row-wise
-procedure kernels; each thread keeps one generator per stream and moves
-it to a chunk's counter. Any chunking or thread count gives bit-identical
+procedure kernels. Each chunk is one task that builds its generators
+from (key, counter), so any chunking or thread count gives bit-identical
 results.
 """
 
@@ -155,38 +155,12 @@ def _streams(scenario: SimScenario) -> list[tuple[int, slice, float, np.ndarray]
     return out
 
 
-def _generators(streams) -> list[np.random.Generator]:
-    """One generator per stream, for one thread's calls to :func:`_pvalues`."""
-    return [np.random.Generator(np.random.Philox(key=key)) for *_, key in streams]
-
-
-def _seek(gen: np.random.Generator, key: np.ndarray, counter: int) -> None:
-    """Put a keyed Philox generator where ``Philox(key=key, counter=counter)``
-    starts: an empty buffer, so the first draw is block counter + 1."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([(counter >> (64 * i)) & (2**64 - 1) for i in range(4)], np.uint64),
-            "key": key,
-        },
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _pvalues(
-    scenario: SimScenario, streams, start: int, n: int, gens=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, m) primary and follow-up p-values of repetitions start..start+n-1,
-    drawn with ``gens`` (one generator per stream; new ones by default).
+def _pvalues(scenario: SimScenario, streams, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, m) primary and follow-up p-values of repetitions start..start+n-1.
 
     A row depends only on its repetition index, never on how repetitions
     are grouped into calls.
     """
-    if gens is None:
-        gens = _generators(streams)
     p = np.empty((2, n, scenario.m))
     # the normal kernels cost ~0.1 ms a call: every signal column of both
     # studies is drawn into one buffer and transformed in one pass
@@ -194,10 +168,10 @@ def _pvalues(
     widths = [cols.stop - cols.start for _, cols, _ in signal]
     u = np.empty((n, sum(widths)))
     at = 0
-    for (study, cols, shift, key), gen in zip(streams, gens):
+    for study, cols, shift, key in streams:
         size = cols.stop - cols.start
         steps = -(-size // 4)  # Philox yields four 64-bit values per counter step
-        _seek(gen, key, start * steps)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=start * steps))
         draws = gen.random((n, 4 * steps))[:, :size]
         if shift == 0.0:
             # 1 - u is exactly the model's uniform null p-value
@@ -284,11 +258,11 @@ def run_scenario(
 ) -> SimEstimate:
     """Estimate FDP, power, and rejection counts over the repetitions.
 
-    Repetitions run in chunks of about 64k p-values per study, on
-    ``workers`` threads; a repetition's rows depend only on its index, and
-    aggregation is in index order, so the result is identical for any
-    ``workers``, an integer of at least 1. Logs one INFO line with the
-    throughput.
+    Repetitions run in chunks of about 64k p-values per study, each chunk
+    one task on ``workers`` threads; a repetition's rows depend only on its
+    index, and aggregation is in index order, so the result is identical
+    for any ``workers``, an integer of at least 1. Logs one INFO line with
+    the throughput.
     """
     _check_workers(workers)
     start_time = time.perf_counter()
@@ -306,23 +280,21 @@ def run_scenario(
     starts = range(0, reps, chunk)
     threads = min(workers, len(starts))
 
-    def run_chunks(offset: int) -> None:
-        # each thread takes every threads-th chunk, with its own generators
-        gens = _generators(streams)
-        for start in starts[offset::threads]:
-            rows = slice(start, min(start + chunk, reps))
-            mask = kernel(*_pvalues(scenario, streams, start, rows.stop - start, gens))
-            r = np.count_nonzero(mask, axis=1)
-            v = np.count_nonzero(mask & non_replicable, axis=1)
-            fdp[rows] = v / np.maximum(r, 1)
-            power[rows] = (r - v) / n11 if n11 else math.nan
-            rejections[rows] = r
+    def run_chunk(start: int) -> None:
+        rows = slice(start, min(start + chunk, reps))
+        mask = kernel(*_pvalues(scenario, streams, start, rows.stop - start))
+        r = np.count_nonzero(mask, axis=1)
+        v = np.count_nonzero(mask & non_replicable, axis=1)
+        fdp[rows] = v / np.maximum(r, 1)
+        power[rows] = (r - v) / n11 if n11 else math.nan
+        rejections[rows] = r
 
     if threads == 1:
-        run_chunks(0)
+        for start in starts:
+            run_chunk(start)
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunks, range(threads)))
+            list(pool.map(run_chunk, starts))
 
     avg_fdp, fdp_se = _mean_se(fdp)
     if n11:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from replicability import data as data_module
 from replicability.data import (
     HypothesisRecord,
     StudyPairData,
@@ -12,7 +13,7 @@ from replicability.data import (
     validate_dataset,
 )
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
-from replicability.errors import DataError
+from replicability.errors import DataError, ParameterError
 from validation_oracle import first_fault_loop
 
 
@@ -124,6 +125,30 @@ def test_first_fault_matches_row_loop(data):
 
 # empty, repeated, non-ASCII and NUL-bearing ids, and any other short text
 _ANY_IDS = st.sampled_from(["", "a", "a\x00", "\x00", "é", "e\u0301", "日本"]) | st.text(max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=datasets(), ids=st.lists(_ANY_IDS, max_size=12))
+def test_validation_in_slices_matches_row_loop(data, ids):
+    # slices of two rows: faults, empty ids and repeats within and across slices
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "_SLICE", 2)
+        assert validate_dataset(data) == first_fault_loop(data)
+        assert _may_repeat(id_hashes(ids)) == (len(set(ids)) < len(ids))
+
+
+@pytest.mark.parametrize("name", ["m_declared", "r1_declared"])
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "3"])
+def test_declared_count_not_an_integer_refused(name, value):
+    with pytest.raises(ParameterError, match=f"{name} must be an integer or None, got {value!r}"):
+        StudyPairData(["a", "b"], [0.1, 0.2], [0.3, np.nan], **{name: value})
+
+
+def test_declared_counts_take_any_integer():
+    data = StudyPairData(["a", "b"], [0.1, 0.2], [0.3, np.nan], np.int64(3), np.int64(1))
+    assert validate_dataset(data) is None and data.m == 3
+    negative = StudyPairData(["a"], [0.1], [0.3], m_declared=-1, r1_declared=-2)
+    assert validate_dataset(negative).field == "m"  # the range is validation's to check
 
 
 @settings(max_examples=200, deadline=None)

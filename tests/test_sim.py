@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 from dataclasses import replace
@@ -86,7 +87,7 @@ class TestGenerateRep:
 
     @pytest.mark.parametrize("rep_index", [-1, 1.5, 2.0, "3", None])
     def test_rep_index_not_a_repetition_refused(self, rep_index):
-        # -1 would seek a wrapped Philox counter: no repetition run_scenario draws
+        # -1 would start a negative Philox counter: no repetition run_scenario draws
         with pytest.raises(ParameterError, match=f"rep_index .* got {rep_index!r}"):
             generate_rep(BASE, rep_index)
 
@@ -139,6 +140,15 @@ class TestRunScenario:
         a = run_scenario(scenario, workers=1, retain_trace=True)
         b = run_scenario(scenario, workers=4, retain_trace=True)
         assert a == b
+
+    @pytest.mark.parametrize("per_chunk", ["one_rep", "seven_reps", "all_reps"])
+    def test_chunking_and_workers_invariant(self, monkeypatch, per_chunk):
+        scenario = replace(BASE, reps=23)
+        default = run_scenario(scenario, retain_trace=True)
+        reps = {"one_rep": 1, "seven_reps": 7, "all_reps": scenario.reps}[per_chunk]
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", reps * scenario.m)
+        for workers in (1, 2, 3):
+            assert run_scenario(scenario, workers=workers, retain_trace=True) == default
 
     def test_item2_violation_refused_like_the_library(self):
         # the paper's cell at mu = 2 with bh selection: selected primary
@@ -469,6 +479,58 @@ def test_chunk_rows_equal_single_rep_calls(scenario, start, n):
         assert np.array_equal(p2[i], data.p2)
     assert np.bincount(truth, minlength=4).tolist() == list(truth_block_sizes(
         scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11)))
+
+
+# the paper's cell: its 900-column null block takes 225 Philox counter
+# steps a repetition, so these repetitions start past counter 2^64 (the
+# first one's null block crosses it); values computed with numpy 2.4
+_PAST_2_64 = {
+    2**64 // 225: (
+        [("0x1.560a5baae473bp-1", "0x1.21b96c7e49710p-2"),
+         ("0x1.7cefbd855df9ep-1", "0x1.e4708a07c4d18p-1"),
+         ("0x1.9918687e23500p-9", "0x1.7c11ff0baef2dp-17"),
+         ("0x1.a4bbedebb4db6p-20", "0x1.2b99b13850b20p-2"),
+         ("0x1.049ce1a2e8209p-16", "0x1.8767d5040a29cp-11"),
+         ("0x1.6246721e8b57fp-24", "0x1.87c171a3d283ap-10")],
+        "0dd49412ceb73cc12ba439574ffb3a4f2d3200aa6db67bde478fc3cdc6a5cdce",
+    ),
+    2**58: (
+        [("0x1.96c82c7115260p-5", "0x1.7e35ee6dae2bcp-1"),
+         ("0x1.4d2c3f7b4462ep-2", "0x1.81d2f0fe27861p-1"),
+         ("0x1.aebf7e3442109p-1", "0x1.5fc26e846ed90p-25"),
+         ("0x1.2d1dd4f30e9e0p-25", "0x1.0b09bee1ab114p-1"),
+         ("0x1.283a6aaacc6fap-33", "0x1.64a36255d0589p-12"),
+         ("0x1.20a62328ce578p-20", "0x1.147673634f16dp-21")],
+        "22bd5f5985d72cd96d7d0d168f99efeb1a3d4aa82a63c48d06fbf83c19cd83c1",
+    ),
+    2**60 + 3: (
+        [("0x1.1ed8b38d58ea0p-3", "0x1.1d59fb9a9764bp-1"),
+         ("0x1.f8f81805eeb70p-2", "0x1.7c75cdcce3241p-1"),
+         ("0x1.480d7bcb81cf3p-1", "0x1.0e7bb09d58ef9p-21"),
+         ("0x1.2f05df21fb7efp-21", "0x1.209545bc99401p-1"),
+         ("0x1.a083da619c35dp-16", "0x1.68ae403cf363ap-15"),
+         ("0x1.f340c0a03c43bp-14", "0x1.3dc35e9efd50cp-19")],
+        "17c7c92ebc1029f71d8755d890528b4b69553f596b7929cef43480553b01ba01",
+    ),
+}
+
+
+@pytest.mark.parametrize("rep", sorted(_PAST_2_64))
+def test_counters_past_2_64_pinned(rep):
+    scenario = SimScenario(
+        m=1000, f00=0.9, f01=0.025, f10=0.025, f11=0.05,
+        mu1=2.0, mu2=2.0, sigma1=0.5, sigma2=0.5,
+        procedure=Procedure(kind="fdr", q1=0.025, q=0.05), reps=1, seed=7,
+    )
+    pairs, digest = _PAST_2_64[rep]
+    data, _ = generate_rep(scenario, rep)
+    columns = (0, 899, 900, 925, 950, 999)  # I00: first, last; I01, I10, I11: first; I11: last
+    assert [(data.p1[j].hex(), data.p2[j].hex()) for j in columns] == pairs
+    raw = data.p1.astype("<f8").tobytes() + data.p2.astype("<f8").tobytes()
+    assert hashlib.sha256(raw).hexdigest() == digest
+    p1, p2 = _pvalues(scenario, _streams(scenario), rep, 2)
+    assert np.array_equal(p1[0], data.p1) and np.array_equal(p2[0], data.p2)
+    assert generate_rep(scenario, rep + 1)[0] == StudyPairData(data.ids, p1[1], p2[1])
 
 
 def _rscan_run(scenario: SimScenario, data) -> set[str]:
