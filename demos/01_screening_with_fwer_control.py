@@ -19,7 +19,7 @@ data = load_hippocampal_volume()
 print(f"family size m = {data.m:,}, followed up = {data.r1_listed}")
 print()
 
-rule = SelectionRule.followed_up()
+rule = SelectionRule("followup")
 for alpha1 in (0.025, 0.04):
     report = fwer_two_stage(data, rule, alpha1=alpha1, alpha=0.05)
     print(f"two-stage FWER at (alpha1, alpha) = ({alpha1}, 0.05)")
@@ -34,12 +34,12 @@ for alpha1 in (0.025, 0.04):
 # spends more of the budget on the (much harder) primary stage.
 print("Bonferroni-replicability adjusted p-values")
 print(f"{'id':8s} {'p1':>10s} {'p2':>10s}   c=0.2    c=0.5    c=0.8")
-columns = {
-    c: {row.id: row.adjusted_p for row in build_adjusted_table(data, c, "bonferroni").rows}
-    for c in (0.2, 0.5, 0.8)
-}
-for rec in data.records:
-    cells = "  ".join(f"{columns[c][rec.id]:7.4f}" for c in (0.2, 0.5, 0.8))
-    print(f"{rec.id:8s} {rec.p1:10.2g} {rec.p2:10.2g}  {cells}")
+columns = {}
+for c in (0.2, 0.5, 0.8):
+    table = build_adjusted_table(data, c, "bonferroni")
+    columns[c] = dict(zip(table.ids, table.adjusted))
+for id_, p1, p2 in zip(data.ids, data.p1, data.p2):
+    cells = "  ".join(f"{columns[c][id_]:7.4f}" for c in (0.2, 0.5, 0.8))
+    print(f"{id_:8s} {p1:10.2g} {p2:10.2g}  {cells}")
 print()
 print("only MSRB3 stays below 0.05, and only for c >= 0.5")

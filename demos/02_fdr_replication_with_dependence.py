@@ -19,11 +19,11 @@ from replicability import (
 )
 
 data = load_crohns_disease()
-rule = SelectionRule.fixed_threshold(5e-5)
+rule = SelectionRule("fixed_threshold", threshold=5e-5)
 q1, q = 0.04, 0.05
 
 print(f"m = {data.m:,}; |R1| = {data.r1_declared} followed up; "
-      f"{len(data.records)} rows published")
+      f"{len(data.ids)} rows published")
 print(f"harmonic correction factor H_m = {harmonic(data.m):.4f}")
 print(f"thresholded corrected level    = "
       f"{solve_q1_tilde_thresholded(q1, data.m, 5e-5):.4f} "
@@ -48,8 +48,8 @@ table = build_adjusted_table(
 )
 print("top of the adjusted table (c = 0.8):")
 print(f"{'id':16s} {'adjusted':>10s} {'corrected':>10s}")
-for row in table.rows[:10]:
-    print(f"{row.id:16s} {row.adjusted_p:10.3g} {row.adjusted_p_modified:10.3g}")
+for id_, adjusted, corrected in zip(table.ids[:10], table.adjusted, table.modified):
+    print(f"{id_:16s} {adjusted:10.3g} {corrected:10.3g}")
 if table.adjusted_is_upper_bound:
     print("(values are upper-bound estimates: only part of the follow-up "
           "set is published)")

@@ -17,7 +17,7 @@ from .data import RowView, StudyPairData
 from .errors import ParameterError
 from .numeric import harmonic, solve_q1_tilde_thresholded
 from .params import Dependence, check_levels
-from .procedures import _adjust_columns, _gather_selected
+from .procedures import _adjust_columns, _check_at_most_t, _gather_selected
 from .selection import SelectionRule
 
 
@@ -92,20 +92,21 @@ def build_adjusted_table(
     both studies are dependence-corrected). The thresholded mode rescales
     p1 by q1/q1_tilde instead, which depends on the run level: it needs
     ``q`` (so q1 = c*q) and the selection threshold ``t``, checked as the
-    levels (c*q, q) of a run. No other mode reads them, and each refuses a
-    given ``q`` or ``t``.
+    levels (c*q, q) of a run, and refuses a followed-up p1 above ``t`` as a
+    run does. No other mode reads them, and each refuses a given q or t.
 
     Rescaled p-values are capped at 1 before the statistic is formed; an
     adjusted value above 1 is meaningless, so only hopeless rows are
     affected.
     """
     mode = _check_arguments(c, flavor, mode, t, q)
-    idx, p1, p2, r1 = _gather_selected(data, SelectionRule.followed_up(), "adjust")
+    idx, p1, p2, r1 = _gather_selected(data, SelectionRule("followup"), "adjust")
     m = data.m
     z, adjusted = _adjust_columns(p1, p2, m, r1, c, flavor)
     modified: np.ndarray | None = None
     if idx.size and mode not in (Dependence.INDEPENDENT, Dependence.PRDS_FOLLOWUP):
         if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
+            _check_at_most_t(p1, True, t)
             scale1 = c * q / solve_q1_tilde_thresholded(c * q, m, t)
         else:
             scale1 = harmonic(m)

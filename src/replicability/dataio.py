@@ -328,19 +328,15 @@ def parse_rule_spec(spec: str) -> SelectionRule:
     procedure direction that uses them."""
     spec = spec.strip()
     if spec == "followup":
-        return SelectionRule.followed_up()
+        return SelectionRule("followup")
     kind, _, arg = spec.partition(":")
-    if kind in ("bh", "bonferroni") and not arg:
-        return SelectionRule(kind)
     try:
-        if kind == "bh":
-            return SelectionRule.bh_at_level(float(arg))
-        if kind == "bonferroni":
-            return SelectionRule.bonferroni_threshold(float(arg))
+        if kind in ("bh", "bonferroni"):
+            return SelectionRule(kind, level=float(arg) if arg else None)
         if kind == "top":
-            return SelectionRule.top_k(int(arg))
+            return SelectionRule("top_k", k=int(arg))
         if kind == "threshold":
-            return SelectionRule.fixed_threshold(float(arg))
+            return SelectionRule("fixed_threshold", threshold=float(arg))
     except ValueError as exc:
         raise ParameterError(f"bad selection spec {spec!r}: {exc}") from None
     raise ParameterError(

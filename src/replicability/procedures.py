@@ -77,6 +77,15 @@ def _gather_selected(
     return idx, p1, p2, r1
 
 
+def _check_at_most_t(p1, sel, t: float) -> None:
+    """Refuses a selected primary p-value above t, the thresholded mode's premise."""
+    if np.any(sel & (p1 > t)):
+        raise DataError(
+            "the thresholded dependence mode requires every selected primary "
+            f"p-value to be at most t={t:g}"
+        )
+
+
 # Row kernels: each maps (n, k) p-value arrays, one family per row, to an
 # (n, k) rejection mask. The simulator runs them a chunk of repetitions at
 # a time, the FDR kernel on each row's selected entries; the library
@@ -96,11 +105,8 @@ def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t)
     get z = inf. Returns the mask, z and the effective levels.
     """
     q1_eff, q2_eff = _effective_levels(q1, q, mode, t, m, r1)
-    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and np.any(sel & (p1 > t)):
-        raise DataError(
-            "the thresholded dependence mode requires every selected primary "
-            f"p-value to be at most t={t:g}"
-        )
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
+        _check_at_most_t(p1, sel, t)
     z = np.maximum(m * p1 / q1_eff, r1 * p2 / q2_eff)
     z[~sel] = np.inf
     r1 = np.maximum(r1, 1)  # a row with R1 = 0 selects nothing

@@ -41,11 +41,11 @@ class SelectionRule:
 
     Kinds: ``bh`` (step-up at a level), ``bonferroni`` (p1 <= level/m),
     ``top_k`` (k smallest p1, input-order tie-break), ``fixed_threshold``
-    (p1 <= t), ``explicit`` (caller-supplied ids, for reproducing
-    selections whose rule used information outside the dataset), and
-    ``followup`` (every row with a follow-up p-value). A ``bh`` or
-    ``bonferroni`` rule without a level runs at the primary-stage level of
-    the procedure direction that uses it (see :meth:`at_level`).
+    (p1 <= t), ``explicit`` (caller-supplied ids, any iterable but a str,
+    kept as a frozenset: for selections whose rule used information outside
+    the dataset), and ``followup`` (every row with a follow-up p-value). A
+    ``bh`` or ``bonferroni`` rule without a level runs at the primary-stage
+    level of the procedure direction that uses it (see :meth:`at_level`).
     """
 
     kind: str
@@ -70,30 +70,19 @@ class SelectionRule:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
                 raise ParameterError(f"{self.kind} selection needs {name} in (0, 1), got {value}")
+        if isinstance(self.ids, str):  # an iterable of its characters
+            raise ParameterError(f"explicit selection needs a collection of ids, got {self.ids!r}")
+        if self.ids is not None:
+            object.__setattr__(self, "ids", frozenset(self.ids))
 
     @staticmethod
     def bh_at_level(level: float) -> "SelectionRule":
+        # only the benchmark's traced probes call this; ROADMAP item 3 deletes it
         return SelectionRule("bh", level=level)
 
     @staticmethod
-    def bonferroni_threshold(level: float) -> "SelectionRule":
-        return SelectionRule("bonferroni", level=level)
-
-    @staticmethod
-    def top_k(k: int) -> "SelectionRule":
-        return SelectionRule("top_k", k=k)
-
-    @staticmethod
-    def fixed_threshold(t: float) -> "SelectionRule":
-        return SelectionRule("fixed_threshold", threshold=t)
-
-    @staticmethod
-    def explicit(ids) -> "SelectionRule":
-        return SelectionRule("explicit", ids=frozenset(ids))
-
-    @staticmethod
     def followed_up() -> "SelectionRule":
-        """All rows that carry a follow-up p-value."""
+        # only the benchmark's traced probes call this; ROADMAP item 3 deletes it
         return SelectionRule("followup")
 
     def at_level(self, level: float) -> "SelectionRule":
@@ -202,7 +191,7 @@ def probe_validity(
     hypotheses are selected, a seeded subsample is probed.
     """
     _check_probe(rule, grid_size, seed)
-    p1 = data.p1_array()
+    p1 = data.p1.copy()
     base_mask = _select_mask(rule, data, p1)
     base = tuple(np.flatnonzero(base_mask).tolist())
     selected = list(base)

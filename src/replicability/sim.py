@@ -215,7 +215,12 @@ def generate_rep(scenario: SimScenario, rep_index: int) -> tuple[StudyPairData, 
     information.
     """
     check_count("rep_index", rep_index, 0)
-    p1, p2 = _pvalues(scenario, _streams(scenario), int(rep_index), 1)
+    streams = _streams(scenario)
+    # repetition r reads Philox blocks r*steps+1 .. (r+1)*steps; block 2**256 wraps to 0
+    steps = max(-(-(cols.stop - cols.start) // 4) for _, cols, _, _ in streams)
+    if rep_index >= (limit := (2**256 - 1) // steps):
+        raise ParameterError(f"rep_index must be below {limit}, got {rep_index!r}")
+    p1, p2 = _pvalues(scenario, streams, int(rep_index), 1)
     codes = _truth_codes(scenario)
     codes.flags.writeable = False
     return StudyPairData(_rep_ids(scenario.m), p1[0], p2[0]), codes

@@ -130,7 +130,7 @@ PUBLISHED_CROHNS = {
 def test_criterion_2_fdr_example_golden():
     t0 = time.perf_counter()
     data = load_crohns_disease()
-    rule = SelectionRule.fixed_threshold(5e-5)
+    rule = SelectionRule("fixed_threshold", threshold=5e-5)
     failures = []
 
     runs = {

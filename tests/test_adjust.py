@@ -110,6 +110,21 @@ def test_item2_mode_needs_q_and_t():
     assert all(r.adjusted_p_modified is not None for r in table.rows)
 
 
+def test_item2_refuses_followed_up_p1_above_t():
+    item2 = Dependence.ARBITRARY_PRIMARY_ITEM2
+    data = make_data([1e-4, 2e-4, 0.5], [1e-3, 2e-3, None])
+    assert build_adjusted_table(data, 0.5, "fdr", item2, t=2e-4, q=0.05).modified is not None
+    with pytest.raises(DataError, match="at most t=0.00019"):
+        build_adjusted_table(data, 0.5, "fdr", item2, t=1.9e-4, q=0.05)
+    # the same refusal, with the same message, as a run of the procedure
+    data = load_hippocampal_volume()
+    with pytest.raises(DataError, match="at most t=1e-09") as table_error:
+        build_adjusted_table(data, 0.5, "fdr", item2, t=1e-9, q=0.05)
+    with pytest.raises(DataError) as run_error:
+        fdr_two_stage(data, SelectionRule("followup"), 0.025, 0.05, item2, 1e-9)
+    assert str(table_error.value) == str(run_error.value)
+
+
 @pytest.mark.parametrize("given", [{"t": 5e-5}, {"q": 0.05}, {"t": 5e-5, "q": 0.05}])
 @pytest.mark.parametrize(
     "mode", [mode for mode in Dependence if mode is not Dependence.ARBITRARY_PRIMARY_ITEM2]

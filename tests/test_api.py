@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import importlib.util
 import io
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import replicability
@@ -34,6 +36,34 @@ def test_benchmark_trace_hooks_exist(monkeypatch):
     data = replicability.load_hippocampal_volume()
     assert len(data.records) == 5
     assert len(pkg.adjust.build_adjusted_table(data, 0.5).rows) == 5
+    # the probes call these; ROADMAP item 3 deletes them with the tracer
+    rule = replicability.SelectionRule
+    assert rule.bh_at_level(0.01) == rule("bh", level=0.01)
+    assert rule.followed_up() == rule("followup")
+    p1 = data.p1_array()
+    assert p1.flags.writeable and not np.shares_memory(p1, data.p1)
+    assert np.array_equal(p1, data.p1)
+    full = replicability.StudyPairData(["a", "b", "c"], [1e-4, 0.3, 2e-4], [2e-4, 1e-4, 0.9])
+    runs = [
+        procedures.fdr_symmetric(full, rule("bh", level=0.0125), 0.5, 0.025, 0.05, **reverse)
+        for reverse in ({}, {"rule_reverse": rule("bh", level=0.0125)})
+    ]
+    assert runs[0].rejected_ids == runs[1].rejected_ids == ("a",)
+
+
+def test_probe_only_names_have_no_caller_in_src_or_demos():
+    # only the benchmark's traced probes may call these, so that ROADMAP
+    # item 3 can delete them with the tracer; their definitions do not count
+    banned = {"records", "rows", "p1_array", "bh_at_level", "followed_up"}
+    files = [*sorted((REPO / "src").rglob("*.py")), *sorted((REPO / "demos").glob("*.py"))]
+    calls = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                calls.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.keyword) and node.arg == "rule_reverse":
+                calls.append(f"{path.name}:{node.value.lineno} rule_reverse=")
+    assert len(files) > 6 and calls == []
 
 
 def test_readme_quickstart_prints_what_it_says():

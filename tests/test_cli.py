@@ -335,6 +335,21 @@ class TestAdjust:
         assert code == 1 and not out.exists()
         assert f"does not read {named};" in capsys.readouterr().err
 
+    def test_item2_followed_up_p1_above_t_is_data_error_as_in_analyze(
+        self, hippo_csv, tmp_path, capsys
+    ):
+        errors = []
+        for command in (["adjust", "--c", "0.5"], ["analyze", "--q1", "0.025"]):
+            out = tmp_path / command[0]
+            code = main([
+                *command, "--q", "0.05", "--dependence", "item2", "--t", "1e-9",
+                "--input", str(hippo_csv), "--out", str(out),
+            ])
+            assert code == 2 and not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert "requires every selected primary p-value to be at most t=1e-09" in errors[0]
+
 
 class TestSimulate:
     def test_deterministic_across_workers(self, tmp_path):

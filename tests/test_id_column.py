@@ -51,14 +51,14 @@ def test_adjusted_ties_in_python_str_order():
 @pytest.mark.parametrize("rid", NUL_IDS)
 def test_explicit_selection_picks_the_named_id_only(rid):
     data = make_data([0.1] * 5, [0.2] * 5, ids=NUL_IDS)
-    assert select(SelectionRule.explicit([rid]), data) == (rid,)
+    assert select(SelectionRule("explicit", ids=[rid]), data) == (rid,)
 
 
 def test_explicit_selection_refuses_an_id_equal_only_up_to_a_nul():
     data = make_data([0.1, 0.2], [0.2, 0.3], ids=["a", "\x00"])
     for absent in ("a\x00", ""):
         with pytest.raises(DataError, match="absent from the dataset"):
-            select(SelectionRule.explicit([absent]), data)
+            select(SelectionRule("explicit", ids=[absent]), data)
 
 
 def test_nul_ids_round_trip_through_a_file(tmp_path):

@@ -19,7 +19,7 @@ SCENARIO = SimScenario(
     sigma1=1.0, sigma2=1.0, reps=2, seed=1,
 )
 DATA = make_data([0.01, 0.2, 0.5], [0.02, 0.3, None])
-TOP = SelectionRule.top_k(1)
+TOP = SelectionRule("top_k", k=1)
 
 # call site: (field the message names, the call on a given count)
 CALLS = {

@@ -87,7 +87,7 @@ class TestFwerTwoStage:
     def test_missing_followup_is_data_error(self):
         data = make_data([1e-9, 1e-9], [0.001, None])
         with pytest.raises(DataError):
-            fwer_two_stage(data, SelectionRule.top_k(2), 0.025, 0.05)
+            fwer_two_stage(data, SelectionRule("top_k", k=2), 0.025, 0.05)
 
     def test_holm_at_least_bonferroni(self):
         rng = np.random.default_rng(2)
@@ -160,7 +160,7 @@ class TestFdrTwoStage:
     def test_synthetic_fixed_point(self):
         # exhaustive scan of the fixed-point definition gives R2 = 1 here
         data = make_data([0.001, 0.002, 0.5, 0.6], [0.001, 0.04, None, None])
-        rule = SelectionRule.explicit({"h0", "h1"})
+        rule = SelectionRule("explicit", ids={"h0", "h1"})
         report = fdr_two_stage(data, rule, 0.025, 0.05)
         assert report.rejected_ids == ("h0",)
         assert report.r2 == 1
@@ -175,14 +175,15 @@ class TestFdrTwoStage:
         assert fdr_two_stage_rscan(data, FOLLOWUP, 0.025, 0.05).rejected_ids == report.rejected_ids
         # the simulator's kernel, selecting the same three rows
         mask = _directed_fdr_rows(
-            np.array([p1]), np.full((1, 4), 0.00625), SelectionRule.fixed_threshold(0.02),
-            4, 0.025, 0.05, Dependence.INDEPENDENT, None,
+            np.array([p1]), np.full((1, 4), 0.00625),
+            SelectionRule("fixed_threshold", threshold=0.02), 4, 0.025, 0.05,
+            Dependence.INDEPENDENT, None,
         )
         assert mask[0].tolist() == [True, False, True, True]
 
     def test_crohns_unmodified_rejects_all_36(self):
         data = load_crohns_disease()
-        report = fdr_two_stage(data, SelectionRule.fixed_threshold(5e-5), 0.04, 0.05)
+        report = fdr_two_stage(data, SelectionRule("fixed_threshold", threshold=5e-5), 0.04, 0.05)
         assert report.r2 == 36
         assert report.r1 == 126
         assert report.adjusted_is_upper_bound
@@ -191,7 +192,7 @@ class TestFdrTwoStage:
         data = load_crohns_disease()
         report = fdr_two_stage(
             data,
-            SelectionRule.fixed_threshold(5e-5),
+            SelectionRule("fixed_threshold", threshold=5e-5),
             0.04,
             0.05,
             Dependence.ARBITRARY_PRIMARY_ITEM1,
@@ -202,7 +203,7 @@ class TestFdrTwoStage:
         data = load_crohns_disease()
         report = fdr_two_stage(
             data,
-            SelectionRule.fixed_threshold(5e-5),
+            SelectionRule("fixed_threshold", threshold=5e-5),
             0.04,
             0.05,
             Dependence.ARBITRARY_PRIMARY_ITEM2,
@@ -320,7 +321,7 @@ class TestFdrTwoStage:
 
     def test_empty_selection(self):
         data = make_data([0.9, 0.8], [0.9, 0.9])
-        report = fdr_two_stage(data, SelectionRule.fixed_threshold(0.01), 0.025, 0.05)
+        report = fdr_two_stage(data, SelectionRule("fixed_threshold", threshold=0.01), 0.025, 0.05)
         assert report.rejected_ids == ()
         assert report.r1 == 0
 
@@ -597,7 +598,7 @@ class TestProcedureParams:
 
     @staticmethod
     def _entry_points():
-        data, rule = load_crohns_disease(), SelectionRule.fixed_threshold(5e-5)
+        data, rule = load_crohns_disease(), SelectionRule("fixed_threshold", threshold=5e-5)
         return [
             partial(fdr_two_stage, data, rule, 0.04, 0.05),
             partial(fdr_two_stage_rscan, data, rule, 0.04, 0.05),

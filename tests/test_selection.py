@@ -69,21 +69,21 @@ class TestBhReject:
 class TestSelect:
     def test_fixed_threshold(self):
         data = make_data([1e-6, 4e-5, 5e-5, 6e-5, 0.2])
-        rule = SelectionRule.fixed_threshold(5e-5)
+        rule = SelectionRule("fixed_threshold", threshold=5e-5)
         assert select(rule, data) == ("h0", "h1", "h2")
 
     def test_top_k_all(self):
         data = make_data([0.5, 0.1, 0.9])
-        assert select(SelectionRule.top_k(3), data) == ("h0", "h1", "h2")
+        assert select(SelectionRule("top_k", k=3), data) == ("h0", "h1", "h2")
 
     def test_top_k_ties_by_input_order(self):
         data = make_data([0.2, 0.1, 0.2, 0.3])
-        assert select(SelectionRule.top_k(2), data) == ("h0", "h1")
+        assert select(SelectionRule("top_k", k=2), data) == ("h0", "h1")
 
     def test_top_k_beyond_family(self):
         data = make_data([0.5, 0.6])
         with pytest.raises(DataError):
-            select(SelectionRule.top_k(3), data)
+            select(SelectionRule("top_k", k=3), data)
 
     def test_bh_delegates(self):
         p = [0.001, 0.004, 0.2, 0.6]
@@ -95,16 +95,22 @@ class TestSelect:
 
     def test_bonferroni_rule(self):
         data = make_data([0.01 / 4, 0.5, 0.9, 0.02], m_declared=4)
-        assert select(SelectionRule.bonferroni_threshold(0.01), data) == ("h0",)
+        assert select(SelectionRule("bonferroni", level=0.01), data) == ("h0",)
 
     def test_explicit_rule(self):
         data = make_data([0.5, 0.6, 0.7])
-        assert select(SelectionRule.explicit({"h2", "h0"}), data) == ("h0", "h2")
+        assert select(SelectionRule("explicit", ids={"h2", "h0"}), data) == ("h0", "h2")
 
     def test_explicit_unknown_id(self):
         data = make_data([0.5])
         with pytest.raises(DataError):
-            select(SelectionRule.explicit({"nope"}), data)
+            select(SelectionRule("explicit", ids={"nope"}), data)
+
+    def test_explicit_ids_kept_as_a_frozenset(self):
+        rule = SelectionRule("explicit", ids=["a", "b"])
+        assert rule == SelectionRule("explicit", ids=frozenset({"a", "b"}))
+        assert type(rule.ids) is frozenset
+        assert hash(rule) == hash(SelectionRule("explicit", ids=("b", "a", "b")))
 
     @pytest.mark.parametrize("kind, field", [
         ("fixed_threshold", "threshold"), ("top_k", "k"), ("explicit", "ids"),
@@ -123,6 +129,7 @@ class TestSelect:
         (dict(kind="explicit", ids=frozenset("a"), k=1), "explicit selection does not read k"),
         (dict(kind="followup", level=0.5), "followup selection does not read level"),
         (dict(kind="followup", ids=frozenset("a")), "followup selection does not read ids"),
+        (dict(kind="explicit", ids="ab"), "explicit selection needs a collection of ids, got 'ab'"),
     ])
     def test_unknown_kind_or_unread_parameter_refused(self, kwargs, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
@@ -144,8 +151,10 @@ class TestSelect:
         data = make_data([0.1, 0.2, 0.3], p2=[0.5, None, 0.7])
         assert select(SelectionRule.followed_up(), data) == ("h0", "h2")
 
-    @pytest.mark.parametrize("rule", [SelectionRule.followed_up(), SelectionRule.explicit({"a"})],
-                             ids=["followup", "explicit"])
+    @pytest.mark.parametrize(
+        "rule", [SelectionRule.followed_up(), SelectionRule("explicit", ids={"a"})],
+        ids=["followup", "explicit"],
+    )
     def test_select_rows_refuses_a_rule_not_made_from_p1(self, rule):
         # these rules read the dataset, so no mask over p1 rows stands for them
         with pytest.raises(ParameterError, match=f"^{rule.kind} selection is not made"):
@@ -171,14 +180,14 @@ class TestProbeValidity:
         rng = np.random.default_rng(6)
         data = make_data(rng.random(20))
         report = probe_validity(
-            SelectionRule.fixed_threshold(0.5), data, grid_size=12, seed=1
+            SelectionRule("fixed_threshold", threshold=0.5), data, grid_size=12, seed=1
         )
         assert report.looks_valid
 
     def test_top_k_clean(self):
         rng = np.random.default_rng(7)
         data = make_data(rng.random(20))
-        report = probe_validity(SelectionRule.top_k(5), data, grid_size=12, seed=1)
+        report = probe_validity(SelectionRule("top_k", k=5), data, grid_size=12, seed=1)
         assert report.looks_valid
 
     @pytest.fixture
@@ -220,17 +229,18 @@ class TestProbeValidity:
     def test_grid_size_validation(self):
         data = make_data([0.1])
         with pytest.raises(ValueError):
-            probe_validity(SelectionRule.top_k(1), data, grid_size=1)
+            probe_validity(SelectionRule("top_k", k=1), data, grid_size=1)
 
     @pytest.mark.parametrize("grid_size", [2.5, "16"])
     def test_grid_size_must_be_an_integer(self, grid_size):
         data = make_data([0.1])
         with pytest.raises(ParameterError, match="grid_size must be an integer"):
-            probe_validity(SelectionRule.top_k(1), data, grid_size=grid_size)
+            probe_validity(SelectionRule("top_k", k=1), data, grid_size=grid_size)
 
     @pytest.mark.parametrize("n", [20, 500])  # all probed, and a seeded subsample
     @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
     def test_seed_must_be_a_non_negative_integer(self, n, seed):
         data = make_data(np.linspace(0.001, 0.4, n))
+        rule = SelectionRule("fixed_threshold", threshold=0.5)
         with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
-            probe_validity(SelectionRule.fixed_threshold(0.5), data, grid_size=2, seed=seed)
+            probe_validity(rule, data, grid_size=2, seed=seed)

@@ -91,6 +91,17 @@ class TestGenerateRep:
         with pytest.raises(ParameterError, match=f"rep_index .* got {rep_index!r}"):
             generate_rep(BASE, rep_index)
 
+    def test_rep_index_past_the_philox_counters_refused(self):
+        # BASE's 180-row null block reads Philox counter blocks r*45+1 ..
+        # (r+1)*45: numpy refuses a start counter of 2**256, and a
+        # repetition whose blocks reach 2**256 would read block 0 there
+        limit = (2**256 - 1) // 45
+        data, _ = generate_rep(BASE, limit - 1)
+        assert np.all((data.p1 > 0) & (data.p1 <= 1))
+        for rep_index in (limit, 2**256):
+            with pytest.raises(ParameterError, match=f"rep_index must be below {limit},"):
+                generate_rep(BASE, rep_index)
+
     def test_numpy_rep_index_is_that_repetition(self):
         assert generate_rep(BASE, np.int64(3))[0] == generate_rep(BASE, 3)[0]
 
