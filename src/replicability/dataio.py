@@ -289,7 +289,7 @@ def summary_text(report: DiscoveryReport, data: StudyPairData, params: dict) -> 
             f"r2: {report.r2}",
             f"primary_threshold: {fmt(report.primary_threshold)}",
             f"followup_threshold: {fmt(report.followup_threshold)}",
-            f"rejected: {' '.join(report.rejected_ids) if report.rejected_ids else '-'}",
+            f"rejected: {' '.join(report.rejected_ids) or '-'}",
         ]
     )
     if report.adjusted_is_upper_bound:
@@ -418,9 +418,11 @@ def _scenario(raw: dict[str, str]) -> SimScenario:
 def parse_scenario_file(path) -> ScenarioFile:
     """Flat ``key = value`` scenario format, ``#`` comments allowed. A
     value the library refuses, at any sweep point too, is a ``DataError``
-    naming the file."""
+    naming the file; a repeated key or a ``sweep_grid`` field that is no
+    number (an empty one too) also names the line."""
     path = Path(path)
     raw: dict[str, str] = {}
+    grid = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -432,20 +434,22 @@ def parse_scenario_file(path) -> ScenarioFile:
                 raise DataError(f"{path}:{lineno}: expected 'key = value'")
             if key not in _SCENARIO_KEYS and key not in ("sweep_axis", "sweep_grid"):
                 raise DataError(f"{path}:{lineno}: unknown key {key!r}")
-            raw[key] = value.strip()
+            if key in raw:
+                raise DataError(f"{path}:{lineno}: repeated key {key!r}")
+            raw[key] = value = value.strip()
+            if key == "sweep_grid":
+                try:
+                    grid = tuple(float(x) for x in value.split(","))
+                except ValueError:
+                    raise DataError(
+                        f"{path}:{lineno}: cannot parse {key} value {value!r}"
+                    ) from None
     axis = raw.get("sweep_axis")
-    grid = None
     try:
         scenario = _scenario(raw)
-        if "sweep_grid" in raw:
+        if grid is not None:
             if axis is None:
                 raise DataError("sweep_grid given without sweep_axis")
-            try:
-                grid = tuple(float(x) for x in raw["sweep_grid"].split(",") if x.strip())
-            except ValueError:
-                raise DataError("cannot parse sweep_grid") from None
-            if not grid:
-                raise DataError("empty sweep_grid")
             for value in grid:
                 _scenario_at(scenario, axis, value)
         elif axis is not None:

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ApplicabilityError, ParameterError
-from .params import check_levels
+from .params import Dependence, check_levels
 
 # Smallest positive (subnormal) double; used to keep tail probabilities
 # strictly positive for finite arguments.
@@ -258,7 +258,7 @@ def solve_q1_tilde_thresholded(q1: float, m: int, t: float) -> float:
     hits the fixed point ceil(t*m/x_k - 1) == k with x_k = q1/(1 + H_k).
     The first (smallest) such k yields the maximal solution.
     """
-    check_levels(None, q1, t=t)
+    check_levels(None, q1, mode=Dependence.ARBITRARY_PRIMARY_ITEM2, t=t)
     if m < 1:
         raise ParameterError(f"family size must be positive, got {m}")
     bound = q1 / (1.0 + harmonic(m - 1))

@@ -50,7 +50,7 @@ def check_levels(q1, q, w1=None, mode=Dependence.INDEPENDENT, t=None) -> Depende
     (a :class:`Dependence` or its value) as the member. ``q1``/``q`` are the
     per-stage and overall levels (alpha1/alpha in FWER mode), ``q1`` None
     at one level ``q``; ``w1`` is the symmetric weight, ``t`` the selection
-    threshold of the thresholded mode."""
+    threshold that only the thresholded mode reads."""
     mode = Dependence(mode)
     if q1 is None and not 0.0 < q < 1.0:
         raise ParameterError(f"level must lie in (0, 1), got {q}")
@@ -62,6 +62,8 @@ def check_levels(q1, q, w1=None, mode=Dependence.INDEPENDENT, t=None) -> Depende
         raise ParameterError(f"t must lie in (0, 1), got {t}")
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 and t is None:
         raise ParameterError("the thresholded dependence mode requires t")
+    if mode is not Dependence.ARBITRARY_PRIMARY_ITEM2 and t is not None:
+        raise ParameterError(f"{mode.value} does not read t; only the thresholded mode does")
     return mode
 
 

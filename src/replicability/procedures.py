@@ -301,12 +301,11 @@ def _symmetric_rows(proc: "Procedure", p1, p2, m: int, q1, q):
     (q1, q): the union of the directed runs at (w1*q1, w1*q), study one
     primary, and at ((1-w1)*q1, (1-w1)*q), study two primary; a direction
     with zero weight is skipped. It is the ``fdr`` kernel at w1 = 1."""
-    w1, rule, mode, t = proc.w1, proc.selection, proc.mode, proc.t
-    mask = np.zeros(p1.shape, dtype=bool)
-    if w1 > 0.0:
-        mask |= _directed_fdr_rows(p1, p2, rule, m, w1 * q1, w1 * q, mode, t)
-    if w1 < 1.0:
-        mask |= _directed_fdr_rows(p2, p1, rule, m, (1.0 - w1) * q1, (1.0 - w1) * q, mode, t)
+    mask = None
+    for w, a, b in ((proc.w1, p1, p2), (1.0 - proc.w1, p2, p1)):
+        if w > 0.0:
+            run = _directed_fdr_rows(a, b, proc.selection, m, w * q1, w * q, proc.mode, proc.t)
+            mask = run if mask is None else mask | run
     return mask
 
 

@@ -130,12 +130,13 @@ def truth_block_sizes(m: int, fractions) -> tuple[int, int, int, int]:
     return tuple(base)
 
 
-def _streams(scenario: SimScenario) -> list[tuple[int, slice, float, np.ndarray]]:
-    """(study, columns, mean in sd units, Philox key) of every non-empty
-    truth block, study 0 being the primary.
+def _streams(scenario: SimScenario) -> list[tuple[int, slice, float, np.ndarray, int]]:
+    """(study, columns, mean in sd units, Philox key, counter steps) of
+    every non-empty truth block, study 0 being the primary.
 
     The key depends on (seed, study, block) only; repetition r of a block
-    of size s reads the keyed stream from counter r * ceil(s / 4).
+    of size s reads the keyed stream from counter r * steps, where
+    steps = ceil(s / 4): Philox yields four 64-bit values per counter step.
     """
     sizes = truth_block_sizes(
         scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11)
@@ -151,7 +152,7 @@ def _streams(scenario: SimScenario) -> list[tuple[int, slice, float, np.ndarray]
                 entropy = (scenario.seed, study + 1, block)
                 key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
                 cols = slice(ends[block] - size, ends[block])
-                out.append((study, cols, float(mus[block] / sd), key))
+                out.append((study, cols, float(mus[block] / sd), key, -(-size // 4)))
     return out
 
 
@@ -164,13 +165,12 @@ def _pvalues(scenario: SimScenario, streams, start: int, n: int) -> tuple[np.nda
     p = np.empty((2, n, scenario.m))
     # the normal kernels cost ~0.1 ms a call: every signal column of both
     # studies is drawn into one buffer and transformed in one pass
-    signal = [(study, cols, shift) for study, cols, shift, _ in streams if shift != 0.0]
+    signal = [(study, cols, shift) for study, cols, shift, *_ in streams if shift != 0.0]
     widths = [cols.stop - cols.start for _, cols, _ in signal]
     u = np.empty((n, sum(widths)))
     at = 0
-    for study, cols, shift, key in streams:
+    for study, cols, shift, key, steps in streams:
         size = cols.stop - cols.start
-        steps = -(-size // 4)  # Philox yields four 64-bit values per counter step
         gen = np.random.Generator(np.random.Philox(key=key, counter=start * steps))
         draws = gen.random((n, 4 * steps))[:, :size]
         if shift == 0.0:
@@ -217,7 +217,7 @@ def generate_rep(scenario: SimScenario, rep_index: int) -> tuple[StudyPairData, 
     check_count("rep_index", rep_index, 0)
     streams = _streams(scenario)
     # repetition r reads Philox blocks r*steps+1 .. (r+1)*steps; block 2**256 wraps to 0
-    steps = max(-(-(cols.stop - cols.start) // 4) for _, cols, _, _ in streams)
+    steps = max(steps for *_, steps in streams)
     if rep_index >= (limit := (2**256 - 1) // steps):
         raise ParameterError(f"rep_index must be below {limit}, got {rep_index!r}")
     p1, p2 = _pvalues(scenario, streams, int(rep_index), 1)
@@ -282,9 +282,6 @@ def run_scenario(
     power = np.empty(reps)
     rejections = np.empty(reps)
 
-    starts = range(0, reps, chunk)
-    threads = min(workers, len(starts))
-
     def run_chunk(start: int) -> None:
         rows = slice(start, min(start + chunk, reps))
         mask = kernel(*_pvalues(scenario, streams, start, rows.stop - start))
@@ -294,12 +291,9 @@ def run_scenario(
         power[rows] = (r - v) / n11 if n11 else math.nan
         rejections[rows] = r
 
-    if threads == 1:
-        for start in starts:
-            run_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
+    starts = range(0, reps, chunk)
+    with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        list(pool.map(run_chunk, starts))
 
     avg_fdp, fdp_se = _mean_se(fdp)
     if n11:

@@ -55,7 +55,8 @@ def test_criterion_1_fwer_example_golden():
         "DPP4": 1.0000, "ASTN2": 1.0000, "MSRB3": 0.06875,
         "WIF1": 0.2750, "HRK": 0.6000,
     }
-    got = {s.id: s.adjusted_p for s in build_adjusted_table(data, 0.2, "bonferroni").rows}
+    table = build_adjusted_table(data, 0.2, "bonferroni")
+    got = dict(zip(table.ids, table.adjusted.tolist()))
     for rid, want in published_c02.items():
         if abs(got[rid] - want) > 5e-5 * want:
             failures.append(f"c=0.2 {rid}: {got[rid]!r} != {want}")
@@ -64,7 +65,8 @@ def test_criterion_1_fwer_example_golden():
     # max formula (the follow-up term 5*0.2/0.5 = 2 saturates to 1) and is
     # excluded as a known table anomaly.
     published_c05 = {"DPP4": 1.0000, "MSRB3": 0.0275, "WIF1": 0.1100, "HRK": 0.2400}
-    got = {s.id: s.adjusted_p for s in build_adjusted_table(data, 0.5, "bonferroni").rows}
+    table = build_adjusted_table(data, 0.5, "bonferroni")
+    got = dict(zip(table.ids, table.adjusted.tolist()))
     for rid, want in published_c05.items():
         if abs(got[rid] - want) > 5e-5 * want:
             failures.append(f"c=0.5 {rid}: {got[rid]!r} != {want}")
@@ -159,7 +161,8 @@ def test_criterion_2_fdr_example_golden():
     # Adjusted columns at c = 0.8. Column 6: the 36 published rows are the
     # 36 smallest statistics among all 126 followed up, so their ranks (and
     # adjusted values) are fully recoverable from the published subset.
-    col6 = {s.id: s.adjusted_p for s in build_adjusted_table(data, 0.8, "fdr").rows}
+    table = build_adjusted_table(data, 0.8, "fdr")
+    col6 = dict(zip(table.ids, table.adjusted.tolist()))
     for rid, (want6, _) in PUBLISHED_CROHNS.items():
         if abs(col6[rid] - want6) > 0.03 * want6:
             failures.append(f"col6 {rid}: {col6[rid]:.4g} vs {want6}")
@@ -171,7 +174,7 @@ def test_criterion_2_fdr_example_golden():
     table = build_adjusted_table(
         data, c=0.8, flavor="fdr", mode=Dependence.ARBITRARY_PRIMARY_ITEM1
     )
-    col7 = {r.id: r.adjusted_p_modified for r in table.rows}
+    col7 = dict(zip(table.ids, table.modified.tolist()))
     recoverable = 0
     for rid, (_, want7) in PUBLISHED_CROHNS.items():
         if want7 <= 0.05:
@@ -367,8 +370,8 @@ def test_criterion_6_oracle_equivalence():
         data, q1, q = _random_partial_instance(rng)
         fast = fdr_two_stage(data, rule, q1, q)
         slow = fdr_two_stage_rscan(data, rule, q1, q)
-        adjusted = build_adjusted_table(data, q1 / q, "fdr").rows
-        flagged = {s.id for s in adjusted if s.adjusted_p <= q}
+        table = build_adjusted_table(data, q1 / q, "fdr")
+        flagged = {rid for rid, a in zip(table.ids, table.adjusted) if a <= q}
         if fast.rejected_ids != slow.rejected_ids:
             mismatches += 1
         elif flagged != set(fast.rejected_ids):

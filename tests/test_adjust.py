@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _followup_instance, make_data, random_instance
-from replicability.adjust import build_adjusted_table
+from replicability.adjust import AdjustedRow, build_adjusted_table
 from replicability.data import StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import DataError, ParameterError
@@ -20,14 +20,14 @@ from replicability.selection import SelectionRule
 def test_empty_followup_set_gives_empty_table():
     data = make_data([0.1, 0.2], [None, None])
     table = build_adjusted_table(data, c=0.5)
-    assert table.rows == ()
+    assert table.ids == ()
 
 
 def test_rows_sorted_by_adjusted_then_id():
     rng = np.random.default_rng(1)
     data, _, _, _ = random_instance(rng, max_m=40)
     table = build_adjusted_table(data, c=0.5, flavor="fdr")
-    keys = [(r.adjusted_p, r.id) for r in table.rows]
+    keys = list(zip(table.adjusted.tolist(), table.ids))
     assert keys == sorted(keys)
 
 
@@ -54,15 +54,15 @@ def test_table_order_is_adjusted_then_python_id_order(ids, data, flavor, mode):
     table = build_adjusted_table(
         StudyPairData(ids, p1, p2), c=0.5, flavor=flavor, mode=mode
     )
-    rows = list(table.rows)
-    assert sorted(row.id for row in rows) == sorted(ids)
-    assert rows == sorted(rows, key=lambda row: (row.adjusted_p, row.id))
+    keys = list(zip(table.adjusted.tolist(), table.ids))
+    assert sorted(table.ids) == sorted(ids)
+    assert keys == sorted(keys)
 
 
 def test_bonferroni_flavor_matches_hippocampal_column():
     data = load_hippocampal_volume()
     table = build_adjusted_table(data, c=0.2, flavor="bonferroni")
-    by_id = {r.id: r.adjusted_p for r in table.rows}
+    by_id = dict(zip(table.ids, table.adjusted.tolist()))
     assert by_id["DPP4"] == pytest.approx(1.0)
     assert by_id["ASTN2"] == pytest.approx(1.0)
     assert by_id["MSRB3"] == pytest.approx(0.06875, rel=1e-6)
@@ -75,17 +75,29 @@ def test_harmonic_modified_column_crohns_top_row():
     table = build_adjusted_table(
         data, c=0.8, flavor="fdr", mode=Dependence.ARBITRARY_PRIMARY_ITEM1
     )
-    top = table.rows[0]
-    assert top.id == "chr1:67417979"
-    assert top.adjusted_p == pytest.approx(2.53e-28, rel=0.03)
-    assert top.adjusted_p_modified == pytest.approx(3.53e-27, rel=0.03)
+    assert table.ids[0] == "chr1:67417979"
+    assert table.adjusted[0] == pytest.approx(2.53e-28, rel=0.03)
+    assert table.modified[0] == pytest.approx(3.53e-27, rel=0.03)
     assert table.adjusted_is_upper_bound
+
+
+def test_rows_view_reads_the_columns():
+    """``rows`` builds each record from the columns when it is read."""
+    table = build_adjusted_table(
+        load_crohns_disease(), c=0.8, flavor="fdr", mode=Dependence.ARBITRARY_PRIMARY_ITEM1
+    )
+    columns = (table.p1, table.p2, table.z, table.adjusted, table.modified)
+    assert list(table.rows) == [
+        AdjustedRow(rid, *(float(col[i]) for col in columns)) for i, rid in enumerate(table.ids)
+    ]
+    plain = build_adjusted_table(load_hippocampal_volume(), c=0.5)
+    assert [row.adjusted_p_modified for row in plain.rows] == [None] * len(plain.ids)
 
 
 def test_no_modified_column_for_independent_mode():
     data = load_hippocampal_volume()
     table = build_adjusted_table(data, c=0.5, flavor="fdr")
-    assert all(r.adjusted_p_modified is None for r in table.rows)
+    assert table.modified is None
 
 
 def test_unknown_flavor_is_parameter_error():
@@ -107,7 +119,7 @@ def test_item2_mode_needs_q_and_t():
         t=5e-5,
         q=0.05,
     )
-    assert all(r.adjusted_p_modified is not None for r in table.rows)
+    assert table.modified is not None
 
 
 def test_item2_refuses_followed_up_p1_above_t():
@@ -140,7 +152,7 @@ def test_fdr_duality_on_random_instances():
     for _ in range(100):
         data, q1, q, _ = random_instance(rng, max_m=60)
         table = build_adjusted_table(data, c=q1 / q, flavor="fdr")
-        flagged = {r.id for r in table.rows if r.adjusted_p <= q}
+        flagged = {rid for rid, v in zip(table.ids, table.adjusted) if v <= q}
         run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q)
         assert flagged == set(run.rejected_ids)
 
@@ -150,7 +162,7 @@ def test_bonferroni_duality_on_random_instances():
     for _ in range(100):
         data, a1, a, _ = random_instance(rng, max_m=60)
         table = build_adjusted_table(data, c=a1 / a, flavor="bonferroni")
-        flagged = {r.id for r in table.rows if r.adjusted_p <= a}
+        flagged = {rid for rid, v in zip(table.ids, table.adjusted) if v <= a}
         run = fwer_two_stage(
             data, SelectionRule.followed_up(), a1, a, FwerMethod.BONFERRONI
         )
@@ -163,7 +175,7 @@ def test_fdr_duality_on_followup_instances(seed):
     # the duality above, on follow-up sets where every rejection count occurs
     data, q1, q, _ = _followup_instance(np.random.default_rng(seed), Dependence.INDEPENDENT)
     table = build_adjusted_table(data, c=q1 / q, flavor="fdr")
-    flagged = {r.id for r in table.rows if r.adjusted_p <= q}
+    flagged = {rid for rid, v in zip(table.ids, table.adjusted) if v <= q}
     run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q)
     assert flagged == set(run.rejected_ids)
 
@@ -173,7 +185,7 @@ def test_fdr_duality_on_followup_instances(seed):
 def test_bonferroni_duality_on_followup_instances(seed):
     data, a1, a, _ = _followup_instance(np.random.default_rng(seed), Dependence.INDEPENDENT)
     table = build_adjusted_table(data, c=a1 / a, flavor="bonferroni")
-    flagged = {r.id for r in table.rows if r.adjusted_p <= a}
+    flagged = {rid for rid, v in zip(table.ids, table.adjusted) if v <= a}
     run = fwer_two_stage(data, SelectionRule.followed_up(), a1, a, FwerMethod.BONFERRONI)
     assert flagged == set(run.rejected_ids)
 
@@ -185,7 +197,7 @@ def test_modified_duality_matches_modified_run():
         table = build_adjusted_table(
             data, c=q1 / q, flavor="fdr", mode=Dependence.ARBITRARY_PRIMARY_ITEM1
         )
-        flagged = {r.id for r in table.rows if r.adjusted_p_modified <= q}
+        flagged = {rid for rid, v in zip(table.ids, table.modified) if v <= q}
         run = fdr_two_stage(
             data, SelectionRule.followed_up(), q1, q, Dependence.ARBITRARY_PRIMARY_ITEM1
         )
@@ -207,7 +219,7 @@ def test_modified_duality_on_followup_instances(seed, mode):
     data, q1, q, t = _followup_instance(np.random.default_rng(seed), mode)
     level = q if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 else None  # read only by item 2
     table = build_adjusted_table(data, q1 / q, "fdr", mode, t, level)
-    flagged = {r.id for r in table.rows if r.adjusted_p_modified <= q}
+    flagged = {rid for rid, v in zip(table.ids, table.modified) if v <= q}
     run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q, mode, t)
     assert flagged == set(run.rejected_ids)
 
@@ -217,4 +229,4 @@ def test_prescale_capped_at_one():
     table = build_adjusted_table(
         data, c=0.5, flavor="fdr", mode=Dependence.ARBITRARY_PRIMARY_ITEM1
     )
-    assert all(r.adjusted_p_modified <= 1.0 for r in table.rows)
+    assert (table.modified <= 1.0).all()

@@ -434,6 +434,9 @@ class TestSimulate:
         lambda text: text + "sweep_axis = mu\n",
         lambda text: text + "sweep_axis = mu\nsweep_grid = 0.2, x\n",
         lambda text: text + "sweep_axis = mu\nsweep_grid = ,\n",
+        lambda text: text + "sweep_axis = mu\nsweep_grid = 0.2,,0.5\n",
+        lambda text: text + "q = 0.2\n",
+        lambda text: text + "dependence = independent\nt = 0.001\n",
     ], ids=[
         "q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary",
         "fwer_method",
@@ -441,6 +444,7 @@ class TestSimulate:
         "sigma_inf", "zeta_nan", "n_total_inf",
         "m_not_a_number", "m_missing", "line_without_equals",
         "grid_without_axis", "axis_without_grid", "grid_not_a_number", "grid_empty",
+        "grid_empty_field", "repeated_key", "t_under_independent",
     ])
     def test_refused_scenario_value_is_data_error_naming_file(self, tmp_path, capsys, edit):
         scen = tmp_path / "s.txt"
@@ -449,6 +453,19 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(scen)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and str(scen) in err
+
+    @pytest.mark.parametrize("extra, line, message", [
+        ("q = 0.2\n", 16, "repeated key 'q'"),
+        ("sweep_axis = mu\nsweep_grid = 0.2,,5\n", 17, "cannot parse sweep_grid value '0.2,,5'"),
+        ("sweep_axis = mu\nsweep_grid = 0.2,\n", 17, "cannot parse sweep_grid value '0.2,'"),
+    ], ids=["repeated_key", "grid_inner_empty_field", "grid_trailing_comma"])
+    def test_repeated_key_or_empty_grid_field_names_its_line(
+        self, tmp_path, capsys, extra, line, message
+    ):
+        scen = tmp_path / "s.txt"
+        scen.write_text(SCENARIO + extra)
+        assert main(["simulate", "--scenario", str(scen)]) == 2
+        assert capsys.readouterr().err == f"data error: {scen}:{line}: {message}\n"
 
     def test_analyze_item2_without_t_is_usage_error(self, hippo_csv, tmp_path, capsys):
         # a missing flag, not a value read from a file

@@ -36,7 +36,7 @@ def test_bundled_fixtures_validate():
 def test_hippocampal_fixture_shape():
     data = load_hippocampal_volume()
     assert data.m == 2_500_000
-    assert len(data.records) == 5
+    assert len(data.ids) == 5
     assert data.r1_listed == 5
 
 
@@ -44,7 +44,7 @@ def test_crohns_fixture_shape():
     data = load_crohns_disease()
     assert data.m == 635_547
     assert data.r1_declared == 126
-    assert len(data.records) == 36
+    assert len(data.ids) == 36
 
 
 def test_m_override_must_cover_rows():

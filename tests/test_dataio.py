@@ -32,8 +32,8 @@ def test_parse_basic(tmp_path):
     path.write_text("id,p1,p2\nrs1,0.001,0.02\nrs2,0.5,\n")
     data = parse_pvalue_csv(path)
     assert data.m == 2
-    assert data.records[0].p2 == 0.02
-    assert data.records[1].p2 is None
+    assert data.p2[0] == 0.02
+    assert np.isnan(data.p2[1])  # NaN marks an absent follow-up value
 
 
 def test_parse_directives(tmp_path):
@@ -48,8 +48,8 @@ def test_parse_scientific_and_decimal(tmp_path):
     path = tmp_path / "in.csv"
     path.write_text("id,p1,p2\na,5.2e-8,0.7\nb,0.0007,1E-4\n")
     data = parse_pvalue_csv(path)
-    assert data.records[0].p1 == 5.2e-8
-    assert data.records[1].p2 == 1e-4
+    assert data.p1[0] == 5.2e-8
+    assert data.p2[1] == 1e-4
 
 
 def test_header_only_is_refused_as_empty_family(tmp_path):
@@ -60,7 +60,7 @@ def test_header_only_is_refused_as_empty_family(tmp_path):
         parse_pvalue_csv(path)
     assert str(err.value) == f"{path}:2: family: no rows listed and no m declared"
     path.write_text("# m=5\nid,p1,p2\n")  # a declared family may list no rows
-    assert parse_pvalue_csv(path).records == ()
+    assert len(parse_pvalue_csv(path).ids) == 0
 
 
 def test_read_keeps_one_copy_of_each_column(tmp_path):

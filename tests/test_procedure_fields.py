@@ -39,7 +39,7 @@ reps = 5
 FIELD_INPUT = {
     "q1": (0.02, "q1", "0.02"),
     "w1": (0.5, "w1", "0.5"),
-    "mode": (Dependence.ARBITRARY_PRIMARY_ITEM1, "dependence", "item1"),
+    "mode": (Dependence.ARBITRARY_PRIMARY_ITEM2, "dependence", "item2"),
     "t": (0.001, "t", "0.001"),
     "fwer_method": (FwerMethod.HOLM, "method", "holm"),
     "primary": (2, "primary", "2"),
@@ -108,6 +108,15 @@ CASES = {
     "analyze-fwer-dependence": (
         _analyze("--mode", "fwer", "--alpha1", "0.025", "--alpha", "0.05",
                  "--dependence", "item1"), 1, ["--dependence"],
+    ),
+    # t is read by the thresholded dependence mode only
+    "analyze-fdr-t": (
+        _analyze("--q1", "0.025", "--q", "0.05", "--t", "0.001"),
+        1, ["independent does not read t"],
+    ),
+    "file-fdr-t": _scenario_file(
+        "fdr", "q1 = 0.025\ndependence = item1\nt = 0.001\n",
+        ["arbitrary_primary_item1 does not read t"],
     ),
     "analyze-fwer-t": (
         _analyze("--mode", "fwer", "--alpha1", "0.025", "--alpha", "0.05", "--t", "0.001"),

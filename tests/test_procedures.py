@@ -41,7 +41,8 @@ def _oracle(data, rule, f00, f01, q, w1=1.0, mode=Dependence.INDEPENDENT, t=None
 
 def _adjusted(data: StudyPairData, c: float, flavor: str) -> dict[str, float]:
     """The adjusted p-value of each followed-up row, by id."""
-    return {r.id: r.adjusted_p for r in build_adjusted_table(data, c, flavor).rows}
+    table = build_adjusted_table(data, c, flavor)
+    return dict(zip(table.ids, table.adjusted.tolist()))
 
 
 def _flagged(report, q: float) -> set[str]:
@@ -253,12 +254,12 @@ class TestFdrTwoStage:
         ))
         for data, q1, q in instances:
             report = fdr_two_stage(data, FOLLOWUP, q1, q)
-            by_id = {r.id: r for r in data.records}
+            p1, p2 = (dict(zip(data.ids.tolist(), col.tolist())) for col in (data.p1, data.p2))
             expected = {
                 rid
                 for rid in select(FOLLOWUP, data)
-                if by_id[rid].p1 <= report.primary_threshold
-                and by_id[rid].p2 <= report.followup_threshold
+                if p1[rid] <= report.primary_threshold
+                and p2[rid] <= report.followup_threshold
             }
             assert expected == set(report.rejected_ids)
             assert len(report.rejected_ids) == report.r2
@@ -595,6 +596,19 @@ class TestProcedureParams:
     def test_item2_requires_t(self):
         with pytest.raises(ValueError):
             check_levels(q1=0.01, q=0.05, mode=Dependence.ARBITRARY_PRIMARY_ITEM2)
+
+    @pytest.mark.parametrize(
+        "mode", [m for m in Dependence if m is not Dependence.ARBITRARY_PRIMARY_ITEM2],
+        ids=lambda mode: mode.value,
+    )
+    def test_t_refused_outside_item2(self, mode):
+        """A t that no other mode reads is refused, as ``adjust`` refuses it."""
+        message = f"{mode.value} does not read t; only the thresholded mode does"
+        with pytest.raises(ParameterError, match=message):
+            check_levels(0.04, 0.05, mode=mode, t=5e-5)
+        for run in self._entry_points():
+            with pytest.raises(ParameterError, match=message):
+                run(mode, 5e-5)
 
     @staticmethod
     def _entry_points():

@@ -466,7 +466,8 @@ def sim_scenarios(draw):
     else:
         selection = SelectionRule(sel)
     drawn = dict(
-        q1=q1, q=q, w1=w1, mode=mode, t=t,
+        q1=q1, q=q, w1=w1, mode=mode,
+        t=t if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 else None,  # no other mode reads t
         fwer_method=draw(st.sampled_from(["bonferroni", "holm"])),
         primary=draw(st.sampled_from([1, 2])), selection=selection,
     )
