@@ -67,13 +67,14 @@ def _check_arguments(c: float, flavor: str, mode, t, q) -> Dependence:
     if flavor not in ("bonferroni", "fdr"):
         raise ParameterError(f"unknown adjustment flavor {flavor!r}")
     mode = Dependence(mode)
-    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
-        if q is None:
-            raise ParameterError("the thresholded mode rescales p1 by c*q/q1_tilde, which needs q")
+    if mode is not Dependence.ARBITRARY_PRIMARY_ITEM2:
+        check_levels(None, c, mode=mode, t=t)  # c is checked above: this refuses a t
+        if q is not None:
+            raise ParameterError(f"{mode.value} does not read q; only the thresholded mode does")
+    elif q is None:
+        raise ParameterError("the thresholded mode rescales p1 by c*q/q1_tilde, which needs q")
+    else:
         check_levels(c * q, q, mode=mode, t=t)
-    elif t is not None or q is not None:
-        name = "t" if t is not None else "q"
-        raise ParameterError(f"{mode.value} does not read {name}; only the thresholded mode does")
     return mode
 
 
@@ -115,8 +116,8 @@ def build_adjusted_table(
         if mode is Dependence.ARBITRARY_BOTH:
             p2_mod = np.minimum(harmonic(r1) * p2, 1.0)
         _, modified = _adjust_columns(p1_mod, p2_mod, m, r1, c, flavor)
-    # idx's ids (the followed-up rows) as str objects: numpy's stop at a NUL
-    names = np.array(data.ids[~np.isnan(data.p2)].tolist(), dtype=object)
+    # idx's ids as str objects: numpy's stop at a NUL
+    names = np.array(data.ids[idx].tolist(), dtype=object)
     rank = np.empty(idx.size, dtype=np.intp)
     rank[np.argsort(names, kind="stable")] = np.arange(idx.size)
     order = np.lexsort((rank, adjusted))

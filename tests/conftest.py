@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from replicability import selection
 from replicability.data import StudyPairData
 from replicability.numeric import harmonic
 from replicability.procedures import Dependence
@@ -10,6 +12,23 @@ def make_data(p1, p2=None, ids=None, **kw) -> StudyPairData:
     ``p2`` at all, marks a row that was not followed up."""
     p2 = [np.nan] * len(p1) if p2 is None else [np.nan if v is None else v for v in p2]
     return StudyPairData([f"h{i}" for i in range(len(p1))] if ids is None else ids, p1, p2, **kw)
+
+
+@pytest.fixture
+def median_rule(monkeypatch):
+    """The rule "select p1 <= 2*median(p1)", patched into the selection
+    module: shrinking a selected p-value moves the median and drops
+    another index, so the rule is invalid."""
+    original = selection._select_mask
+
+    def patched(rule, data, p1):
+        if rule.kind == "median2x":
+            return p1 <= 2.0 * np.median(p1)
+        return original(rule, data, p1)
+
+    monkeypatch.setattr(selection, "_select_mask", patched)
+    monkeypatch.setitem(selection._READS, "median2x", None)  # a kind reading no parameter
+    return selection.SelectionRule("median2x")
 
 
 def random_instance(rng: np.random.Generator, max_m: int = 200, max_r1: int = 50):

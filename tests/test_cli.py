@@ -9,7 +9,7 @@ import pytest
 
 import replicability
 from conftest import BAD_PVALUE_FILES
-from replicability import dataio, sim
+from replicability import dataio, selection, sim
 from replicability.cli import main
 
 HIPPO = resources.files("replicability.fixtures") / "hippocampal_volume.csv"
@@ -134,6 +134,14 @@ class TestExitCodes:
             "analyze", "--input", str(hippo_csv), "--q1", "0.05", "--q", "0.05",
         ])
         assert code == 1
+
+    def test_q1_without_q_is_usage(self, hippo_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["analyze", "--input", str(hippo_csv), "--q1", "0.04", "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "usage error: fdr mode needs --q1 (or --alpha1) and --q (or --alpha)\n"
+        )
 
     def test_data_error_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -271,6 +279,7 @@ class TestExitCodes:
         pytest.param(["power", "--mu21", "nan"], 1, id="power_mu21_nan"),
         pytest.param(["power", "--mu11", "inf", "--grid-c", "0.1:0.9:3"], 1, id="power_grid_inf"),
         pytest.param(["power", "--grid-c", "0.1:0.9:0"], 1, id="power_empty_grid"),
+        pytest.param(["power", "--grid-c", "a:b:c"], 1, id="power_grid_not_numbers"),
         pytest.param(["probe-selection", "--grid-size", "1"], 1, id="probe_grid_size"),
         pytest.param(["calibrate-oracle", "--w1", "0.3"], 1, id="oracle_w1"),
         # a bare ValueError is no parameter check: a bug, with its traceback
@@ -334,6 +343,19 @@ class TestAdjust:
         code = main(["adjust", "--input", str(crohns_csv), "--c", "0.8", *flags, "--out", str(out)])
         assert code == 1 and not out.exists()
         assert f"does not read {named};" in capsys.readouterr().err
+
+    def test_t_outside_unit_interval_refused_as_in_analyze(
+        self, crohns_csv, tmp_path, capsys
+    ):
+        # the range is checked before the mode: item1 reads no t, but 1.5 is no t at all
+        errors = []
+        for command in (["adjust", "--c", "0.8", "--dependence", "item1"],
+                        ["analyze", "--q1", "0.02", "--q", "0.05"]):
+            out = tmp_path / command[0]
+            code = main([*command, "--t", "1.5", "--input", str(crohns_csv), "--out", str(out)])
+            assert code == 1 and not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors == ["usage error: t must lie in (0, 1), got 1.5\n"] * 2
 
     def test_item2_followed_up_p1_above_t_is_data_error_as_in_analyze(
         self, hippo_csv, tmp_path, capsys
@@ -437,6 +459,7 @@ class TestSimulate:
         lambda text: text + "sweep_axis = mu\nsweep_grid = 0.2,,0.5\n",
         lambda text: text + "q = 0.2\n",
         lambda text: text + "dependence = independent\nt = 0.001\n",
+        lambda text: text.replace("procedure = fdr", "procedure = bogus"),
     ], ids=[
         "q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary",
         "fwer_method",
@@ -444,7 +467,7 @@ class TestSimulate:
         "sigma_inf", "zeta_nan", "n_total_inf",
         "m_not_a_number", "m_missing", "line_without_equals",
         "grid_without_axis", "axis_without_grid", "grid_not_a_number", "grid_empty",
-        "grid_empty_field", "repeated_key", "t_under_independent",
+        "grid_empty_field", "repeated_key", "t_under_independent", "unknown_procedure",
     ])
     def test_refused_scenario_value_is_data_error_naming_file(self, tmp_path, capsys, edit):
         scen = tmp_path / "s.txt"
@@ -490,6 +513,23 @@ class TestSimulate:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert lines[1].startswith("2.0,")
+
+
+@pytest.mark.parametrize("command", ["simulate", "power"])
+def test_output_without_out_goes_to_stdout(tmp_path, capsys, command):
+    scen = tmp_path / "s.txt"
+    sweep = "sweep_axis = mu\nsweep_grid = 2, 3\n"
+    scen.write_text(SCENARIO.replace("reps = 60", "reps = 5") + sweep)
+    argv = {
+        "simulate": ["simulate", "--scenario", str(scen)],
+        "power": ["power", "--mu11", "4.5", "--mu21", "4.5", "--m", "100", "--alpha", "0.05",
+                  "--grid-c", "0.2:0.8:4"],
+    }[command]
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 class TestPower:
@@ -589,6 +629,25 @@ class TestProbeSelection:
         ])
         assert code == 0
         assert "counterexamples=0" in capsys.readouterr().out
+
+    def test_counterexamples_listed(self, tmp_path, capsys, monkeypatch, median_rule):
+        # an invalid rule: the first ten of its counterexamples, one a line
+        monkeypatch.setattr(dataio, "parse_rule_spec", lambda spec: median_rule)
+        csv = tmp_path / "p.csv"
+        p1 = [round(0.03 * i, 2) for i in range(1, 31)]
+        csv.write_text("id,p1,p2\n" + "".join(f"h{i},{p},0.5\n" for i, p in enumerate(p1)))
+        code = main(["probe-selection", "--input", str(csv), "--selection", "median2x"])
+        report = selection.probe_validity(median_rule, dataio.parse_pvalue_csv(csv), 16, 0)
+        assert code == 0 and len(report.counterexamples) > 10
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            f"rule=median2x probed={report.probed} counterexamples={len(report.counterexamples)}"
+        )
+        assert lines[1:] == [
+            f"  {ce.perturbed_id} -> p1={ce.replacement_p1:g} changes the selection "
+            f"({len(ce.selection_before)} -> {len(ce.selection_after)} ids)"
+            for ce in report.counterexamples[:10]
+        ]
 
 
 def test_cli_loads_no_scipy(tmp_path, crohns_csv):

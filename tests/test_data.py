@@ -91,6 +91,11 @@ def test_columns_and_records_agree():
         data.p1[0] = 0.5  # columns are read-only; p1_array() gives a copy
 
 
+def test_columns_of_unequal_length_refused():
+    with pytest.raises(ValueError, match="columns differ in length: 2, "):
+        StudyPairData(["a", "b"], [0.1], [0.2, 0.3])
+
+
 def test_writable_columns_are_copied_and_owned_read_only_ones_kept():
     p1, p2 = np.array([0.1, 0.3]), np.array([0.2, 0.4])
     data = StudyPairData(["a", "b"], p1, p2[:])  # a writable array and a view of one

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from replicability.errors import ApplicabilityError
+from replicability.errors import ApplicabilityError, ParameterError
 from replicability.numeric import (
     chisq_survival_even_df,
     harmonic,
@@ -83,6 +83,12 @@ class TestNormalQuantile:
         for p in (1e-10, 1e-6, 0.001, 0.3, 0.9, 1 - 1e-10):
             assert abs(std_normal_cdf(std_normal_quantile(p)) - p) < 1e-8
 
+    def test_array_gives_an_array(self):
+        p = np.array([[0.025, 0.5], [0.975, 1e-10]])
+        got = std_normal_quantile(p)
+        assert isinstance(got, np.ndarray) and got.shape == (2, 2)
+        np.testing.assert_allclose(got, special.ndtri(p), rtol=1e-12)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.1])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
@@ -116,6 +122,10 @@ class TestChisqSurvival:
 
     def test_infinite_statistic(self):
         assert chisq_survival_even_df(math.inf, 4) == 0.0
+
+    def test_negative_statistic_rejected(self):
+        with pytest.raises(ParameterError, match="statistic must be non-negative, got -1"):
+            chisq_survival_even_df(-1, 4)
 
     def test_odd_df_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +193,10 @@ class TestThresholdedLevel:
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    def test_empty_family_rejected(self):
+        with pytest.raises(ParameterError, match="family size must be positive, got 0"):
+            solve_q1_tilde_thresholded(0.04, 0, 1e-5)
+
     def test_applicability_bound(self):
         m = 1000
         bound = 0.04 / (1.0 + harmonic(m - 1))
@@ -220,6 +234,11 @@ class TestOracleLevel:
         qp = solve_oracle_qprime(0.9990, 0.00036, 0.05, 0.5)
         y = 0.5 * qp
         assert 0.9990 * y * y + (0.00036 + 1.0) * y == pytest.approx(0.025, rel=1e-12)
+
+    @pytest.mark.parametrize("f00, f01", [(1.5, 0.0), (0.0, 1.5)])
+    def test_fraction_outside_unit_interval_rejected(self, f00, f01):
+        with pytest.raises(ParameterError, match=r"fractions must lie in \[0, 1\]"):
+            solve_oracle_qprime(f00, f01, 0.05, 1.0)
 
     def test_bad_weight(self):
         with pytest.raises(ValueError):

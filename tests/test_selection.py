@@ -190,23 +190,6 @@ class TestProbeValidity:
         report = probe_validity(SelectionRule("top_k", k=5), data, grid_size=12, seed=1)
         assert report.looks_valid
 
-    @pytest.fixture
-    def median_rule(self, monkeypatch):
-        # "select p1 <= 2*median(p1)": shrinking a selected p-value moves the
-        # median and drops another index, so the rule is invalid.
-        import replicability.selection as sel_mod
-
-        original = sel_mod._select_mask
-
-        def patched(rule, data, p1):
-            if rule.kind == "median2x":
-                return p1 <= 2.0 * np.median(p1)
-            return original(rule, data, p1)
-
-        monkeypatch.setattr(sel_mod, "_select_mask", patched)
-        monkeypatch.setitem(sel_mod._READS, "median2x", None)  # a kind reading no parameter
-        return SelectionRule("median2x")
-
     def test_median_coupled_rule_caught(self, median_rule):
         data = make_data([0.5, 0.4, 1.0])
         report = probe_validity(median_rule, data, grid_size=16, seed=1)

@@ -290,6 +290,8 @@ class TestRunScenario:
         dict(kind="fwer", q1=0.025, q=0.05, fwer_method="bonf"),
         # the library run refuses it too; the kernel would run study 2
         dict(kind="naive_bh_bh", q=0.05, primary=3),
+        dict(kind="bogus", q=0.05),
+        dict(kind="fdr", q=0.05),  # no q1
     ])
     def test_procedure_validated(self, kwargs):
         with pytest.raises(DataError):
@@ -301,6 +303,15 @@ class TestRunScenario:
             run_scenario(replace(BASE, procedure=Procedure(
                 kind="fdr", q1=0.025, q=0.05, selection=SelectionRule("fixed_threshold"),
             )))
+
+    @pytest.mark.parametrize("sds", [
+        dict(sigma1=None, sigma2=None),
+        dict(sigma1=None),
+        dict(sigma=10.0, zeta=0.5, n_total=1000),
+    ], ids=["neither", "sigma2_only", "both"])
+    def test_one_sd_form_required(self, sds):
+        with pytest.raises(ParameterError, match="specify either sigma1 and sigma2"):
+            replace(BASE, **sds)
 
     def test_fraction_sum_validated(self):
         with pytest.raises(DataError):
@@ -364,6 +375,20 @@ def mc_power_bonf_max(mu11, mu21, m, a, reps, seed):
 
 
 class TestAnalyticPower:
+    @pytest.mark.parametrize("m", [0, True, 2.5, 100.5, 3.0])
+    @pytest.mark.parametrize("power", [
+        partial(analytic_power_bonf_max, 3.0, 3.0, alpha=0.05),
+        partial(analytic_power_two_stage, 3.0, 3.0, alpha1=0.025, alpha=0.05),
+    ], ids=["bonf_max", "two_stage"])
+    def test_m_not_a_family_size_refused(self, power, m):
+        # a bool or a float is no count, even one holding an integer
+        with pytest.raises(ParameterError, match=rf"need m >= 1 and finite effects, got m={m},"):
+            power(m=m)
+
+    def test_numpy_m_is_that_count(self):
+        got = analytic_power_two_stage(3.0, 3.0, np.int64(100), 0.025, 0.05)
+        assert got == analytic_power_two_stage(3.0, 3.0, 100, 0.025, 0.05)
+
     def test_null_means_product(self):
         assert analytic_power_bonf_max(0.0, 0.0, 100, 0.05) == pytest.approx(
             2.5e-7, rel=1e-6
