@@ -154,7 +154,7 @@ def _blocks(fh):
 
 def _row_line(path: Path, row: int) -> int:
     """Line number of data row ``row`` (0-based), for error messages."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         content = (k for k, raw in enumerate(fh, 1) if raw.strip()[:1] not in ("", "#"))
         return next(islice(content, row + 1, None))  # the header comes first
 
@@ -181,7 +181,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
     columns = ids, p1, p2, hashes = [np.empty(_COLUMN_ROWS, t) for t in dtypes]
     rows = 0
     fault = None  # the first malformed line's error; reading stops there
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line[:1] == "#":
@@ -236,12 +236,15 @@ def _unreadable(rid: str) -> bool:
 
 
 def write_pvalue_csv(data: StudyPairData, path) -> None:
-    bad = next((rid for rid in data.ids.tolist() if _unreadable(rid)), None)
+    ids = data.ids.tolist()
+    bad = next((rid for rid in ids if _unreadable(rid)), None)
     if bad is not None:
         raise DataError(
             f"id {bad!r} would not read back: an id is non-empty, has no comma, line "
             "break, leading '#' or surrounding whitespace"
         )
+    if (issue := _first_issue(data, id_hashes(ids))) is not None:  # what the reader refuses
+        raise DataError(f"{issue.where}: {issue.message}")
     directives = [("m", data.m_declared), ("r1", data.r1_declared)]
     text = "".join(f"# {name}={value}\n" for name, value in directives if value is not None)
     text += csv_text(PVALUE_HEADER, [data.ids, data.p1, data.p2])
@@ -417,7 +420,7 @@ def parse_scenario_file(path) -> ScenarioFile:
     path = Path(path)
     raw: dict[str, str] = {}
     grid = None
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -130,13 +130,15 @@ def truth_block_sizes(m: int, fractions) -> tuple[int, int, int, int]:
     return tuple(base)
 
 
-def _streams(scenario: SimScenario) -> list[tuple[int, slice, float, np.ndarray, int]]:
-    """(study, columns, mean in sd units, Philox key, counter steps) of
-    every non-empty truth block, study 0 being the primary.
+def _plan(scenario: SimScenario):
+    """(block sizes, streams, signal positions, signal means) of a run.
 
-    The key depends on (seed, study, block) only; repetition r of a block
-    of size s reads the keyed stream from counter r * steps, where
-    steps = ceil(s / 4): Philox yields four 64-bit values per counter step.
+    A stream is (study, columns, mean in sd units, Philox key, counter
+    steps) of a non-empty truth block, study 0 being the primary. The key
+    depends on (seed, study, block) only; repetition r of a block of size
+    s reads the keyed stream from counter r * steps, where steps =
+    ceil(s / 4): Philox yields four 64-bit values per counter step. The
+    signal positions index a repetition's flat (2, m) row.
     """
     sizes = truth_block_sizes(
         scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11)
@@ -145,47 +147,41 @@ def _streams(scenario: SimScenario) -> list[tuple[int, slice, float, np.ndarray,
     # block order I00, I01, I10, I11; h1 = 1 on I10, I11; h2 = 1 on I01, I11
     mu1 = np.array([0.0, 0.0, scenario.mu1, scenario.mu1])
     mu2 = np.array([0.0, scenario.mu2, 0.0, scenario.mu2])
-    out = []
+    shifts = np.zeros((2, scenario.m))
+    streams = []
     for study, (mus, sd) in enumerate(((mu1, scenario.sd1), (mu2, scenario.sd2))):
         for block, size in enumerate(sizes):
             if size:
                 entropy = (scenario.seed, study + 1, block)
                 key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
                 cols = slice(ends[block] - size, ends[block])
-                out.append((study, cols, float(mus[block] / sd), key, -(-size // 4)))
-    return out
+                shifts[study, cols] = shift = float(mus[block] / sd)
+                streams.append((study, cols, shift, key, -(-size // 4)))
+    signal = np.flatnonzero(shifts)
+    return sizes, streams, signal, shifts.ravel()[signal]
 
 
-def _pvalues(scenario: SimScenario, streams, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _pvalues(scenario: SimScenario, plan, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, m) primary and follow-up p-values of repetitions start..start+n-1.
 
     A row depends only on its repetition index, never on how repetitions
     are grouped into calls.
     """
-    p = np.empty((2, n, scenario.m))
-    shifts = np.zeros((2, scenario.m))
+    _, streams, signal, shifts = plan
+    p = np.empty((n, 2, scenario.m))
     for study, cols, shift, key, steps in streams:
         gen = np.random.Generator(np.random.Philox(key=key, counter=start * steps))
         draws = gen.random((n, 4 * steps))[:, : cols.stop - cols.start]
         if shift == 0.0:
             # 1 - u is exactly the model's uniform null p-value
-            np.subtract(1.0, draws, out=p[study, :, cols])
+            np.subtract(1.0, draws, out=p[:, study, cols])
         else:
-            p[study, :, cols] = draws
-            shifts[study, cols] = shift
+            p[:, study, cols] = draws
     # the normal kernels cost ~0.1 ms a call: the signal entries of both
-    # studies go through one ndtri and one ndtr call, as (n, 2, m) rows
-    signal = shifts != 0.0
-    rows = p.transpose(1, 0, 2)
-    rows[:, signal] = ndtr(-shifts[signal] - ndtri(rows[:, signal]))
-    return p[0], p[1]
-
-
-def _truth_codes(scenario: SimScenario) -> np.ndarray:
-    sizes = truth_block_sizes(
-        scenario.m, (scenario.f00, scenario.f01, scenario.f10, scenario.f11)
-    )
-    return np.repeat(np.arange(4, dtype=np.uint8), sizes)
+    # studies go through one ndtri and one ndtr call, by flat position
+    rows = p.reshape(n, 2 * scenario.m)
+    rows[:, signal] = ndtr(-shifts - ndtri(rows[:, signal]))
+    return p[:, 0], p[:, 1]
 
 
 @lru_cache(maxsize=4)
@@ -208,13 +204,13 @@ def generate_rep(scenario: SimScenario, rep_index: int) -> tuple[StudyPairData, 
     information.
     """
     check_count("rep_index", rep_index, 0)
-    streams = _streams(scenario)
+    plan = sizes, streams, *_ = _plan(scenario)
     # repetition r reads Philox blocks r*steps+1 .. (r+1)*steps; block 2**256 wraps to 0
     steps = max(steps for *_, steps in streams)
     if rep_index >= (limit := (2**256 - 1) // steps):
         raise ParameterError(f"rep_index must be below {limit}, got {rep_index!r}")
-    p1, p2 = _pvalues(scenario, streams, int(rep_index), 1)
-    codes = _truth_codes(scenario)
+    p1, p2 = _pvalues(scenario, plan, int(rep_index), 1)
+    codes = np.repeat(np.arange(4, dtype=np.uint8), sizes)
     codes.flags.writeable = False
     return StudyPairData(_rep_ids(scenario.m), p1[0], p2[0]), codes
 
@@ -266,10 +262,8 @@ def run_scenario(
     start_time = time.perf_counter()
     m, reps = scenario.m, scenario.reps
     kernel = scenario.procedure.kernel(m, (scenario.f00, scenario.f01))
-    streams = _streams(scenario)
-    codes = _truth_codes(scenario)
-    non_replicable = codes != 3
-    n11 = int(np.count_nonzero(codes == 3))
+    plan = _plan(scenario)
+    n11 = plan[0][3]  # I11 is the last block, so columns m - n11 on are replicable
     chunk = max(1, _CHUNK_VALUES // m)
     fdp = np.empty(reps)
     power = np.empty(reps)
@@ -277,9 +271,9 @@ def run_scenario(
 
     def run_chunk(start: int) -> None:
         rows = slice(start, min(start + chunk, reps))
-        mask = kernel(*_pvalues(scenario, streams, start, rows.stop - start))
+        mask = kernel(*_pvalues(scenario, plan, start, rows.stop - start))
         r = np.count_nonzero(mask, axis=1)
-        v = np.count_nonzero(mask & non_replicable, axis=1)
+        v = np.count_nonzero(mask[:, : m - n11], axis=1)
         fdp[rows] = v / np.maximum(r, 1)
         power[rows] = (r - v) / n11 if n11 else math.nan
         rejections[rows] = r

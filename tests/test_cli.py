@@ -124,6 +124,34 @@ class TestAnalyze:
         assert outputs[0] == outputs[1]
 
 
+class TestByteOrderMark:
+    """Excel's "CSV UTF-8" starts a file with the bytes EF BB BF."""
+
+    @pytest.mark.parametrize("fixture", [HIPPO, CROHNS])
+    def test_analyze_reads_a_bom_copy_as_the_original(self, tmp_path, fixture):
+        outputs = []
+        for name, head in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / name / "in.csv"
+            path.parent.mkdir()
+            path.write_bytes(head + fixture.read_bytes())
+            out = path.parent / "out"
+            assert main([
+                "analyze", "--input", str(path), "--q1", "0.04", "--q", "0.05",
+                "--out", str(out), "--quiet",
+            ]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("discoveries.csv", "summary.txt")])
+        assert outputs[0] == outputs[1]
+
+    def test_simulate_reads_a_bom_scenario_as_the_original(self, tmp_path, capsys):
+        printed = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(SCENARIO, encoding=encoding)
+            assert main(["simulate", "--scenario", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and printed[0].startswith("point,")
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["analyze"]) == 1

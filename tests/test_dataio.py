@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import BAD_PVALUE_FILES, make_data
 from csv_oracle import parse_pvalue_csv_lines
 from replicability import dataio
-from replicability.data import ID, StudyPairData
+from replicability.data import ID, StudyPairData, validate_dataset
 from replicability.dataio import (
     fmt,
     parse_dependence,
@@ -179,6 +179,51 @@ def test_write_refuses_ids_that_do_not_read_back(tmp_path, rid):
     with pytest.raises(DataError, match="would not read back"):
         write_pvalue_csv(make_data([0.1, 0.2], [0.3, 0.4], ids=[rid, "b"]), path)
     assert not path.exists()
+
+
+# in range, and each way out of it; NaN in p2 is "not followed up"
+_WRITTEN_P = st.floats(0.0, 1.0) | st.sampled_from(
+    [0.0, 1.0, math.nan, math.inf, -math.inf, -0.25, 1.5]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(["a", "b", "c", "d"]), _WRITTEN_P, _WRITTEN_P),
+                  max_size=5),
+    m_declared=st.none() | st.integers(0, 6),
+    r1_declared=st.none() | st.integers(0, 6),
+)
+def test_written_file_reads_back_or_is_refused(tmp_path_factory, rows, m_declared, r1_declared):
+    """The writer refuses a dataset the reader would refuse (NaN or infinite
+    p1, a p-value outside [0, 1], a repeated id, an override below the rows
+    listed), writes nothing then, and writes any other one so that it reads
+    back equal."""
+    ids, p1, p2 = ([row[k] for row in rows] for k in range(3))
+    data = StudyPairData(ids, p1, p2, m_declared, r1_declared)
+    path = tmp_path_factory.mktemp("written") / "p.csv"
+    issue = validate_dataset(data)
+    if issue is not None:
+        with pytest.raises(DataError) as err:
+            write_pvalue_csv(data, path)
+        assert str(err.value) == f"{issue.where}: {issue.message}"
+        assert not path.exists()
+    else:
+        write_pvalue_csv(data, path)
+        assert parse_pvalue_csv(path) == data
+
+
+def test_byte_order_mark_accepted_only_at_the_start(tmp_path):
+    text = "# m=5\nid,p1,p2\na,0.1,0.2\nb,0.3,\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    bom.write_text(text, encoding="utf-8-sig")
+    assert bom.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert parse_pvalue_csv(bom) == parse_pvalue_csv(plain)
+    later = tmp_path / "later.csv"
+    later.write_text(text.replace("id,", "\ufeffid,"), encoding="utf-8-sig")
+    with pytest.raises(DataError, match="later.csv:2: expected header"):
+        parse_pvalue_csv(later)
 
 
 def test_parse_rule_specs():

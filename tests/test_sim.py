@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -24,8 +24,8 @@ from replicability.procedures import (
 from replicability.selection import SelectionRule
 from replicability.sim import (
     SimScenario,
+    _plan,
     _pvalues,
-    _streams,
     analytic_power_bonf_max,
     analytic_power_two_stage,
     generate_rep,
@@ -160,6 +160,17 @@ class TestRunScenario:
         monkeypatch.setattr(sim, "_CHUNK_VALUES", reps * scenario.m)
         for workers in (1, 2, 3):
             assert run_scenario(scenario, workers=workers, retain_trace=True) == default
+
+    def test_plan_built_once_per_run(self, monkeypatch):
+        plans = []
+        plan = sim._plan
+        monkeypatch.setattr(sim, "_plan", lambda scenario: plans.append(scenario) or plan(scenario))
+        monkeypatch.setattr(sim, "_CHUNK_VALUES", 7 * BASE.m)
+        scenario = replace(BASE, reps=23)  # four chunks on two threads
+        run_scenario(scenario, workers=2)
+        assert plans == [scenario]
+        generate_rep(scenario, 3)
+        assert plans == [scenario, scenario]
 
     def test_item2_violation_refused_like_the_library(self):
         # the paper's cell at mu = 2 with bh selection: selected primary
@@ -509,7 +520,7 @@ def sim_scenarios(draw):
 @settings(max_examples=150, deadline=None)
 @given(scenario=sim_scenarios(), start=st.integers(0, 10**6), n=st.integers(1, 12))
 def test_chunk_rows_equal_single_rep_calls(scenario, start, n):
-    p1, p2 = _pvalues(scenario, _streams(scenario), start, n)
+    p1, p2 = _pvalues(scenario, _plan(scenario), start, n)
     for i in range(n):
         data, truth = generate_rep(scenario, start + i)
         assert np.array_equal(p1[i], data.p1)
@@ -565,7 +576,7 @@ def test_counters_past_2_64_pinned(rep):
     assert [(data.p1[j].hex(), data.p2[j].hex()) for j in columns] == pairs
     raw = data.p1.astype("<f8").tobytes() + data.p2.astype("<f8").tobytes()
     assert hashlib.sha256(raw).hexdigest() == digest
-    p1, p2 = _pvalues(scenario, _streams(scenario), rep, 2)
+    p1, p2 = _pvalues(scenario, _plan(scenario), rep, 2)
     assert np.array_equal(p1[0], data.p1) and np.array_equal(p2[0], data.p2)
     assert generate_rep(scenario, rep + 1)[0] == StudyPairData(data.ids, p1[1], p2[1])
 
@@ -601,7 +612,7 @@ def test_row_kernels_match_library(scenario, start, snap):
     p-values placed exactly on a threshold; the kernels refuse exactly what
     the library refuses."""
     m, n = scenario.m, scenario.reps
-    p1, p2 = _pvalues(scenario, _streams(scenario), start, n)
+    p1, p2 = _pvalues(scenario, _plan(scenario), start, n)
     if snap is not None:  # onto the grid level*k/m: ties, and values at a threshold
         level = getattr(scenario.procedure, snap) or scenario.procedure.q
         p1, p2 = (np.minimum(level * np.ceil(p * m / level) / m, 1.0) for p in (p1, p2))
@@ -623,3 +634,47 @@ def test_row_kernels_match_library(scenario, start, snap):
         if scenario.procedure.kind in ("fdr", "fdr_symmetric", "oracle"):
             data = StudyPairData(ids, a, b)
             assert rejected == _rscan_run(scenario, data)
+
+
+# (f00, f01, f10, f11): no signal block, I01 (study 2) or I10 (study 1)
+# only, one signal block per study, and all four blocks
+@pytest.mark.parametrize("fractions", [
+    (1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0), (0.5, 0.0, 0.5, 0.0),
+    (0.5, 0.25, 0.25, 0.0), (0.25, 0.25, 0.25, 0.25),
+])
+def test_one_ndtri_and_one_ndtr_call_per_chunk(monkeypatch, fractions):
+    calls = {"ndtri": 0, "ndtr": 0}
+    for name, kernel in (("ndtri", sim.ndtri), ("ndtr", sim.ndtr)):
+        def counted(x, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(x)
+        monkeypatch.setattr(sim, name, counted)
+    scenario = replace(BASE, **dict(zip(("f00", "f01", "f10", "f11"), fractions)))
+    _pvalues(scenario, _plan(scenario), 5, 9)
+    assert calls == {"ndtri": 1, "ndtr": 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=sim_scenarios())
+@example(scenario=replace(BASE, f00=0.95, f11=0.0, reps=5))  # m - n11 = m
+@example(scenario=replace(BASE, f00=0.0, f01=0.0, f10=0.0, f11=1.0, reps=5))  # m - n11 = 0
+def test_scoring_matches_the_truth(scenario):
+    """Each repetition's FDP, power and rejection count in the trace are
+    those of ``Procedure.run`` on ``generate_rep``'s data, scored against
+    its truth codes."""
+    outcome = _outcome(lambda: run_scenario(scenario, retain_trace=True))
+    if isinstance(outcome, type):  # refused: the kernels refuse what the library does
+        return
+    fdp, power, rejections = outcome.trace
+    for r in range(scenario.reps):
+        data, truth = generate_rep(scenario, r)
+        rejected = set(scenario.procedure.run(data, (scenario.f00, scenario.f01)).rejected_ids)
+        hit = np.array([rid in rejected for rid in data.ids.tolist()], dtype=bool)
+        replicable = truth == TRUTH_LABELS.index("I11")
+        total, false = int(hit.sum()), int(np.count_nonzero(hit & ~replicable))
+        assert rejections[r] == total
+        assert fdp[r] == false / max(total, 1)
+        if replicable.any():
+            assert power[r] == (total - false) / np.count_nonzero(replicable)
+        else:
+            assert math.isnan(power[r])
