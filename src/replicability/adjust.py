@@ -116,11 +116,9 @@ def build_adjusted_table(
         if mode is Dependence.ARBITRARY_BOTH:
             p2_mod = np.minimum(harmonic(r1) * p2, 1.0)
         _, modified = _adjust_columns(p1_mod, p2_mod, m, r1, c, flavor)
-    # idx's ids as str objects: numpy's stop at a NUL
+    # idx's ids as str objects, compared in str order: numpy's stop at a NUL
     names = np.array(data.ids[idx].tolist(), dtype=object)
-    rank = np.empty(idx.size, dtype=np.intp)
-    rank[np.argsort(names, kind="stable")] = np.arange(idx.size)
-    order = np.lexsort((rank, adjusted))
+    order = np.lexsort((names, adjusted))
     return AdjustedTable(
         ids=tuple(names[order].tolist()),
         p1=p1[order],

@@ -29,6 +29,7 @@ DISCOVERY_HEADER = "id,p1,p2,z,adjusted_p,rejected"
 SIM_HEADER = "point,avg_fdp,fdp_se,avg_power,power_se,avg_rejections"
 
 _DIRECTIVE = re.compile(r"^#\s*(m|r1)\s*=\s*(\d+)\s*$")
+_LIKE_DIRECTIVE = re.compile(r"#\s*(m|r1)\s*=", re.IGNORECASE)  # refused unless a _DIRECTIVE
 _BLOCK_CHARS = 1 << 17  # per block of lines (~4k GWAS rows): split at once if clean
 _COLUMN_ROWS = 1 << 15  # first capacity of the columns
 _UNCLEAN = "# \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # '#', and what str.strip removes in ASCII but \n
@@ -95,24 +96,33 @@ def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float]:
     return rid, p1, p2
 
 
+def _directive(line: str, k: int, path: Path) -> list:
+    """Comment line ``k`` as [(name, (value, k))] if a directive, else []. A line
+    that only looks like one (``# m=2.5e6``) is refused: as a comment, its count is lost."""
+    if not (hit := _DIRECTIVE.match(line)) and _LIKE_DIRECTIVE.match(line):
+        raise DataError(f"{path}:{k}: malformed directive {line!r}; "
+                        "expected '# m=<int>' or '# r1=<int>'")
+    return [(hit[1], (int(hit[2]), k))] if hit else []
+
+
 def _parse_lines(
-    text: str, lineno: int, first_row: int, path: Path, comments: list
+    text: str, lineno: int, first_row: int, path: Path, directives: list
 ) -> tuple[tuple[list, list, list], DataError | None]:
     """Line-by-line parse of a block whose first line is ``lineno + 1`` and
     first data row ``first_row``: the (ids, p1, p2) columns of its rows before
     the first malformed line, and that line's error (None if every line is
-    well formed). Comment lines up to there go into ``comments``."""
+    well formed). Directives up to there go into ``directives``."""
     columns: tuple[list, list, list] = ([], [], [])
     for k, s in enumerate(map(str.strip, text.split("\n")), start=lineno + 1):
-        if s[:1] == "#":
-            comments.append((k, s))
-        elif s:
-            try:
+        try:
+            if s[:1] == "#":
+                directives.extend(_directive(s, k, path))
+            elif s:
                 row = _parse_row(s, f"{path}:{k}", first_row + len(columns[0]))
-            except DataError as fault:
-                return columns, fault
-            for column, value in zip(columns, row):
-                column.append(value)
+                for column, value in zip(columns, row):
+                    column.append(value)
+        except DataError as fault:
+            return columns, fault
     return columns, None
 
 
@@ -166,7 +176,8 @@ def parse_pvalue_csv(path) -> StudyPairData:
     lines start with ``#``; the directives ``# m=<int>`` and ``# r1=<int>``
     declare the true family and follow-up sizes when the file lists only a
     subset of rows. The dataset is refused (``DataError`` naming the line)
-    if a line is malformed, if a p2 is a literal ``nan``, or if
+    if a line is malformed (a comment like ``# M=5`` or ``# m=2.5e6``, which
+    starts as a directive but is none, included), if a p2 is a literal ``nan``, or if
     :func:`validate_dataset` finds a fault in it; of several faults, the
     one on the earliest data line is named, an empty family at the header.
 
@@ -176,7 +187,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
     dataset keeps, and the ids' hashes into one for the repeated-id check.
     """
     path = Path(path)
-    comments: list[tuple[int, str]] = []  # (line number, text) of comment lines
+    directives: list[tuple[str, tuple[int, int]]] = []  # (name, (value, line number))
     dtypes = (ID, float, float, np.int64)  # the dataset's columns, and the ids' hashes
     columns = ids, p1, p2, hashes = [np.empty(_COLUMN_ROWS, t) for t in dtypes]
     rows = 0
@@ -185,7 +196,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line[:1] == "#":
-                comments.append((lineno, line))
+                directives.extend(_directive(line, lineno, path))
             elif line:
                 break
         else:
@@ -198,7 +209,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
             try:
                 block_ids, *values = _parse_clean(text)
             except ValueError:  # line by line, so that a fault names its line
-                (block_ids, *values), fault = _parse_lines(text, lineno, rows, path, comments)
+                (block_ids, *values), fault = _parse_lines(text, lineno, rows, path, directives)
                 lineno += text.count("\n") - len(block_ids)  # lines that are not rows
             lineno += len(block_ids)
             read += len(text)
@@ -213,7 +224,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
             if fault is not None:
                 break
     # each directive's last value, and the line it was read from
-    declared |= {hit[1]: (int(hit[2]), k) for k, s in comments if (hit := _DIRECTIVE.match(s))}
+    declared |= dict(directives)
     m, r1 = (declared.get(name, (None,))[0] for name in ("m", "r1"))
     for column in columns:
         column.resize(rows, refcheck=False)

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import ApplicabilityError, ParameterError
-from .params import Dependence, check_levels
+from .params import Dependence, check_count, check_levels
 
 # Smallest positive (subnormal) double; used to keep tail probabilities
 # strictly positive for finite arguments.
@@ -121,21 +121,19 @@ def ndtr(x) -> np.ndarray:
     e = _horner(_ERFC_MID_NUM, y)
     e /= _horner(_ERFC_MID_DEN, y)
     far = np.flatnonzero(y > 4.0)
-    if far.size:
-        yf = y[far]
-        s = 1.0 / (yf * yf)
-        ratio = s * _horner(_ERFC_FAR_NUM, s) / _horner(_ERFC_FAR_DEN, s)
-        e[far] = (_FRAC_1_SQRTPI - ratio) / yf
+    yf = y[far]
+    s = 1.0 / (yf * yf)
+    ratio = s * _horner(_ERFC_FAR_NUM, s) / _horner(_ERFC_FAR_DEN, s)
+    e[far] = (_FRAC_1_SQRTPI - ratio) / yf
     # e^(-y^2) as e^(-y16^2) e^(-(y - y16)(y + y16)), with y16^2 exact
     y16 = np.trunc(y * 16.0) / 16.0
     e *= np.exp(-y16 * y16) * np.exp(-(y - y16) * (y + y16))
     e *= 0.5
     out = np.where(z < 0.0, e, 1.0 - e)
     near = np.flatnonzero(y < 0.46875)
-    if near.size:
-        zn = z[near]
-        s = zn * zn
-        out[near] = 0.5 + 0.5 * (zn * _horner(_ERF_NUM, s) / _horner(_ERF_DEN, s))
+    zn = z[near]
+    s = zn * zn
+    out[near] = 0.5 + 0.5 * (zn * _horner(_ERF_NUM, s) / _horner(_ERF_DEN, s))
     return out.reshape(shape)
 
 
@@ -151,19 +149,18 @@ def ndtri(p) -> np.ndarray:
     x = q * _horner(_PPND_CENTRAL_NUM, r)
     x /= _horner(_PPND_CENTRAL_DEN, r)
     tail = np.flatnonzero(np.abs(q) > 0.425)
-    if tail.size:
-        pt = p[tail]
-        lower = q[tail] < 0.0
-        # min(p, 1 - p) from p itself: p - 0.5 has lost the low bits of a small p
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.sqrt(-np.log(np.where(lower, pt, 1.0 - pt)))
-            v = np.where(
-                r <= 5.0,
-                _horner(_PPND_NEAR_NUM, r - 1.6) / _horner(_PPND_NEAR_DEN, r - 1.6),
-                _horner(_PPND_FAR_NUM, r - 5.0) / _horner(_PPND_FAR_DEN, r - 5.0),
-            )
-        v[np.isinf(r)] = np.inf
-        x[tail] = np.where(lower, -v, v)
+    pt = p[tail]
+    lower = q[tail] < 0.0
+    # min(p, 1 - p) from p itself: p - 0.5 has lost the low bits of a small p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sqrt(-np.log(np.where(lower, pt, 1.0 - pt)))
+        v = np.where(
+            r <= 5.0,
+            _horner(_PPND_NEAR_NUM, r - 1.6) / _horner(_PPND_NEAR_DEN, r - 1.6),
+            _horner(_PPND_FAR_NUM, r - 5.0) / _horner(_PPND_FAR_DEN, r - 5.0),
+        )
+    v[np.isinf(r)] = np.inf
+    x[tail] = np.where(lower, -v, v)
     return x.reshape(shape)
 
 
@@ -234,8 +231,7 @@ def harmonic(k: int) -> float:
     smallest first and only then added to ln k + gamma, which keeps each
     increment H_k - H_(k-1) within 2 ulp of 1/k.
     """
-    if k < 0:
-        raise ParameterError(f"harmonic index must be non-negative, got {k}")
+    check_count("harmonic index", k, 0)
     if k < 32:
         return math.fsum(1.0 / i for i in range(1, k + 1))
     s = 1.0 / (float(k) * k)
@@ -289,8 +285,8 @@ def solve_oracle_qprime(f00: float, f01: float, q: float, w1: float) -> float:
     y = q' and y_target = q for w1 in {0, 1}, and y = q'/2 with
     y_target = q/2 for the symmetric weight w1 = 0.5.
     """
-    if not 0.0 <= f00 <= 1.0 or not 0.0 <= f01 <= 1.0:
-        raise ParameterError("fractions must lie in [0, 1]")
+    if not (0.0 <= f00 <= 1.0 and 0.0 <= f01 <= 1.0 and f00 + f01 <= 1.0 + 1e-12):
+        raise ParameterError(f"fractions must lie in [0, 1] with f00 + f01 <= 1, got {f00}, {f01}")
     check_levels(None, q, w1)
     if w1 not in (0.0, 0.5, 1.0):
         raise ParameterError(f"w1 must be one of 0, 0.5, 1, got {w1}")

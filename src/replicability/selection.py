@@ -193,30 +193,21 @@ def probe_validity(
     _check_probe(rule, grid_size, seed)
     p1 = data.p1.copy()
     base_mask = _select_mask(rule, data, p1)
-    base = tuple(np.flatnonzero(base_mask).tolist())
-    selected = list(base)
+    selected = np.flatnonzero(base_mask).tolist()
+    before = tuple(data.ids[base_mask].tolist())
     if len(selected) > _MAX_PROBED:
         rng = np.random.default_rng(seed)
         selected = sorted(rng.choice(selected, size=_MAX_PROBED, replace=False).tolist())
     grid = np.linspace(0.0, 1.0, grid_size + 1)[1:]  # (0, 1], endpoint included
-    ids = data.ids
     found: list[ValidityCounterexample] = []
     for j in selected:
         original = p1[j]
         for v in grid:
             p1[j] = v
             mask = _select_mask(rule, data, p1)
-            if mask[j]:
-                after = tuple(np.flatnonzero(mask).tolist())
-                if after != base:
-                    found.append(
-                        ValidityCounterexample(
-                            perturbed_id=ids[j],
-                            replacement_p1=float(v),
-                            selection_before=tuple(ids[list(base)].tolist()),
-                            selection_after=tuple(ids[list(after)].tolist()),
-                        )
-                    )
+            if mask[j] and not np.array_equal(mask, base_mask):
+                after = tuple(data.ids[mask].tolist())
+                found.append(ValidityCounterexample(data.ids[j], float(v), before, after))
         p1[j] = original
     return ValidityProbeReport(
         rule_kind=rule.kind, probed=len(selected), counterexamples=tuple(found)

@@ -265,32 +265,24 @@ def run_scenario(
     plan = _plan(scenario)
     n11 = plan[0][3]  # I11 is the last block, so columns m - n11 on are replicable
     chunk = max(1, _CHUNK_VALUES // m)
-    fdp = np.empty(reps)
-    power = np.empty(reps)
-    rejections = np.empty(reps)
+    rejections, false = np.empty((2, reps))  # per repetition: all, and those outside I11
 
     def run_chunk(start: int) -> None:
         rows = slice(start, min(start + chunk, reps))
         mask = kernel(*_pvalues(scenario, plan, start, rows.stop - start))
-        r = np.count_nonzero(mask, axis=1)
-        v = np.count_nonzero(mask[:, : m - n11], axis=1)
-        fdp[rows] = v / np.maximum(r, 1)
-        power[rows] = (r - v) / n11 if n11 else math.nan
-        rejections[rows] = r
+        rejections[rows] = np.count_nonzero(mask, axis=1)
+        false[rows] = np.count_nonzero(mask[:, : m - n11], axis=1)
 
     starts = range(0, reps, chunk)
     with ThreadPoolExecutor(max_workers=min(workers, len(starts))) as pool:
         list(pool.map(run_chunk, starts))
 
+    fdp = false / np.maximum(rejections, 1)
+    power = (rejections - false) / n11 if n11 else np.full(reps, math.nan)
     avg_fdp, fdp_se = _mean_se(fdp)
-    if n11:
-        avg_power, power_se = _mean_se(power)
-    else:
-        avg_power, power_se = None, None
+    avg_power, power_se = _mean_se(power) if n11 else (None, None)
     avg_rejections = float(rejections.mean())
-    trace = None
-    if retain_trace:
-        trace = (tuple(fdp), tuple(power), tuple(rejections))
+    trace = (tuple(fdp), tuple(power), tuple(rejections)) if retain_trace else None
     seconds = time.perf_counter() - start_time
     _log.info(
         "run_scenario: m=%d reps=%d workers=%d seconds=%.3f reps/s=%.0f",
@@ -379,8 +371,6 @@ def analytic_power_two_stage(
     check_levels(alpha1, alpha)
     p_sel = float(ndtr(ndtri(alpha1 / m) + mu11))
     p_null = alpha1 / m
-    if m == 1:
-        return p_sel * float(ndtr(ndtri(alpha - alpha1) + mu21))
     mean = (m - 1) * p_null
     sd = math.sqrt((m - 1) * p_null * (1.0 - p_null))
     # the mean count (m-1)*alpha1/m is below alpha1 < 1, so a cap below m is

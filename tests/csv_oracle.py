@@ -15,6 +15,7 @@ from replicability.errors import DataError
 
 PVALUE_HEADER = "id,p1,p2"
 _DIRECTIVE = re.compile(r"^#\s*(m|r1)\s*=\s*(\d+)\s*$")
+_LIKE_DIRECTIVE = re.compile(r"#\s*(m|r1)\s*=", re.IGNORECASE)
 
 
 def _parse_float(text: str, where: str, name: str) -> float:
@@ -45,6 +46,11 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
                         m_declared = int(hit.group(2))
                     else:
                         r1_declared = int(hit.group(2))
+                elif _LIKE_DIRECTIVE.match(line):
+                    raise DataError(
+                        f"{where}: malformed directive {line!r}; "
+                        "expected '# m=<int>' or '# r1=<int>'"
+                    )
                 continue
             if not header_seen:
                 if line != PVALUE_HEADER:

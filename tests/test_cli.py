@@ -217,6 +217,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and f"{bad}:1: family" in err
 
+    @pytest.mark.parametrize("directive", [
+        "# m=2.5e6", "# m = 2,500,000", "# M=2500000", "# m=2_500_000", "# r1=1e3",
+        "# m=2500000 # screened",
+    ])
+    @pytest.mark.parametrize("line", [1, 4], ids=["before_header", "after_rows"])
+    def test_malformed_directive_is_data_error(self, tmp_path, capsys, directive, line):
+        # read as a comment, the directive would leave m = 2, the rows listed
+        lines = ["id,p1,p2", "a,1e-8,0.001", "b,0.02,0.01"]
+        lines.insert(line - 1, directive)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        code = main([
+            "analyze", "--input", str(bad), "--q1", "0.025", "--q", "0.05", "--out", str(out),
+        ])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.startswith(f"data error: {bad}:{line}: malformed directive {directive!r}")
+
     def test_nan_is_not_absence(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -624,6 +643,18 @@ class TestCalibrateOracle:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith(f"usage error: {flag[0]} is read only with --input")
+
+    @pytest.mark.parametrize("f00, f01", [("0.9", "0.9"), ("1", "0.5")])
+    def test_fractions_above_one_refused(self, capsys, f00, f01):
+        code = main(["calibrate-oracle", "--f00", f00, "--f01", f01, "--q", "0.05"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: fractions must lie in [0, 1] with f00 + f01 <= 1")
+
+    @pytest.mark.parametrize("f00, f01", [("0.9", "0.1"), ("0.7", "0.3")])
+    def test_fractions_summing_to_one_run(self, capsys, f00, f01):
+        assert main(["calibrate-oracle", "--f00", f00, "--f01", f01, "--q", "0.05"]) == 0
+        assert "q_prime = " in capsys.readouterr().out
 
     def test_degenerate(self, capsys):
         main(["calibrate-oracle", "--f00", "0", "--f01", "0", "--q", "0.05"])

@@ -405,7 +405,7 @@ _EXTRA = st.sampled_from(
 )
 _BROKEN = st.sampled_from(
     ["x,0.1", "x,0.1,0.2,0.3", ",0.1,0.2", " ,0.1,", "y,abc,0.1", "z,0.1,zz",
-     "w,,0.5", "id,p1,p2", "id , p1,p2"]
+     "w,,0.5", "id,p1,p2", "id , p1,p2", "# R1=7"]
 )
 
 
@@ -455,7 +455,7 @@ def test_block_reader_matches_line_oracle(tmp_path, text, block, rows):
 # lines that leave a block unclean, planted late in an otherwise clean file;
 # a 2-field line then a 4-field one has as many commas as two good lines,
 # and with numeric ids every field of the pair converts
-_LATE = ["# note", "#", "# r1=700", "#m = 5000", "x ,0.5,0.1", "x,0.5, ", "\tx,0.5,",
+_LATE = ["# note", "#", "# r1=700", "#m = 5000", "# m=2.5e6", "x ,0.5,0.1", "x,0.5, ", "\tx,0.5,",
          "é1,0.5,0.1", "x\u00a0,0.5,", "x,0.5,nan", "x,0.5,NaN", "", "x,,0.5", ",0.5,0.1",
          "id,p1,p2", "x,0.5", "x,0.5,0.1,0.2", "7,0.5\n8,0.5,0.1,0.2", "crlf"]
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from replicability.numeric import (
     std_normal_cdf,
     std_normal_quantile,
 )
+from replicability.procedures import Procedure
 
 
 def simpson_normal_cdf(x, steps=20001):
@@ -163,6 +165,14 @@ class TestHarmonic:
         with pytest.raises(ValueError):
             harmonic(-1)
 
+    @pytest.mark.parametrize("k", [2.5, 40.5, 3.0, True])
+    def test_index_is_a_count(self, k):
+        with pytest.raises(ParameterError, match="harmonic index must be a non-negative integer"):
+            harmonic(k)
+
+    def test_numpy_integer_index(self):
+        assert harmonic(np.int64(40)) == harmonic(40)
+
 
 class TestThresholdedLevel:
     def test_published_value(self):
@@ -244,6 +254,20 @@ class TestOracleLevel:
         with pytest.raises(ValueError):
             solve_oracle_qprime(0.5, 0.1, 0.05, 0.3)
 
+    @pytest.mark.parametrize("f00, f01", [(0.9, 0.9), (1.0, 1.0), (0.5, 0.5 + 1e-9)])
+    @pytest.mark.parametrize("w1", [0.0, 0.5, 1.0])
+    def test_fractions_above_one_refused(self, f00, f01, w1):
+        with pytest.raises(ParameterError, match=r"with f00 \+ f01 <= 1, got"):
+            solve_oracle_qprime(f00, f01, 0.05, w1)
+        with pytest.raises(ParameterError, match=r"with f00 \+ f01 <= 1, got"):
+            Procedure(kind="oracle", q=0.05, w1=w1).levels((f00, f01))
+
+    @pytest.mark.parametrize("f00, f01", [(0.9, 0.1), (0.7, 0.3), (1.0, 0.0), (0.0, 1.0)])
+    def test_fractions_summing_to_one_run(self, f00, f01):
+        qp = solve_oracle_qprime(f00, f01, 0.05, 1.0)
+        assert f00 * qp * qp + (f01 + 1.0) * qp == pytest.approx(0.05, rel=1e-12)
+        assert Procedure(kind="oracle", q=0.05).levels((f00, f01)) == (qp, 2.0 * qp)
+
 
 def test_harmonic_at_ten_million():
     value = harmonic(10_000_000)
@@ -275,6 +299,26 @@ class TestNumpyKernels:
         np.testing.assert_allclose(ndtr(x), special.ndtr(x), rtol=1e-12, atol=np.finfo(float).tiny)
         assert np.array_equal(ndtr(np.array([-np.inf, np.inf])), [0.0, 1.0])
         assert np.isnan(ndtr(np.nan))
+
+    @pytest.mark.parametrize("kernel, values", [
+        *[(kernel, np.empty(0)) for kernel in (ndtr, ndtri)],
+        *[(kernel, np.empty((0, 3))) for kernel in (ndtr, ndtri)],
+        (ndtr, np.array([-0.3, 0.0, 0.2, 0.6])),  # near branch only
+        (ndtr, np.array([0.7, -1.0, 2.5, 5.0])),  # neither near nor far
+        (ndtr, np.array([[-6.0, 7.5], [-40.0, np.inf]])),  # far branch only
+        (ndtr, np.array([-6.0, -1.0, 0.2, np.nan])),  # all three
+        (ndtri, np.array([[0.1, 0.3], [0.55, 0.9]])),  # central only
+        (ndtri, np.array([0.0, 1e-300, 0.05, 0.999, 1.0])),  # tail only
+        (ndtri, np.array([1e-10, 0.5, 0.93])),  # both
+    ])
+    def test_kernels_match_elementwise_calls(self, kernel, values):
+        # each branch runs on whatever index it gets, an empty one included
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel(values)
+            each = [kernel(v) for v in values.ravel()]
+        assert got.shape == values.shape and got.dtype == float
+        assert np.array_equal(got.ravel(), each, equal_nan=True)
 
     def test_kernels_keep_shape(self):
         grid = np.full((2, 3), 0.25)

@@ -209,6 +209,25 @@ class TestProbeValidity:
         assert first and first == counterexamples(1)
         assert {c.perturbed_id for c in first} != {c.perturbed_id for c in counterexamples(2)}
 
+    @pytest.mark.parametrize("rule", ["median", "bh"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_counterexamples_replay(self, median_rule, rule, seed):
+        # each counterexample is the selection before, and the selection
+        # with the perturbed row's p1 at the replacement value after
+        p = np.random.default_rng(8).random(400) * 0.8
+        p[:60] *= 1e-3  # BH selects about 60 rows, the median rule over 200
+        data = make_data(p)
+        rule = median_rule if rule == "median" else SelectionRule.bh_at_level(0.3)
+        report = probe_validity(rule, data, grid_size=4, seed=seed)
+        assert report.looks_valid == (rule is not median_rule)
+        ids = data.ids.tolist()
+        for ce in report.counterexamples:
+            assert ce.selection_before == select(rule, data)
+            assert ce.perturbed_id in ce.selection_after
+            p1 = data.p1.copy()
+            p1[ids.index(ce.perturbed_id)] = ce.replacement_p1
+            assert ce.selection_after == select(rule, make_data(p1))
+
     def test_grid_size_validation(self):
         data = make_data([0.1])
         with pytest.raises(ValueError):

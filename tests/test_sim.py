@@ -14,7 +14,7 @@ from procedure_oracles import fdr_directions, reference_mask
 from replicability import procedures, sim
 from replicability.data import TRUTH_LABELS, StudyPairData
 from replicability.errors import DataError, ParameterError, ReplicabilityError
-from replicability.numeric import harmonic
+from replicability.numeric import harmonic, ndtr, ndtri
 from replicability.procedures import (
     Dependence,
     Procedure,
@@ -417,6 +417,13 @@ class TestAnalyticPower:
         z2 = -special.ndtri(0.025)
         expected = special.ndtr(-(z1 - 3.0)) * special.ndtr(-(z2 - 3.0))
         assert got == pytest.approx(float(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("mu11, mu21", [(3.0, 3.0), (-2.0, 1.5), (0.0, -4.0), (-6.0, -0.5)])
+    @pytest.mark.parametrize("a1, a", [(0.025, 0.05), (0.01, 0.1), (0.3, 0.31)])
+    def test_two_stage_single_hypothesis_is_the_exact_product(self, mu11, mu21, a1, a):
+        # at m = 1 the binomial series is one term of mass exactly 1
+        expected = float(ndtr(ndtri(a1) + mu11)) * float(ndtr(ndtri(a - a1) + mu21))
+        assert analytic_power_two_stage(mu11, mu21, 1, a1, a) == expected
 
     def test_two_stage_against_monte_carlo(self):
         got = analytic_power_two_stage(5.5, 3.0, 100, 0.025, 0.05)
