@@ -24,6 +24,7 @@ import numpy as np
 from . import adjust as adjust_mod
 from . import dataio, procedures, selection, sim
 from .errors import ApplicabilityError, DataError, ParameterError
+from .params import check_count
 
 EXIT_OK = 0
 EXIT_INTERNAL = 5  # any exception not in _EXITS: a bug
@@ -157,7 +158,7 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    sim._check_workers(args.workers)
+    check_count("--workers", args.workers, 1)
     parsed = dataio.parse_scenario_file(args.scenario)
     if parsed.sweep_axis is not None:
         rows = sim.sweep(

@@ -38,15 +38,13 @@ _UNCLEAN = "# \t\r\x0b\x0c\x1c\x1d\x1e\x1f"  # '#', and what str.strip removes i
 def fmt(x: float | None, full: bool = True) -> str:
     """Shortest round-trip form, or 4 significant digits for table output.
     Absent values (None or NaN) serialize as the empty field."""
-    if x is None or x != x:
-        return ""
-    return repr(float(x)) if full else f"{float(x):.4g}"
+    return _column_text(np.array([x], dtype=float), full)[0]
 
 
 def _column_text(values, full: bool) -> list[str]:
-    """The fields of a column: of a float array, :func:`fmt` of each value,
-    formatted whole; of any other array, its strings; any other sequence
-    as it is."""
+    """The fields of a column: of a float array, each value's shortest round-trip
+    form (``.4g`` unless ``full``), empty where NaN, formatted whole; of any other
+    array, its strings; any other sequence as it is."""
     if not isinstance(values, np.ndarray):
         return values
     if values.dtype != float:
@@ -96,27 +94,31 @@ def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float]:
     return rid, p1, p2
 
 
-def _directive(line: str, k: int, path: Path) -> list:
-    """Comment line ``k`` as [(name, (value, k))] if a directive, else []. A line
-    that only looks like one (``# m=2.5e6``) is refused: as a comment, its count is lost."""
+def _directive(line: str, k: int, path: Path, declared: dict) -> None:
+    """Enters comment line ``k`` into ``declared`` as name: (value, k) if a directive.
+    Refuses a repeat, and a line that only looks like one (``# m=2.5e6``): its count is lost."""
     if not (hit := _DIRECTIVE.match(line)) and _LIKE_DIRECTIVE.match(line):
         raise DataError(f"{path}:{k}: malformed directive {line!r}; "
                         "expected '# m=<int>' or '# r1=<int>'")
-    return [(hit[1], (int(hit[2]), k))] if hit else []
+    if hit and hit[1] in declared:
+        raise DataError(f"{path}:{k}: repeated directive {line!r}; "
+                        f"{hit[1]} is declared on line {declared[hit[1]][1]}")
+    if hit:
+        declared[hit[1]] = (int(hit[2]), k)
 
 
 def _parse_lines(
-    text: str, lineno: int, first_row: int, path: Path, directives: list
+    text: str, lineno: int, first_row: int, path: Path, declared: dict
 ) -> tuple[tuple[list, list, list], DataError | None]:
     """Line-by-line parse of a block whose first line is ``lineno + 1`` and
     first data row ``first_row``: the (ids, p1, p2) columns of its rows before
     the first malformed line, and that line's error (None if every line is
-    well formed). Directives up to there go into ``directives``."""
+    well formed). Directives up to there go into ``declared``."""
     columns: tuple[list, list, list] = ([], [], [])
     for k, s in enumerate(map(str.strip, text.split("\n")), start=lineno + 1):
         try:
             if s[:1] == "#":
-                directives.extend(_directive(s, k, path))
+                _directive(s, k, path, declared)
             elif s:
                 row = _parse_row(s, f"{path}:{k}", first_row + len(columns[0]))
                 for column, value in zip(columns, row):
@@ -176,10 +178,11 @@ def parse_pvalue_csv(path) -> StudyPairData:
     lines start with ``#``; the directives ``# m=<int>`` and ``# r1=<int>``
     declare the true family and follow-up sizes when the file lists only a
     subset of rows. The dataset is refused (``DataError`` naming the line)
-    if a line is malformed (a comment like ``# M=5`` or ``# m=2.5e6``, which
-    starts as a directive but is none, included), if a p2 is a literal ``nan``, or if
-    :func:`validate_dataset` finds a fault in it; of several faults, the
-    one on the earliest data line is named, an empty family at the header.
+    if a line is malformed (a repeated directive, and a comment like ``# M=5``
+    or ``# m=2.5e6`` that starts as a directive but is none, included), if a
+    p2 is a literal ``nan``, or if :func:`validate_dataset` finds a fault in
+    it; of several faults, the one on the earliest data line is named, an
+    empty family at the header.
 
     After the header, a clean block of lines (see :func:`_parse_clean`) is
     split at once, and any other read line by line with the same result;
@@ -187,7 +190,7 @@ def parse_pvalue_csv(path) -> StudyPairData:
     dataset keeps, and the ids' hashes into one for the repeated-id check.
     """
     path = Path(path)
-    directives: list[tuple[str, tuple[int, int]]] = []  # (name, (value, line number))
+    declared: dict[str, tuple[int, int]] = {}  # directive name: (value, line number)
     dtypes = (ID, float, float, np.int64)  # the dataset's columns, and the ids' hashes
     columns = ids, p1, p2, hashes = [np.empty(_COLUMN_ROWS, t) for t in dtypes]
     rows = 0
@@ -196,20 +199,20 @@ def parse_pvalue_csv(path) -> StudyPairData:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line[:1] == "#":
-                directives.extend(_directive(line, lineno, path))
+                _directive(line, lineno, path, declared)
             elif line:
                 break
         else:
             raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
         if line != PVALUE_HEADER:
             raise DataError(f"{path}:{lineno}: expected header {PVALUE_HEADER!r}, got {line!r}")
-        declared = {"m": (None, lineno)}  # no m directive: None, named at the header
+        header = lineno  # where a fault of an undeclared m is named
         size, read = os.fstat(fh.fileno()).st_size, 0  # bytes in the file, chars read
         for text in _blocks(fh):
             try:
                 block_ids, *values = _parse_clean(text)
             except ValueError:  # line by line, so that a fault names its line
-                (block_ids, *values), fault = _parse_lines(text, lineno, rows, path, directives)
+                (block_ids, *values), fault = _parse_lines(text, lineno, rows, path, declared)
                 lineno += text.count("\n") - len(block_ids)  # lines that are not rows
             lineno += len(block_ids)
             read += len(text)
@@ -223,8 +226,6 @@ def parse_pvalue_csv(path) -> StudyPairData:
             rows = end
             if fault is not None:
                 break
-    # each directive's last value, and the line it was read from
-    declared |= dict(directives)
     m, r1 = (declared.get(name, (None,))[0] for name in ("m", "r1"))
     for column in columns:
         column.resize(rows, refcheck=False)
@@ -234,7 +235,8 @@ def parse_pvalue_csv(path) -> StudyPairData:
     if fault is not None and (issue is None or issue.row is None):
         raise fault
     if issue is not None:
-        line = declared[issue.field][1] if issue.row is None else _row_line(path, issue.row)
+        line = (_row_line(path, issue.row) if issue.row is not None
+                else declared.get(issue.field, (None, header))[1])
         raise DataError(f"{path}:{line}: {issue.where}: {issue.message}")
     return data
 

@@ -255,8 +255,7 @@ def solve_q1_tilde_thresholded(q1: float, m: int, t: float) -> float:
     The first (smallest) such k yields the maximal solution.
     """
     check_levels(None, q1, mode=Dependence.ARBITRARY_PRIMARY_ITEM2, t=t)
-    if m < 1:
-        raise ParameterError(f"family size must be positive, got {m}")
+    check_count("m", m, 1)
     bound = q1 / (1.0 + harmonic(m - 1))
     if t >= bound:
         raise ApplicabilityError(

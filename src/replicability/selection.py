@@ -11,7 +11,6 @@ deliberately not offered.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -63,9 +62,8 @@ class SelectionRule:
                 raise ParameterError(f"{self.kind} selection does not read {name}")
         if field not in (None, "level") and getattr(self, field) is None:
             raise ParameterError(f"{self.kind} selection needs {field}")
-        k = self.k
-        if k is not None and (isinstance(k, bool) or not isinstance(k, Integral) or k < 1):
-            raise ParameterError(f"{self.kind} selection needs an integer k >= 1, got {k!r}")
+        if self.k is not None:
+            check_count("k", self.k, 1)
         for name in ("level", "threshold"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:

@@ -24,7 +24,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
@@ -74,10 +73,8 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("m", "reps"):  # a bool or a float is no count either
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ParameterError(f"{name} must be positive")
+        check_count("m", self.m, 1)
+        check_count("reps", self.reps, 1)
         check_count("seed", self.seed, 0)
         fr = (self.f00, self.f01, self.f10, self.f11)
         if not all(0.0 <= f <= 1.0 for f in fr):  # NaN fails too
@@ -241,12 +238,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float | None]:
     return mean, float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _check_workers(workers) -> None:
-    """Refuses a worker count that is not an integer of at least 1."""
-    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
-        raise ParameterError(f"workers (--workers) must be an integer >= 1, got {workers!r}")
-
-
 def run_scenario(
     scenario: SimScenario, workers: int = 1, retain_trace: bool = False
 ) -> SimEstimate:
@@ -258,7 +249,7 @@ def run_scenario(
     for any ``workers``, an integer of at least 1. Logs one INFO line with
     the throughput.
     """
-    _check_workers(workers)
+    check_count("workers", workers, 1)
     start_time = time.perf_counter()
     m, reps = scenario.m, scenario.reps
     kernel = scenario.procedure.kernel(m, (scenario.f00, scenario.f01))
@@ -340,11 +331,10 @@ def sweep(
 
 
 def _check_power_inputs(mu11: float, mu21: float, m) -> None:
-    """Refuses an m that is a bool, not integral or below 1, and an infinite or NaN effect."""
-    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1 or not (
-        math.isfinite(mu11) and math.isfinite(mu21)
-    ):
-        raise ParameterError(f"need m >= 1 and finite effects, got m={m}, {mu11}, {mu21}")
+    """Refuses an m that is not an integer of at least 1, and an infinite or NaN effect."""
+    check_count("m", m, 1)
+    if not (math.isfinite(mu11) and math.isfinite(mu21)):
+        raise ParameterError(f"effects must be finite, got {mu11}, {mu21}")
 
 
 def analytic_power_bonf_max(mu11: float, mu21: float, m: int, alpha: float) -> float:

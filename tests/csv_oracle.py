@@ -27,8 +27,7 @@ def _parse_float(text: str, where: str, name: str) -> float:
 
 def parse_pvalue_csv_lines(path) -> StudyPairData:
     path = Path(path)
-    m_declared: int | None = None
-    r1_declared: int | None = None
+    declared: dict[str, tuple[int, int]] = {}  # directive name: (value, line number)
     ids: list[str] = []
     p1s: list[float] = []
     p2s: list[float] = []  # NaN where not followed up
@@ -41,11 +40,13 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
                 continue
             if line.startswith("#"):
                 hit = _DIRECTIVE.match(line)
+                if hit and hit.group(1) in declared:
+                    raise DataError(
+                        f"{where}: repeated directive {line!r}; "
+                        f"{hit.group(1)} is declared on line {declared[hit.group(1)][1]}"
+                    )
                 if hit:
-                    if hit.group(1) == "m":
-                        m_declared = int(hit.group(2))
-                    else:
-                        r1_declared = int(hit.group(2))
+                    declared[hit.group(1)] = (int(hit.group(2)), lineno)
                 elif _LIKE_DIRECTIVE.match(line):
                     raise DataError(
                         f"{where}: malformed directive {line!r}; "
@@ -79,4 +80,5 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
             p2s.append(p2)
     if not header_seen:
         raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
+    m_declared, r1_declared = (declared.get(name, (None,))[0] for name in ("m", "r1"))
     return StudyPairData(ids, p1s, p2s, m_declared=m_declared, r1_declared=r1_declared)

@@ -66,6 +66,31 @@ def test_probe_only_names_have_no_caller_in_src_or_demos():
     assert len(files) > 6 and calls == []
 
 
+def test_counts_are_checked_only_by_check_count():
+    # every count goes through params.check_count; the two other Integral
+    # checks are a declared override's type (its range is the dataset
+    # check's) and a choice of study, 1 or 2, which is no count
+    allowed = {
+        "params.check_count", "data.StudyPairData.__init__", "procedures.Procedure.__post_init__",
+    }
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+                names = [getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(child)]
+                if "Integral" in names:
+                    sites.add(scope)
+            visit(child, scope)
+
+    for path in sorted((REPO / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sites == allowed
+
+
 def test_readme_quickstart_prints_what_it_says():
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)

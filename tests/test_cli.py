@@ -236,6 +236,23 @@ class TestExitCodes:
         assert code == 2 and stdout == "" and not out.exists()
         assert err.startswith(f"data error: {bad}:{line}: malformed directive {directive!r}")
 
+    @pytest.mark.parametrize("first, repeat", [
+        ("# m=2500000", "# m=2"), ("# m=2500000", "# m=2500000"), ("# r1=2", "#r1 = 2"),
+    ], ids=["m", "m_same_value", "r1"])
+    def test_repeated_directive_is_data_error(self, tmp_path, capsys, first, repeat):
+        # read last, "# m=2" would run the rows at m = 2: 2 rejections at 0.025, not 1 at 1e-08
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{first}\nid,p1,p2\na,1e-8,0.001\nb,0.02,0.01\n{repeat}\n")
+        out = tmp_path / "o"
+        code = main([
+            "analyze", "--input", str(bad), "--q1", "0.025", "--q", "0.05", "--out", str(out),
+        ])
+        stdout, err = capsys.readouterr()
+        assert code == 2 and stdout == "" and not out.exists()
+        name = first[2:].split("=")[0]
+        message = f"repeated directive {repeat!r}; {name} is declared on line 1"
+        assert err == f"data error: {bad}:5: {message}\n"
+
     def test_nan_is_not_absence(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -456,6 +473,14 @@ class TestSimulate:
         scen.write_text(SCENARIO)
         assert main(["simulate", "--scenario", str(scen), "--workers", "-3"]) == 1
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_refused_before_the_scenario_is_read(self, tmp_path, capsys, workers):
+        scen = tmp_path / "s.txt"
+        scen.write_text("not a key and a value\n")  # a data error (exit 2) if it were read
+        assert main(["simulate", "--scenario", str(scen), "--workers", workers]) == 1
+        message = f"--workers must be an integer of at least 1, got {workers}"
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_negative_seed_is_data_error(self, tmp_path, capsys):
         scen = tmp_path / "s.txt"

@@ -311,7 +311,7 @@ def test_scenario_defaults_and_aliases(tmp_path):
 
 @pytest.mark.parametrize("axis, grid, message", [
     ("c", "0.5, 1.2", "levels"),
-    ("k_selected", "25, 2.5", "integer k"),
+    ("k_selected", "25, 2.5", "k must be an integer of at least 1, got 2.5"),
     ("nope", "1", "unknown sweep axis"),
 ])
 def test_sweep_points_checked_on_read(tmp_path, axis, grid, message):
@@ -400,28 +400,33 @@ _ID = st.text(alphabet="abcxyz019_:.", min_size=1, max_size=5)
 _P = st.floats(min_value=0.0, max_value=1.0)
 _NUMBER = st.sampled_from([repr, "{:.3e}".format, "{:E}".format, "{:g}".format])
 _PAD = st.sampled_from(["", " ", "\t", "  "])
-_EXTRA = st.sampled_from(
-    ["", "   ", "# note", "#", "# m=5000", "#m = 123456", "# r1=700", "  # r1 = 800"]
-)
+_EXTRA = st.sampled_from(["", "   ", "# note", "#"])
+_M = st.sampled_from(["# m=100000", "#m = 123456"])
+_R1 = st.sampled_from([None, "# r1=700", "  # r1 = 800"])
+# every file declares m, so the last two repeat it
 _BROKEN = st.sampled_from(
     ["x,0.1", "x,0.1,0.2,0.3", ",0.1,0.2", " ,0.1,", "y,abc,0.1", "z,0.1,zz",
-     "w,,0.5", "id,p1,p2", "id , p1,p2", "# R1=7"]
+     "w,,0.5", "id,p1,p2", "id , p1,p2", "# R1=7", "# m=5000", "#m = 123456"]
 )
 
 
 @st.composite
 def pvalue_files(draw) -> str:
-    """CSV text with comment, directive and blank lines between rows,
-    padded fields, empty p2 fields, mixed line endings, and sometimes one
-    malformed line."""
+    """CSV text with comment and blank lines between rows, an m and
+    sometimes an r1 directive anywhere, padded fields, empty p2 fields,
+    mixed line endings, and sometimes one malformed line, a repeated
+    directive among them."""
     pairs = draw(st.lists(st.tuples(_P, st.none() | _P), max_size=25))
     ids = draw(st.lists(_ID, min_size=len(pairs), max_size=len(pairs), unique=True))
-    lines = ["# m=100000", *draw(st.lists(_EXTRA, max_size=3)), "id,p1,p2"]
+    lines = [*draw(st.lists(_EXTRA, max_size=3)), "id,p1,p2"]
     for rid, (p1, p2) in zip(ids, pairs):
         lines += draw(st.lists(_EXTRA, max_size=2))
         number = draw(_NUMBER)
         fields = (rid, number(p1), "" if p2 is None else number(p2))
         lines.append(",".join(draw(_PAD) + f + draw(_PAD) for f in fields))
+    for directive in (draw(_M), draw(_R1)):
+        if directive is not None:
+            lines.insert(draw(st.integers(0, len(lines))), directive)
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(_BROKEN))
     return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
@@ -457,7 +462,7 @@ def test_block_reader_matches_line_oracle(tmp_path, text, block, rows):
 # and with numeric ids every field of the pair converts
 _LATE = ["# note", "#", "# r1=700", "#m = 5000", "# m=2.5e6", "x ,0.5,0.1", "x,0.5, ", "\tx,0.5,",
          "é1,0.5,0.1", "x\u00a0,0.5,", "x,0.5,nan", "x,0.5,NaN", "", "x,,0.5", ",0.5,0.1",
-         "id,p1,p2", "x,0.5", "x,0.5,0.1,0.2", "7,0.5\n8,0.5,0.1,0.2", "crlf"]
+         "id,p1,p2", "x,0.5", "x,0.5,0.1,0.2", "7,0.5\n8,0.5,0.1,0.2", "# r1=7\n# r1=7", "crlf"]
 
 
 @st.composite

@@ -204,8 +204,15 @@ class TestThresholdedLevel:
         assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_empty_family_rejected(self):
-        with pytest.raises(ParameterError, match="family size must be positive, got 0"):
+        with pytest.raises(ParameterError, match="^m must be an integer of at least 1, got 0$"):
             solve_q1_tilde_thresholded(0.04, 0, 1e-5)
+
+    @pytest.mark.parametrize("m", [True, 1000.0])
+    def test_family_size_is_a_count(self, m):
+        # True would run as m = 1, and 1000.0 reach the harmonic sum as 999.0
+        with pytest.raises(ParameterError) as err:
+            solve_q1_tilde_thresholded(0.04, m, 1e-5)
+        assert str(err.value) == f"m must be an integer of at least 1, got {m!r}"
 
     def test_applicability_bound(self):
         m = 1000

@@ -9,10 +9,17 @@ import pytest
 
 from conftest import make_data
 from replicability.errors import ParameterError
+from replicability.numeric import solve_q1_tilde_thresholded
 from replicability.params import check_count
 from replicability.procedures import Procedure
 from replicability.selection import SelectionRule, probe_validity
-from replicability.sim import SimScenario, generate_rep, run_scenario
+from replicability.sim import (
+    SimScenario,
+    analytic_power_bonf_max,
+    analytic_power_two_stage,
+    generate_rep,
+    run_scenario,
+)
 
 SCENARIO = SimScenario(
     m=20, f00=0.9, f01=0.0, f10=0.0, f11=0.1, mu1=3.0, mu2=3.0,
@@ -31,6 +38,11 @@ CALLS = {
     "SimScenario.m": ("m", lambda v: replace(SCENARIO, m=v)),
     "SimScenario.reps": ("reps", lambda v: replace(SCENARIO, reps=v)),
     "SimScenario.seed": ("seed", lambda v: replace(SCENARIO, seed=v)),
+    "analytic_power_bonf_max.m": ("m", lambda v: analytic_power_bonf_max(3.0, 3.0, v, 0.05)),
+    "analytic_power_two_stage.m": (
+        "m", lambda v: analytic_power_two_stage(3.0, 3.0, v, 0.025, 0.05)
+    ),
+    "solve_q1_tilde_thresholded.m": ("m", lambda v: solve_q1_tilde_thresholded(0.04, v, 1e-5)),
     "Procedure.primary": ("primary", lambda v: Procedure(kind="naive_bh_bh", q=0.05, primary=v)),
 }
 # every call site, given a bool and a float equal to a count it accepts
@@ -65,13 +77,10 @@ def test_check_count_names_the_field(value, minimum, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SelectionRule("top_k", k=0), "top_k selection needs an integer k >= 1, got 0"),
-    (
-        lambda: run_scenario(SCENARIO, workers=0),
-        "workers (--workers) must be an integer >= 1, got 0",
-    ),
-    (lambda: replace(SCENARIO, m=0), "m must be positive"),
-    (lambda: replace(SCENARIO, reps=0), "reps must be positive"),
+    (lambda: SelectionRule("top_k", k=0), "k must be an integer of at least 1, got 0"),
+    (lambda: run_scenario(SCENARIO, workers=0), "workers must be an integer of at least 1, got 0"),
+    (lambda: replace(SCENARIO, m=0), "m must be an integer of at least 1, got 0"),
+    (lambda: replace(SCENARIO, reps=0), "reps must be an integer of at least 1, got 0"),
     (lambda: Procedure(kind="naive_bh_bh", primary=3), "primary study must be 1 or 2, got 3"),
     (
         lambda: probe_validity(TOP, DATA, grid_size=1),

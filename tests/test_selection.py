@@ -144,7 +144,7 @@ class TestSelect:
             SelectionRule("fixed_threshold", threshold=5.0)
 
     def test_fractional_k_refused(self):
-        with pytest.raises(DataError, match="integer k"):
+        with pytest.raises(DataError, match="k must be an integer of at least 1, got 2.5"):
             SelectionRule("top_k", k=2.5)
 
     def test_followed_up_rule(self):

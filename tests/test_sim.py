@@ -361,7 +361,8 @@ class TestSweep:
 @pytest.mark.parametrize("run", [run_scenario, partial(sweep, axis="mu", grid=[3.0])],
                          ids=["run_scenario", "sweep"])
 def test_workers_below_one_refused(run, workers):
-    with pytest.raises(ParameterError, match=f"workers .* >= 1, got {workers}"):
+    message = f"workers must be an integer of at least 1, got {workers}"
+    with pytest.raises(ParameterError, match=message):
         run(BASE, workers=workers)
 
 
@@ -393,8 +394,18 @@ class TestAnalyticPower:
     ], ids=["bonf_max", "two_stage"])
     def test_m_not_a_family_size_refused(self, power, m):
         # a bool or a float is no count, even one holding an integer
-        with pytest.raises(ParameterError, match=rf"need m >= 1 and finite effects, got m={m},"):
+        with pytest.raises(ParameterError, match=rf"^m must be an integer of at least 1, got {m}$"):
             power(m=m)
+
+    @pytest.mark.parametrize("mu11, mu21", [(math.inf, 3.0), (3.0, -math.inf), (math.nan, 3.0)])
+    @pytest.mark.parametrize("power", [
+        partial(analytic_power_bonf_max, m=100, alpha=0.05),
+        partial(analytic_power_two_stage, m=100, alpha1=0.025, alpha=0.05),
+    ], ids=["bonf_max", "two_stage"])
+    def test_effects_not_finite_refused(self, power, mu11, mu21):
+        with pytest.raises(ParameterError) as err:
+            power(mu11, mu21)
+        assert str(err.value) == f"effects must be finite, got {mu11}, {mu21}"
 
     def test_numpy_m_is_that_count(self):
         got = analytic_power_two_stage(3.0, 3.0, np.int64(100), 0.025, 0.05)
@@ -470,7 +481,7 @@ class TestPublishedCurveShapes:
                 slack = 2.0 * ((bh_est.power_se or 0.0) + (k_est.power_se or 0.0))
                 assert bh_est.avg_power >= k_est.avg_power - slack
         # a fractional count is refused, not truncated
-        with pytest.raises(DataError, match="integer k"):
+        with pytest.raises(DataError, match="k must be an integer of at least 1, got 2.5"):
             sweep(base, "k_selected", [2.5, 3])
 
 
