@@ -15,9 +15,8 @@ import numpy as np
 
 from .data import RowView, StudyPairData
 from .errors import ParameterError
-from .numeric import harmonic, solve_q1_tilde_thresholded
 from .params import Dependence, check_levels
-from .procedures import _adjust_columns, _check_at_most_t, _gather_selected
+from .procedures import _adjust_columns, _check_at_most_t, _gather_selected, _level_divisors
 from .selection import SelectionRule
 
 
@@ -108,13 +107,8 @@ def build_adjusted_table(
     if idx.size and mode not in (Dependence.INDEPENDENT, Dependence.PRDS_FOLLOWUP):
         if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
             _check_at_most_t(p1, True, t)
-            scale1 = c * q / solve_q1_tilde_thresholded(c * q, m, t)
-        else:
-            scale1 = harmonic(m)
-        p1_mod = np.minimum(scale1 * p1, 1.0)
-        p2_mod = p2
-        if mode is Dependence.ARBITRARY_BOTH:
-            p2_mod = np.minimum(harmonic(r1) * p2, 1.0)
+        d1, d2 = _level_divisors(None if q is None else c * q, mode, t, m, r1)
+        p1_mod, p2_mod = np.minimum(d1 * p1, 1.0), np.minimum(d2 * p2, 1.0)
         _, modified = _adjust_columns(p1_mod, p2_mod, m, r1, c, flavor)
     # idx's ids as str objects, compared in str order: numpy's stop at a NUL
     names = np.array(data.ids[idx].tolist(), dtype=object)

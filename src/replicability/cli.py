@@ -51,14 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="run a replicability procedure on a CSV")
     analyze.add_argument("--input", required=True)
     analyze.add_argument("--mode", choices=("fdr", "fwer"), default="fdr")
-    analyze.add_argument("--q1", type=float)
-    analyze.add_argument("--q", type=float)
-    analyze.add_argument("--alpha1", type=float)
-    analyze.add_argument("--alpha", type=float)
-    analyze.add_argument("--dependence")
-    analyze.add_argument("--t", type=float)
-    analyze.add_argument("--selection", default="followup")
-    analyze.add_argument("--method", choices=("bonferroni", "holm"))
+    for key in ("q1", "q", "alpha1", "alpha", "dependence", "t", "selection", "method"):
+        analyze.add_argument(f"--{key}")  # parsed as the scenario key by dataio._read_keys
+    analyze.set_defaults(selection="followup")
     analyze.add_argument("--out", default=".")
     analyze.add_argument("--quiet", action="store_true")
 

@@ -144,24 +144,17 @@ class StudyPairData:
         """Number of rows carrying a follow-up p-value."""
         return int(np.count_nonzero(~np.isnan(self.p2)))
 
-    def _first_missing(self) -> str | None:
-        missing = np.flatnonzero(np.isnan(self.p2))
-        return self.ids[missing[0]] if missing.size else None
-
     def swap_studies(self) -> "StudyPairData":
-        """Exchange the roles of the two studies. Requires complete data."""
-        missing = self._first_missing()
-        if missing is not None:
-            raise DataError(f"cannot swap study roles: record {missing!r} has no follow-up p-value")
+        """Exchange the roles of the two studies, if :meth:`require_complete` passes."""
+        self.require_complete("swapping the study roles")
         return StudyPairData(self.ids, self.p2, self.p1, self.m_declared)
 
     def require_complete(self, what: str) -> None:
-        missing = self._first_missing()
-        if missing is not None:
+        missing = np.flatnonzero(np.isnan(self.p2))
+        if missing.size:
             raise DataError(
                 f"{what} requires follow-up p-values for every hypothesis; "
-                f"missing for {len(self.ids) - self.r1_listed} record(s), "
-                f"first: {missing!r}"
+                f"missing for {missing.size} record(s), first: {self.ids[missing[0]]!r}"
             )
         if self.m_declared is not None and self.m_declared != len(self.ids):
             raise DataError(

@@ -80,8 +80,6 @@ def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float]:
     if len(parts) != 3:
         raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
     rid, p1_text, p2_text = (p.strip() for p in parts)
-    if not rid:
-        raise DataError(f"{where}: empty id")
     p1 = _parse_float(p1_text, where, "p1")
     if p2_text == "":
         return rid, p1, np.nan
@@ -131,7 +129,7 @@ def _parse_lines(
 def _parse_clean(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Columns of a clean block of whole lines, split and converted at once.
     Clean: ASCII with no comment or padding, each line three fields with a
-    non-empty id and p1. Raises ValueError on any other block, on a value
+    non-empty p1. Raises ValueError on any other block, on a value
     that is not a float and on a literal nan p2."""
     if not text.isascii() or any(c in text for c in _UNCLEAN):
         raise ValueError("not clean")
@@ -139,9 +137,9 @@ def _parse_clean(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
     seps = np.flatnonzero((chars == ord(",")) | (chars == ord("\n")))
     if len(seps) % 3:
         raise ValueError("field count")
-    # per line: comma, comma, newline, each ending a field; id and p1 non-empty
+    # per line: comma, comma, newline, each ending a field; p1 non-empty
     widths = (np.diff(seps, prepend=-1) - 1).reshape(-1, 3)
-    if (chars[seps].reshape(-1, 3) != tuple(b",,\n")).any() or not widths[:, :2].all():
+    if (chars[seps].reshape(-1, 3) != tuple(b",,\n")).any() or not widths[:, 1].all():
         raise ValueError("malformed line")
     fields = text.replace("\n", ",").split(",")  # 3 per line, then ""
     p1 = np.fromiter(map(float, fields[1::3]), float, len(widths))
@@ -391,7 +389,8 @@ _PROCEDURE_FIELDS = {f.name for f in fields(Procedure)}
 def _read_keys(raw: dict, kind: str, prefix: str = "") -> dict:
     """The fields that the keys of ``raw`` set, parsed; a key whose value is
     None is absent. Refuses a field set by both of its keys and a procedure
-    field that ``kind`` does not read, naming each key ``prefix`` + key."""
+    field that ``kind`` does not read, naming each key ``prefix`` + key. A
+    value that does not parse is a DataError, a ParameterError for a flag."""
     # Procedure refuses an unknown kind, so here it reads every field
     reads = _KINDS[kind][0] if kind in _KINDS else _PROCEDURE_FIELDS
     unread = _PROCEDURE_FIELDS - {"kind", *reads}
@@ -410,7 +409,8 @@ def _read_keys(raw: dict, kind: str, prefix: str = "") -> dict:
         except DataError:  # a ParameterError names its fault itself
             raise
         except ValueError:
-            raise DataError(f"cannot parse {prefix}{key} value {raw[key]!r}") from None
+            error = ParameterError if prefix else DataError
+            raise error(f"cannot parse {prefix}{key} value {raw[key]!r}") from None
     return values
 
 

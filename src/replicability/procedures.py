@@ -39,21 +39,18 @@ __all__ = [
 ]
 
 
-def _effective_levels(
-    q1: float, q: float, mode: Dependence, t: float | None, m: int, r1
-) -> tuple[float, float]:
-    """Per-stage levels after the dependence correction for ``mode``. R1 is
-    one count, or an (n, 1) column of one per row, which makes q2_eff a
-    column under ``arbitrary_both``."""
-    q2 = q - q1
-    if mode in (Dependence.INDEPENDENT, Dependence.PRDS_FOLLOWUP):
-        return q1, q2
-    if mode is Dependence.ARBITRARY_PRIMARY_ITEM1:
-        return q1 / harmonic(m), q2
+def _level_divisors(q1: float, mode: Dependence, t: float | None, m: int, r1) -> tuple:
+    """(d1, d2), the dependence correction of ``mode``: the stage levels q1
+    and q - q1 are divided by them, p1 and p2 multiplied. R1 is one count,
+    or an (n, 1) column of one per row, which makes d2 a column under
+    ``arbitrary_both``."""
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
-        return solve_q1_tilde_thresholded(q1, m, t), q2
-    h_r1 = np.vectorize(harmonic, otypes=[float])(np.maximum(r1, 1))  # ARBITRARY_BOTH
-    return q1 / harmonic(m), q2 / h_r1
+        return q1 / solve_q1_tilde_thresholded(q1, m, t), 1.0
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM1:
+        return harmonic(m), 1.0
+    if mode is Dependence.ARBITRARY_BOTH:
+        return harmonic(m), np.vectorize(harmonic, otypes=[float])(np.maximum(r1, 1))
+    return 1.0, 1.0
 
 
 def _gather_selected(
@@ -104,7 +101,8 @@ def _fdr_rows(p1, p2, sel, r1, m: int, q1: float, q: float, mode: Dependence, t)
     clear (Blanchard & Roquain's self-consistency form). Unselected entries
     get z = inf. Returns the mask, z and the effective levels.
     """
-    q1_eff, q2_eff = _effective_levels(q1, q, mode, t, m, r1)
+    d1, d2 = _level_divisors(q1, mode, t, m, r1)
+    q1_eff, q2_eff = q1 / d1, (q - q1) / d2
     if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
         _check_at_most_t(p1, sel, t)
     z = np.maximum(m * p1 / q1_eff, r1 * p2 / q2_eff)
@@ -196,7 +194,8 @@ def fdr_two_stage_rscan(
     label = f"fdr_two_stage_rscan[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
     m = data.m
-    q1_eff, q2_eff = _effective_levels(q1, q, mode, t, m, r1)
+    d1, d2 = _level_divisors(q1, mode, t, m, r1)
+    q1_eff, q2_eff = q1 / d1, (q - q1) / d2
     r2 = 0
     for r in range(1, r1 + 1):  # r = 0 always holds, and R1 = 0 has no stage-2 level
         count = int(np.sum((p1 <= r * q1_eff / m) & (p2 <= r * q2_eff / r1)))

@@ -76,25 +76,17 @@ class SimScenario:
         check_count("m", self.m, 1)
         check_count("reps", self.reps, 1)
         check_count("seed", self.seed, 0)
-        fr = (self.f00, self.f01, self.f10, self.f11)
-        if not all(0.0 <= f <= 1.0 for f in fr):  # NaN fails too
-            raise ParameterError("fractions must lie in [0, 1]")
+        truth_block_sizes(self.m, (self.f00, self.f01, self.f10, self.f11))
         if not (math.isfinite(self.mu1) and math.isfinite(self.mu2)):
             raise ParameterError(f"means must be finite, got {self.mu1}, {self.mu2}")
-        if abs(sum(fr) - 1.0) > 1e-12:
-            raise ParameterError(f"fractions must sum to 1, got {sum(fr)!r}")
-        has_direct = self.sigma1 is not None and self.sigma2 is not None
-        has_split = (
-            self.sigma is not None
-            and self.zeta is not None
-            and self.n_total is not None
-        )
-        if has_direct == has_split:
+        direct = sum(v is not None for v in (self.sigma1, self.sigma2))
+        split = sum(v is not None for v in (self.sigma, self.zeta, self.n_total))
+        if (direct, split) not in ((2, 0), (0, 3)):  # one whole form, no key of the other
             raise ParameterError(
                 "specify either sigma1 and sigma2, or the allocation form "
                 "sigma, zeta, n_total"
             )
-        if has_split and not (0.0 < self.zeta < 1.0 and self.n_total > 0):
+        if split and not (0.0 < self.zeta < 1.0 and self.n_total > 0):
             raise ParameterError(f"need zeta in (0, 1) and N > 0, got {self.zeta}, {self.n_total}")
         if not (0.0 < self.sd1 < math.inf and 0.0 < self.sd2 < math.inf):
             raise ParameterError("standard deviations must be positive and finite")
@@ -115,7 +107,12 @@ class SimScenario:
 
 def truth_block_sizes(m: int, fractions) -> tuple[int, int, int, int]:
     """Integer block sizes for (I00, I01, I10, I11) by largest-remainder
-    rounding of fractions*m, remainders broken in block order."""
+    rounding of fractions*m, remainders broken in block order. The
+    fractions must lie in [0, 1] and sum to 1."""
+    if not all(0.0 <= f <= 1.0 for f in fractions):  # NaN fails too
+        raise ParameterError("fractions must lie in [0, 1]")
+    if abs(sum(fractions) - 1.0) > 1e-12:
+        raise ParameterError(f"fractions must sum to 1, got {sum(fractions)!r}")
     raw = [f * m for f in fractions]
     base = [int(math.floor(x)) for x in raw]
     short = m - sum(base)

@@ -88,6 +88,15 @@ BAD_PVALUE_FILES = {
     "nan_p2_before_malformed": ("id,p1,p2\na,0.1,nan\nb,0.1\n", 2, "p2"),
     "malformed_before_p1": ("id,p1,p2\na,0.1\nb,1.5,0.2\n", 2, "expected 3 fields"),
     "p1_before_nan_p2": ("id,p1,p2\na,0.1,0.2\nb,-1,0.1\nc,0.1,nan\n", 3, "p1"),
+    # an empty id is a dataset fault, however its block is read
+    "empty_id": ("id,p1,p2\na,0.1,0.2\n,0.3,0.4\n", 3, "record 1 (''): empty id"),
+    "empty_id_commented": (
+        "id,p1,p2\na,0.1,0.2\n,0.3,0.4\n# a note\n", 3, "record 1 (''): empty id"
+    ),
+    "empty_id_before_malformed": (
+        "id,p1,p2\na,0.1,0.2\n  ,0.3,\nb,zzz,0.1\n", 3, "record 1 (''): empty id"
+    ),
+    "malformed_before_empty_id": ("id,p1,p2\na,0.1\n,0.3,0.4\n", 2, "expected 3 fields"),
     # p1 written as -log10 p: most rows out of range, and each with p2 too
     "many_out_of_range": (
         "id,p1,p2\na,0.5,\n" + "".join(f"r{i},{i + 1.5},{-i}\n" for i in range(1, 500)),

@@ -64,8 +64,6 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
             if len(parts) != 3:
                 raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
             rid, p1_text, p2_text = (p.strip() for p in parts)
-            if not rid:
-                raise DataError(f"{where}: empty id")
             p1 = _parse_float(p1_text, where, "p1")
             p2 = float("nan")  # not followed up
             if p2_text:
@@ -75,6 +73,10 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
                         f"{where}: record {len(ids)} ({rid!r}): p2 out of range: nan; "
                         "leave it empty if not followed up"
                     )
+            # a well-formed line with an empty id is a dataset fault: it beats
+            # every later line's, as the files here hold no other dataset fault
+            if not rid:
+                raise DataError(f"{where}: record {len(ids)} (''): empty id")
             ids.append(rid)
             p1s.append(p1)
             p2s.append(p2)

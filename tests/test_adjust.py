@@ -8,8 +8,10 @@ from replicability.adjust import AdjustedRow, build_adjusted_table
 from replicability.data import StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import DataError, ParameterError
+from replicability.numeric import harmonic, solve_q1_tilde_thresholded
 from replicability.procedures import (
     Dependence,
+    _adjust_columns,
     fdr_two_stage,
     fwer_two_stage,
     FwerMethod,
@@ -230,3 +232,53 @@ def test_prescale_capped_at_one():
         data, c=0.5, flavor="fdr", mode=Dependence.ARBITRARY_PRIMARY_ITEM1
     )
     assert (table.modified <= 1.0).all()
+
+
+_MODIFIED_MODES = [
+    Dependence.ARBITRARY_PRIMARY_ITEM1,
+    Dependence.ARBITRARY_PRIMARY_ITEM2,
+    Dependence.ARBITRARY_BOTH,
+]
+
+
+def _modified_by_mode(table, data, c, flavor, mode, t, q):
+    """The modified column of ``table`` written out per mode: p1 scaled by
+    H_m, or by c*q/q1_tilde under the thresholded mode, and p2 by H_R1
+    under ``arbitrary_both``, each capped at 1."""
+    m = data.m
+    r1 = data.r1_declared if data.r1_declared is not None else len(table.ids)
+    if mode is Dependence.ARBITRARY_PRIMARY_ITEM2:
+        scale1 = c * q / solve_q1_tilde_thresholded(c * q, m, t)
+    else:
+        scale1 = harmonic(m)
+    p2 = table.p2
+    if mode is Dependence.ARBITRARY_BOTH:
+        p2 = np.minimum(harmonic(r1) * p2, 1.0)
+    return _adjust_columns(np.minimum(scale1 * table.p1, 1.0), p2, m, r1, c, flavor)[1]
+
+
+@pytest.mark.parametrize("flavor", ["fdr", "bonferroni"])
+@pytest.mark.parametrize("mode", _MODIFIED_MODES, ids=lambda mode: mode.value)
+@pytest.mark.parametrize("load, c, t", [
+    (load_crohns_disease, 0.8, 5e-5), (load_hippocampal_volume, 0.5, 1e-7),
+], ids=["crohns", "hippocampal"])
+def test_modified_column_is_the_per_mode_formula_on_fixtures(load, c, t, mode, flavor):
+    data = load()
+    t, q = (t, 0.05) if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 else (None, None)
+    table = build_adjusted_table(data, c, flavor, mode, t, q)
+    expected = _modified_by_mode(table, data, c, flavor, mode, t, q)
+    assert np.array_equal(table.modified, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mode=st.sampled_from(_MODIFIED_MODES),
+    flavor=st.sampled_from(["fdr", "bonferroni"]),
+)
+def test_modified_column_is_the_per_mode_formula_on_random_tables(seed, mode, flavor):
+    data, q1, q, t = _followup_instance(np.random.default_rng(seed), mode)
+    level = q if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 else None  # read only by item 2
+    table = build_adjusted_table(data, q1 / q, flavor, mode, t, level)
+    expected = _modified_by_mode(table, data, q1 / q, flavor, mode, t, level)
+    assert np.array_equal(table.modified, expected)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import importlib.util
@@ -89,6 +90,48 @@ def test_counts_are_checked_only_by_check_count():
     for path in sorted((REPO / "src").rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert sites == allowed
+
+
+def test_dependence_divisors_have_one_owner():
+    # H_m, H_R1 and the thresholded level reach the stage levels and the
+    # adjusted table only through procedures._level_divisors
+    owners = {"harmonic", "solve_q1_tilde_thresholded"}
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.alias) and child.name in owners:
+                sites.add(f"{scope} imports {child.name}")
+            elif getattr(child, "id", getattr(child, "attr", None)) in owners:
+                sites.add(scope)
+            visit(child, scope)
+
+    for module in ("procedures", "adjust"):
+        path = REPO / "src" / "replicability" / f"{module}.py"
+        visit(ast.parse(path.read_text(encoding="utf-8")), module)
+    assert sites == {
+        "procedures imports harmonic", "procedures imports solve_q1_tilde_thresholded",
+        "procedures._level_divisors",
+    }
+
+
+def test_analyze_flags_are_parsed_only_as_scenario_keys():
+    # dataio._read_keys parses every procedure flag of analyze; argparse
+    # only collects the text
+    from replicability.cli import build_parser
+    from replicability.dataio import _SCENARIO_KEYS
+
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        flag[2:]: action for action in commands.choices["analyze"]._actions
+        for flag in action.option_strings if flag.startswith("--")
+    }
+    keys = flags.keys() - {"input", "mode", "out", "quiet", "help"}
+    assert keys and keys <= _SCENARIO_KEYS.keys()
+    assert [key for key in keys if (flags[key].type, flags[key].choices) != (None, None)] == []
 
 
 def test_readme_quickstart_prints_what_it_says():

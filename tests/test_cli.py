@@ -201,6 +201,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:{line}:" in err and field in err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--q1", "abc", "--q", "0.05"], "cannot parse --q1 value 'abc'"),
+        (["--q1", "0.04", "--q", "0.05", "--dependence", "item2", "--t", "x"],
+         "cannot parse --t value 'x'"),
+        (["--mode", "fwer", "--alpha1", "0.01", "--alpha", "0.05", "--method", "foo"],
+         "'foo' is not a valid FwerMethod; expected one of bonferroni, holm"),
+    ], ids=["q1", "t", "method"])
+    def test_bad_flag_value_is_usage_error(self, tmp_path, capsys, flags, message):
+        # parsed as the scenario key of the same name, before the input is read
+        missing = tmp_path / "missing.csv"
+        assert main(["analyze", "--input", str(missing), *flags]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--mode", "fwer", "--q1", "0.01", "--q", "0.05", "--out", "o"],
         ["adjust", "--c", "0.5", "--out", "a.csv"],
@@ -521,6 +534,9 @@ class TestSimulate:
         lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = inf\nzeta = 0.5\nN = 9"),
         lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = 1\nzeta = nan\nN = 9"),
         lambda text: text.replace("sigma1 = 0.5\nsigma2 = 0.5", "sigma = 1\nzeta = 0.5\nN = inf"),
+        # one whole sd form and a key of the other, which would be ignored
+        lambda text: text + "zeta = 0.5\nsweep_axis = zeta\nsweep_grid = 0.2,0.5,0.8\n",
+        lambda text: text.replace("sigma2 = 0.5", "sigma = 1\nzeta = 0.5\nN = 100"),
         lambda text: text.replace("m = 400", "m = four hundred"),
         lambda text: text.replace("m = 400\n", ""),
         lambda text: text + "reps 60\n",
@@ -536,7 +552,7 @@ class TestSimulate:
         "q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary",
         "fwer_method",
         "unread_w1_and_t", "n_total_zero", "f00_nan", "mu2_nan", "mu1_minus_inf", "sigma2_inf",
-        "sigma_inf", "zeta_nan", "n_total_inf",
+        "sigma_inf", "zeta_nan", "n_total_inf", "direct_sd_and_zeta", "sigma1_and_split_sd",
         "m_not_a_number", "m_missing", "line_without_equals",
         "grid_without_axis", "axis_without_grid", "grid_not_a_number", "grid_empty",
         "grid_empty_field", "repeated_key", "t_under_independent", "unknown_procedure",

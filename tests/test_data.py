@@ -75,6 +75,17 @@ def test_swap_studies_requires_complete():
         data.swap_studies()
 
 
+def test_swap_studies_refuses_a_partial_listing():
+    # study two's family is the rows listed: a declared m cannot stand for it
+    data = StudyPairData(["a", "b"], [0.1, 0.3], [0.2, 0.4], m_declared=10)
+    with pytest.raises(DataError, match="swapping the study roles requires the full family"):
+        data.swap_studies()
+    missing = StudyPairData(["a", "b"], [0.1, 0.3], [0.2, np.nan])
+    with pytest.raises(DataError, match="missing for 1 record\\(s\\), first: 'b'"):
+        missing.swap_studies()
+    assert StudyPairData(["a"], [0.1], [0.2], m_declared=1).swap_studies().m_declared == 1
+
+
 def test_swap_studies_roundtrip():
     data = StudyPairData(["a", "b"], [0.1, 0.3], [0.2, 0.4])
     back = data.swap_studies().swap_studies()

@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import _followup_instance, make_data, random_instance
@@ -12,13 +12,14 @@ from replicability.adjust import build_adjusted_table
 from replicability.data import StudyPairData
 from replicability.datasets import load_crohns_disease, load_hippocampal_volume
 from replicability.errors import ApplicabilityError, DataError, ParameterError, ReplicabilityError
-from replicability.numeric import harmonic
+from replicability.numeric import harmonic, solve_q1_tilde_thresholded
 from replicability.params import check_levels
 from replicability.procedures import (
     Dependence,
     FwerMethod,
     Procedure,
     _directed_fdr_rows,
+    _level_divisors,
     fdr_symmetric,
     fdr_two_stage,
     fdr_two_stage_rscan,
@@ -325,6 +326,37 @@ class TestFdrTwoStage:
         report = fdr_two_stage(data, SelectionRule("fixed_threshold", threshold=0.01), 0.025, 0.05)
         assert report.rejected_ids == ()
         assert report.r1 == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q1=st.floats(1e-6, 0.5),
+    q_share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    m=st.integers(1, 10**7),
+    t_share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    draw=st.data(),
+)
+def test_level_divisors_give_each_level_bit_for_bit(q1, q_share, m, t_share, draw):
+    # q1/d1 and (q - q1)/d2 are the levels H_m, the thresholded level and
+    # H_R1 give: dividing by d1 = q1/q1_tilde returns q1_tilde itself
+    q = q1 + q_share * (1.0 - q1)
+    bound = q1 / (1.0 + harmonic(m - 1))  # the thresholded level's applicability bound
+    t = t_share * bound
+    assume(q1 < q < 1.0 and 0.0 < t < bound)
+    count = draw.draw(st.integers(0, m))
+    column = np.array(draw.draw(st.lists(st.integers(0, m), min_size=1, max_size=4)))[:, None]
+    item1, item2, both = (Dependence.ARBITRARY_PRIMARY_ITEM1,
+                          Dependence.ARBITRARY_PRIMARY_ITEM2, Dependence.ARBITRARY_BOTH)
+    d1, d2 = _level_divisors(q1, item2, t, m, count)
+    assert q1 / d1 == solve_q1_tilde_thresholded(q1, m, t) and d2 == 1.0
+    assert _level_divisors(q1, item1, None, m, count) == (harmonic(m), 1.0)
+    for r1 in (count, column):
+        d1, d2 = _level_divisors(q1, both, None, m, r1)
+        h_r1 = np.array([harmonic(max(r, 1)) for r in np.ravel(r1)]).reshape(np.shape(r1))
+        assert q1 / d1 == q1 / harmonic(m)
+        assert np.shape(d2) == np.shape(r1) and np.array_equal((q - q1) / d2, (q - q1) / h_r1)
+    for mode in (Dependence.INDEPENDENT, Dependence.PRDS_FOLLOWUP):
+        assert _level_divisors(q1, mode, None, m, column) == (1.0, 1.0)
 
 
 class TestStepUpEquivalences:

@@ -59,6 +59,18 @@ class TestTruthLayout:
         assert sum(sizes) == 10
         assert sizes == (9, 1, 0, 0)
 
+    @pytest.mark.parametrize("fractions, message", [
+        ((1.5, -0.5, 0.0, 0.0), r"fractions must lie in \[0, 1\]"),
+        ((0.5, 0.5, float("nan"), 0.0), r"fractions must lie in \[0, 1\]"),
+        ((0.5, 0.4, 0.0, 0.0), "fractions must sum to 1, got 0.9"),
+    ])
+    def test_fractions_refused(self, fractions, message):
+        # the rule the scenario check reads: SimScenario refuses the same
+        with pytest.raises(ParameterError, match=message):
+            truth_block_sizes(10, fractions)
+        with pytest.raises(ParameterError, match=message):
+            replace(BASE, **dict(zip(("f00", "f01", "f10", "f11"), fractions)))
+
     def test_always_covers_m(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -319,7 +331,12 @@ class TestRunScenario:
         dict(sigma1=None, sigma2=None),
         dict(sigma1=None),
         dict(sigma=10.0, zeta=0.5, n_total=1000),
-    ], ids=["neither", "sigma2_only", "both"])
+        dict(zeta=0.5),
+        dict(sigma=3.0),
+        dict(sigma2=None, sigma=10.0, zeta=0.5, n_total=1000),
+        dict(sigma1=None, sigma2=None, sigma=10.0, zeta=0.5),
+    ], ids=["neither", "sigma2_only", "both", "direct_and_zeta", "direct_and_sigma",
+            "split_and_sigma1", "split_incomplete"])
     def test_one_sd_form_required(self, sds):
         with pytest.raises(ParameterError, match="specify either sigma1 and sigma2"):
             replace(BASE, **sds)
