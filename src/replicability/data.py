@@ -144,9 +144,10 @@ class StudyPairData:
         """Number of rows carrying a follow-up p-value."""
         return int(np.count_nonzero(~np.isnan(self.p2)))
 
-    def swap_studies(self) -> "StudyPairData":
-        """Exchange the roles of the two studies, if :meth:`require_complete` passes."""
-        self.require_complete("swapping the study roles")
+    def swap_studies(self, what: str = "swapping the study roles") -> "StudyPairData":
+        """Exchange the roles of the two studies, if :meth:`require_complete`
+        passes; ``what`` names the swap in its refusal."""
+        self.require_complete(what)
         return StudyPairData(self.ids, self.p2, self.p1, self.m_declared)
 
     def require_complete(self, what: str) -> None:
@@ -268,9 +269,15 @@ class DiscoveryReport:
     ``ids[scored_rows[i]]`` (all three empty, the default, for a run
     without scores).
     ``primary_threshold`` / ``followup_threshold`` are the realized
-    cut-offs applied to p1 / p2. ``adjusted_is_upper_bound`` marks the
-    adjusted values as upper-bound estimates when the dataset lists only
-    part of the follow-up set.
+    cut-offs applied to p1 / p2, the second 0.0 when R1 is 0: r2*q1/m and
+    r2*(q - q1)/R1 at the effective levels for FDR (the first direction's
+    for the symmetric and oracle runs), alpha1/m and (alpha - alpha1)/R1
+    for Bonferroni FWER, and for Holm the last step-down thresholds its
+    stages cleared, alpha1/(m - k1 + 1) and (alpha - alpha1)/(R1 - k2 + 1)
+    with k1, k2 the entries each passed, at least 1; r2*q/m for both stages
+    of a step-up baseline, and k1*q/m, r2*q/k1 for the naive one.
+    ``adjusted_is_upper_bound`` marks the adjusted values as upper-bound
+    estimates when the dataset lists only part of the follow-up set.
     """
 
     procedure: str

@@ -83,6 +83,26 @@ def _check_at_most_t(p1, sel, t: float) -> None:
         )
 
 
+def _report(
+    label: str, data: StudyPairData, idx, mask, r1: int, levels, scores=None, passed=None
+) -> DiscoveryReport:
+    """The report of a run on the gathered rows ``idx``, which rejects
+    ``idx[mask]``. Each stage level of ``levels`` over its family, m then
+    R1, is the stage's realized threshold, 0.0 over an empty family; Holm's
+    stages, which ``passed`` (k1, k2) entries, report the last step-down
+    threshold they cleared, level/(family - max(k, 1) + 1). A run with
+    ``scores``, its (z, adjusted) columns, scores exactly the gathered rows,
+    flagged as upper bounds when fewer than R1 followed rows are listed."""
+    families = (data.m, r1)
+    if passed is not None:
+        families = tuple(n - max(k, 1) + 1 for n, k in zip(families, passed))
+    primary, followup = (level / n if n else 0.0 for level, n in zip(levels, families))
+    scored = {} if scores is None else dict(
+        scored_rows=idx, z=scores[0], adjusted=scores[1], adjusted_is_upper_bound=r1 > idx.size
+    )
+    return DiscoveryReport(label, data.ids, idx[mask], r1, primary, followup, **scored)
+
+
 # Row kernels: each maps (n, k) p-value arrays, one family per row, to an
 # (n, k) rejection mask. The simulator runs them a chunk of repetitions at
 # a time, the FDR kernel on each row's selected entries; the library
@@ -157,25 +177,13 @@ def fdr_two_stage(
     mode = check_levels(q1, q, mode=mode, t=t)
     label = f"fdr_two_stage[{mode.value}]"
     idx, p1, p2, r1 = _gather_selected(data, rule.at_level(q1), label)
-    m = data.m
     sel = np.ones((1, idx.size), dtype=bool)
-    mask, z, q1_eff, q2_eff = _fdr_rows(p1[None], p2[None], sel, r1, m, q1, q, mode, t)
+    mask, z, q1_eff, q2_eff = _fdr_rows(p1[None], p2[None], sel, r1, data.m, q1, q, mode, t)
     z, mask = z[0], mask[0]
-    rows = idx[mask]
+    r2 = int(np.count_nonzero(mask))
     adjusted = np.minimum(q * kernels.stepup_adjust(z), 1.0)
     adjusted = np.where(mask, np.minimum(adjusted, q), np.maximum(adjusted, np.nextafter(q, 1)))
-    return DiscoveryReport(
-        procedure=label,
-        ids=data.ids,
-        rejected_rows=rows,
-        r1=r1,
-        primary_threshold=rows.size * q1_eff / m,
-        followup_threshold=rows.size * q2_eff / r1 if r1 else 0.0,
-        scored_rows=idx,
-        z=q * z,
-        adjusted=adjusted,
-        adjusted_is_upper_bound=r1 > idx.size,
-    )
+    return _report(label, data, idx, mask, r1, (r2 * q1_eff, r2 * q2_eff), (q * z, adjusted))
 
 
 def fdr_two_stage_rscan(
@@ -202,14 +210,7 @@ def fdr_two_stage_rscan(
         if count == r:
             r2 = r
     mask = (p1 <= r2 * q1_eff / m) & (p2 <= r2 * q2_eff / r1) if r1 else np.zeros(0, bool)
-    return DiscoveryReport(
-        procedure=label,
-        ids=data.ids,
-        rejected_rows=idx[mask],
-        r1=r1,
-        primary_threshold=r2 * q1_eff / m,
-        followup_threshold=r2 * q2_eff / r1 if r1 else 0.0,
-    )
+    return _report(label, data, idx, mask, r1, (r2 * q1_eff, r2 * q2_eff))
 
 
 def _adjust_columns(
@@ -231,8 +232,9 @@ def _fwer_rule(rule: SelectionRule, alpha1: float) -> SelectionRule:
     return rule.at_level(alpha1)
 
 
-def _fwer_rows(p1, p2, sel, r1, m: int, alpha1: float, alpha: float, method) -> np.ndarray:
-    """Row kernel of :func:`fwer_two_stage`, with R1 at least 1. Holm's
+def _fwer_rows(p1, p2, sel, r1, m: int, alpha1: float, alpha: float, method):
+    """Row kernel of :func:`fwer_two_stage`, with R1 at least 1: the
+    rejection mask, then the primary and follow-up stage masks. Holm's
     primary stage steps down over the selected entries of a family of m,
     which matches the whole family whenever the selection keeps the
     smallest p1 values."""
@@ -242,7 +244,7 @@ def _fwer_rows(p1, p2, sel, r1, m: int, alpha1: float, alpha: float, method) -> 
     else:
         primary = p1 <= alpha1 / m
         followup = p2 <= (alpha - alpha1) / r1
-    return sel & primary & followup
+    return sel & primary & followup, primary, followup
 
 
 def _selected_fwer_rows(proc: "Procedure", p1, p2, m: int, alpha1, alpha):
@@ -250,7 +252,7 @@ def _selected_fwer_rows(proc: "Procedure", p1, p2, m: int, alpha1, alpha):
     and R1 is each row's selection count."""
     sel = select_rows(_fwer_rule(proc.selection, alpha1), p1, m)
     r1 = np.maximum(np.count_nonzero(sel, axis=1), 1)[:, None]
-    return _fwer_rows(p1, p2, sel, r1, m, alpha1, alpha, proc.fwer_method)
+    return _fwer_rows(p1, p2, sel, r1, m, alpha1, alpha, proc.fwer_method)[0]
 
 
 def fwer_two_stage(
@@ -279,20 +281,10 @@ def fwer_two_stage(
     idx, p1, p2, r1 = _gather_selected(data, _fwer_rule(rule, alpha1), label)
     m = data.m
     sel = np.ones((1, idx.size), dtype=bool)
-    mask = _fwer_rows(p1[None], p2[None], sel, max(r1, 1), m, alpha1, alpha, method)[0]
-    z, adjusted = _adjust_columns(p1, p2, m, r1, alpha1 / alpha, "bonferroni")
-    return DiscoveryReport(
-        procedure=label,
-        ids=data.ids,
-        rejected_rows=idx[mask],
-        r1=r1,
-        primary_threshold=alpha1 / m,
-        followup_threshold=(alpha - alpha1) / r1 if r1 else 0.0,
-        scored_rows=idx,
-        z=z,
-        adjusted=adjusted,
-        adjusted_is_upper_bound=r1 > idx.size,
-    )
+    mask, *stages = _fwer_rows(p1[None], p2[None], sel, max(r1, 1), m, alpha1, alpha, method)
+    passed = [int(np.count_nonzero(s)) for s in stages] if method == FwerMethod.HOLM else None
+    scores = _adjust_columns(p1, p2, m, r1, alpha1 / alpha, "bonferroni")
+    return _report(label, data, idx, mask[0], r1, (alpha1, alpha - alpha1), scores, passed)
 
 
 def _symmetric_rows(proc: "Procedure", p1, p2, m: int, q1, q):
@@ -334,16 +326,11 @@ def fdr_symmetric(
     listing cannot stand for it.
     """
     mode = check_levels(q1, q, w1, mode, t)
+    directions = [(w1, data, rule)]
     if w1 < 1.0:
-        data.require_complete("the symmetric procedure" if w1 > 0.0 else "the reversed direction")
-    runs = []
-    if w1 > 0.0:
-        runs.append(fdr_two_stage(data, rule, w1 * q1, w1 * q, mode, t))
-    if w1 < 1.0:
-        runs.append(fdr_two_stage(
-            data.swap_studies(), rule if rule_reverse is None else rule_reverse,
-            (1.0 - w1) * q1, (1.0 - w1) * q, mode, t,
-        ))
+        what = "the symmetric procedure" if w1 > 0.0 else "the reversed direction"
+        directions.append((1.0 - w1, data.swap_studies(what), rule_reverse or rule))
+    runs = [fdr_two_stage(d, r, w * q1, w * q, mode, t) for w, d, r in directions if w > 0.0]
     first = runs[0]
     return replace(
         first,
@@ -361,18 +348,9 @@ def _stepup_kind(stat, label: str, what: str):
         data.require_complete(what)
         m, values = data.m, stat(data.p1, data.p2)
         mask = kernels.bh_rows(values[None], proc.q, m)[0]
-        threshold = np.count_nonzero(mask) * proc.q / m
-        return DiscoveryReport(
-            procedure=label,
-            ids=data.ids,
-            rejected_rows=np.flatnonzero(mask),
-            r1=m,
-            primary_threshold=threshold,
-            followup_threshold=threshold,
-            scored_rows=np.arange(values.size),
-            z=values,
-            adjusted=np.minimum(kernels.stepup_adjust(m * values), 1.0),
-        )
+        level = np.count_nonzero(mask) * proc.q
+        adjusted = np.minimum(kernels.stepup_adjust(m * values), 1.0)
+        return _report(label, data, np.arange(m), mask, m, (level, level), (values, adjusted))
 
     return ("q",), run, lambda p, p1, p2, m, q1, q: kernels.bh_rows(stat(p1, p2), q, m)
 
@@ -392,16 +370,9 @@ def _naive_run(proc: "Procedure", data: StudyPairData, fractions) -> DiscoveryRe
     data.require_complete("the naive two-step baseline")
     m, q = data.m, proc.q
     first, mask = _naive_rows(data.p1[None], data.p2[None], q, m, proc.primary)
-    rows = np.flatnonzero(mask[0])
-    k1 = int(first.sum())
-    return DiscoveryReport(
-        procedure=f"baseline_naive_bh_bh[primary={proc.primary}]",
-        ids=data.ids,
-        rejected_rows=rows,
-        r1=k1,
-        primary_threshold=k1 * q / m,
-        followup_threshold=rows.size * q / k1 if k1 else 0.0,
-    )
+    k1, r2 = int(first.sum()), int(mask.sum())
+    label = f"baseline_naive_bh_bh[primary={proc.primary}]"
+    return _report(label, data, np.arange(m), mask[0], k1, (k1 * q, r2 * q))
 
 
 def fisher_combined_pvalues(p1: np.ndarray, p2: np.ndarray) -> np.ndarray:

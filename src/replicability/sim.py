@@ -300,8 +300,6 @@ def _scenario_at(scenario: SimScenario, axis: str, value: float) -> SimScenario:
         proc = replace(scenario.procedure, w1=value)
         return replace(scenario, procedure=proc)
     if axis == "zeta":
-        if scenario.zeta is None:
-            raise ParameterError("zeta sweep needs the sigma/zeta/n_total allocation form")
         return replace(scenario, zeta=value)
     if axis == "k_selected":
         k = int(value) if float(value).is_integer() else value  # SelectionRule refuses the rest

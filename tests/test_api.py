@@ -118,6 +118,27 @@ def test_dependence_divisors_have_one_owner():
     }
 
 
+def test_reports_are_built_only_by_report():
+    # procedures._report owns a run's rejected rows, realized thresholds,
+    # scores and upper-bound flag; every other run derives from its report
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "DiscoveryReport":
+                    sites.add(scope)
+            visit(child, scope)
+
+    for path in sorted((REPO / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sites == {"procedures._report"}
+
+
 def test_analyze_flags_are_parsed_only_as_scenario_keys():
     # dataio._read_keys parses every procedure flag of analyze; argparse
     # only collects the text

@@ -99,6 +99,29 @@ class TestFwerTwoStage:
             holm = fwer_two_stage(data, FOLLOWUP, a1, a, FwerMethod.HOLM)
             assert set(bonf.rejected_ids) <= set(holm.rejected_ids)
 
+    def test_holm_reports_the_last_step_down_thresholds_it_cleared(self):
+        # both stages pass a and b: Holm's second step 0.025/(4 - 2 + 1),
+        # not Bonferroni's 0.025/4, which b's 0.008 lies above; the adjusted
+        # column stays Bonferroni's, so b's is above alpha
+        data = StudyPairData(list("abcd"), [0.001, 0.008, 0.5, 0.9], [0.001, 0.008, 0.5, 0.9])
+        report = fwer_two_stage(data, SelectionRule("followup"), 0.025, 0.05, "holm")
+        assert report.rejected_ids == ("a", "b")
+        assert report.primary_threshold == report.followup_threshold == 0.025 / 3
+        assert report.adjusted[1] == pytest.approx(0.064)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(list(FwerMethod)))
+    def test_self_consistency_on_followup_instances(self, seed, method):
+        # the rejections are exactly the followed rows at or below both
+        # reported thresholds, on follow-up sets where Holm steps down far
+        rng = np.random.default_rng(seed)
+        data, alpha1, alpha, _ = _followup_instance(rng, Dependence.INDEPENDENT)
+        report = fwer_two_stage(data, FOLLOWUP, alpha1, alpha, method)
+        followed = ~np.isnan(data.p2)
+        passes = followed & (data.p1 <= report.primary_threshold)
+        passes &= data.p2 <= report.followup_threshold
+        assert set(np.asarray(data.ids)[passes]) == set(report.rejected_ids)
+
     def test_level_validation(self):
         data = make_data([0.5], [0.5])
         with pytest.raises(ValueError):
@@ -580,28 +603,55 @@ COMPLETE = make_data(
     [1e-5, 2e-4, 8e-4, 3e-3, 0.004, 0.02, 0.3, 0.6, 0.9, 1e-3, 0.5, 0.04],
     [2e-3, 1e-4, 0.2, 1e-3, 0.9, 0.01, 0.01, 5e-4, 0.7, 2e-4, 1e-5, 0.3],
 )
+# kind: (fields, label, rejected rows, (r1, primary and follow-up thresholds,
+# upper-bound flag)) on COMPLETE; Holm reports the last step-down thresholds
+# it cleared, 0.025/(12 - 4 + 1) and 0.025/(4 - 3 + 1)
 KIND_RUNS = {
-    "fdr": (dict(q1=0.025), "fdr_two_stage[independent]", (0, 1, 3, 9)),
-    "fdr_symmetric": (dict(q1=0.025, w1=0.5), "fdr_symmetric[w1=0.5,independent]", (0, 1, 3, 9)),
-    "fwer": (dict(q1=0.025, fwer_method="holm"), "fwer_two_stage[holm]", (0, 1, 9)),
-    "partial_conjunction": ({}, "baseline_partial_conjunction", (0, 1, 3, 5, 9)),
-    "naive_bh_bh": (dict(primary=2), "baseline_naive_bh_bh[primary=2]", (0, 1, 3, 5, 9)),
-    "fisher_meta": ({}, "baseline_fisher_meta", (0, 1, 2, 3, 4, 5, 6, 7, 9, 10)),
-    "oracle": (dict(w1=0.5), "oracle[q'=0.0467852,w1=0.5]", (0, 1, 3, 9)),
+    "fdr": (
+        dict(q1=0.025), "fdr_two_stage[independent]", (0, 1, 3, 9),
+        (6, 0.008333333333333333, 0.016666666666666666, False),
+    ),
+    "fdr_symmetric": (
+        dict(q1=0.025, w1=0.5), "fdr_symmetric[w1=0.5,independent]", (0, 1, 3, 9),
+        (6, 0.004166666666666667, 0.008333333333333333, False),
+    ),
+    "fwer": (
+        dict(q1=0.025, fwer_method="holm"), "fwer_two_stage[holm]", (0, 1, 9),
+        (4, 0.002777777777777778, 0.0125, False),
+    ),
+    "partial_conjunction": (
+        {}, "baseline_partial_conjunction", (0, 1, 3, 5, 9),
+        (12, 0.020833333333333332, 0.020833333333333332, False),
+    ),
+    "naive_bh_bh": (
+        dict(primary=2), "baseline_naive_bh_bh[primary=2]", (0, 1, 3, 5, 9),
+        (8, 0.03333333333333333, 0.03125, False),
+    ),
+    "fisher_meta": (
+        {}, "baseline_fisher_meta", (0, 1, 2, 3, 4, 5, 6, 7, 9, 10),
+        (12, 0.041666666666666664, 0.041666666666666664, False),
+    ),
+    "oracle": (
+        dict(w1=0.5), "oracle[q'=0.0467852,w1=0.5]", (0, 1, 3, 9),
+        (6, 0.00779753303053692, 0.01559506606107384, False),
+    ),
 }
 
 
 @pytest.mark.parametrize("kind", KIND_RUNS)
 def test_each_kind_runs_and_refuses_as_its_library_function(kind):
-    """``Procedure(kind).run`` labels and rejects as the kind's library
-    function did, and refuses what it refused, with the same error class:
+    """``Procedure(kind).run`` labels, rejects and reports R1, the two
+    thresholds and the upper-bound flag as the kind's library function
+    did, and refuses what it refused, with the same error class:
     a level out of range, ``primary=3``, an incomplete family where the
     kind needs a complete one, and an oracle without its fractions."""
-    fields_, label, rejected = KIND_RUNS[kind]
+    fields_, label, rejected, summary = KIND_RUNS[kind]
     procedure = Procedure(kind=kind, q=0.05, **fields_)
     report = procedure.run(COMPLETE, (0.8, 0.05))
     assert report.procedure == label
     assert report.rejected_ids == tuple(f"h{i}" for i in rejected)
+    thresholds = (report.primary_threshold, report.followup_threshold)
+    assert (report.r1, *thresholds, report.adjusted_is_upper_bound) == summary
     with pytest.raises(ParameterError, match="level"):
         Procedure(kind=kind, **{**fields_, "q": 1.5})
     with pytest.raises(ParameterError, match="primary study must be 1 or 2, got 3"):

@@ -362,7 +362,8 @@ class TestSweep:
         assert rows[0][0] == 0.2
 
     def test_zeta_axis_requires_allocation_form(self):
-        with pytest.raises(DataError):
+        # a zeta on the direct form is a mixed sd form, which the scenario refuses
+        with pytest.raises(ParameterError, match="specify either sigma1 and sigma2, or the"):
             sweep(BASE, "zeta", [0.5])
 
     def test_unknown_axis(self):
