@@ -11,48 +11,28 @@ The package logs through ``logging.getLogger("replicability")`` and is
 silent unless the application configures that logger.
 """
 
+import importlib
 import logging
+import os
 
-from .adjust import AdjustedRow, AdjustedTable, build_adjusted_table
-from .data import (
-    DiscoveryReport,
-    HypothesisRecord,
-    StudyPairData,
-    ValidationIssue,
-    validate_dataset,
-)
-from .dataio import parse_pvalue_csv, parse_scenario_file, write_pvalue_csv
-from .datasets import load_crohns_disease, load_hippocampal_volume
-from .errors import ApplicabilityError, DataError, ParameterError, ReplicabilityError
-from .numeric import (
-    chisq_survival_even_df,
-    harmonic,
-    solve_oracle_qprime,
-    solve_q1_tilde_thresholded,
-    std_normal_cdf,
-    std_normal_quantile,
-)
-from .procedures import (
-    Dependence,
-    FwerMethod,
-    Procedure,
-    fdr_symmetric,
-    fdr_two_stage,
-    fdr_two_stage_rscan,
-    fisher_combined_pvalues,
-    fwer_two_stage,
-)
-from .selection import SelectionRule, bh_reject, probe_validity, select
-from .sim import (
-    SimEstimate,
-    SimScenario,
-    analytic_power_bonf_max,
-    analytic_power_two_stage,
-    generate_rep,
-    run_scenario,
-    sweep,
-    truth_block_sizes,
-)
+# each public name by the module that defines it; a name loads its module
+# on first use, so importing the package loads neither a module nor numpy
+_HOMES = {
+    "adjust": "AdjustedRow AdjustedTable build_adjusted_table",
+    "data": "DiscoveryReport HypothesisRecord StudyPairData ValidationIssue validate_dataset",
+    "dataio": "parse_pvalue_csv parse_scenario_file write_pvalue_csv",
+    "datasets": "load_crohns_disease load_hippocampal_volume",
+    "errors": "ApplicabilityError DataError ParameterError ReplicabilityError",
+    "numeric": "chisq_survival_even_df harmonic solve_oracle_qprime solve_q1_tilde_thresholded "
+    "std_normal_cdf std_normal_quantile",
+    "params": "Dependence FwerMethod",
+    "procedures": "Procedure fdr_symmetric fdr_two_stage fdr_two_stage_rscan "
+    "fisher_combined_pvalues fwer_two_stage",
+    "selection": "SelectionRule bh_reject probe_validity select",
+    "sim": "SimEstimate SimScenario analytic_power_bonf_max analytic_power_two_stage "
+    "generate_rep run_scenario sweep truth_block_sizes",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
@@ -103,3 +83,21 @@ __all__ = [
     "validate_dataset",
     "write_pvalue_csv",
 ]
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def _main() -> int:
+    """The command line, as the ``replicability`` script and ``python -m
+    replicability.cli`` run it. Nothing in the package calls BLAS, so it
+    asks numpy's OpenBLAS, before numpy loads, for one thread instead of
+    idle workers that spin; a caller's own setting wins. A library import
+    leaves the environment alone."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .cli import main
+
+    return main()

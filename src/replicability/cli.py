@@ -19,6 +19,11 @@ import sys
 import traceback
 from pathlib import Path
 
+if __name__ == "__main__":  # above the numpy import: the entry sets the thread count first
+    from . import _main
+
+    sys.exit(_main())
+
 import numpy as np
 
 from . import adjust as adjust_mod
@@ -255,7 +260,3 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print("internal error: this is a bug in replicability", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

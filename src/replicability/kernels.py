@@ -95,3 +95,9 @@ def stepup_adjust(z: np.ndarray) -> np.ndarray:
     out = np.empty(z.size)
     out[order] = np.minimum.accumulate((z[order] / ranks)[::-1])[::-1]
     return out
+
+
+def stepdown_adjust(p: np.ndarray, n: int) -> np.ndarray:
+    """Holm's step-down adjusted values of ``p`` over a family of n, its unlisted members last."""
+    order = np.argsort(p, kind="stable")
+    return np.maximum.accumulate((n - np.arange(p.size)) * p[order])[np.argsort(order)]

@@ -216,11 +216,13 @@ def fdr_two_stage_rscan(
 def _adjust_columns(
     p1: np.ndarray, p2: np.ndarray, m: int, r1: int, c: float, flavor: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The statistic Z = max(m*p1/c, R1*p2/(1-c)) of each row and its
-    replicability adjusted value, capped at 1: Z itself for the
-    ``bonferroni`` flavor, its step-up adjustment for ``fdr``. The caller
-    has checked c and the flavor."""
+    """Z = max(m*p1/c, R1*p2/(1-c)) per row and its adjusted value, capped at 1: Z for
+    ``bonferroni``, its step-up adjustment for ``fdr``, for ``holm`` max(h1/c, h2/(1-c)) of
+    the step-down adjusted p1 over m and p2 over R1. The caller has checked c and the flavor."""
     z = np.maximum(m * p1 / c, r1 * p2 / (1.0 - c))
+    if flavor == "holm":
+        h1, h2 = kernels.stepdown_adjust(p1, m), kernels.stepdown_adjust(p2, r1)
+        return z, np.minimum(np.maximum(h1 / c, h2 / (1.0 - c)), 1.0)
     return z, np.minimum(z if flavor == "bonferroni" else kernels.stepup_adjust(z), 1.0)
 
 
@@ -283,8 +285,10 @@ def fwer_two_stage(
     sel = np.ones((1, idx.size), dtype=bool)
     mask, *stages = _fwer_rows(p1[None], p2[None], sel, max(r1, 1), m, alpha1, alpha, method)
     passed = [int(np.count_nonzero(s)) for s in stages] if method == FwerMethod.HOLM else None
-    scores = _adjust_columns(p1, p2, m, r1, alpha1 / alpha, "bonferroni")
-    return _report(label, data, idx, mask[0], r1, (alpha1, alpha - alpha1), scores, passed)
+    z, adj = _adjust_columns(p1, p2, m, r1, alpha1 / alpha, method.value)
+    if method == FwerMethod.HOLM:  # on a step-down threshold the rejections decide the side
+        adj = np.where(mask[0], np.minimum(adj, alpha), np.maximum(adj, np.nextafter(alpha, 1)))
+    return _report(label, data, idx, mask[0], r1, (alpha1, alpha - alpha1), (z, adj), passed)
 
 
 def _symmetric_rows(proc: "Procedure", p1, p2, m: int, q1, q):

@@ -22,6 +22,28 @@ def test_every_exported_name_resolves(module):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_lazy_names_map_to_the_modules_that_define_them():
+    # the package loads a public name's module on first use, from its map;
+    # each exported name is mapped, to a module that defines it
+    homes = replicability._HOME
+    assert sorted(homes) == sorted(replicability.__all__)
+    defined = {}
+    for module in set(homes.values()):
+        path = REPO / "src" / "replicability" / f"{module}.py"
+        defined[module] = {
+            node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+    assert [name for name, module in homes.items() if name not in defined[module]] == []
+
+
+def test_blas_thread_count_is_set_in_one_module():
+    # only the command-line entry in the package __init__ names the variable
+    files = sorted((REPO / "src").rglob("*.py"))
+    owners = [p.name for p in files if "OPENBLAS_NUM_THREADS" in p.read_text(encoding="utf-8")]
+    assert len(files) > 6 and owners == ["__init__.py"]
+
+
 def test_benchmark_trace_hooks_exist(monkeypatch):
     # `benchmark/run.py --trace 1` patches each target through
     # owner.__dict__[attr] and reads len(data.records) and len(table.rows);

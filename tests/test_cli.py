@@ -1,4 +1,5 @@
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,6 +33,8 @@ selection = bh
 reps = 60
 seed = 42
 """
+POWER = ["power", "--mu11", "3", "--mu21", "3", "--m", "1000", "--alpha1", "0.025",
+         "--alpha", "0.05"]
 
 
 @pytest.fixture
@@ -759,8 +762,7 @@ def test_cli_loads_no_scipy(tmp_path, crohns_csv):
         ["analyze", "--input", str(crohns_csv), "--mode", "fdr", "--q1", "0.04",
          "--q", "0.05", "--out", str(tmp_path / "analyze")],
         ["simulate", "--scenario", str(scen), "--out", str(tmp_path / "sim.csv")],
-        ["power", "--mu11", "3", "--mu21", "3", "--m", "1000", "--alpha1", "0.025",
-         "--alpha", "0.05"],
+        POWER,
     ]
     script = f"""
 import sys
@@ -772,9 +774,73 @@ for argv in {calls!r}:
     assert main(argv) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules())
 """
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
+def _python(*args: str, path: tuple = (), **env: str) -> subprocess.CompletedProcess:
+    """Python with ``args`` in a fresh process that imports this checkout's
+    package, with ``path`` first on its path; the child has no
+    OPENBLAS_NUM_THREADS unless ``env`` sets it."""
     src = str(Path(replicability.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    paths = [*path, src, os.environ.get("PYTHONPATH")]
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(base, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _script_entry() -> tuple[str, str]:
+    """The module and function of pyproject.toml's ``replicability`` script."""
+    text = (Path(replicability.__file__).parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    return re.search(r'^replicability = "([\w.]+):(\w+)"$', text, re.M).groups()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+@pytest.mark.parametrize("caller", [None, "2"], ids=["unset", "caller-2"])
+@pytest.mark.parametrize("entry", ["python -m", "console script"])
+def test_command_line_entries_ask_for_one_blas_thread(tmp_path, entry, caller):
+    """Both command-line entries set OPENBLAS_NUM_THREADS=1 before numpy
+    loads, so the process ends with no BLAS worker thread beside its own;
+    a caller's value is kept. The console script runs as pip's wrapper
+    does. A sitecustomize hook reports the child's state at exit."""
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, os, sys\n"
+        "atexit.register(lambda: print('at exit:', os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "                              len(os.listdir('/proc/self/task')), file=sys.stderr))\n"
+    )
+    module, func = _script_entry()
+    args = {
+        "python -m": ["-m", "replicability.cli", *POWER],
+        "console script": ["-c", f"import sys; from {module} import {func}; sys.exit({func}())",
+                           *POWER],
+    }[entry]
+    env = {} if caller is None else {"OPENBLAS_NUM_THREADS": caller}
+    done = _python(*args, path=(str(tmp_path),), **env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("pi1 = ")
+    value, threads = done.stderr.rsplit("at exit:", 1)[1].split()
+    assert value == (caller or "1")
+    if caller is None:
+        assert threads == "1"
+
+
+def test_library_imports_leave_the_environment_alone():
+    """Importing the package loads no submodule and no numpy; importing the
+    CLI module loads numpy; neither, nor a star import, sets a variable."""
+    script = """
+import os, sys
+before = dict(os.environ)
+import replicability
+loaded = [n for n in sys.modules if n.startswith("replicability.") or n.split(".")[0] == "numpy"]
+assert loaded == [], loaded
+assert dict(os.environ) == before
+import replicability.cli
+assert "numpy" in sys.modules
+assert dict(os.environ) == before
+from replicability import *
+assert dict(os.environ) == before
+"""
+    done = _python("-c", script)
     assert done.returncode == 0, done.stderr

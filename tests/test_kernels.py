@@ -66,3 +66,19 @@ def test_top_k_takes_the_first_of_tied_values(p, k):
     expected = np.zeros(p.size, dtype=bool)
     expected[sorted(range(p.size), key=lambda j: (p[j], j))[:k]] = True
     assert np.array_equal(mask, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=padded_rows())
+def test_stepdown_adjusted_values_match_a_loop(case):
+    """Each listed value's Holm adjusted value is the largest (n - j)*p over
+    the values sorted before it and itself (ties by position), with the
+    family's unlisted members ranked last."""
+    row, finite, n = case
+    p = row[finite]
+    order = sorted(range(p.size), key=lambda i: (p[i], i))
+    expected, running = np.empty(p.size), 0.0
+    for j, i in enumerate(order):
+        running = max(running, (n - j) * p[i])
+        expected[i] = running
+    assert np.array_equal(kernels.stepdown_adjust(p, n), expected)

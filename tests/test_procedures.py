@@ -101,13 +101,15 @@ class TestFwerTwoStage:
 
     def test_holm_reports_the_last_step_down_thresholds_it_cleared(self):
         # both stages pass a and b: Holm's second step 0.025/(4 - 2 + 1),
-        # not Bonferroni's 0.025/4, which b's 0.008 lies above; the adjusted
-        # column stays Bonferroni's, so b's is above alpha
+        # not Bonferroni's 0.025/4, which b's 0.008 lies above; b's adjusted
+        # value is Holm's, 3*0.008/0.5 in each stage, at most alpha, while
+        # its z stays Bonferroni's statistic 4*0.008/0.5
         data = StudyPairData(list("abcd"), [0.001, 0.008, 0.5, 0.9], [0.001, 0.008, 0.5, 0.9])
         report = fwer_two_stage(data, SelectionRule("followup"), 0.025, 0.05, "holm")
         assert report.rejected_ids == ("a", "b")
         assert report.primary_threshold == report.followup_threshold == 0.025 / 3
-        assert report.adjusted[1] == pytest.approx(0.064)
+        assert report.adjusted[1] == pytest.approx(0.048)
+        assert report.z[1] == pytest.approx(0.064)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(list(FwerMethod)))
@@ -121,6 +123,27 @@ class TestFwerTwoStage:
         passes = followed & (data.p1 <= report.primary_threshold)
         passes &= data.p2 <= report.followup_threshold
         assert set(np.asarray(data.ids)[passes]) == set(report.rejected_ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_holm_rejects_exactly_the_rows_adjusted_to_at_most_alpha(self, seed):
+        # the FWER twin of the FDR duality: under Holm a scored row's
+        # adjusted value is at most alpha exactly when it is rejected, also
+        # with p-values placed on a step-down threshold of either stage;
+        # Bonferroni's adjusted column stays its statistic, capped at 1
+        rng = np.random.default_rng(seed)
+        data, alpha1, alpha, _ = _followup_instance(rng, Dependence.INDEPENDENT)
+        p1, p2 = data.p1.copy(), data.p2.copy()
+        followed = np.flatnonzero(~np.isnan(p2))
+        k = followed.size
+        for p, level, n in ((p1, alpha1, data.m), (p2, alpha - alpha1, k)):
+            on = followed[rng.random(k) < 0.5]
+            p[on] = level / (n - rng.integers(0, k, size=on.size))
+        data = StudyPairData(data.ids.tolist(), p1, p2)
+        holm = fwer_two_stage(data, FOLLOWUP, alpha1, alpha, FwerMethod.HOLM)
+        assert _flagged(holm, alpha) == set(holm.rejected_ids)
+        bonf = fwer_two_stage(data, FOLLOWUP, alpha1, alpha, FwerMethod.BONFERRONI)
+        assert np.array_equal(bonf.adjusted, np.minimum(bonf.z, 1.0))
 
     def test_level_validation(self):
         data = make_data([0.5], [0.5])
@@ -538,6 +561,7 @@ def test_report_duality_of_scored_reports(seed):
     complete = _completed(data, rng)
     for report in (
         fwer_two_stage(data, FOLLOWUP, q1, q, FwerMethod.BONFERRONI),
+        fwer_two_stage(data, FOLLOWUP, q1, q, FwerMethod.HOLM),
         Procedure(kind="partial_conjunction", q=q).run(complete),
         Procedure(kind="fisher_meta", q=q).run(complete),
     ):
