@@ -264,10 +264,10 @@ class DiscoveryReport:
 
     ``rejected_rows`` ascends and is a subset of the followed-up rows;
     ``rejected_ids`` reads it as ids. ``scored_rows`` are the rows the run
-    scores: the i-th has the two-study statistic ``z[i]`` and the adjusted
-    p-value ``adjusted[i]``, at most 1, and its id is
-    ``ids[scored_rows[i]]`` (all three empty, the default, for a run
-    without scores).
+    scores, none by default: the i-th, ``ids[scored_rows[i]]``, has the
+    two-study statistic ``z[i]`` and the adjusted p-value ``adjusted[i]``,
+    at most 1, and at most the run's level exactly when the row is rejected
+    (the first direction's level and rejections in symmetric and oracle runs).
     ``primary_threshold`` / ``followup_threshold`` are the realized
     cut-offs applied to p1 / p2, the second 0.0 when R1 is 0: r2*q1/m and
     r2*(q - q1)/R1 at the effective levels for FDR (the first direction's

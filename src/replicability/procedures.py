@@ -91,15 +91,19 @@ def _report(
     R1, is the stage's realized threshold, 0.0 over an empty family; Holm's
     stages, which ``passed`` (k1, k2) entries, report the last step-down
     threshold they cleared, level/(family - max(k, 1) + 1). A run with
-    ``scores``, its (z, adjusted) columns, scores exactly the gathered rows,
-    flagged as upper bounds when fewer than R1 followed rows are listed."""
+    ``scores``, its (z, adjusted) columns and level, scores exactly the
+    gathered rows, flagged as upper bounds when fewer than R1 followed rows
+    are listed. An adjusted value, capped at 1, is at most the level exactly
+    on a rejected row, even where one on a stage threshold rounds across."""
     families = (data.m, r1)
     if passed is not None:
         families = tuple(n - max(k, 1) + 1 for n, k in zip(families, passed))
     primary, followup = (level / n if n else 0.0 for level, n in zip(levels, families))
-    scored = {} if scores is None else dict(
-        scored_rows=idx, z=scores[0], adjusted=scores[1], adjusted_is_upper_bound=r1 > idx.size
-    )
+    scored = {}
+    if scores is not None:
+        z, adj, level = scores
+        adj = np.where(mask, np.minimum(adj, level), np.clip(adj, np.nextafter(level, 1), 1.0))
+        scored = dict(scored_rows=idx, z=z, adjusted=adj, adjusted_is_upper_bound=r1 > idx.size)
     return DiscoveryReport(label, data.ids, idx[mask], r1, primary, followup, **scored)
 
 
@@ -169,8 +173,7 @@ def fdr_two_stage(
     The report's ``z`` column is the two-study statistic
     max(m*p1~/c, R1*p2~/(1-c)) on the dependence-rescaled p-values, and
     ``adjusted`` its step-up adjustment: thresholding adjusted values at
-    q reproduces the rejection set exactly (on a stage threshold, where z
-    rounds, the rejections decide the side of q). With only part of the
+    q reproduces the rejection set exactly. With only part of the
     follow-up set listed (``r1_declared``), adjusted values are
     upper-bound estimates and unlisted rows are non-rejectable.
     """
@@ -181,9 +184,8 @@ def fdr_two_stage(
     mask, z, q1_eff, q2_eff = _fdr_rows(p1[None], p2[None], sel, r1, data.m, q1, q, mode, t)
     z, mask = z[0], mask[0]
     r2 = int(np.count_nonzero(mask))
-    adjusted = np.minimum(q * kernels.stepup_adjust(z), 1.0)
-    adjusted = np.where(mask, np.minimum(adjusted, q), np.maximum(adjusted, np.nextafter(q, 1)))
-    return _report(label, data, idx, mask, r1, (r2 * q1_eff, r2 * q2_eff), (q * z, adjusted))
+    scores = (q * z, q * kernels.stepup_adjust(z), q)
+    return _report(label, data, idx, mask, r1, (r2 * q1_eff, r2 * q2_eff), scores)
 
 
 def fdr_two_stage_rscan(
@@ -285,10 +287,8 @@ def fwer_two_stage(
     sel = np.ones((1, idx.size), dtype=bool)
     mask, *stages = _fwer_rows(p1[None], p2[None], sel, max(r1, 1), m, alpha1, alpha, method)
     passed = [int(np.count_nonzero(s)) for s in stages] if method == FwerMethod.HOLM else None
-    z, adj = _adjust_columns(p1, p2, m, r1, alpha1 / alpha, method.value)
-    if method == FwerMethod.HOLM:  # on a step-down threshold the rejections decide the side
-        adj = np.where(mask[0], np.minimum(adj, alpha), np.maximum(adj, np.nextafter(alpha, 1)))
-    return _report(label, data, idx, mask[0], r1, (alpha1, alpha - alpha1), (z, adj), passed)
+    scores = (*_adjust_columns(p1, p2, m, r1, alpha1 / alpha, method.value), alpha)
+    return _report(label, data, idx, mask[0], r1, (alpha1, alpha - alpha1), scores, passed)
 
 
 def _symmetric_rows(proc: "Procedure", p1, p2, m: int, q1, q):
@@ -353,8 +353,8 @@ def _stepup_kind(stat, label: str, what: str):
         m, values = data.m, stat(data.p1, data.p2)
         mask = kernels.bh_rows(values[None], proc.q, m)[0]
         level = np.count_nonzero(mask) * proc.q
-        adjusted = np.minimum(kernels.stepup_adjust(m * values), 1.0)
-        return _report(label, data, np.arange(m), mask, m, (level, level), (values, adjusted))
+        scores = (values, kernels.stepup_adjust(m * values), proc.q)
+        return _report(label, data, np.arange(m), mask, m, (level, level), scores)
 
     return ("q",), run, lambda p, p1, p2, m, q1, q: kernels.bh_rows(stat(p1, p2), q, m)
 

@@ -161,6 +161,25 @@ def test_reports_are_built_only_by_report():
     assert sites == {"procedures._report"}
 
 
+def test_adjusted_columns_are_finished_only_by_report():
+    # procedures._report alone puts a scored row's adjusted value on the
+    # side of the run's level that its rejection says, one nextafter away
+    sites = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if getattr(child, "id", getattr(child, "attr", None)) == "nextafter":
+                sites.add(scope)
+            visit(child, scope)
+
+    path = REPO / "src" / "replicability" / "procedures.py"
+    visit(ast.parse(path.read_text(encoding="utf-8")), "procedures")
+    assert sites == {"procedures._report"}
+
+
 def test_analyze_flags_are_parsed_only_as_scenario_keys():
     # dataio._read_keys parses every procedure flag of analyze; argparse
     # only collects the text

@@ -89,6 +89,19 @@ class TestAnalyze:
         assert code == 0
         assert read_rejected(out / "discoveries.csv") == ["MSRB3"]
 
+    def test_fwer_row_on_both_stage_thresholds_writes_alpha(self, tmp_path):
+        # p1 = alpha1/m and p2 = (alpha - alpha1)/R1: the row is rejected,
+        # so its adjusted_p is alpha although z rounds to just above it
+        src = tmp_path / "on_thresholds.csv"
+        src.write_text("id,p1,p2\na,0.015,0.010000000000000002\nb,0.015,0.010000000000000002\n")
+        out = tmp_path / "out"
+        assert main([
+            "analyze", "--input", str(src), "--mode", "fwer",
+            "--q1", "0.03", "--q", "0.05", "--out", str(out), "--quiet",
+        ]) == 0
+        rows = (out / "discoveries.csv").read_text().splitlines()[1:]
+        assert rows == [f"{i},0.015,0.010000000000000002,0.05000000000000001,0.05,1" for i in "ab"]
+
     def test_quiet_prints_nothing(self, hippo_csv, tmp_path, capsys):
         main([
             "analyze", "--input", str(hippo_csv), "--mode", "fwer",

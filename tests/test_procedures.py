@@ -127,10 +127,11 @@ class TestFwerTwoStage:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_holm_rejects_exactly_the_rows_adjusted_to_at_most_alpha(self, seed):
-        # the FWER twin of the FDR duality: under Holm a scored row's
-        # adjusted value is at most alpha exactly when it is rejected, also
-        # with p-values placed on a step-down threshold of either stage;
-        # Bonferroni's adjusted column stays its statistic, capped at 1
+        # the FWER twin of the FDR duality: under either method a scored
+        # row's adjusted value is at most alpha exactly when it is rejected,
+        # also with p-values placed on a step-down threshold of either stage
+        # (Bonferroni's on the first step); Bonferroni's adjusted column is
+        # its statistic, capped at 1, on every row that is on its side
         rng = np.random.default_rng(seed)
         data, alpha1, alpha, _ = _followup_instance(rng, Dependence.INDEPENDENT)
         p1, p2 = data.p1.copy(), data.p2.copy()
@@ -143,7 +144,20 @@ class TestFwerTwoStage:
         holm = fwer_two_stage(data, FOLLOWUP, alpha1, alpha, FwerMethod.HOLM)
         assert _flagged(holm, alpha) == set(holm.rejected_ids)
         bonf = fwer_two_stage(data, FOLLOWUP, alpha1, alpha, FwerMethod.BONFERRONI)
-        assert np.array_equal(bonf.adjusted, np.minimum(bonf.z, 1.0))
+        assert _flagged(bonf, alpha) == set(bonf.rejected_ids)
+        capped = np.minimum(bonf.z, 1.0)
+        unmoved = np.isin(bonf.scored_rows, bonf.rejected_rows) == (capped <= alpha)
+        assert np.array_equal(bonf.adjusted[unmoved], capped[unmoved])
+
+    def test_bonferroni_row_on_both_stage_thresholds_shows_alpha(self):
+        # p1 = alpha1/m and p2 = (alpha - alpha1)/R1 pass both stages, but
+        # z = max(m*p1/c, R1*p2/(1-c)) rounds to 0.05000000000000001
+        p2 = (0.05 - 0.03) / 2
+        data = make_data([0.015, 0.015], [p2, p2])
+        report = fwer_two_stage(data, FOLLOWUP, 0.03, 0.05)
+        assert report.rejected_ids == ("h0", "h1")
+        assert report.z.tolist() == [0.05000000000000001] * 2
+        assert report.adjusted.tolist() == [0.05, 0.05]
 
     def test_level_validation(self):
         data = make_data([0.5], [0.5])
@@ -555,17 +569,40 @@ class TestBaselines:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_report_duality_of_scored_reports(seed):
     # rejected iff the reported adjusted value is at most the level, for
-    # the scored reports besides fdr_two_stage's
+    # every scored kind, on drawn p-values and then with half the followed
+    # p1 and p2 on a Bonferroni stage threshold (alpha1/m, (alpha -
+    # alpha1)/R1) and half the completed rows on a step-up threshold i*q/m
+    # in both studies, where the adjusted values round
     rng = np.random.default_rng(seed)
     data, q1, q, _ = _followup_instance(rng, Dependence.INDEPENDENT)
     complete = _completed(data, rng)
-    for report in (
-        fwer_two_stage(data, FOLLOWUP, q1, q, FwerMethod.BONFERRONI),
-        fwer_two_stage(data, FOLLOWUP, q1, q, FwerMethod.HOLM),
-        Procedure(kind="partial_conjunction", q=q).run(complete),
-        Procedure(kind="fisher_meta", q=q).run(complete),
-    ):
-        assert _flagged(report, q) == set(report.rejected_ids), report.procedure
+    m, followed = data.m, ~np.isnan(data.p2)
+    p1, p2 = data.p1.copy(), data.p2.copy()
+    for p, level, n in ((p1, q1, m), (p2, q - q1, np.count_nonzero(followed))):
+        p[followed & (rng.random(m) < 0.5)] = level / n
+    on = rng.random(m) < 0.5
+    c1, c2 = complete.p1.copy(), complete.p2.copy()
+    c1[on] = c2[on] = rng.integers(1, m + 1, size=np.count_nonzero(on)) * q / m
+    placed = StudyPairData(data.ids, p1, p2), StudyPairData(data.ids, c1, c2)
+    for data, complete in ((data, complete), placed):
+        for report in (
+            fdr_two_stage(data, FOLLOWUP, q1, q),
+            fwer_two_stage(data, FOLLOWUP, q1, q, FwerMethod.BONFERRONI),
+            fwer_two_stage(data, FOLLOWUP, q1, q, FwerMethod.HOLM),
+            Procedure(kind="partial_conjunction", q=q).run(complete),
+            Procedure(kind="fisher_meta", q=q).run(complete),
+        ):
+            assert _flagged(report, q) == set(report.rejected_ids), report.procedure
+
+
+def test_partial_conjunction_row_on_its_step_up_threshold_shows_q():
+    # max(p1, p2) = q/m is rejected at the first step, where m*q/m rounds
+    # to 0.05000000000000001
+    p = [0.05 / 11] + [0.9] * 10
+    report = PARTIAL_CONJUNCTION.run(make_data(p, p))
+    assert report.rejected_ids == ("h0",)
+    assert 11 * report.z[0] == 0.05000000000000001
+    assert report.adjusted[0] == 0.05
 
 
 # each run by the name of the library function it was before procedure kinds
