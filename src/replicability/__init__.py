@@ -15,8 +15,8 @@ import importlib
 import logging
 import os
 
-# each public name by the module that defines it; a name loads its module
-# on first use, so importing the package loads neither a module nor numpy
+# the one list of public names, each by the module that defines it; a name loads
+# its module on first use, so importing the package loads neither a module nor numpy
 _HOMES = {
     "adjust": "AdjustedRow AdjustedTable build_adjusted_table",
     "data": "DiscoveryReport HypothesisRecord StudyPairData ValidationIssue validate_dataset",
@@ -33,62 +33,21 @@ _HOMES = {
     "generate_rep run_scenario sweep truth_block_sizes",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 
 logging.getLogger(__name__).addHandler(logging.NullHandler())
-
-__all__ = [
-    "AdjustedRow",
-    "AdjustedTable",
-    "ApplicabilityError",
-    "DataError",
-    "Dependence",
-    "DiscoveryReport",
-    "FwerMethod",
-    "HypothesisRecord",
-    "ParameterError",
-    "Procedure",
-    "ReplicabilityError",
-    "SelectionRule",
-    "SimEstimate",
-    "SimScenario",
-    "StudyPairData",
-    "ValidationIssue",
-    "analytic_power_bonf_max",
-    "analytic_power_two_stage",
-    "bh_reject",
-    "build_adjusted_table",
-    "chisq_survival_even_df",
-    "fdr_symmetric",
-    "fdr_two_stage",
-    "fdr_two_stage_rscan",
-    "fisher_combined_pvalues",
-    "fwer_two_stage",
-    "generate_rep",
-    "harmonic",
-    "load_crohns_disease",
-    "load_hippocampal_volume",
-    "parse_pvalue_csv",
-    "parse_scenario_file",
-    "probe_validity",
-    "run_scenario",
-    "select",
-    "solve_oracle_qprime",
-    "solve_q1_tilde_thresholded",
-    "std_normal_cdf",
-    "std_normal_quantile",
-    "sweep",
-    "truth_block_sizes",
-    "validate_dataset",
-    "write_pvalue_csv",
-]
 
 
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})  # unloaded names too, for help() and completion
 
 
 def _main() -> int:

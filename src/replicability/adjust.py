@@ -22,6 +22,8 @@ from .selection import SelectionRule
 
 @dataclass(frozen=True)
 class AdjustedRow:
+    """One row of :attr:`AdjustedTable.rows`, a followed-up hypothesis."""
+
     id: str
     p1: float
     p2: float

@@ -120,9 +120,7 @@ def _write_report(out: str, quiet: bool, data, report, params: dict) -> None:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     dataio.write_discoveries_csv(data, report, out / "discoveries.csv")
-    (out / "summary.txt").write_text(
-        dataio.summary_text(report, data, params), encoding="utf-8"
-    )
+    (out / "summary.txt").write_text(dataio.summary_text(report, data, params), encoding="utf-8")
     if not quiet:
         print(f"{report.procedure}: rejected {report.r2} of R1={report.r1}")
 

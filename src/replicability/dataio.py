@@ -247,6 +247,9 @@ def _unreadable(rid: str) -> bool:
 
 
 def write_pvalue_csv(data: StudyPairData, path) -> None:
+    """Writes ``data`` as :func:`parse_pvalue_csv` reads it back: the ``# m=``
+    and ``# r1=`` directives it declares, then the ``id,p1,p2`` CSV. Refuses
+    an id that would not read back and any fault of :func:`validate_dataset`."""
     ids = data.ids.tolist()
     bad = next((rid for rid in ids if _unreadable(rid)), None)
     if bad is not None:
@@ -337,10 +340,10 @@ def parse_rule_spec(spec: str) -> SelectionRule:
     spec = spec.strip()
     if spec == "followup":
         return SelectionRule("followup")
-    kind, _, arg = spec.partition(":")
+    kind, colon, arg = spec.partition(":")
     try:
-        if kind in ("bh", "bonferroni"):
-            return SelectionRule(kind, level=float(arg) if arg else None)
+        if kind in ("bh", "bonferroni"):  # "bh:" has an empty level, which float() refuses
+            return SelectionRule(kind, level=float(arg) if colon else None)
         if kind == "top":
             return SelectionRule("top_k", k=int(arg))
         if kind == "threshold":

@@ -18,6 +18,8 @@ class _Choice(str, Enum):
 
 
 class FwerMethod(_Choice):
+    """The FWER correction applied within each stage of ``fwer_two_stage``."""
+
     BONFERRONI = "bonferroni"
     HOLM = "holm"
 

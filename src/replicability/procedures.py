@@ -26,17 +26,7 @@ from .data import DiscoveryReport, StudyPairData
 from .errors import DataError, ParameterError
 from .numeric import harmonic, solve_oracle_qprime, solve_q1_tilde_thresholded
 from .params import Dependence, FwerMethod, check_levels
-from .selection import ROW_KINDS, SelectionRule, _select_mask, select_rows
-
-__all__ = [
-    "FwerMethod",
-    "Dependence",
-    "Procedure",
-    "fwer_two_stage",
-    "fdr_two_stage",
-    "fdr_two_stage_rscan",
-    "fdr_symmetric",
-]
+from .selection import SelectionRule, _select_mask, require_row_kind, select_rows
 
 
 def _level_divisors(q1: float, mode: Dependence, t: float | None, m: int, r1) -> tuple:
@@ -498,11 +488,7 @@ class Procedure:
     def kernel(self, m: int, fractions=None):
         """mask = f(p1, p2) over (n, m) rows, one family of m per row, at
         levels resolved once; only a selection made from p1 alone runs so."""
-        if self.selection.kind not in ROW_KINDS:
-            raise ParameterError(
-                f"selection {self.selection.kind!r} does not run in a simulation; "
-                f"expected one of {', '.join(ROW_KINDS)}"
-            )
+        require_row_kind(self.selection)
         q1, q = self.levels(fractions)
         rows = _KINDS[self.kind][2]
         return lambda p1, p2: rows(self, p1, p2, m, q1, q)

@@ -92,8 +92,16 @@ class SelectionRule:
         return self
 
 
-# the kinds select_rows computes from primary p-values alone
 ROW_KINDS = ("bh", "bonferroni", "top_k", "fixed_threshold")
+
+
+def require_row_kind(rule: SelectionRule) -> None:
+    """Refuses a rule that :func:`select_rows` cannot make from p1 alone."""
+    if rule.kind not in ROW_KINDS:
+        raise ParameterError(
+            f"{rule.kind} selection is not made from primary p-values alone; "
+            f"expected one of {', '.join(ROW_KINDS)}"
+        )
 
 
 def _require_level(rule: SelectionRule) -> None:
@@ -108,6 +116,7 @@ def _require_level(rule: SelectionRule) -> None:
 def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
     """Selection mask of a rule of one of the ``ROW_KINDS`` over (n, k)
     primary p-values, each row listing k members of a family of m."""
+    require_row_kind(rule)
     _require_level(rule)
     if rule.kind == "bh":
         return kernels.bh_rows(p1, rule.level, m)
@@ -115,14 +124,9 @@ def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
         return p1 <= rule.level / m
     if rule.kind == "fixed_threshold":
         return p1 <= rule.threshold
-    if rule.kind == "top_k":
-        if rule.k > m:
-            raise DataError(f"top_k selection asks for {rule.k} of {m} hypotheses")
-        return kernels.top_k_rows(p1, rule.k)
-    raise ParameterError(
-        f"{rule.kind} selection is not made from primary p-values alone; "
-        f"expected one of {', '.join(ROW_KINDS)}"
-    )
+    if rule.k > m:
+        raise DataError(f"top_k selection asks for {rule.k} of {m} hypotheses")
+    return kernels.top_k_rows(p1, rule.k)
 
 
 def _select_mask(rule: SelectionRule, data: StudyPairData, p1: np.ndarray) -> np.ndarray:

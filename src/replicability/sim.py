@@ -39,17 +39,6 @@ _log = logging.getLogger(__name__)
 # p-values per study in one chunk of repetitions: 512 KB of float64
 _CHUNK_VALUES = 1 << 16
 
-__all__ = [
-    "SimScenario",
-    "SimEstimate",
-    "truth_block_sizes",
-    "generate_rep",
-    "run_scenario",
-    "sweep",
-    "analytic_power_bonf_max",
-    "analytic_power_two_stage",
-]
-
 
 @dataclass(frozen=True)
 class SimScenario:

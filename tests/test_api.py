@@ -3,6 +3,7 @@ import ast
 import contextlib
 import importlib.util
 import io
+import pydoc
 import re
 from pathlib import Path
 
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 
 import replicability
-from replicability import procedures, sim
+from replicability import procedures
 
 REPO = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("module", [replicability, procedures, sim], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [replicability], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     # a deleted name cannot stay in __all__, where `import *` would fail on it
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
@@ -35,6 +36,40 @@ def test_lazy_names_map_to_the_modules_that_define_them():
             if isinstance(node, (ast.ClassDef, ast.FunctionDef))
         }
     assert [name for name, module in homes.items() if name not in defined[module]] == []
+
+
+def test_public_names_are_listed_only_by_the_package():
+    # _HOMES in __init__ is the one list of public names; a module's own
+    # __all__ would be a second list that drifts from it
+    owners = []
+    for path in sorted((REPO / "src" / "replicability").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                owners.append(path.name)
+    assert owners == ["__init__.py"]
+
+
+def test_every_public_name_has_its_own_docstring():
+    # help() shows each public name by its own docstring, not an inherited
+    # one or a dataclass's generated signature
+    missing = []
+    for name, module in replicability._HOME.items():
+        path = REPO / "src" / "replicability" / f"{module}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        node = next(n for n in tree.body if getattr(n, "name", None) == name)
+        if not ast.get_docstring(node):
+            missing.append(name)
+    assert missing == []
+
+
+def test_dir_and_help_show_the_public_names():
+    assert set(replicability.__all__) <= set(dir(replicability))
+    assert {"__version__", "_main"} <= set(dir(replicability))
+    text = pydoc.render_doc(replicability, renderer=pydoc.plaintext)
+    shown = set(re.findall(r"^    (?:class )?(\w+)(?: = |\(|$)", text, re.M))
+    assert sorted(set(replicability.__all__) - shown) == []
+    assert replicability.fdr_two_stage.__doc__.splitlines()[0] in text
 
 
 def test_blas_thread_count_is_set_in_one_module():

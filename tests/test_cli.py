@@ -360,6 +360,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, code", [
         pytest.param(["analyze", "--q", "1.5"], 1, id="q_above_one"),
         pytest.param(["analyze", "--selection", "bh:1.5"], 1, id="selection_level"),
+        pytest.param(["analyze", "--selection", "bh:"], 1, id="selection_empty_level"),
         pytest.param(["analyze", "--dependence", "sideways"], 1, id="dependence"),
         pytest.param(["adjust", "--c", "1.5"], 1, id="adjust_c"),
         pytest.param(
@@ -786,6 +787,21 @@ assert not scipy_modules(), ("import", scipy_modules())
 for argv in {calls!r}:
     assert main(argv) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules())
+"""
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+
+
+def test_dir_lists_the_public_names_before_numpy_loads():
+    """dir() of the package, which completion and help() read, names every
+    public name while none of their modules, nor numpy, has loaded."""
+    script = """
+import sys
+import replicability
+names = dir(replicability)
+loaded = [n for n in sys.modules if n.startswith("replicability.") or n.split(".")[0] == "numpy"]
+assert loaded == [], loaded
+assert set(replicability.__all__) <= set(names) and "fdr_two_stage" in names
 """
     done = _python("-c", script)
     assert done.returncode == 0, done.stderr

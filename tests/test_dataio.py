@@ -234,6 +234,10 @@ def test_parse_rule_specs():
     assert parse_rule_spec("threshold:5e-5").threshold == 5e-5
     with pytest.raises(DataError):
         parse_rule_spec("nope:1")
+    # the grammar is bh[:LEVEL]: a colon needs a level after it, as top:K does
+    for spec in ("bh:", "bonferroni:", "bh: ", "top:", "threshold:"):
+        with pytest.raises(ParameterError, match=f"^bad selection spec {spec.strip()!r}"):
+            parse_rule_spec(spec)
 
 
 def test_parse_sim_selection_auto_level():

@@ -181,7 +181,9 @@ def test_oracle_needs_its_fractions():
 def test_selection_that_needs_a_dataset_runs_only_in_the_library():
     fdr = Procedure(q1=0.025, selection=SelectionRule("followup"))
     assert fdr.run(dataio.parse_pvalue_csv(HIPPO)).procedure.startswith("fdr_two_stage")
-    with pytest.raises(ParameterError, match="selection 'followup' does not run in a simulation"):
+    with pytest.raises(
+        ParameterError, match="^followup selection is not made from primary p-values alone"
+    ):
         fdr.kernel(100)
 
 
