@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import MISSING, dataclass, fields
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +80,8 @@ def _parse_row(line: str, where: str, row: int) -> tuple[str, float, float]:
     if len(parts) != 3:
         raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
     rid, p1_text, p2_text = (p.strip() for p in parts)
+    if not rid.isascii() and re.search("[\udc80-\udcff]", rid):  # an undecodable byte
+        raise DataError(f"{where}: id {rid!r} is not UTF-8 text")
     p1 = _parse_float(p1_text, where, "p1")
     if p2_text == "":
         return rid, p1, np.nan
@@ -106,18 +108,20 @@ def _directive(line: str, k: int, path: Path, declared: dict) -> None:
 
 
 def _parse_lines(
-    text: str, lineno: int, first_row: int, path: Path, declared: dict
+    text: str, lineno: int, first_row: int, path: Path, declared: dict, skipped: list
 ) -> tuple[tuple[list, list, list], DataError | None]:
-    """Line-by-line parse of a block whose first line is ``lineno + 1`` and
-    first data row ``first_row``: the (ids, p1, p2) columns of its rows before
-    the first malformed line, and that line's error (None if every line is
-    well formed). Directives up to there go into ``declared``."""
+    """Line-by-line parse of a block of whole lines whose first line is ``lineno + 1``
+    and first data row ``first_row``: the (ids, p1, p2) columns of its rows before
+    the first malformed line, and that line's error (None if every line is well
+    formed). Up to there, directives go into ``declared``, and each line that holds
+    no row appends the number of rows before it to ``skipped``."""
     columns: tuple[list, list, list] = ([], [], [])
-    for k, s in enumerate(map(str.strip, text.split("\n")), start=lineno + 1):
+    for k, s in enumerate(map(str.strip, text[:-1].split("\n")), start=lineno + 1):
         try:
-            if s[:1] == "#":
+            if s[:1] in ("#", ""):
                 _directive(s, k, path, declared)
-            elif s:
+                skipped.append(first_row + len(columns[0]))
+            else:
                 row = _parse_row(s, f"{path}:{k}", first_row + len(columns[0]))
                 for column, value in zip(columns, row):
                     column.append(value)
@@ -162,13 +166,6 @@ def _blocks(fh):
         yield tail + "\n"
 
 
-def _row_line(path: Path, row: int) -> int:
-    """Line number of data row ``row`` (0-based), for error messages."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        content = (k for k, raw in enumerate(fh, 1) if raw.strip()[:1] not in ("", "#"))
-        return next(islice(content, row + 1, None))  # the header comes first
-
-
 def parse_pvalue_csv(path) -> StudyPairData:
     """Read a ``id,p1,p2`` CSV into a dataset.
 
@@ -180,7 +177,9 @@ def parse_pvalue_csv(path) -> StudyPairData:
     or ``# m=2.5e6`` that starts as a directive but is none, included), if a
     p2 is a literal ``nan``, or if :func:`validate_dataset` finds a fault in
     it; of several faults, the one on the earliest data line is named, an
-    empty family at the header.
+    empty family at the header. A byte that is not UTF-8 reads as a lone
+    surrogate (U+DC80 to U+DCFF): a field that holds one is refused, a
+    comment ignored. The file is read once, so it may be a pipe.
 
     After the header, a clean block of lines (see :func:`_parse_clean`) is
     split at once, and any other read line by line with the same result;
@@ -193,26 +192,24 @@ def parse_pvalue_csv(path) -> StudyPairData:
     columns = ids, p1, p2, hashes = [np.empty(_COLUMN_ROWS, t) for t in dtypes]
     rows = 0
     fault = None  # the first malformed line's error; reading stops there
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line[:1] == "#":
-                _directive(line, lineno, path, declared)
-            elif line:
+            if (line := raw.strip())[:1] not in ("#", ""):
                 break
+            _directive(line, lineno, path, declared)
         else:
             raise DataError(f"{path}: missing header line {PVALUE_HEADER!r}")
         if line != PVALUE_HEADER:
             raise DataError(f"{path}:{lineno}: expected header {PVALUE_HEADER!r}, got {line!r}")
         header = lineno  # where a fault of an undeclared m is named
+        skipped: list[int] = []  # per line after it that holds no row, the rows before it
         size, read = os.fstat(fh.fileno()).st_size, 0  # bytes in the file, chars read
         for text in _blocks(fh):
             try:
                 block_ids, *values = _parse_clean(text)
             except ValueError:  # line by line, so that a fault names its line
-                (block_ids, *values), fault = _parse_lines(text, lineno, rows, path, declared)
-                lineno += text.count("\n") - len(block_ids)  # lines that are not rows
-            lineno += len(block_ids)
+                (block_ids, *values), fault = _parse_lines(
+                    text, header + rows + len(skipped), rows, path, declared, skipped)
             read += len(text)
             end = rows + len(block_ids)
             if end > len(p1):  # double in place, or less if the file's size foretells fewer
@@ -233,8 +230,8 @@ def parse_pvalue_csv(path) -> StudyPairData:
     if fault is not None and (issue is None or issue.row is None):
         raise fault
     if issue is not None:
-        line = (_row_line(path, issue.row) if issue.row is not None
-                else declared.get(issue.field, (None, header))[1])
+        line = (declared.get(issue.field, (None, header))[1] if issue.row is None
+                else header + 1 + issue.row + sum(k <= issue.row for k in skipped))
         raise DataError(f"{path}:{line}: {issue.where}: {issue.message}")
     return data
 
@@ -436,7 +433,7 @@ def parse_scenario_file(path) -> ScenarioFile:
     path = Path(path)
     raw: dict[str, str] = {}
     grid = None
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

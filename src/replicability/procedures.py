@@ -488,7 +488,7 @@ class Procedure:
     def kernel(self, m: int, fractions=None):
         """mask = f(p1, p2) over (n, m) rows, one family of m per row, at
         levels resolved once; only a selection made from p1 alone runs so."""
-        require_row_kind(self.selection)
+        require_row_kind(self.selection, m)
         q1, q = self.levels(fractions)
         rows = _KINDS[self.kind][2]
         return lambda p1, p2: rows(self, p1, p2, m, q1, q)

@@ -95,13 +95,15 @@ class SelectionRule:
 ROW_KINDS = ("bh", "bonferroni", "top_k", "fixed_threshold")
 
 
-def require_row_kind(rule: SelectionRule) -> None:
-    """Refuses a rule that :func:`select_rows` cannot make from p1 alone."""
+def require_row_kind(rule: SelectionRule, m: int) -> None:
+    """Refuses a rule that :func:`select_rows` cannot make from the p1 of a family of m."""
     if rule.kind not in ROW_KINDS:
         raise ParameterError(
             f"{rule.kind} selection is not made from primary p-values alone; "
             f"expected one of {', '.join(ROW_KINDS)}"
         )
+    if rule.kind == "top_k" and rule.k > m:
+        raise DataError(f"top_k selection asks for {rule.k} of {m} hypotheses")
 
 
 def _require_level(rule: SelectionRule) -> None:
@@ -116,7 +118,7 @@ def _require_level(rule: SelectionRule) -> None:
 def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
     """Selection mask of a rule of one of the ``ROW_KINDS`` over (n, k)
     primary p-values, each row listing k members of a family of m."""
-    require_row_kind(rule)
+    require_row_kind(rule, m)
     _require_level(rule)
     if rule.kind == "bh":
         return kernels.bh_rows(p1, rule.level, m)
@@ -124,8 +126,6 @@ def select_rows(rule: SelectionRule, p1: np.ndarray, m: int) -> np.ndarray:
         return p1 <= rule.level / m
     if rule.kind == "fixed_threshold":
         return p1 <= rule.threshold
-    if rule.k > m:
-        raise DataError(f"top_k selection asks for {rule.k} of {m} hypotheses")
     return kernels.top_k_rows(p1, rule.k)
 
 

@@ -302,16 +302,15 @@ def sweep(
 ) -> list[tuple[float, SimEstimate]]:
     """One :func:`run_scenario` per grid point along ``axis``.
 
-    Every point reuses the scenario's master seed (common random numbers),
-    which keeps curves smooth in the grid direction.
+    Every point is checked before any runs, and reuses the scenario's master
+    seed (common random numbers), which keeps curves smooth in the grid
+    direction.
     """
     grid = list(grid)
     if not grid:
         raise ParameterError("sweep grid must be non-empty")
-    return [
-        (float(v), run_scenario(_scenario_at(scenario, axis, float(v)), workers=workers))
-        for v in grid
-    ]
+    points = [(float(v), _scenario_at(scenario, axis, float(v))) for v in grid]
+    return [(v, run_scenario(point, workers=workers)) for v, point in points]
 
 
 def _check_power_inputs(mu11: float, mu21: float, m) -> None:

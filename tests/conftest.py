@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,26 @@ def median_rule(monkeypatch):
     monkeypatch.setattr(selection, "_select_mask", patched)
     monkeypatch.setitem(selection._READS, "median2x", None)  # a kind reading no parameter
     return selection.SelectionRule("median2x")
+
+
+@pytest.fixture
+def pipe():
+    """Puts text into a pipe and gives a path that reads it once, as
+    ``/dev/stdin`` or a shell's ``<(...)`` gives a decompressed file."""
+    if not Path("/dev/fd").is_dir():
+        pytest.skip("names a pipe by /dev/fd")
+    ends = []
+
+    def put(text: str) -> str:
+        read, write = os.pipe()
+        ends.append(read)
+        os.write(write, text.encode())  # within the pipe's buffer: no reader is waiting
+        os.close(write)
+        return f"/dev/fd/{read}"
+
+    yield put
+    for end in ends:
+        os.close(end)
 
 
 def random_instance(rng: np.random.Generator, max_m: int = 200, max_r1: int = 50):

@@ -32,7 +32,8 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
     p1s: list[float] = []
     p2s: list[float] = []  # NaN where not followed up
     header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, U+DC80 to U+DCFF
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             where = f"{path}:{lineno}"
@@ -64,6 +65,8 @@ def parse_pvalue_csv_lines(path) -> StudyPairData:
             if len(parts) != 3:
                 raise DataError(f"{where}: expected 3 fields, got {len(parts)}")
             rid, p1_text, p2_text = (p.strip() for p in parts)
+            if any("\udc80" <= c <= "\udcff" for c in rid):
+                raise DataError(f"{where}: id {rid!r} is not UTF-8 text")
             p1 = _parse_float(p1_text, where, "p1")
             p2 = float("nan")  # not followed up
             if p2_text:

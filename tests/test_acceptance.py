@@ -72,7 +72,7 @@ def test_criterion_1_fwer_example_golden():
             failures.append(f"c=0.5 {rid}: {got[rid]!r} != {want}")
 
     for levels in ((0.025, 0.05), (0.04, 0.05)):
-        run = fwer_two_stage(data, SelectionRule.followed_up(), *levels)
+        run = fwer_two_stage(data, SelectionRule("followup"), *levels)
         if run.rejected_ids != ("MSRB3",):
             failures.append(f"fwer{levels}: {run.rejected_ids}")
 
@@ -364,7 +364,7 @@ def _random_partial_instance(rng):
 
 def test_criterion_6_oracle_equivalence():
     rng = np.random.default_rng(SEED)
-    rule = SelectionRule.followed_up()
+    rule = SelectionRule("followup")
     mismatches = 0
     for _ in range(1000):
         data, q1, q = _random_partial_instance(rng)

@@ -155,7 +155,7 @@ def test_fdr_duality_on_random_instances():
         data, q1, q, _ = random_instance(rng, max_m=60)
         table = build_adjusted_table(data, c=q1 / q, flavor="fdr")
         flagged = {rid for rid, v in zip(table.ids, table.adjusted) if v <= q}
-        run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q)
+        run = fdr_two_stage(data, SelectionRule("followup"), q1, q)
         assert flagged == set(run.rejected_ids)
 
 
@@ -166,7 +166,7 @@ def test_bonferroni_duality_on_random_instances():
         table = build_adjusted_table(data, c=a1 / a, flavor="bonferroni")
         flagged = {rid for rid, v in zip(table.ids, table.adjusted) if v <= a}
         run = fwer_two_stage(
-            data, SelectionRule.followed_up(), a1, a, FwerMethod.BONFERRONI
+            data, SelectionRule("followup"), a1, a, FwerMethod.BONFERRONI
         )
         assert flagged == set(run.rejected_ids)
 
@@ -178,7 +178,7 @@ def test_fdr_duality_on_followup_instances(seed):
     data, q1, q, _ = _followup_instance(np.random.default_rng(seed), Dependence.INDEPENDENT)
     table = build_adjusted_table(data, c=q1 / q, flavor="fdr")
     flagged = {rid for rid, v in zip(table.ids, table.adjusted) if v <= q}
-    run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q)
+    run = fdr_two_stage(data, SelectionRule("followup"), q1, q)
     assert flagged == set(run.rejected_ids)
 
 
@@ -188,7 +188,7 @@ def test_bonferroni_duality_on_followup_instances(seed):
     data, a1, a, _ = _followup_instance(np.random.default_rng(seed), Dependence.INDEPENDENT)
     table = build_adjusted_table(data, c=a1 / a, flavor="bonferroni")
     flagged = {rid for rid, v in zip(table.ids, table.adjusted) if v <= a}
-    run = fwer_two_stage(data, SelectionRule.followed_up(), a1, a, FwerMethod.BONFERRONI)
+    run = fwer_two_stage(data, SelectionRule("followup"), a1, a, FwerMethod.BONFERRONI)
     assert flagged == set(run.rejected_ids)
 
 
@@ -201,7 +201,7 @@ def test_modified_duality_matches_modified_run():
         )
         flagged = {rid for rid, v in zip(table.ids, table.modified) if v <= q}
         run = fdr_two_stage(
-            data, SelectionRule.followed_up(), q1, q, Dependence.ARBITRARY_PRIMARY_ITEM1
+            data, SelectionRule("followup"), q1, q, Dependence.ARBITRARY_PRIMARY_ITEM1
         )
         assert flagged == set(run.rejected_ids)
 
@@ -222,7 +222,7 @@ def test_modified_duality_on_followup_instances(seed, mode):
     level = q if mode is Dependence.ARBITRARY_PRIMARY_ITEM2 else None  # read only by item 2
     table = build_adjusted_table(data, q1 / q, "fdr", mode, t, level)
     flagged = {rid for rid, v in zip(table.ids, table.modified) if v <= q}
-    run = fdr_two_stage(data, SelectionRule.followed_up(), q1, q, mode, t)
+    run = fdr_two_stage(data, SelectionRule("followup"), q1, q, mode, t)
     assert flagged == set(run.rejected_ids)
 
 

@@ -121,7 +121,41 @@ def test_probe_only_names_have_no_caller_in_src_or_demos():
                 calls.append(f"{path.name}:{node.lineno} .{node.attr}")
             elif isinstance(node, ast.keyword) and node.arg == "rule_reverse":
                 calls.append(f"{path.name}:{node.value.lineno} rule_reverse=")
+    # tests spell these two rules SelectionRule(...) too, but in the test
+    # that the benchmark's probes find them
+    hooks = test_benchmark_trace_hooks_exist.__name__
+    for path in sorted((REPO / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree.body = [node for node in tree.body if getattr(node, "name", None) != hooks]
+        calls += [f"{path.name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                  if getattr(node, "attr", None) in {"bh_at_level", "followed_up"}]
     assert len(files) > 6 and calls == []
+
+
+def test_inputs_are_opened_once_each_with_one_decoding():
+    # each input file is read in one pass, which also numbers the lines its
+    # refusals name, so a pipe reads like a file; both inputs decode alike,
+    # so an undecodable byte meets the reader's own refusals
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "open":
+                keys = {k.arg: ast.literal_eval(k.value) for k in child.keywords}
+                sites.append((scope, keys.get("encoding"), keys.get("errors")))
+            visit(child, scope)
+
+    for path in sorted((REPO / "src").rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(sites) == [
+        ("dataio.parse_pvalue_csv", "utf-8-sig", "surrogateescape"),
+        ("dataio.parse_scenario_file", "utf-8-sig", "surrogateescape"),
+    ]
+    dataio = ast.parse((REPO / "src" / "replicability" / "dataio.py").read_text(encoding="utf-8"))
+    assert "_row_line" not in {getattr(node, "name", None) for node in dataio.body}
 
 
 def test_counts_are_checked_only_by_check_count():

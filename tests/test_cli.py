@@ -168,6 +168,68 @@ class TestByteOrderMark:
         assert printed[0] == printed[1] and printed[0].startswith("point,")
 
 
+class TestUndecodableBytes:
+    """A byte that is not UTF-8, as a Latin-1 export writes an accent, is
+    refused as a data error naming its line, or ignored in a comment."""
+
+    def test_analyze_refuses_an_id_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"# caf\xe9\nid,p1,p2\nb,0.2,0.3\na\xe9,0.1,0.2\n")
+        code = main(["analyze", "--input", str(path), "--q1", "0.025", "--q", "0.05",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {path}:4: id 'a\\udce9' is not UTF-8 text\n"
+
+    def test_simulate_refuses_a_value_and_ignores_a_comment(self, tmp_path, capsys):
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"# r\xe9sum\xe9\n" + SCENARIO.replace("0.025\n", "0.025 # \xff\n")
+                         .encode("latin-1"))
+        assert main(["simulate", "--scenario", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("point,")
+        path.write_bytes(path.read_bytes().replace(b"reps = 60", b"reps = 6\xff0"))
+        assert main(["simulate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {path}: cannot parse reps value '6\\udcff0'\n"
+        )
+
+
+class TestPipedInput:
+    """``zcat screen.csv.gz | replicability analyze --input /dev/stdin``:
+    a pipe is read once, and refused with the messages its file gets."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--q1", "0.025", "--q", "0.05", "--out", "o"],
+        ["adjust", "--c", "0.5", "--out", "a.csv"],
+        ["calibrate-oracle", "--f00", "0.9", "--f01", "0.01", "--q", "0.05", "--out", "o"],
+        ["probe-selection", "--selection", "top:1"],
+    ], ids=["analyze", "adjust", "calibrate_oracle", "probe_selection"])
+    @pytest.mark.parametrize("text", [
+        "id,p1,p2\na,0.1,0.2\n# c\n\nb,1.2,0.3\n",
+        "id,p1,p2\na,0.1,0.2\n\na,0.3,0.4\n",
+        BAD_PVALUE_FILES["r1_below_followups"][0],
+        BAD_PVALUE_FILES["many_out_of_range"][0],
+    ], ids=["p1_after_comment_and_blank", "duplicate_id", "r1_below_followups", "many"])
+    def test_faulty_pipe_is_refused_as_its_file(
+        self, tmp_path, capsys, monkeypatch, pipe, argv, text
+    ):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+        on_disk = capsys.readouterr().err
+        piped = pipe(text)
+        assert main([argv[0], "--input", piped, *argv[1:]]) == 2
+        assert capsys.readouterr().err == on_disk.replace(str(path), piped)
+        assert on_disk.startswith(f"data error: {path}:")
+
+    def test_standard_input_is_refused_naming_the_line(self, tmp_path):
+        argv = ["analyze", "--q1", "0.025", "--q", "0.05", "--out", str(tmp_path / "o")]
+        done = _python("-m", "replicability.cli", *argv, "--input", "/dev/stdin",
+                       stdin="id,p1,p2\na,0.1,0.2\n# c\n\nb,1.2,0.3\n")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "data error: /dev/stdin:5: record 1 ('b'): p1 out of range: 1.2\n"
+
+
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert main(["analyze"]) == 1
@@ -565,6 +627,9 @@ class TestSimulate:
         lambda text: text + "q = 0.2\n",
         lambda text: text + "dependence = independent\nt = 0.001\n",
         lambda text: text.replace("procedure = fdr", "procedure = bogus"),
+        # refused on read, before the sweep's first point runs
+        lambda text: text.replace("selection = bh", "selection = top:401"),
+        lambda text: text + "sweep_axis = k_selected\nsweep_grid = 5, 401\n",
     ], ids=[
         "q1_not_below_q", "w1", "item2_without_t", "t_above_one", "oracle_levels", "primary",
         "fwer_method",
@@ -573,6 +638,7 @@ class TestSimulate:
         "m_not_a_number", "m_missing", "line_without_equals",
         "grid_without_axis", "axis_without_grid", "grid_not_a_number", "grid_empty",
         "grid_empty_field", "repeated_key", "t_under_independent", "unknown_procedure",
+        "top_k_above_m", "k_selected_above_m",
     ])
     def test_refused_scenario_value_is_data_error_naming_file(self, tmp_path, capsys, edit):
         scen = tmp_path / "s.txt"
@@ -807,16 +873,19 @@ assert set(replicability.__all__) <= set(names) and "fdr_two_stage" in names
     assert done.returncode == 0, done.stderr
 
 
-def _python(*args: str, path: tuple = (), **env: str) -> subprocess.CompletedProcess:
+def _python(
+    *args: str, path: tuple = (), stdin: str | None = None, **env: str
+) -> subprocess.CompletedProcess:
     """Python with ``args`` in a fresh process that imports this checkout's
-    package, with ``path`` first on its path; the child has no
-    OPENBLAS_NUM_THREADS unless ``env`` sets it."""
+    package, with ``path`` first on its path, reading ``stdin`` from a pipe;
+    the child has no OPENBLAS_NUM_THREADS unless ``env`` sets it."""
     src = str(Path(replicability.__file__).parents[1])
     paths = [*path, src, os.environ.get("PYTHONPATH")]
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env = dict(base, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env)
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120,
+        input=stdin,
     )
 
 

@@ -28,7 +28,7 @@ from replicability.procedures import (
 )
 from replicability.selection import SelectionRule, select
 
-FOLLOWUP = SelectionRule.followed_up()
+FOLLOWUP = SelectionRule("followup")
 PARTIAL_CONJUNCTION = Procedure(kind="partial_conjunction", q=0.05)
 NAIVE = Procedure(kind="naive_bh_bh", q=0.05)
 FISHER = Procedure(kind="fisher_meta", q=0.05)
@@ -83,7 +83,7 @@ class TestFwerTwoStage:
 
     def test_empty_selection_rejects_nothing(self):
         data = make_data([0.5, 0.6], [0.01, 0.02])
-        report = fwer_two_stage(data, SelectionRule.bh_at_level(0.01), 0.025, 0.05)
+        report = fwer_two_stage(data, SelectionRule("bh", level=0.01), 0.025, 0.05)
         assert report.rejected_ids == () and report.r1 == 0
 
     def test_missing_followup_is_data_error(self):
@@ -358,7 +358,7 @@ class TestFdrTwoStage:
         rng = np.random.default_rng(8)
         for _ in range(50):
             data, q1, q, _ = random_instance(rng, max_m=40)
-            rule = SelectionRule.bh_at_level(q1)
+            rule = SelectionRule("bh", level=q1)
             report = fdr_two_stage(data, rule, q1, q)
             assert set(report.rejected_ids) <= set(select(rule, data))
 
@@ -471,7 +471,7 @@ class TestSymmetric:
         rng = np.random.default_rng(12)
         for _ in range(20):
             data, q1, q, _ = random_instance(rng, max_m=40)
-            rule = SelectionRule.bh_at_level(q1)
+            rule = SelectionRule("bh", level=q1)
             sym = fdr_symmetric(data, rule, 1.0, q1, q)
             directed = fdr_two_stage(data, rule, q1, q)
             assert sym.rejected_ids == directed.rejected_ids
@@ -480,7 +480,7 @@ class TestSymmetric:
         rng = np.random.default_rng(13)
         for _ in range(20):
             data, q1, q, _ = random_instance(rng, max_m=40)
-            rule = SelectionRule.bh_at_level(q1)
+            rule = SelectionRule("bh", level=q1)
             sym = fdr_symmetric(data, rule, 0.0, q1, q)
             reversed_run = fdr_two_stage(data.swap_studies(), rule, q1, q)
             assert sym.rejected_ids == reversed_run.rejected_ids
@@ -489,7 +489,7 @@ class TestSymmetric:
         rng = np.random.default_rng(14)
         for _ in range(20):
             data, q1, q, _ = random_instance(rng, max_m=40)
-            rule = SelectionRule.bh_at_level(0.5 * q1)
+            rule = SelectionRule("bh", level=0.5 * q1)
             a = fdr_symmetric(data, rule, 0.5, q1, q)
             b = fdr_symmetric(data.swap_studies(), rule, 0.5, q1, q)
             assert a.rejected_ids == b.rejected_ids
@@ -630,7 +630,7 @@ class TestOracleRun:
     def test_degenerate_fractions_run_at_q_2q(self):
         rng = np.random.default_rng(15)
         data, _, _, _ = random_instance(rng, max_m=40)
-        rule = SelectionRule.followed_up()
+        rule = SelectionRule("followup")
         got = _oracle(data, rule, 0.0, 0.0, 0.05, 1.0)
         direct = fdr_two_stage(data, rule, 0.05, 0.10)
         assert got.rejected_ids == direct.rejected_ids
@@ -638,7 +638,7 @@ class TestOracleRun:
     def test_gwas_fractions_level(self):
         rng = np.random.default_rng(16)
         data, _, _, _ = random_instance(rng, max_m=40)
-        report = _oracle(data, SelectionRule.followed_up(), 0.999, 0.00036, 0.05, 1.0)
+        report = _oracle(data, SelectionRule("followup"), 0.999, 0.00036, 0.05, 1.0)
         assert "q'=0.0477" in report.procedure
 
     def test_wider_gap_rejects_no_less(self):
@@ -653,7 +653,7 @@ class TestOracleRun:
     def test_symmetric_weight(self):
         rng = np.random.default_rng(18)
         data, _, _, _ = random_instance(rng, max_m=40)
-        report = _oracle(data, SelectionRule.bh_at_level(0.02), 0.9, 0.01, 0.05, 0.5)
+        report = _oracle(data, SelectionRule("bh", level=0.02), 0.9, 0.01, 0.05, 0.5)
         assert report.procedure.startswith("oracle")
 
 
@@ -792,7 +792,7 @@ def test_rejections_invariant_under_row_permutation(seed, bh, mode):
     data, q1, q, t = _followup_instance(rng, mode)
     order = rng.permutation(len(data.ids))
     shuffled = StudyPairData([data.ids[i] for i in order], data.p1[order], data.p2[order])
-    rule = SelectionRule.bh_at_level(q1) if bh else FOLLOWUP
+    rule = SelectionRule("bh", level=q1) if bh else FOLLOWUP
     before = _rejected_or_refusal(data, rule, q1, q, mode, t)
     after = _rejected_or_refusal(shuffled, rule, q1, q, mode, t)
     assert after == before

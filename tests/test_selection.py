@@ -88,7 +88,7 @@ class TestSelect:
     def test_bh_delegates(self):
         p = [0.001, 0.004, 0.2, 0.6]
         data = make_data(p)
-        rule = SelectionRule.bh_at_level(0.05)
+        rule = SelectionRule("bh", level=0.05)
         got = set(select(rule, data))
         expected = {f"h{i}" for i in bh_reject(p, 0.05)}
         assert got == expected
@@ -149,10 +149,10 @@ class TestSelect:
 
     def test_followed_up_rule(self):
         data = make_data([0.1, 0.2, 0.3], p2=[0.5, None, 0.7])
-        assert select(SelectionRule.followed_up(), data) == ("h0", "h2")
+        assert select(SelectionRule("followup"), data) == ("h0", "h2")
 
     @pytest.mark.parametrize(
-        "rule", [SelectionRule.followed_up(), SelectionRule("explicit", ids={"a"})],
+        "rule", [SelectionRule("followup"), SelectionRule("explicit", ids={"a"})],
         ids=["followup", "explicit"],
     )
     def test_select_rows_refuses_a_rule_not_made_from_p1(self, rule):
@@ -164,7 +164,7 @@ class TestSelect:
         rng = np.random.default_rng(3)
         p = rng.random(30)
         data = make_data(p)
-        rule = SelectionRule.bh_at_level(0.2)
+        rule = SelectionRule("bh", level=0.2)
         assert select(rule, data) == select(rule, data)
 
 
@@ -173,7 +173,7 @@ class TestProbeValidity:
         rng = np.random.default_rng(5)
         p = np.concatenate([rng.random(15) * 0.01, rng.random(15)])
         data = make_data(p)
-        report = probe_validity(SelectionRule.bh_at_level(0.2), data, grid_size=12, seed=1)
+        report = probe_validity(SelectionRule("bh", level=0.2), data, grid_size=12, seed=1)
         assert report.looks_valid
 
     def test_fixed_threshold_clean(self):
@@ -217,7 +217,7 @@ class TestProbeValidity:
         p = np.random.default_rng(8).random(400) * 0.8
         p[:60] *= 1e-3  # BH selects about 60 rows, the median rule over 200
         data = make_data(p)
-        rule = median_rule if rule == "median" else SelectionRule.bh_at_level(0.3)
+        rule = median_rule if rule == "median" else SelectionRule("bh", level=0.3)
         report = probe_validity(rule, data, grid_size=4, seed=seed)
         assert report.looks_valid == (rule is not median_rule)
         ids = data.ids.tolist()

@@ -3,6 +3,7 @@ import logging
 import math
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -200,7 +201,7 @@ class TestRunScenario:
         data, _ = generate_rep(scenario, 0)
         with pytest.raises(DataError, match="at most t=1e-06"):
             fdr_two_stage(
-                data, SelectionRule.bh_at_level(0.025), 0.025, 0.05,
+                data, SelectionRule("bh", level=0.025), 0.025, 0.05,
                 Dependence.ARBITRARY_PRIMARY_ITEM2, 1e-6,
             )
         with pytest.raises(DataError, match="at most t=1e-06"):
@@ -503,6 +504,21 @@ class TestPublishedCurveShapes:
             sweep(base, "k_selected", [2.5, 3])
 
 
+def test_top_k_above_m_is_refused_before_any_repetition(monkeypatch):
+    # a scenario refuses it when built: a scenario file's read and a sweep
+    # refuse it before any point runs; the library refuses it when run
+    procedure = replace(BASE.procedure, selection=SelectionRule("top_k", k=BASE.m + 1))
+    message = f"top_k selection asks for {BASE.m + 1} of {BASE.m} hypotheses"
+    with pytest.raises(DataError, match=message):
+        replace(BASE, procedure=procedure)
+    data, _ = generate_rep(BASE, 0)
+    with pytest.raises(DataError, match=message):
+        procedure.run(data)
+    monkeypatch.setattr(sim, "run_scenario", mock.Mock(side_effect=AssertionError("a point ran")))
+    with pytest.raises(DataError, match=message):
+        sweep(BASE, "k_selected", [5, BASE.m + 1])
+
+
 # --------------------------------------------------------------------------
 # properties: chunked streams and row kernels
 # --------------------------------------------------------------------------
@@ -514,8 +530,8 @@ _SELECTIONS = st.sampled_from(["bh", "bh_level", "bonferroni", "top_k", "fixed_t
 def sim_scenarios(draw):
     """Small scenarios over every procedure kind, dependence mode and
     selection kind. Some are refused by the library (a thresholded mode
-    whose t is too large or is exceeded, top_k above m), and the kernels
-    must refuse them alike."""
+    whose t is too large or is exceeded), and the kernels must refuse them
+    alike."""
     m = draw(st.integers(1, 60))
     counts = draw(st.lists(st.integers(0, 20), min_size=4, max_size=4).filter(any))
     total = sum(counts)
@@ -532,7 +548,7 @@ def sim_scenarios(draw):
     if sel == "bh_level":
         selection = SelectionRule("bh", level=q1 * draw(st.sampled_from([0.5, 1.0])))
     elif sel == "top_k":
-        selection = SelectionRule("top_k", k=draw(st.integers(1, m + 1)))
+        selection = SelectionRule("top_k", k=draw(st.integers(1, m)))
     elif sel == "fixed_threshold":
         selection = SelectionRule("fixed_threshold", threshold=t * draw(st.sampled_from([0.5, 2.0])))
     else:
