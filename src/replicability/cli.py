@@ -125,14 +125,6 @@ def _write_report(out: str, quiet: bool, data, report, params: dict) -> None:
         print(f"{report.procedure}: rejected {report.r2} of R1={report.r1}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout without one."""
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _cmd_analyze(args) -> int:
     procedure = procedures.Procedure(kind=args.mode, **_levels(args))
     data = dataio.parse_pvalue_csv(args.input)
@@ -164,7 +156,7 @@ def _cmd_simulate(args) -> int:
         )
     else:
         rows = [(0.0, sim.run_scenario(parsed.scenario, workers=args.workers))]
-    _emit(dataio.sim_csv_text(rows), args.out)
+    dataio.sim_csv_text(rows, args.out)
     return EXIT_OK
 
 
@@ -187,7 +179,7 @@ def _cmd_power(args) -> int:
             sim.analytic_power_two_stage(args.mu11, args.mu21, args.m, c * args.alpha, args.alpha)
             for c in grid
         ]
-        _emit(dataio.csv_text("c,power", [grid, [f"{v:.6g}" for v in power]]), args.out)
+        dataio.write_csv(args.out, "c,power", [grid, [f"{v:.6g}" for v in power]])
         return EXIT_OK
     if args.out is not None:
         raise ParameterError("--out is read only with --grid-c")

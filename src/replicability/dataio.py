@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import os
 import re
+import sys
+from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .adjust import AdjustedTable
-from .data import ID, DiscoveryReport, StudyPairData, _first_issue, id_hashes
+from .data import ID, DiscoveryReport, StudyPairData, _first_issue, _slices, id_hashes
 from .errors import DataError, ParameterError
 from .params import Dependence, FwerMethod
 from .procedures import _KINDS, Procedure
@@ -58,12 +60,17 @@ def _column_text(values, full: bool) -> list[str]:
     return text
 
 
-def csv_text(header: str, columns, full: bool = True) -> str:
-    """CSV text: the header line, then one line per row of ``columns``.
-    A column is a float array, NaN where absent, written as :func:`fmt`
+def write_csv(out, header: str, columns, full: bool = True) -> None:
+    """CSV text to the file ``out``, or to stdout without one: the ``header``
+    line(s), then a line per row of ``columns``, written ``data._SLICE`` rows at
+    a time. A column is a float array, NaN where absent, written as :func:`fmt`
     would write each value, or an array or sequence of str, written as is."""
-    fields = [_column_text(c, full) for c in columns]
-    return "\n".join([header, *map(",".join, zip(*fields, strict=True))]) + "\n"
+    rows = max(map(len, columns))  # so that zip refuses a shorter column
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        for s in _slices(rows):
+            fields = [_column_text(c[s], full) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*fields, strict=True))) + "\n")
 
 
 def _parse_float(text: str, where: str, name: str) -> float:
@@ -147,10 +154,10 @@ def _parse_clean(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
         raise ValueError("malformed line")
     fields = text.replace("\n", ",").split(",")  # 3 per line, then ""
     p1 = np.fromiter(map(float, fields[1::3]), float, len(widths))
-    present = widths[:, 2] > 0
+    followed = np.flatnonzero(widths[:, 2])  # the rows with a p2
     p2 = np.full(len(widths), np.nan)
-    p2[present] = np.fromiter(map(float, compress(fields[2::3], present.tolist())), float)
-    if np.isnan(p2[present]).any():
+    p2[followed] = [float(fields[i]) for i in (3 * followed + 2).tolist()]
+    if np.isnan(p2[followed]).any():
         raise ValueError("nan p2")
     return fields[0:-1:3], p1, p2
 
@@ -257,9 +264,8 @@ def write_pvalue_csv(data: StudyPairData, path) -> None:
     if (issue := _first_issue(data, id_hashes(ids))) is not None:  # what the reader refuses
         raise DataError(f"{issue.where}: {issue.message}")
     directives = [("m", data.m_declared), ("r1", data.r1_declared)]
-    text = "".join(f"# {name}={value}\n" for name, value in directives if value is not None)
-    text += csv_text(PVALUE_HEADER, [data.ids, data.p1, data.p2])
-    Path(path).write_text(text, encoding="utf-8")
+    header = "".join(f"# {name}={value}\n" for name, value in directives if value is not None)
+    write_csv(path, header + PVALUE_HEADER, [data.ids, data.p1, data.p2])
 
 
 def write_discoveries_csv(data: StudyPairData, report: DiscoveryReport, path) -> None:
@@ -273,7 +279,7 @@ def write_discoveries_csv(data: StudyPairData, report: DiscoveryReport, path) ->
         report.adjusted,
         np.where(np.isin(rows, report.rejected_rows), "1", "0").tolist(),
     ]
-    Path(path).write_text(csv_text(DISCOVERY_HEADER, columns), encoding="utf-8")
+    write_csv(path, DISCOVERY_HEADER, columns)
 
 
 def write_adjusted_csv(table: AdjustedTable, path, full: bool = False) -> None:
@@ -282,7 +288,7 @@ def write_adjusted_csv(table: AdjustedTable, path, full: bool = False) -> None:
     if table.modified is not None:
         header += ",adjusted_p_modified"
         columns.append(table.modified)
-    Path(path).write_text(csv_text(header, columns, full), encoding="utf-8")
+    write_csv(path, header, columns, full)
 
 
 def summary_text(report: DiscoveryReport, data: StudyPairData, params: dict) -> str:
@@ -308,11 +314,13 @@ def summary_text(report: DiscoveryReport, data: StudyPairData, params: dict) -> 
     return "\n".join(lines) + "\n"
 
 
-def sim_csv_text(rows: list[tuple[float, SimEstimate]]) -> str:
+def sim_csv_text(rows: list[tuple[float, SimEstimate]], out) -> None:
+    """Writes the rows as CSV to the file ``out``, or to stdout without one.
+    The benchmark's tracer wraps it by this name."""
     fields = ("avg_fdp", "fdp_se", "avg_power", "power_se", "avg_rejections")
     columns = [np.array([point for point, _ in rows], dtype=float)]
     columns += [np.array([getattr(est, name) for _, est in rows], dtype=float) for name in fields]
-    return csv_text(SIM_HEADER, columns)
+    write_csv(out, SIM_HEADER, columns)
 
 
 _DEPENDENCE_ALIASES = {

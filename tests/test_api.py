@@ -132,10 +132,9 @@ def test_probe_only_names_have_no_caller_in_src_or_demos():
     assert len(files) > 6 and calls == []
 
 
-def test_inputs_are_opened_once_each_with_one_decoding():
-    # each input file is read in one pass, which also numbers the lines its
-    # refusals name, so a pipe reads like a file; both inputs decode alike,
-    # so an undecodable byte meets the reader's own refusals
+def _src_calls(name: str) -> list[tuple[str, ast.Call]]:
+    """Each call in ``src/`` of a function or method called ``name``, with the
+    module.function (or module.Class.method) it is made in."""
     sites = []
 
     def visit(node, scope):
@@ -143,13 +142,26 @@ def test_inputs_are_opened_once_each_with_one_decoding():
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "open":
-                keys = {k.arg: ast.literal_eval(k.value) for k in child.keywords}
-                sites.append((scope, keys.get("encoding"), keys.get("errors")))
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and name in (getattr(func, "id", None),
+                                                        getattr(func, "attr", None)):
+                sites.append((scope, child))
             visit(child, scope)
 
     for path in sorted((REPO / "src").rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return sites
+
+
+def test_inputs_are_opened_once_each_with_one_decoding():
+    # each input file is read in one pass, which also numbers the lines its
+    # refusals name, so a pipe reads like a file; both inputs decode alike,
+    # so an undecodable byte meets the reader's own refusals
+    sites = []
+    for scope, call in _src_calls("open"):
+        keys = {k.arg: ast.literal_eval(k.value) for k in call.keywords}
+        if [ast.literal_eval(arg) for arg in call.args[1:2]] in ([], ["r"]):
+            sites.append((scope, keys.get("encoding"), keys.get("errors")))
     assert sorted(sites) == [
         ("dataio.parse_pvalue_csv", "utf-8-sig", "surrogateescape"),
         ("dataio.parse_scenario_file", "utf-8-sig", "surrogateescape"),
@@ -300,3 +312,20 @@ def test_readme_feature_bullets_name_live_callables():
         return callable(owner)
 
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_every_table_leaves_through_write_csv():
+    # dataio.write_csv streams every table out in blocks: no other code
+    # formats a whole table into one string or opens a file to write
+    defined = set()
+    for path in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            defined.add(getattr(node, "name", None))
+            defined.add(getattr(node, "attr", None))
+    assert {"csv_text", "_emit"}.isdisjoint(defined) and "write_csv" in defined
+    opened = [(scope, [ast.literal_eval(arg) for arg in call.args[1:2]])
+              for scope, call in _src_calls("open")]
+    assert [site for site in opened if site[1] not in ([], ["r"])] == [("dataio.write_csv", ["w"])]
+    written = [(scope, ast.unparse(call.func.value)) for scope, call in _src_calls("write_text")]
+    assert written == [("cli._write_report", "out / 'summary.txt'")]
+    assert _src_calls("write_bytes") == []

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import BAD_PVALUE_FILES, make_data
 from csv_oracle import parse_pvalue_csv_lines
+from replicability import data as data_module
 from replicability import dataio
 from replicability.data import ID, StudyPairData, validate_dataset
 from replicability.dataio import (
@@ -162,9 +169,70 @@ def test_csv_column_writes_what_fmt_writes(values, full):
     """A float column is formatted whole; each field must be fmt's, with
     None and NaN both absent."""
     ids = [f"r{i}" for i in range(len(values))]
-    text = dataio.csv_text("id,x", [ids, np.array(values, dtype=float)], full)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        dataio.write_csv(None, "id,x", [ids, np.array(values, dtype=float)], full)
+    text = out.getvalue()
     expected = [f"{rid},{fmt(v, full)}" for rid, v in zip(ids, values)]
     assert text == "\n".join(["id,x", *expected]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.text(st.characters(blacklist_characters=",\n\r"), max_size=4),
+                  st.floats() | st.none(), st.floats() | st.none(), st.sampled_from("01")),
+        max_size=20,
+    ),
+    full=st.booleans(),
+    block=st.sampled_from([1, 7, 1 << 16]),
+)
+def test_write_csv_writes_each_row_at_any_block_size(rows, full, block):
+    """Block by block, write_csv writes the header line and then each row's
+    line: a StringDType column, two float columns and a list column."""
+    ids, x, y, flags = ([row[k] for row in rows] for k in range(4))
+    columns = [np.array(ids, dtype=ID), np.array(x, dtype=float), np.array(y, dtype=float), flags]
+    expected = "".join(f"{r},{fmt(a, full)},{fmt(b, full)},{f}\n" for r, a, b, f in rows)
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()) as out:
+        patch.setattr(data_module, "_SLICE", block)
+        dataio.write_csv(None, "# m=5\nid,x,y,flag", columns, full)
+    assert out.getvalue() == "# m=5\nid,x,y,flag\n" + expected
+
+
+def test_write_csv_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError), contextlib.redirect_stdout(io.StringIO()):
+        dataio.write_csv(None, "a,b", [np.zeros(3), ["1", "2"]])
+
+
+_WRITE_ADJUSTED = """
+import resource, sys
+import numpy as np
+from replicability.adjust import AdjustedTable
+from replicability.dataio import write_adjusted_csv
+
+n = int(sys.argv[2])
+p1, p2, z, adjusted = np.random.default_rng(0).random((4, n))
+table = AdjustedTable(tuple(f"rs{i}" for i in range(n)), p1, p2, z, adjusted, None)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+write_adjusted_csv(table, sys.argv[1])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
+def test_writing_a_large_table_holds_one_block_of_text(tmp_path):
+    """Writing a 300k-row adjusted table raises the writer's peak RSS by about
+    the text of one 2^16-row block (42 MB), far below the whole table's text
+    held at once (125 MB)."""
+    src = str(Path(dataio.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "adjusted.csv"
+    done = subprocess.run([sys.executable, "-c", _WRITE_ADJUSTED, str(out), "300000"],
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    rise = float(done.stdout)  # MB
+    assert rise < 80.0, f"writing raised the peak RSS by {rise:.1f} MB"
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 300_001
 
 
 def test_trailing_newline(tmp_path):
