@@ -23,14 +23,12 @@ _HOMES = {
     "dataio": "parse_pvalue_csv parse_scenario_file write_pvalue_csv",
     "datasets": "load_crohns_disease load_hippocampal_volume",
     "errors": "ApplicabilityError DataError ParameterError ReplicabilityError",
-    "numeric": "chisq_survival_even_df harmonic solve_oracle_qprime solve_q1_tilde_thresholded "
-    "std_normal_cdf std_normal_quantile",
+    "numeric": "harmonic solve_oracle_qprime solve_q1_tilde_thresholded",
     "params": "Dependence FwerMethod",
-    "procedures": "Procedure fdr_symmetric fdr_two_stage fdr_two_stage_rscan "
-    "fisher_combined_pvalues fwer_two_stage",
-    "selection": "SelectionRule bh_reject probe_validity select",
+    "procedures": "Procedure fdr_symmetric fdr_two_stage fisher_combined_pvalues fwer_two_stage",
+    "selection": "SelectionRule probe_validity",
     "sim": "SimEstimate SimScenario analytic_power_bonf_max analytic_power_two_stage "
-    "generate_rep run_scenario sweep truth_block_sizes",
+    "generate_rep run_scenario sweep",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted(_HOME)

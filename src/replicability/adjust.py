@@ -35,13 +35,15 @@ class AdjustedRow:
 @dataclass(frozen=True, eq=False)
 class AdjustedTable:
     """The followed-up hypotheses as columns in table order: ascending
-    adjusted value, ties by id in ``str`` order. ``ids`` is a tuple and
-    ``p1``, ``p2``, ``z``, ``adjusted`` and ``modified`` are float arrays;
-    ``modified`` is None outside the dependence-corrected modes and for an
-    empty table. ``rows`` reads the same table as :class:`AdjustedRow`
-    records, each built when it is read."""
+    adjusted value, ties by id compared as Python ``str``. ``ids`` is the
+    dataset's string column (:data:`~replicability.data.ID`), taken at those
+    rows, so compare its ids as ``str`` (``ids.tolist()``); ``p1``, ``p2``,
+    ``z``, ``adjusted`` and ``modified`` are float arrays; ``modified`` is
+    None outside the dependence-corrected modes and for an empty table.
+    ``rows`` reads the same table as :class:`AdjustedRow` records, each
+    built when it is read."""
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
     z: np.ndarray
@@ -112,11 +114,10 @@ def build_adjusted_table(
         d1, d2 = _level_divisors(None if q is None else c * q, mode, t, m, r1)
         p1_mod, p2_mod = np.minimum(d1 * p1, 1.0), np.minimum(d2 * p2, 1.0)
         _, modified = _adjust_columns(p1_mod, p2_mod, m, r1, c, flavor)
-    # idx's ids as str objects, compared in str order: numpy's stop at a NUL
-    names = np.array(data.ids[idx].tolist(), dtype=object)
-    order = np.lexsort((names, adjusted))
+    # ties sorted by the ids as str objects: numpy compares strings only up to a NUL
+    order = np.lexsort((np.array(data.ids[idx].tolist(), dtype=object), adjusted))
     return AdjustedTable(
-        ids=tuple(names[order].tolist()),
+        ids=data.ids[idx[order]],
         p1=p1[order],
         p2=p2[order],
         z=z[order],

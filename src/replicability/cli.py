@@ -179,7 +179,7 @@ def _cmd_power(args) -> int:
             sim.analytic_power_two_stage(args.mu11, args.mu21, args.m, c * args.alpha, args.alpha)
             for c in grid
         ]
-        dataio.write_csv(args.out, "c,power", [grid, [f"{v:.6g}" for v in power]])
+        dataio.write_csv(args.out, "c,power", [grid, np.array([f"{v:.6g}" for v in power])])
         return EXIT_OK
     if args.out is not None:
         raise ParameterError("--out is read only with --grid-c")

@@ -43,12 +43,9 @@ def fmt(x: float | None, full: bool = True) -> str:
     return _column_text(np.array([x], dtype=float), full)[0]
 
 
-def _column_text(values, full: bool) -> list[str]:
-    """The fields of a column: of a float array, each value's shortest round-trip
-    form (``.4g`` unless ``full``), empty where NaN, formatted whole; of any other
-    array, its strings; any other sequence as it is."""
-    if not isinstance(values, np.ndarray):
-        return values
+def _column_text(values: np.ndarray, full: bool) -> list[str]:
+    """The fields of a column, an array: of floats, each value's shortest round-trip
+    form (``.4g`` unless ``full``), empty where NaN, formatted whole; of str, its strings."""
     if values.dtype != float:
         return values.tolist()
     if full:
@@ -63,8 +60,8 @@ def _column_text(values, full: bool) -> list[str]:
 def write_csv(out, header: str, columns, full: bool = True) -> None:
     """CSV text to the file ``out``, or to stdout without one: the ``header``
     line(s), then a line per row of ``columns``, written ``data._SLICE`` rows at
-    a time. A column is a float array, NaN where absent, written as :func:`fmt`
-    would write each value, or an array or sequence of str, written as is."""
+    a time. A column is an array: of floats, NaN where absent, written as
+    :func:`fmt` would write each value, or of str, written as is."""
     rows = max(map(len, columns))  # so that zip refuses a shorter column
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
         fh.write(header + "\n")
@@ -277,7 +274,7 @@ def write_discoveries_csv(data: StudyPairData, report: DiscoveryReport, path) ->
         data.p2[rows],
         report.z,
         report.adjusted,
-        np.where(np.isin(rows, report.rejected_rows), "1", "0").tolist(),
+        np.where(np.isin(rows, report.rejected_rows), "1", "0"),
     ]
     write_csv(path, DISCOVERY_HEADER, columns)
 

@@ -161,10 +161,6 @@ class ValidityProbeReport:
     probed: int
     counterexamples: tuple[ValidityCounterexample, ...]
 
-    @property
-    def looks_valid(self) -> bool:
-        return not self.counterexamples
-
 
 _MAX_PROBED = 200  # selected hypotheses probe_validity perturbs at most
 

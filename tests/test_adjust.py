@@ -22,7 +22,7 @@ from replicability.selection import SelectionRule
 def test_empty_followup_set_gives_empty_table():
     data = make_data([0.1, 0.2], [None, None])
     table = build_adjusted_table(data, c=0.5)
-    assert table.ids == ()
+    assert table.ids.tolist() == []
 
 
 def test_rows_sorted_by_adjusted_then_id():

@@ -72,6 +72,12 @@ def test_dir_and_help_show_the_public_names():
     assert replicability.fdr_two_stage.__doc__.splitlines()[0] in text
 
 
+def test_readme_documents_every_public_name():
+    # the README shows each public name as code, so the list cannot grow unseen
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    assert [name for name in replicability._HOME if not re.search(rf"[`.]{name}\b", readme)] == []
+
+
 def test_blas_thread_count_is_set_in_one_module():
     # only the command-line entry in the package __init__ names the variable
     files = sorted((REPO / "src").rglob("*.py"))

@@ -169,8 +169,9 @@ def test_csv_column_writes_what_fmt_writes(values, full):
     """A float column is formatted whole; each field must be fmt's, with
     None and NaN both absent."""
     ids = [f"r{i}" for i in range(len(values))]
+    columns = [np.array(ids, dtype=str), np.array(values, dtype=float)]
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        dataio.write_csv(None, "id,x", [ids, np.array(values, dtype=float)], full)
+        dataio.write_csv(None, "id,x", columns, full)
     text = out.getvalue()
     expected = [f"{rid},{fmt(v, full)}" for rid, v in zip(ids, values)]
     assert text == "\n".join(["id,x", *expected]) + "\n"
@@ -179,7 +180,7 @@ def test_csv_column_writes_what_fmt_writes(values, full):
 @settings(max_examples=200, deadline=None)
 @given(
     rows=st.lists(
-        st.tuples(st.text(st.characters(blacklist_characters=",\n\r"), max_size=4),
+        st.tuples(st.text(st.characters(codec="utf-8", blacklist_characters=",\n\r"), max_size=4),
                   st.floats() | st.none(), st.floats() | st.none(), st.sampled_from("01")),
         max_size=20,
     ),
@@ -188,9 +189,10 @@ def test_csv_column_writes_what_fmt_writes(values, full):
 )
 def test_write_csv_writes_each_row_at_any_block_size(rows, full, block):
     """Block by block, write_csv writes the header line and then each row's
-    line: a StringDType column, two float columns and a list column."""
+    line: a StringDType column, two float columns and a fixed-width str column."""
     ids, x, y, flags = ([row[k] for row in rows] for k in range(4))
-    columns = [np.array(ids, dtype=ID), np.array(x, dtype=float), np.array(y, dtype=float), flags]
+    columns = [np.array(ids, dtype=ID), np.array(x, dtype=float), np.array(y, dtype=float),
+               np.array(flags, dtype=str)]
     expected = "".join(f"{r},{fmt(a, full)},{fmt(b, full)},{f}\n" for r, a, b, f in rows)
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()) as out:
         patch.setattr(data_module, "_SLICE", block)
@@ -200,18 +202,20 @@ def test_write_csv_writes_each_row_at_any_block_size(rows, full, block):
 
 def test_write_csv_refuses_columns_of_unequal_length():
     with pytest.raises(ValueError), contextlib.redirect_stdout(io.StringIO()):
-        dataio.write_csv(None, "a,b", [np.zeros(3), ["1", "2"]])
+        dataio.write_csv(None, "a,b", [np.zeros(3), np.array(["1", "2"])])
 
 
 _WRITE_ADJUSTED = """
 import resource, sys
 import numpy as np
 from replicability.adjust import AdjustedTable
+from replicability.data import ID
 from replicability.dataio import write_adjusted_csv
 
 n = int(sys.argv[2])
 p1, p2, z, adjusted = np.random.default_rng(0).random((4, n))
-table = AdjustedTable(tuple(f"rs{i}" for i in range(n)), p1, p2, z, adjusted, None)
+ids = np.array([f"rs{i}" for i in range(n)], dtype=ID)
+table = AdjustedTable(ids, p1, p2, z, adjusted, None)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 write_adjusted_csv(table, sys.argv[1])
 print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
@@ -221,8 +225,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB")
 def test_writing_a_large_table_holds_one_block_of_text(tmp_path):
     """Writing a 300k-row adjusted table raises the writer's peak RSS by about
-    the text of one 2^16-row block (42 MB), far below the whole table's text
-    held at once (125 MB)."""
+    the text of one 2^16-row block (about 30 MB), far below the whole table's
+    text held at once (125 MB)."""
     src = str(Path(dataio.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = tmp_path / "adjusted.csv"

@@ -44,7 +44,7 @@ def test_adjusted_ties_in_python_str_order():
     data = make_data([0.01] * 5, [0.02] * 5, ids=NUL_IDS)
     table = build_adjusted_table(data, 0.5)
     assert len(set(table.adjusted.tolist())) == 1  # every row ties
-    assert table.ids == tuple(sorted(NUL_IDS))
+    assert table.ids.dtype == ID and table.ids.tolist() == sorted(NUL_IDS)
     assert [row.id for row in table.rows] == sorted(NUL_IDS)
 
 

@@ -174,7 +174,7 @@ class TestProbeValidity:
         p = np.concatenate([rng.random(15) * 0.01, rng.random(15)])
         data = make_data(p)
         report = probe_validity(SelectionRule("bh", level=0.2), data, grid_size=12, seed=1)
-        assert report.looks_valid
+        assert report.counterexamples == ()
 
     def test_fixed_threshold_clean(self):
         rng = np.random.default_rng(6)
@@ -182,18 +182,18 @@ class TestProbeValidity:
         report = probe_validity(
             SelectionRule("fixed_threshold", threshold=0.5), data, grid_size=12, seed=1
         )
-        assert report.looks_valid
+        assert report.counterexamples == ()
 
     def test_top_k_clean(self):
         rng = np.random.default_rng(7)
         data = make_data(rng.random(20))
         report = probe_validity(SelectionRule("top_k", k=5), data, grid_size=12, seed=1)
-        assert report.looks_valid
+        assert report.counterexamples == ()
 
     def test_median_coupled_rule_caught(self, median_rule):
         data = make_data([0.5, 0.4, 1.0])
         report = probe_validity(median_rule, data, grid_size=16, seed=1)
-        assert not report.looks_valid
+        assert report.counterexamples
         assert any(ce.perturbed_id for ce in report.counterexamples)
 
     def test_large_selection_probes_a_seeded_subsample(self, median_rule):
@@ -219,7 +219,7 @@ class TestProbeValidity:
         data = make_data(p)
         rule = median_rule if rule == "median" else SelectionRule("bh", level=0.3)
         report = probe_validity(rule, data, grid_size=4, seed=seed)
-        assert report.looks_valid == (rule is not median_rule)
+        assert (report.counterexamples == ()) == (rule is not median_rule)
         ids = data.ids.tolist()
         for ce in report.counterexamples:
             assert ce.selection_before == select(rule, data)
